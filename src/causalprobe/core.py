@@ -118,10 +118,14 @@ class Operator:
             if dev > DEFAULT_POLICY.exact_tol:
                 raise ValueError(f"operator flagged hermitian deviates by {dev:.3e}")
 
+    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
+        """O |psi> on a flat amplitude vector."""
+        return self.matrix @ amplitudes
+
     def expectation(self, state: StateVector):
         if state.dims != self.dims:
             raise ValueError(f"dims mismatch: {state.dims} vs {self.dims}")
-        val = complex(np.vdot(state.amplitudes, self.matrix @ state.amplitudes))
+        val = complex(np.vdot(state.amplitudes, self.apply(state.amplitudes)))
         return float(val.real) if self.hermitian else val
 
 
@@ -351,7 +355,9 @@ def post_measurement_expectation(state: StateVector, scheme: MeasurementScheme,
     """Ensemble average of obs right after the measurement.
 
     Evaluates sum_i <psi|P_i O P_i|psi> directly; zero-probability branches
-    contribute nothing because P_i|psi> already vanishes on them.
+    contribute nothing because P_i|psi> already vanishes on them.  ``obs``
+    may be any operator with ``dims``, ``hermitian`` and ``apply``, so
+    matrix-free operators run through the same path as dense ones.
     """
     if state.dims != scheme.dims or obs.dims != scheme.dims:
         raise ValueError(
@@ -361,7 +367,7 @@ def post_measurement_expectation(state: StateVector, scheme: MeasurementScheme,
     total = 0.0
     for out in scheme.outcomes:
         branch = out.apply(state.amplitudes)
-        total += float(np.real(np.vdot(branch, obs.matrix @ branch)))
+        total += float(np.real(np.vdot(branch, obs.apply(branch))))
     return total
 
 

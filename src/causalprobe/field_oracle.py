@@ -3,40 +3,44 @@
 Represents every lattice mode as an explicit truncated oscillator ladder,
 builds the kicked vacuum as a kron product of coherent vectors, applies the
 measurement exactly as a projector family on the joint space, and reads
-observables off dense matrices.  Nothing here reuses the closed forms in
-``fieldtheory``; agreement between the two is a test, not an assumption.
+observables off mode-local operators.  Nothing here reuses the closed forms
+in ``fieldtheory``; agreement between the two is a test, not an assumption.
 
-Joint dimension is trunc^(number of modes); keep it at desk scale
-(<= ~1e5, e.g. d=1, N=4, trunc 6 -> 1296).
+phi_y and pi_y are sums of one trunc x trunc ladder term per mode, each
+applied along its own axis of the (trunc,)*M amplitude tensor, so no joint
+matrix is ever built: memory is O(dim) and one apply costs O(dim M trunc)
+with dim = trunc^M.  Second moments apply the sum twice.  The oracle
+refuses a lattice whose live vectors would exceed ``_ORACLE_BYTE_BUDGET``
+(256 MiB; d=1, N=8 at trunc 6 fits, trunc 7 does not).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    Operator,
-    StateVector,
-    embed_local,
-    post_measurement_expectation,
-    qndsv_scheme,
-)
-from .fieldtheory import KickSpec, kick_displacements, qndsv_phi2_y
+from .core import StateVector, post_measurement_expectation, qndsv_scheme
+from .fieldtheory import KickSpec, kick_displacements, qndsv_phi2_y_candidate
 from .lattice import ModeSet
 from .oscillators import coherent_amplitudes, ladder
 from .policy import DEFAULT_POLICY, NumericPolicy, TruncationError
 
-_MAX_ORACLE_DIM = 200_000
+_ORACLE_BYTE_BUDGET = 256 * 2**20
+# Most dim-sized complex vectors alive at once: the prestate, the
+# verification target and the two copies its scheme keeps, a branch, and
+# the intermediate, accumulator and term product of a squared apply.
+_LIVE_VECTORS = 8
 
 
 def oracle_dims(modes: ModeSet, trunc: int) -> tuple[int, ...]:
     dims = (int(trunc),) * modes.n_modes
-    total = int(np.prod(dims))
-    if total > _MAX_ORACLE_DIM:
+    need = math.prod(dims) * np.dtype(complex).itemsize * _LIVE_VECTORS
+    if need > _ORACLE_BYTE_BUDGET:
         raise ValueError(
-            f"oracle dimension {total} exceeds the desk-scale cap {_MAX_ORACLE_DIM}")
+            f"oracle needs {need} bytes for {modes.n_modes} modes at trunc {trunc}, "
+            f"over the byte budget {_ORACLE_BYTE_BUDGET}")
     return dims
 
 
@@ -55,6 +59,49 @@ def oracle_prestate(modes: ModeSet, kick: KickSpec, trunc: int,
     return StateVector(dims, amp), tail
 
 
+@dataclass(frozen=True)
+class ModeSumOperator:
+    """(sum_i T_i)^power with T_i a hermitian term on mode i alone.
+
+    Never materialized: ``apply`` runs each term along its own tensor axis.
+    Provides the ``dims``/``hermitian``/``apply`` interface the generic
+    ``core`` machinery uses for dense operators.
+    """
+
+    dims: tuple[int, ...]
+    terms: tuple[np.ndarray, ...]
+    power: int = 1
+    hermitian = True
+
+    def __post_init__(self):
+        for i, term in enumerate(self.terms):
+            dev = float(np.max(np.abs(term - term.conj().T)))
+            if dev > DEFAULT_POLICY.exact_tol:
+                raise ValueError(f"term {i} deviates from hermitian by {dev:.3e}")
+
+    def squared(self) -> "ModeSumOperator":
+        return replace(self, power=2 * self.power)
+
+    def _apply_once(self, amplitudes: np.ndarray) -> np.ndarray:
+        out = np.zeros(amplitudes.size, dtype=complex)
+        pre = 1
+        for d, term in zip(self.dims, self.terms):
+            # (pre, d, post) view: the term acts on the middle axis
+            out += (term @ amplitudes.reshape(pre, d, -1)).reshape(-1)
+            pre *= d
+        return out
+
+    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
+        for _ in range(self.power):
+            amplitudes = self._apply_once(amplitudes)
+        return amplitudes
+
+    def expectation(self, state: StateVector) -> float:
+        if state.dims != self.dims:
+            raise ValueError(f"dims mismatch: {state.dims} vs {self.dims}")
+        return float(np.real(np.vdot(state.amplitudes, self.apply(state.amplitudes))))
+
+
 def _mode_term(modes: ModeSet, index: int, y, trunc: int, weight: float,
                momentum: bool) -> np.ndarray:
     a = ladder(trunc)
@@ -64,30 +111,20 @@ def _mode_term(modes: ModeSet, index: int, y, trunc: int, weight: float,
     return weight * (phase * a + np.conj(phase) * a.conj().T)
 
 
-def field_operator(modes: ModeSet, y, trunc: int) -> Operator:
+def field_operator(modes: ModeSet, y, trunc: int) -> ModeSumOperator:
     """phi_y = sum_k sqrt(hbar/2 omega_k V)(e^{ik.y} b_k + h.c.)."""
     lat = modes.lattice
-    dims = oracle_dims(modes, trunc)
-    total = np.zeros((int(np.prod(dims)), int(np.prod(dims))), dtype=complex)
-    for i in range(modes.n_modes):
-        w = np.sqrt(lat.hbar / (2.0 * modes.omega[i] * lat.volume))
-        term = Operator((trunc,), _mode_term(modes, i, y, trunc, w, momentum=False),
-                        hermitian=True)
-        total += embed_local(term, i, dims).matrix
-    return Operator(dims, total, hermitian=True)
+    weights = np.sqrt(lat.hbar / (2.0 * modes.omega * lat.volume))
+    return ModeSumOperator(oracle_dims(modes, trunc), tuple(
+        _mode_term(modes, i, y, trunc, w, momentum=False) for i, w in enumerate(weights)))
 
 
-def momentum_operator(modes: ModeSet, y, trunc: int) -> Operator:
+def momentum_operator(modes: ModeSet, y, trunc: int) -> ModeSumOperator:
     """pi_y = -i sum_k sqrt(hbar omega_k / 2V)(e^{ik.y} b_k - h.c.)."""
     lat = modes.lattice
-    dims = oracle_dims(modes, trunc)
-    total = np.zeros((int(np.prod(dims)), int(np.prod(dims))), dtype=complex)
-    for i in range(modes.n_modes):
-        w = np.sqrt(lat.hbar * modes.omega[i] / (2.0 * lat.volume))
-        term = Operator((trunc,), _mode_term(modes, i, y, trunc, w, momentum=True),
-                        hermitian=True)
-        total += embed_local(term, i, dims).matrix
-    return Operator(dims, total, hermitian=True)
+    weights = np.sqrt(lat.hbar * modes.omega / (2.0 * lat.volume))
+    return ModeSumOperator(oracle_dims(modes, trunc), tuple(
+        _mode_term(modes, i, y, trunc, w, momentum=True) for i, w in enumerate(weights)))
 
 
 def one_particle_state(modes: ModeSet, p_index: int, trunc: int) -> StateVector:
@@ -107,7 +144,7 @@ def one_particle_packet_state(modes: ModeSet, packet, t1: float,
     dims = oracle_dims(modes, trunc)
     weights = (np.sqrt(modes.eps) * packet.spectral
                * np.exp(-1j * modes.omega * t1))
-    amp = np.zeros(int(np.prod(dims)), dtype=complex)
+    amp = np.zeros(math.prod(dims), dtype=complex)
     for i, w in enumerate(weights):
         if w == 0:
             continue
@@ -118,11 +155,7 @@ def one_particle_packet_state(modes: ModeSet, packet, t1: float,
     return StateVector(dims, amp)
 
 
-def _square(op: Operator) -> Operator:
-    return Operator(op.dims, op.matrix @ op.matrix, hermitian=True)
-
-
-def _naive_expectation(state: StateVector, obs: Operator, mode_a: int,
+def _naive_expectation(state: StateVector, obs: ModeSumOperator, mode_a: int,
                        mode_b: int) -> float:
     """sum_{m,n} <psi|P_mn O P_mn|psi> with P_mn the joint number projector
     on the two pair modes (identity elsewhere), applied as an index mask.
@@ -141,7 +174,7 @@ def _naive_expectation(state: StateVector, obs: Operator, mode_a: int,
             branch = np.zeros_like(tensor)
             branch[tuple(sel)] = tensor[tuple(sel)]
             flat = branch.reshape(-1)
-            total += float(np.real(np.vdot(flat, obs.matrix @ flat)))
+            total += float(np.real(np.vdot(flat, obs.apply(flat))))
     return total
 
 
@@ -190,9 +223,9 @@ def numeric_oracle_qndsv(modes: ModeSet, kick: KickSpec, y, p_index: int,
         elif name == "pi_y":
             ops[name] = pi
         elif name == "phi2_y":
-            ops[name] = _square(phi)
+            ops[name] = phi.squared()
         elif name == "pi2_y":
-            ops[name] = _square(pi)
+            ops[name] = pi.squared()
         else:
             raise ValueError(f"unknown field observable {name!r}")
 
@@ -231,8 +264,10 @@ def oracle_qndsv_packet_phi_y(modes: ModeSet, kick: KickSpec, y, packet,
 class Phi2Comparison:
     """Side-by-side <phi_y^2> after the single-mode verification.
 
-    The closed-form candidate and the oracle disagree systematically
-    (already at lam = 0); both numbers are reported, neither is adopted.
+    ``closed_form`` is the paper's candidate
+    (``fieldtheory.qndsv_phi2_y_candidate``), which disagrees with the
+    oracle systematically, already at lam = 0; reports use
+    ``fieldtheory.qndsv_phi2_y``, which matches it.
     """
 
     closed_form: float
@@ -243,7 +278,7 @@ class Phi2Comparison:
 
 def phi2_comparison(modes: ModeSet, kick: KickSpec, y, p_index: int, trunc: int,
                     policy: NumericPolicy = DEFAULT_POLICY) -> Phi2Comparison:
-    closed = qndsv_phi2_y(modes, kick, y, p_index)
+    closed = qndsv_phi2_y_candidate(modes, kick, y, p_index)
     report = numeric_oracle_qndsv(modes, kick, y, p_index, trunc,
                                   scheme_kind="qndsv", observables=("phi2_y",),
                                   policy=policy)

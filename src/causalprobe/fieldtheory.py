@@ -131,7 +131,29 @@ def sorkin_derivative(modes: ModeSet, x, y, packet: WavePacket,
 
 
 def qndsv_phi2_y(modes: ModeSet, kick: KickSpec, y, p_index: int) -> float:
-    """Closed-form candidate for <phi_y^2> after the single-mode
+    """<phi_y^2> right after verifying the one-particle state of mode p:
+
+        (hbar/2) ginv_yy + e^{-lam^2 ginv_xx/2hbar} (lam^2 eps / hbar omega_p)
+          [ lam^2 ginv_xy^2 / 4 - hbar ginv_xy cos p.(x-y) + hbar eps/omega_p ]
+
+    Equals the vacuum value at lam = 0, where the kicked state is the vacuum
+    and the verification leaves it alone, and is even in lam.  Agrees with the
+    truncated-Fock oracle in ``field_oracle`` to rounding.
+    """
+    _require_paired(modes, p_index)
+    lam, hbar = kick.strength, modes.lattice.hbar
+    wp = modes.omega[p_index]
+    gyy = kernel_ginv(modes, y, y)
+    gxy = kernel_ginv(modes, kick.site, y)
+    phase = modes.phase_at(p_index, kick.site) - modes.phase_at(p_index, y)
+    bracket = (0.25 * lam**2 * gxy**2 - hbar * gxy * math.cos(phase)
+               + hbar * modes.eps / wp)
+    return (0.5 * hbar * gyy + suppression_factor(modes, kick)
+            * (lam**2 * modes.eps / (hbar * wp)) * bracket)
+
+
+def qndsv_phi2_y_candidate(modes: ModeSet, kick: KickSpec, y, p_index: int) -> float:
+    """The paper's closed-form candidate for <phi_y^2> after the single-mode
     verification:
 
         (3hbar/2) ginv_yy + 2 hbar eps/omega_p
@@ -139,9 +161,9 @@ def qndsv_phi2_y(modes: ModeSet, kick: KickSpec, y, p_index: int) -> float:
           [ 2 hbar ginv_xy cos p.(x-y) + (hbar/2) ginv_yy
             - (lam^2/4) ginv_xy^2 ]
 
-    The independent oracle disagrees with this expression even at lam = 0
-    (see ``field_oracle.phi2_comparison``), so consumers are given both
-    numbers side by side rather than either one silently.
+    The independent oracle disagrees with this expression even at lam = 0;
+    ``qndsv_phi2_y`` is the value reports use, and this one is kept only
+    for ``field_oracle.phi2_comparison``.
     """
     _require_paired(modes, p_index)
     lat = modes.lattice

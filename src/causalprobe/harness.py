@@ -396,15 +396,22 @@ def _rescaled_for_spacing(sc: Scenario, spacing: float) -> Scenario:
     })
 
 
+def _integral(axis: str, value) -> int:
+    """An integer-valued sweep point; 8.0 is accepted, 4.5 is refused."""
+    if not float(value).is_integer():
+        raise ScenarioError(f"sweep axis {axis!r} needs integer values, got {value!r}")
+    return int(value)
+
+
 def _scenario_at(sc: Scenario, axis: str, value) -> Scenario:
     if axis == "volume":
-        return _rescaled_for_volume(sc, int(value))
+        return _rescaled_for_volume(sc, _integral(axis, value))
     if axis == "spacing":
         return _rescaled_for_spacing(sc, float(value))
     if axis == "s_cut":
-        return sc.with_updates(scheme={"s_cut": int(value)})
+        return sc.with_updates(scheme={"s_cut": _integral(axis, value)})
     if axis == "trunc":
-        return sc.with_updates(system_params={"trunc": int(value)})
+        return sc.with_updates(system_params={"trunc": _integral(axis, value)})
     raise ScenarioError(f"unknown sweep axis {axis!r}")
 
 

@@ -62,6 +62,21 @@ class TestFieldCommand:
             assert rows[name] == pytest.approx(val, abs=1e-14)
 
 
+    def test_qndsv_phi2_is_vacuum_value_at_zero_kick(self, tmp_path):
+        """Verifying a one-particle state of the unkicked vacuum leaves it
+        alone, so the reported <phi_y^2> at lam = 0 is (hbar/2) ginv_yy."""
+        code = run(["field", "--scenario", str(SCENARIOS / "field_qndsv.json"),
+                    "--out", str(tmp_path)])
+        assert code == 0
+        rows = read_rows(tmp_path / "field_qndsv.csv")
+        at_zero = [float(r["value"]) for r in rows
+                   if r["observable"] == "phi2_y" and float(r["lambda"]) == 0.0]
+        from causalprobe.lattice import LatticeSpec, build_modes, kernel_ginv
+
+        modes = build_modes(LatticeSpec(dim=1, n_sites=8, spacing=1.0, mass=1.0))
+        assert at_zero == [pytest.approx(0.5 * kernel_ginv(modes, 1, 1), abs=1e-12)]
+
+
 class TestHoCommand:
     def test_naive_momentum(self, tmp_path):
         code = run(["ho", "naive-nplus", "--p-a", "0.3", "--p-b", "-0.2",
@@ -88,6 +103,12 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run(["validate", str(bad)]) == 2
+
+    def test_non_integral_sweep_value_is_validation_error(self, tmp_path, capsys):
+        code = run(["sweep", "--scenario", str(SCENARIOS / "field_volume_sweep.json"),
+                    "--axis", "volume", "--values", "4.5,8,16", "--out", str(tmp_path)])
+        assert code == 2
+        assert "needs integer values, got 4.5" in capsys.readouterr().err
 
     def test_truncation_violation_is_numeric_error(self, tmp_path):
         # a kick far too large for the truncation trips the tail policy

@@ -1,6 +1,7 @@
 """Field measurements: closed forms against the independent truncated-Fock
-oracle on the standard small fixture (d=1, N=4, trunc 6), parity and cutoff
-scalings, wave packets, and the side-by-side second-moment report."""
+oracle on the standard small fixture (d=1, N=4, trunc 6) and on N=6 and N=8
+lattices, the matrix-free oracle against a dense reference, parity and
+cutoff scalings, wave packets, and the side-by-side second-moment report."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from causalprobe.fieldtheory import (
     packet_kernel,
     prestate_expectations,
     qndsv_phi2_y,
+    qndsv_phi2_y_candidate,
     qndsv_phi_y,
     qndsv_wavepacket_phi_y,
     signal_kernel,
@@ -25,16 +27,24 @@ from causalprobe.fieldtheory import (
     sorkin_derivative,
     suppression_factor,
 )
+from causalprobe.core import Operator, embed_local
 from causalprobe.field_oracle import (
+    _LIVE_VECTORS,
+    _ORACLE_BYTE_BUDGET,
+    ModeSumOperator,
+    field_operator,
+    momentum_operator,
     naive_outcome_probabilities,
     numeric_oracle_qndsv,
     one_particle_state,
+    oracle_dims,
     oracle_prestate,
     oracle_qndsv_packet_phi_y,
     phi2_comparison,
 )
 from causalprobe.harness import power_fit
 from causalprobe.lattice import LatticeSpec, build_modes, kernel_g, kernel_ginv
+from causalprobe.oscillators import ladder
 from causalprobe.policy import TruncationError
 
 LAT = LatticeSpec(dim=1, n_sites=4, spacing=1.0, mass=1.0)
@@ -42,6 +52,25 @@ MODES = build_modes(LAT)
 P = MODES.mode_index(1)
 KICK = KickSpec(site=0, strength=0.3)
 TRUNC = 6
+
+
+def dense_field_operator(modes, y, trunc, momentum=False) -> Operator:
+    """Reference phi_y (or pi_y) as one dense joint matrix: the sum of every
+    mode's ladder term embedded with identities elsewhere."""
+    lat = modes.lattice
+    dims = (trunc,) * modes.n_modes
+    a = ladder(trunc)
+    total = np.zeros((trunc ** modes.n_modes,) * 2, dtype=complex)
+    for i in range(modes.n_modes):
+        phase = np.exp(1j * modes.phase_at(i, y))
+        if momentum:
+            w = math.sqrt(lat.hbar * modes.omega[i] / (2.0 * lat.volume))
+            term = -1j * w * (phase * a - np.conj(phase) * a.conj().T)
+        else:
+            w = math.sqrt(lat.hbar / (2.0 * modes.omega[i] * lat.volume))
+            term = w * (phase * a + np.conj(phase) * a.conj().T)
+        total += embed_local(Operator((trunc,), term, hermitian=True), i, dims).matrix
+    return Operator(dims, total, hermitian=True)
 
 
 class TestKickDisplacements:
@@ -219,46 +248,40 @@ class TestSorkinDerivative:
 
 class TestQndsvSecondMoment:
     def test_lambda_independent_part(self):
-        got = qndsv_phi2_y(MODES, KickSpec(0, 0.0), 1, P)
+        got = qndsv_phi2_y_candidate(MODES, KickSpec(0, 0.0), 1, P)
         want = 1.5 * kernel_ginv(MODES, 1, 1) + 2 * MODES.eps / MODES.omega[P]
         assert got == pytest.approx(want, abs=1e-14)
 
     def test_even_in_lambda(self):
-        a = qndsv_phi2_y(MODES, KickSpec(0, 0.6), 1, P)
-        b = qndsv_phi2_y(MODES, KickSpec(0, -0.6), 1, P)
-        assert a == pytest.approx(b, abs=1e-12)
+        for form in (qndsv_phi2_y, qndsv_phi2_y_candidate):
+            a = form(MODES, KickSpec(0, 0.6), 1, P)
+            b = form(MODES, KickSpec(0, -0.6), 1, P)
+            assert a == pytest.approx(b, abs=1e-12), form.__name__
 
     def test_side_by_side_report(self):
         """The closed-form candidate and the oracle disagree systematically
         (already at lam = 0); the comparison record carries both values."""
         cmpv = phi2_comparison(MODES, KICK, 1, P, TRUNC)
         assert cmpv.closed_form == pytest.approx(
-            qndsv_phi2_y(MODES, KICK, 1, P), abs=1e-14)
+            qndsv_phi2_y_candidate(MODES, KICK, 1, P), abs=1e-14)
         assert abs(cmpv.difference) > 0.1
         assert cmpv.difference == pytest.approx(
             cmpv.closed_form - cmpv.oracle, abs=1e-14)
         assert cmpv.tail_bound <= 1e-8
 
     def test_oracle_matches_independent_ladder_algebra(self):
-        """Cross-check of the oracle's <phi_y^2> against a hand-derived
-        closed form (vacuum piece plus verification corrections):
-
-            (hbar/2) ginv_yy + e^{-L} (lam^2 eps / hbar w_p)
-            [ lam^2 ginv_xy^2 / 4 - hbar ginv_xy cos p.(x-y) + hbar eps/w_p ]
-        """
-        for y in (1, 2, 3):
-            rep = numeric_oracle_qndsv(MODES, KICK, y, P, TRUNC,
-                                       scheme_kind="qndsv", observables=("phi2_y",))
-            lam, hbar = KICK.strength, LAT.hbar
-            wp = MODES.omega[P]
-            gxy = kernel_ginv(MODES, 0, y)
-            gyy = kernel_ginv(MODES, y, y)
-            damp = suppression_factor(MODES, KICK)
-            phase = MODES.k[P, 0] * (0 - y) * LAT.spacing
-            want = 0.5 * hbar * gyy + damp * (lam**2 * MODES.eps / (hbar * wp)) * (
-                lam**2 * gxy**2 / 4 - hbar * gxy * math.cos(phase)
-                + hbar * MODES.eps / wp)
-            assert rep.values["phi2_y"] == pytest.approx(want, abs=1e-8)
+        """The reported <phi_y^2>, a hand-derived closed form (vacuum piece
+        plus verification corrections), against the oracle; at lam = 0 it
+        is the vacuum value (hbar/2) ginv_yy."""
+        for lam in (0.0, KICK.strength):
+            kick = KickSpec(0, lam)
+            for y in range(4):
+                rep = numeric_oracle_qndsv(MODES, kick, y, P, TRUNC,
+                                           scheme_kind="qndsv", observables=("phi2_y",))
+                want = qndsv_phi2_y(MODES, kick, y, P)
+                assert rep.values["phi2_y"] == pytest.approx(want, abs=1e-8)
+        assert qndsv_phi2_y(MODES, KickSpec(0, 0.0), 1, P) == pytest.approx(
+            0.5 * LAT.hbar * kernel_ginv(MODES, 1, 1), abs=1e-15)
 
     def test_lambda_part_scales_with_inverse_volume(self):
         """Doubling the box at fixed spacing roughly halves the lam-part."""
@@ -267,8 +290,8 @@ class TestQndsvSecondMoment:
             lat = LatticeSpec(dim=1, n_sites=n, spacing=1.0, mass=1.0)
             modes = build_modes(lat)
             p = modes.mode_index(n // 8)
-            base = qndsv_phi2_y(modes, KickSpec(0, 0.0), 1, p)
-            vals.append(qndsv_phi2_y(modes, KickSpec(0, 0.3), 1, p) - base)
+            base = qndsv_phi2_y_candidate(modes, KickSpec(0, 0.0), 1, p)
+            vals.append(qndsv_phi2_y_candidate(modes, KickSpec(0, 0.3), 1, p) - base)
         fit = power_fit([8, 16, 32], vals)
         assert fit.exponent == pytest.approx(-1.0, abs=0.05)
 
@@ -379,9 +402,23 @@ class TestOracleGuards:
             oracle_prestate(MODES, KickSpec(0, 3.0), 2)
 
     def test_dimension_cap(self):
+        """6^64 joint amplitudes wrap to 0 in int64; the budget uses exact
+        integers and refuses the lattice before allocating anything."""
         big = build_modes(LatticeSpec(dim=3, n_sites=4, spacing=1.0, mass=1.0))
-        with pytest.raises(ValueError):
-            oracle_prestate(big, KICK, 6)
+        with pytest.raises(ValueError, match="over the byte budget"):
+            oracle_prestate(big, KickSpec(site=(0, 0, 0), strength=0.3), 6)
+
+    def test_byte_budget_boundary(self):
+        """d=1, N=8 is admitted up to the last truncation whose live vectors
+        fit the budget and refused one step above it."""
+        modes = build_modes(LatticeSpec(dim=1, n_sites=8, spacing=1.0, mass=1.0))
+        assert oracle_dims(modes, 5) == (5,) * 8
+        trunc = 5
+        while (trunc + 1) ** 8 * 16 * _LIVE_VECTORS <= _ORACLE_BYTE_BUDGET:
+            trunc += 1
+        assert oracle_dims(modes, trunc) == (trunc,) * 8
+        with pytest.raises(ValueError, match="over the byte budget"):
+            oracle_dims(modes, trunc + 1)
 
     def test_one_particle_state_is_normalized(self):
         target = one_particle_state(MODES, P, TRUNC)
@@ -392,11 +429,10 @@ class TestOracleGuards:
         projector family from the core on a tiny truncation."""
         from causalprobe.core import (
             KIND_LUDERS, MeasurementScheme, post_measurement_expectation)
-        from causalprobe.field_oracle import field_operator
 
         trunc = 4
         state, _ = oracle_prestate(MODES, KICK, trunc)
-        phi = field_operator(MODES, 1, trunc)
+        phi = dense_field_operator(MODES, 1, trunc)
         dims = state.dims
         q = int(MODES.conjugate_index[P])
         labeled = []
@@ -415,3 +451,69 @@ class TestOracleGuards:
         rep = numeric_oracle_qndsv(MODES, KICK, 1, P, trunc, scheme_kind="naive",
                                    observables=("phi_y",))
         assert rep.values["phi_y"] == pytest.approx(want, abs=1e-12)
+
+
+class TestMatrixFreeOracle:
+    @pytest.mark.parametrize("trunc", [3, 4])
+    @pytest.mark.parametrize("momentum", [False, True])
+    def test_apply_matches_dense_matvec(self, trunc, momentum):
+        build = momentum_operator if momentum else field_operator
+        op = build(MODES, 1, trunc)
+        dense = dense_field_operator(MODES, 1, trunc, momentum).matrix
+        rng = np.random.default_rng(trunc)
+        v = rng.normal(size=trunc**4) + 1j * rng.normal(size=trunc**4)
+        assert np.allclose(op.apply(v), dense @ v, rtol=0, atol=1e-12)
+        assert np.allclose(op.squared().apply(v), dense @ (dense @ v),
+                           rtol=0, atol=1e-12)
+
+    def test_non_hermitian_term_refused(self):
+        op = field_operator(MODES, 1, 3)
+        bad = op.terms[:-1] + (ladder(3),)
+        with pytest.raises(ValueError, match="hermitian"):
+            ModeSumOperator(op.dims, bad)
+
+    def test_converges_in_truncation(self):
+        """Values at trunc 5 and 6 sit within the dropped amplitude,
+        sqrt(tail_bound), of trunc 7, for both schemes."""
+        for kind in ("naive", "qndsv"):
+            reps = {t: numeric_oracle_qndsv(MODES, KICK, 1, P, t, scheme_kind=kind)
+                    for t in (5, 6, 7)}
+            assert reps[5].tail_bound > reps[6].tail_bound > reps[7].tail_bound
+            for t in (5, 6):
+                for name, value in reps[t].values.items():
+                    assert abs(value - reps[7].values[name]) <= math.sqrt(
+                        reps[t].tail_bound), (kind, t, name)
+
+
+class TestOracleLattices:
+    """Closed forms against the oracle beyond the N=4 fixture."""
+
+    N6 = build_modes(LatticeSpec(dim=1, n_sites=6, spacing=1.0, mass=1.0))
+    N8 = build_modes(LatticeSpec(dim=1, n_sites=8, spacing=1.0, mass=1.0))
+
+    def test_n6_naive(self):
+        p = self.N6.mode_index(1)
+        rep = numeric_oracle_qndsv(self.N6, KICK, 2, p, 6, scheme_kind="naive")
+        closed = naive_np_expectations(self.N6, KICK, 2, p).as_dict()
+        for name in ("phi_y", "pi_y", "phi2_y", "pi2_y"):
+            assert closed[name] == pytest.approx(rep.values[name], abs=1e-6), name
+
+    @pytest.mark.parametrize("y", range(6))
+    def test_n6_qndsv(self, y):
+        p = self.N6.mode_index(1)
+        rep = numeric_oracle_qndsv(self.N6, KICK, y, p, 6, scheme_kind="qndsv",
+                                   observables=("phi_y", "phi2_y"))
+        assert qndsv_phi_y(self.N6, KICK, y, p) == pytest.approx(
+            rep.values["phi_y"], abs=1e-6)
+        assert qndsv_phi2_y(self.N6, KICK, y, p) == pytest.approx(
+            rep.values["phi2_y"], abs=1e-8)
+
+    @pytest.mark.parametrize("y", [1, 6])
+    def test_n8_qndsv(self, y):
+        p = self.N8.mode_index(1)
+        rep = numeric_oracle_qndsv(self.N8, KICK, y, p, 5, scheme_kind="qndsv",
+                                   observables=("phi_y", "phi2_y"))
+        assert qndsv_phi_y(self.N8, KICK, y, p) == pytest.approx(
+            rep.values["phi_y"], abs=1e-6)
+        assert qndsv_phi2_y(self.N8, KICK, y, p) == pytest.approx(
+            rep.values["phi2_y"], abs=1e-8)
