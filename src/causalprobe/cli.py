@@ -21,7 +21,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__
+from . import __version__, harness
 from .harness import (
     Scenario,
     ScenarioError,
@@ -35,6 +35,12 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_USAGE = 64
+
+# subcommand -> system, and the help line of each
+_SYSTEM_COMMANDS = {"spin": ("spin", "two-spin measurements"),
+                    "ho": ("oscillator", "two-oscillator measurements"),
+                    "field": ("field", "lattice scalar field measurements")}
+_ARG_TYPES = {"int": int, "site": int, "float": float}
 
 
 class UsageError(Exception):
@@ -57,38 +63,42 @@ def scenario_digest(raw: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
-def _write_manifest(out_dir: Path, stem: str, raw_scenario: dict, outputs,
-                    started: float) -> Path:
+def _emit(args, stem: str, raw: dict, started: float, tables, lines) -> int:
+    """Write each (suffix, header, rows) table to <out>/<stem><suffix>.csv,
+    then the manifest, then print the report lines."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = []
+    for suffix, header, rows in tables:
+        outputs.append(f"{stem}{suffix}.csv")
+        with open(out_dir / outputs[-1], "w", newline="\n") as fh:
+            for row in (header, *rows):
+                fh.write(",".join(row) + "\n")
     manifest = {
         "tool": "causal-probe",
         "version": __version__,
-        "scenario_digest": scenario_digest(raw_scenario),
+        "scenario_digest": scenario_digest(raw),
         "numeric_policy": DEFAULT_POLICY.as_dict(),
         "wall_clock_seconds": time.monotonic() - started,
-        "outputs": [Path(p).name for p in outputs],
+        "outputs": outputs,
     }
-    path = out_dir / f"{stem}.manifest.json"
-    with open(path, "w", newline="\n") as fh:
+    with open(out_dir / f"{stem}.manifest.json", "w", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+    print("\n".join(lines))
+    return EXIT_OK
 
 
 def _load_scenario_file(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except FileNotFoundError as exc:
         raise ScenarioError(f"scenario file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
+    harness.check_shape(raw)
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -111,17 +121,13 @@ def _parse_alice(text: str) -> tuple[tuple[float, float, float], float]:
         raise ScenarioError(f"cannot parse alice operation {text!r}")
     axis_part, angle_part = text[len("rotate-"):].split(":", 1)
     named = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
-    if axis_part in named:
-        axis = named[axis_part]
-    else:
-        comps = [float(c) for c in axis_part.split(",")]
-        if len(comps) != 3:
-            raise ScenarioError(f"alice axis {axis_part!r} must be x, y, z or 3 components")
-        axis = tuple(comps)
+    # a component axis is checked for length by the scenario's typed alice.axis
+    axis = named.get(axis_part) or tuple(float(c) for c in axis_part.split(","))
     return axis, float(angle_part)
 
 
-def _grid_from_args(args, default_ref: float = 0.0):
+def _apply_grid(args, raw: dict) -> None:
+    """--grid start:stop:count or --lambda become lambda_grid and lambda_ref."""
     if args.grid:
         try:
             start, stop, count = args.grid.split(":")
@@ -131,169 +137,108 @@ def _grid_from_args(args, default_ref: float = 0.0):
         if count < 2:
             raise ScenarioError("grid needs at least 2 points")
         step = (stop - start) / (count - 1)
-        return [start + i * step for i in range(count)], stop
-    if args.lam is not None:
-        return [args.lam], args.lam
-    return None, default_ref
+        raw["lambda_grid"], raw["lambda_ref"] = [start + i * step for i in range(count)], stop
+    elif args.lam is not None:
+        raw["lambda_grid"], raw["lambda_ref"] = [args.lam], args.lam
+
+
+def _flag_params(spec) -> list:
+    """(section, key, Param) for each param and scheme extra with a flag."""
+    extras = {key: param for scheme in spec.schemes.values()
+              for key, param in scheme.extras.items()}
+    return [(section, key, param)
+            for section, table in (("system_params", spec.params), ("scheme", extras))
+            for key, param in table.items() if param.flag]
 
 
 def _scenario_from_args(args, system: str) -> dict:
-    raw = _load_scenario_file(args.scenario) if args.scenario else None
-    if raw is None:
-        raw = {
-            "version": 1,
-            "system": system,
-            "system_params": {},
-            "alice": {"kind": "rotate" if system == "spin" else "kick"},
-            "scheme": {},
-            "observables": [],
-            "lambda_grid": [],
-        }
+    spec = harness.SYSTEMS[system]
+    raw = _load_scenario_file(args.scenario) if args.scenario else \
+        {"version": 1, "system": system}
+    raw.setdefault("alice", {"kind": spec.alice})
     sp = raw.setdefault("system_params", {})
     scheme = raw.setdefault("scheme", {})
-
-    if getattr(args, "scheme_id", None):
+    if args.scheme_id:
         # replacing the id drops extras the new prescription does not accept
-        keep = {"qndsv": ("target",), "phase-nplus": ("s_cut", "n_max")}.get(
-            args.scheme_id, ())
-        scheme = {"id": args.scheme_id,
-                  **{k: v for k, v in scheme.items() if k in keep}}
-        raw["scheme"] = scheme
+        raw["scheme"] = spec.scheme_for_id(args.scheme_id, scheme)
+    elif "id" in scheme:
+        scheme["id"] = spec.canonical(scheme["id"])
     if args.obs:
         raw["observables"] = args.obs.split(",")
-    grid, ref = _grid_from_args(args, raw.get("lambda_ref", 0.0))
-    if grid is not None:
-        raw["lambda_grid"] = grid
-        raw["lambda_ref"] = ref
+    _apply_grid(args, raw)
     if args.hbar is not None:
         sp["hbar"] = args.hbar
     if args.natural_units:
         sp["hbar"] = 1.0
+    for section, key, param in _flag_params(spec):
+        value = getattr(args, key)
+        if value is not None:
+            raw[section][key] = value.split(",") if param.kind == "labels" else value
 
     if system == "spin":
-        if args.target:
-            scheme["target"] = args.target.split(",")
-        if args.initial:
-            sp["initial"] = args.initial.split(",")
-        sp.setdefault("initial", ["up", "up"])
+        # written out so that the manifest's digest records the state
+        sp.setdefault("initial", list(spec.params["initial"].default))
         if args.alice:
             axis, angle = _parse_alice(args.alice)
-            raw["alice"] = {"kind": "rotate", "axis": list(axis)}
-            raw["lambda_grid"] = [angle]
-            raw["lambda_ref"] = angle
-        raw.setdefault("alice", {"kind": "rotate", "axis": [0.0, 1.0, 0.0]})
-        if not raw["lambda_grid"]:
-            raw["lambda_grid"] = [0.0]
-    elif system == "oscillator":
-        for flag, key in (("p_a", "p_a"), ("p_b", "p_b"), ("trunc", "trunc")):
-            val = getattr(args, flag)
-            if val is not None:
-                sp[key] = val
-        if args.s_cut is not None:
-            scheme["s_cut"] = args.s_cut
-        if not raw["lambda_grid"]:
-            raw["lambda_grid"] = [0.0]
-    else:
-        for flag, key in (("d", "dim"), ("N", "n_sites"), ("a", "spacing"),
-                          ("mass", "mass"), ("x", "x"), ("y", "y"),
-                          ("p_index", "p"), ("dispersion", "dispersion")):
-            val = getattr(args, flag)
-            if val is not None:
-                sp[key] = val
-        if not raw["lambda_grid"]:
-            raw["lambda_grid"] = [0.0]
-
-    if not raw["observables"]:
-        raw["observables"] = {
-            "spin": ["sBz"],
-            "oscillator": ["QB", "PB", "QB2", "PB2"],
-            "field": ["phi_y", "pi_y", "phi2_y", "pi2_y"],
-        }[system]
+            raw["alice"] = {"kind": spec.alice, "axis": list(axis)}
+            raw["lambda_grid"], raw["lambda_ref"] = [angle], angle
+    if not raw.get("lambda_grid"):
+        raw["lambda_grid"] = [0.0]
+    if not raw.get("observables"):
+        raw["observables"] = list(spec.defaults(raw["scheme"].get("id")))
     return raw
-
-
-_FIELD_SCHEME_ALIASES = {"naive": "naive-np", "qndsv": "qndsv-1p"}
 
 
 def _run_system(args, system: str) -> int:
     raw = _scenario_from_args(args, system)
-    if system == "field" and raw["scheme"].get("id") in _FIELD_SCHEME_ALIASES:
-        raw["scheme"]["id"] = _FIELD_SCHEME_ALIASES[raw["scheme"]["id"]]
     started = time.monotonic()
     scenario = Scenario.from_dict(raw)
     report = run_scenario(scenario)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    names = scenario.observables
     stem = Path(args.scenario).stem if args.scenario else \
         f"{args.command}_{scenario.scheme['id']}"
-    rows = []
-    for obs in scenario.observables:
-        for lam, value in report.tables[obs]:
-            rows.append((obs, _fmt(lam), _fmt(value)))
-    table = out_dir / f"{stem}.csv"
-    _write_csv(table, ("observable", "lambda", "value"), rows)
-    summary = out_dir / f"{stem}_summary.csv"
-    _write_csv(summary,
-               ("observable", "baseline", "derivative_at_zero", "max_deviation"),
-               [(obs, _fmt(report.baseline[obs]), _fmt(report.derivative_at_zero[obs]),
-                 _fmt(report.max_deviation[obs])) for obs in scenario.observables])
-    _write_manifest(out_dir, stem, raw, [table, summary], started)
-    for obs in scenario.observables:
-        lam, value = report.tables[obs][-1]
-        print(f"{obs}: value({_fmt(lam)}) = {_fmt(value)}, "
-              f"d/dlambda|0 = {_fmt(report.derivative_at_zero[obs])}")
-    return EXIT_OK
+    return _emit(args, stem, raw, started, [
+        ("", ("observable", "lambda", "value"),
+         [(obs, _fmt(lam), _fmt(value)) for obs in names for lam, value in report.tables[obs]]),
+        ("_summary", ("observable", "baseline", "derivative_at_zero", "max_deviation"),
+         [(obs, _fmt(report.baseline[obs]), _fmt(report.derivative_at_zero[obs]),
+           _fmt(report.max_deviation[obs])) for obs in names]),
+    ], [f"{obs}: value({_fmt(lam)}) = {_fmt(value)}, "
+        f"d/dlambda|0 = {_fmt(report.derivative_at_zero[obs])}"
+        for obs in names for lam, value in report.tables[obs][-1:]])
+
+
+def _file_scenario(args) -> tuple[dict, float, Scenario]:
+    """The --scenario file that sweep and compare need, and its start time."""
+    if not args.scenario:
+        raise ScenarioError(f"{args.command} needs --scenario")
+    raw = _load_scenario_file(args.scenario)
+    return raw, time.monotonic(), Scenario.from_dict(raw)
 
 
 def _run_sweep(args) -> int:
-    if not args.scenario:
-        raise ScenarioError("sweep needs --scenario")
-    raw = _load_scenario_file(args.scenario)
-    started = time.monotonic()
-    scenario = Scenario.from_dict(raw)
+    raw, started, scenario = _file_scenario(args)
     values = [float(v) for v in args.values.split(",")]
     report = cutoff_sweep(scenario, args.axis, values, measure=args.measure)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"{Path(args.scenario).stem}_sweep_{args.axis}"
-    points = out_dir / f"{stem}.csv"
-    _write_csv(points, ("observable", "cutoff", "measure"),
-               [(name, _fmt(v), _fmt(m))
-                for name in report.rows
-                for v, m in zip(report.values, report.rows[name])])
-    fits = out_dir / f"{stem}_fits.csv"
-    _write_csv(fits, ("observable", "exponent", "r_squared"),
-               [(name, _fmt(f.exponent), _fmt(f.r_squared))
-                for name, f in report.fits.items()])
-    _write_manifest(out_dir, stem, raw, [points, fits], started)
-    for name, f in report.fits.items():
-        print(f"{name}: exponent = {_fmt(f.exponent)}, R^2 = {_fmt(f.r_squared)}")
-    return EXIT_OK
+    return _emit(args, f"{Path(args.scenario).stem}_sweep_{args.axis}", raw, started, [
+        ("", ("observable", "cutoff", "measure"),
+         [(name, _fmt(v), _fmt(m))
+          for name in report.rows for v, m in zip(report.values, report.rows[name])]),
+        ("_fits", ("observable", "exponent", "r_squared"),
+         [(name, _fmt(f.exponent), _fmt(f.r_squared)) for name, f in report.fits.items()]),
+    ], [f"{name}: exponent = {_fmt(f.exponent)}, R^2 = {_fmt(f.r_squared)}"
+        for name, f in report.fits.items()])
 
 
 def _run_compare(args) -> int:
-    if not args.scenario:
-        raise ScenarioError("compare needs --scenario")
-    raw = _load_scenario_file(args.scenario)
-    started = time.monotonic()
-    scenario = Scenario.from_dict(raw)
-    ids = args.schemes.split(",")
-    rows = compare_schemes(scenario, ids)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"{Path(args.scenario).stem}_compare"
-    table = out_dir / f"{stem}.csv"
-    _write_csv(table, ("scheme", "observable", "before", "after", "derivative"),
-               [(r.scheme_id, r.observable, _fmt(r.before), _fmt(r.after),
-                 _fmt(r.derivative)) for r in rows])
-    _write_manifest(out_dir, stem, raw, [table], started)
-    for r in rows:
-        print(f"{r.scheme_id} / {r.observable}: before = {_fmt(r.before)}, "
-              f"after = {_fmt(r.after)}, d/dlambda|0 = {_fmt(r.derivative)}")
-    return EXIT_OK
+    raw, started, scenario = _file_scenario(args)
+    rows = compare_schemes(scenario, args.schemes.split(","))
+    return _emit(args, f"{Path(args.scenario).stem}_compare", raw, started, [
+        ("", ("scheme", "observable", "before", "after", "derivative"),
+         [(r.scheme_id, r.observable, _fmt(r.before), _fmt(r.after), _fmt(r.derivative))
+          for r in rows]),
+    ], [f"{r.scheme_id} / {r.observable}: before = {_fmt(r.before)}, "
+        f"after = {_fmt(r.after)}, d/dlambda|0 = {_fmt(r.derivative)}" for r in rows])
 
 
 def _run_validate(args) -> int:
@@ -310,42 +255,22 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    spin = subs.add_parser("spin", help="two-spin measurements")
-    spin.add_argument("scheme_id", nargs="?",
-                      help="qndsv | s2-standard | s2-bell | s2-luders | "
-                           "sz-standard | sz-bell | sz-luders | none")
-    spin.add_argument("--target", help="qndsv target labels, e.g. up,right")
-    spin.add_argument("--initial", help="initial product state labels, e.g. up,up")
-    spin.add_argument("--alice", help="local rotation, e.g. rotate-y:1.5707963")
-    _add_common(spin)
-
-    ho = subs.add_parser("ho", help="two-oscillator measurements")
-    ho.add_argument("scheme_id", nargs="?", help="naive-nplus | phase-nplus | none")
-    ho.add_argument("--p-a", dest="p_a", type=float)
-    ho.add_argument("--p-b", dest="p_b", type=float)
-    ho.add_argument("--trunc", type=int)
-    ho.add_argument("--s-cut", dest="s_cut", type=int)
-    _add_common(ho)
-
-    fld = subs.add_parser("field", help="lattice scalar field measurements")
-    fld.add_argument("scheme_id", nargs="?", help="naive | qndsv | none")
-    fld.add_argument("--d", type=int, help="spatial dimension")
-    fld.add_argument("--N", type=int, help="sites per axis")
-    fld.add_argument("--a", type=float, help="lattice spacing")
-    fld.add_argument("--mass", type=float)
-    fld.add_argument("--x", type=int, help="kick site")
-    fld.add_argument("--y", type=int, help="observation site")
-    fld.add_argument("--p-index", dest="p_index", type=int,
-                     help="integer wavenumber of the measured mode")
-    fld.add_argument("--dispersion", choices=("lattice", "continuum"))
-    _add_common(fld)
+    for command, (system, help_line) in _SYSTEM_COMMANDS.items():
+        spec = harness.SYSTEMS[system]
+        sub = subs.add_parser(command, help=help_line)
+        aliases = "".join(f"; {alias} = {sid}" for alias, sid in spec.aliases.items())
+        sub.add_argument("scheme_id", nargs="?", help=" | ".join(spec.schemes) + aliases)
+        for _, key, param in _flag_params(spec):
+            sub.add_argument(param.flag, dest=key, type=_ARG_TYPES.get(param.kind),
+                             choices=param.choices, help=param.help)
+        if system == "spin":
+            sub.add_argument("--alice", help="local rotation, e.g. rotate-y:1.5707963")
+        _add_common(sub)
 
     sweep = subs.add_parser("sweep", help="cutoff sweep with power-law fits")
-    sweep.add_argument("--axis", required=True,
-                       choices=("volume", "spacing", "s_cut", "trunc"))
+    sweep.add_argument("--axis", required=True, choices=harness.SWEEP_AXES)
     sweep.add_argument("--values", required=True, help="comma-separated cutoff values")
-    sweep.add_argument("--measure", default="deviation",
-                       choices=("deviation", "after_value", "amplitude"))
+    sweep.add_argument("--measure", default="deviation", choices=harness.SWEEP_MEASURES)
     _add_common(sweep)
 
     cmp_ = subs.add_parser("compare", help="before/after table across schemes")
@@ -365,17 +290,10 @@ def main(argv=None) -> int:
         print(f"causal-probe: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "spin":
-            return _run_system(args, "spin")
-        if args.command == "ho":
-            return _run_system(args, "oscillator")
-        if args.command == "field":
-            return _run_system(args, "field")
-        if args.command == "sweep":
-            return _run_sweep(args)
-        if args.command == "compare":
-            return _run_compare(args)
-        return _run_validate(args)
+        if args.command in _SYSTEM_COMMANDS:
+            return _run_system(args, _SYSTEM_COMMANDS[args.command][0])
+        return {"sweep": _run_sweep, "compare": _run_compare,
+                "validate": _run_validate}[args.command](args)
     except TruncationError as exc:
         print(f"causal-probe: numeric policy violation: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

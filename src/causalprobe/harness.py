@@ -1,6 +1,8 @@
 """Scenario runner: bundles (system, Alice's operation family, measurement
 prescription, Bob's observables), tabulates Bob's expectation values over
-the lam grid, differentiates at lam = 0, and fits cutoff scalings.
+the lam grid, differentiates at lam = 0, and fits cutoff scalings.  Each
+system is one declarative table in ``SYSTEMS``, read by validation, the
+evaluators and the CLI, so a new prescription is one table entry.
 
 Everything downstream is a pure function of the scenario, so reports are
 reproducible bit for bit; grid points may be evaluated in parallel (capped
@@ -9,26 +11,20 @@ by CAUSAL_PROBE_THREADS) with a fixed reduction order.
 
 from __future__ import annotations
 
+import functools
+import math
+import numbers
 import os
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Callable
 
 import numpy as np
 
 from . import fieldtheory, oscillators, spins
 from .core import post_measurement_expectation
-from .lattice import LatticeSpec, build_modes
-
-SYSTEMS = ("spin", "oscillator", "field")
-
-_SPIN_SCHEMES = ("qndsv", "s2-standard", "s2-bell", "s2-luders",
-                 "sz-standard", "sz-bell", "sz-luders", "none")
-_OSC_SCHEMES = ("naive-nplus", "phase-nplus", "none")
-_FIELD_SCHEMES = ("qndsv-1p", "naive-np", "none")
-
-_SPIN_OBS = ("sAx", "sAy", "sAz", "sBx", "sBy", "sBz", "S2", "Sz")
-_OSC_OBS = ("QB", "PB", "QB2", "PB2", "EB")
-_FIELD_OBS = ("phi_y", "pi_y", "phi2_y", "pi2_y")
+from .lattice import DISPERSIONS, LatticeSpec, build_modes
 
 
 class ScenarioError(ValueError):
@@ -47,6 +43,134 @@ def _check_keys(obj: dict, required, optional, where: str) -> None:
         raise ScenarioError(f"{where} has unknown keys {sorted(unknown)} (strict mode)")
 
 
+# ---------------------------------------------------------------------------
+# typed values: nothing is coerced, a value of the wrong type is refused
+
+def _integral(what: str, value) -> int:
+    """An integer value; 8.0 is accepted, 4.5, NaN, True and "8" are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not float(value).is_integer():
+        raise ScenarioError(f"{what} needs integer values, got {value!r}")
+    return int(value)
+
+
+def _real(what: str, value) -> float:
+    """A finite number; NaN, Infinity, True and "1.0" are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise ScenarioError(f"{what} needs finite numbers, got {value!r}")
+    return float(value)
+
+
+def _labels(what: str, value) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 2 \
+            or not all(isinstance(v, str) for v in value):
+        raise ScenarioError(f"{what} needs exactly two labels, got {value!r}")
+    return tuple(value)
+
+
+def _site(what: str, value):
+    """A lattice site or integer wavenumber: an int (d = 1) or a list."""
+    if isinstance(value, (list, tuple)):
+        return [_integral(what, v) for v in value]
+    return _integral(what, value)
+
+
+def _vector(what: str, value) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ScenarioError(f"{what} needs three components, got {value!r}")
+    return tuple(_real(what, v) for v in value)
+
+
+# a "choice" is passed on as is: its consumer (LatticeSpec) checks membership
+_KINDS = {"int": _integral, "float": _real, "labels": _labels, "site": _site,
+          "vector": _vector, "choice": lambda what, value: value}
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Param:
+    """A typed entry of system_params, alice or a scheme; kind is a key of
+    _KINDS, choices what the CLI offers.  A None default lets it be null."""
+
+    kind: str
+    default: object = _REQUIRED
+    flag: str | None = None
+    help: str | None = None
+    choices: tuple | None = None
+
+    def read(self, what: str, value):
+        if value is None and self.default is None:
+            return None
+        return _KINDS[self.kind](what, value)
+
+
+def _resolve(section: dict, spec: dict, where: str, head: tuple = ()) -> dict:
+    """Typed values of spec's entries, defaults filled in; ``head`` names
+    the section's other keys (a scheme's id)."""
+    required = [key for key, param in spec.items() if param.default is _REQUIRED]
+    _check_keys(section, (*head, *required), tuple(spec), where)
+    return {key: param.read(f"{where}.{key}", section.get(key, param.default))
+            for key, param in spec.items()}
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """A measurement prescription: its extras, the observables it is
+    restricted to (empty: any), and the function computing its values."""
+
+    extras: dict = field(default_factory=dict)
+    observables: tuple = ()
+    compute: Callable | None = None
+
+
+@dataclass(frozen=True)
+class System:
+    """Everything one system's scenarios may say, declared once."""
+
+    params: dict                  # name -> Param
+    alice: str                    # Alice's operation kind
+    schemes: dict                 # id -> Scheme
+    observables: tuple | dict     # names (the oscillator's map to moment fields)
+    evaluator: Callable           # (Scenario, Typed) -> evaluate(obs, lam)
+    default_observables: tuple = ()                   # empty: all observables
+    alice_params: dict = field(default_factory=dict)
+    aliases: dict = field(default_factory=dict)       # CLI name -> scheme id
+    sweep_axes: dict = field(default_factory=dict)    # axis -> (sc, value) -> sc
+
+    def canonical(self, sid):
+        """The scheme id behind a CLI alias (field: naive -> naive-np)."""
+        return self.aliases.get(sid, sid) if isinstance(sid, str) else sid
+
+    def scheme_for_id(self, sid: str, current: dict) -> dict:
+        """Scheme dict for sid, alias resolved, carrying over from ``current``
+        only the extras that id accepts."""
+        sid = self.canonical(sid)
+        keep = self.schemes[sid].extras if sid in self.schemes else {}
+        return {"id": sid, **{k: v for k, v in current.items() if k in keep}}
+
+    def defaults(self, sid) -> tuple:
+        """The observables reported when none are asked for."""
+        scheme = self.schemes.get(sid) if isinstance(sid, str) else None
+        return (scheme and scheme.observables) or self.default_observables \
+            or tuple(self.observables)
+
+
+# a validated scenario's typed values, defaults filled in
+Typed = namedtuple("Typed", "params alice scheme extras")
+
+
+def check_shape(raw) -> None:
+    """Refuse a scenario whose sections have the wrong JSON type."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"scenario must be an object, got {type(raw).__name__}")
+    for key, kind in (("system_params", dict), ("alice", dict), ("scheme", dict),
+                      ("observables", (list, tuple)), ("lambda_grid", (list, tuple))):
+        if key in raw and not isinstance(raw[key], kind):
+            shape = "an object" if kind is dict else "a list"
+            raise ScenarioError(f"{key} must be {shape}, got {type(raw[key]).__name__}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     system: str
@@ -59,6 +183,7 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":
+        check_shape(raw)
         _check_keys(raw, ("version", "system", "system_params", "alice", "scheme",
                           "observables", "lambda_grid"), ("lambda_ref",), "scenario")
         if raw["version"] != 1:
@@ -69,44 +194,30 @@ class Scenario:
             alice=dict(raw["alice"]),
             scheme=dict(raw["scheme"]),
             observables=tuple(raw["observables"]),
-            lambda_grid=tuple(float(v) for v in raw["lambda_grid"]),
-            lambda_ref=float(raw.get("lambda_ref", 0.0)),
+            lambda_grid=tuple(_real("lambda_grid", v) for v in raw["lambda_grid"]),
+            lambda_ref=_real("lambda_ref", raw.get("lambda_ref", 0.0)),
         )
         sc.validate()
         return sc
 
     def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "system": self.system,
-            "system_params": dict(self.system_params),
-            "alice": dict(self.alice),
-            "scheme": dict(self.scheme),
-            "observables": list(self.observables),
-            "lambda_grid": list(self.lambda_grid),
-            "lambda_ref": self.lambda_ref,
-        }
+        return {"version": 1, **asdict(self)}
 
     def with_updates(self, *, system_params=None, scheme=None) -> "Scenario":
-        sp = dict(self.system_params)
-        sp.update(system_params or {})
-        sch = dict(self.scheme)
-        sch.update(scheme or {})
-        out = Scenario(self.system, sp, dict(self.alice), sch,
-                       self.observables, self.lambda_grid, self.lambda_ref)
+        out = replace(self, system_params={**self.system_params, **(system_params or {})},
+                      alice=dict(self.alice), scheme={**self.scheme, **(scheme or {})})
         out.validate()
         return out
 
     def with_scheme(self, scheme: dict) -> "Scenario":
         """Replace (not merge) the measurement prescription."""
-        out = Scenario(self.system, dict(self.system_params), dict(self.alice),
-                       dict(scheme), self.observables, self.lambda_grid, self.lambda_ref)
-        out.validate()
-        return out
+        return replace(self, scheme={}).with_updates(scheme=scheme)
 
     # -- validation ------------------------------------------------------
-    def validate(self) -> None:
-        if self.system not in SYSTEMS:
+    def validate(self) -> Typed:
+        """Refuse a malformed scenario; return its typed values."""
+        spec = SYSTEMS.get(self.system) if isinstance(self.system, str) else None
+        if spec is None:
             raise ScenarioError(f"unknown system {self.system!r}")
         if not self.observables:
             raise ScenarioError("at least one observable is required")
@@ -114,156 +225,221 @@ class Scenario:
             raise ScenarioError("lambda_grid must be non-empty")
         if any(b <= a for a, b in zip(self.lambda_grid, self.lambda_grid[1:])):
             raise ScenarioError("lambda_grid must be strictly increasing")
-        getattr(self, f"_validate_{self.system}")()
-
-    def _validate_spin(self) -> None:
-        _check_keys(self.system_params, ("initial",), ("hbar",), "system_params")
-        initial = self.system_params["initial"]
-        if len(initial) != 2:
-            raise ScenarioError("spin initial state needs exactly two labels")
-        _check_keys(self.alice, ("kind",), ("axis",), "alice")
-        if self.alice["kind"] != "rotate":
-            raise ScenarioError("spin scenarios use alice kind 'rotate'")
+        params = _resolve(self.system_params, spec.params, "system_params")
+        alice = _resolve(self.alice, spec.alice_params, "alice", head=("kind",))
+        if self.alice["kind"] != spec.alice:
+            raise ScenarioError(f"{self.system} scenarios use alice kind {spec.alice!r}")
         sid = self.scheme.get("id")
-        if sid not in _SPIN_SCHEMES:
-            raise ScenarioError(f"unknown spin scheme {sid!r}")
-        _check_keys(self.scheme, ("id",), ("target",) if sid == "qndsv" else (), "scheme")
-        if sid == "qndsv" and "target" not in self.scheme:
-            raise ScenarioError("qndsv scheme needs a target")
-        bad = set(self.observables) - set(_SPIN_OBS)
+        scheme = spec.schemes.get(sid) if isinstance(sid, str) else None
+        if scheme is None:
+            raise ScenarioError(f"unknown {self.system} scheme {sid!r}")
+        extras = _resolve(self.scheme, scheme.extras, "scheme", head=("id",))
+        bad = [o for o in self.observables if not (isinstance(o, str) and o in spec.observables)]
         if bad:
-            raise ScenarioError(f"unknown spin observables {sorted(bad)}")
-
-    def _validate_oscillator(self) -> None:
-        _check_keys(self.system_params, (),
-                    ("mass", "frequency", "hbar", "p_a", "p_b", "trunc"), "system_params")
-        _check_keys(self.alice, ("kind",), (), "alice")
-        if self.alice["kind"] != "kick":
-            raise ScenarioError("oscillator scenarios use alice kind 'kick'")
-        sid = self.scheme.get("id")
-        if sid not in _OSC_SCHEMES:
-            raise ScenarioError(f"unknown oscillator scheme {sid!r}")
-        extras = ("s_cut", "n_max") if sid == "phase-nplus" else ()
-        _check_keys(self.scheme, ("id",), extras, "scheme")
-        if sid == "phase-nplus" and "s_cut" not in self.scheme:
-            raise ScenarioError("phase-nplus scheme needs s_cut")
-        bad = set(self.observables) - set(_OSC_OBS)
-        if bad:
-            raise ScenarioError(f"unknown oscillator observables {sorted(bad)}")
-
-    def _validate_field(self) -> None:
-        _check_keys(self.system_params, ("n_sites", "mass", "x", "y", "p"),
-                    ("dim", "spacing", "hbar", "dispersion", "zero_mode_mass"),
-                    "system_params")
-        _check_keys(self.alice, ("kind",), (), "alice")
-        if self.alice["kind"] != "kick":
-            raise ScenarioError("field scenarios use alice kind 'kick'")
-        sid = self.scheme.get("id")
-        if sid not in _FIELD_SCHEMES:
-            raise ScenarioError(f"unknown field scheme {sid!r}")
-        _check_keys(self.scheme, ("id",), (), "scheme")
-        bad = set(self.observables) - set(_FIELD_OBS)
-        if bad:
-            raise ScenarioError(f"unknown field observables {sorted(bad)}")
-        if sid == "qndsv-1p":
-            unsupported = set(self.observables) - {"phi_y", "phi2_y"}
-            if unsupported:
-                raise ScenarioError(
-                    f"qndsv-1p only reports phi_y/phi2_y, not {sorted(unsupported)}")
+            raise ScenarioError(f"unknown {self.system} observables {sorted(set(map(str, bad)))}")
+        unsupported = set(self.observables) - set(scheme.observables or self.observables)
+        if unsupported:
+            raise ScenarioError(f"{sid} only reports {'/'.join(scheme.observables)}, "
+                                f"not {sorted(unsupported)}")
+        return Typed(params, alice, scheme, extras)
 
 
 # ---------------------------------------------------------------------------
 # evaluators: (observable, lam) -> expectation value
 
-def _spin_evaluator(sc: Scenario):
-    sp = sc.system_params
-    hbar = float(sp.get("hbar", 1.0))
-    initial = tuple(sp["initial"])
-    axis = tuple(sc.alice.get("axis", (0.0, 1.0, 0.0)))
-    scheme = spins.spin_scheme(sc.scheme["id"], target=sc.scheme.get("target"))
-    obs_ops = {name: spins.spin_observable(name, hbar) for name in sc.observables}
-    prestate = spins.spin_state(*initial)
+def _spin_evaluator(sc: Scenario, typed: Typed):
+    scheme = spins.spin_scheme(sc.scheme["id"], **typed.extras)
+    obs_ops = {name: spins.spin_observable(name, typed.params["hbar"])
+               for name in sc.observables}
+    prestate = spins.spin_state(*typed.params["initial"])
 
     def evaluate(obs: str, lam: float) -> float:
-        state = spins.alice_rotate(prestate, axis, lam)
+        state = spins.alice_rotate(prestate, typed.alice["axis"], lam)
         return post_measurement_expectation(state, scheme, obs_ops[obs])
 
     return evaluate
 
 
-_OSC_FIELDS = {"QB": "q", "PB": "p", "QB2": "q2", "PB2": "p2", "EB": "energy"}
+def _oscillator_evaluator(sc: Scenario, typed: Typed):
+    sp = typed.params
+    params = oscillators.OscParams(**{f.name: sp[f.name] for f in fields(oscillators.OscParams)})
 
-
-def _oscillator_evaluator(sc: Scenario):
-    sp = sc.system_params
-    params = oscillators.OscParams(
-        mass=float(sp.get("mass", 1.0)),
-        frequency=float(sp.get("frequency", 1.0)),
-        hbar=float(sp.get("hbar", 1.0)),
-    )
-    p_a, p_b = float(sp.get("p_a", 0.0)), float(sp.get("p_b", 0.0))
-    trunc = int(sp.get("trunc", 40))
-    sid = sc.scheme["id"]
-    cache: dict[float, oscillators.LocalMoments] = {}
-
+    @functools.cache
     def moments(lam: float) -> oscillators.LocalMoments:
-        if lam not in cache:
-            kick = oscillators.KickParams(p_a=p_a, p_b=p_b, lam=lam)
-            if sid == "phase-nplus":
-                s_cut = int(sc.scheme["s_cut"])
-                n_max = int(sc.scheme.get("n_max", trunc))
-                cache[lam] = oscillators.phase_ensemble_moments(params, kick, s_cut, n_max)
-            elif sid == "naive-nplus":
-                pre = oscillators.coherent_prestate(params, kick, trunc)
-                ens = oscillators.naive_nplus_ensemble(pre)
-                cache[lam] = oscillators.local_moments_b(ens, params)
-            else:
-                pre = oscillators.coherent_prestate(params, kick, trunc)
-                cache[lam] = oscillators.local_moments_b(pre)
-        return cache[lam]
+        kick = oscillators.KickParams(p_a=sp["p_a"], p_b=sp["p_b"], lam=lam)
+        return typed.scheme.compute(params, kick, sp["trunc"], typed.extras)
 
     def evaluate(obs: str, lam: float) -> float:
-        return getattr(moments(lam), _OSC_FIELDS[obs])
+        return getattr(moments(lam), OSCILLATOR.observables[obs])
 
     return evaluate
 
 
-def _field_evaluator(sc: Scenario):
-    sp = sc.system_params
-    lattice = LatticeSpec(
-        dim=int(sp.get("dim", 1)),
-        n_sites=int(sp["n_sites"]),
-        spacing=float(sp.get("spacing", 1.0)),
-        mass=float(sp["mass"]),
-        hbar=float(sp.get("hbar", 1.0)),
-        dispersion=sp.get("dispersion", "lattice"),
-        zero_mode_mass=sp.get("zero_mode_mass"),
-    )
-    modes = build_modes(lattice)
-    x, y = sp["x"], sp["y"]
+def _osc_naive(params, kick, trunc, extras) -> oscillators.LocalMoments:
+    pre = oscillators.coherent_prestate(params, kick, trunc)
+    return oscillators.local_moments_b(oscillators.naive_nplus_ensemble(pre), params)
+
+
+def _osc_phase(params, kick, trunc, extras) -> oscillators.LocalMoments:
+    n_max = trunc if extras["n_max"] is None else extras["n_max"]
+    return oscillators.phase_ensemble_moments(params, kick, extras["s_cut"], n_max)
+
+
+def _osc_prestate(params, kick, trunc, extras) -> oscillators.LocalMoments:
+    return oscillators.local_moments_b(oscillators.coherent_prestate(params, kick, trunc))
+
+
+def _lattice(params: dict) -> LatticeSpec:
+    """The lattice a field scenario's typed params describe."""
+    return LatticeSpec(**{f.name: params[f.name] for f in fields(LatticeSpec)})
+
+
+def _field_evaluator(sc: Scenario, typed: Typed):
+    sp = typed.params
+    modes = build_modes(_lattice(sp))
     p_index = modes.mode_index(sp["p"])
     if not modes.is_paired(p_index):
         raise ScenarioError(f"wavenumber {sp['p']!r} is self-conjugate, pick a paired mode")
-    sid = sc.scheme["id"]
 
     def evaluate(obs: str, lam: float) -> float:
-        kick = fieldtheory.KickSpec(site=x, strength=lam)
-        if sid == "naive-np":
-            vals = fieldtheory.naive_np_expectations(modes, kick, y, p_index).as_dict()
-            return vals[obs]
-        if sid == "none":
-            return fieldtheory.prestate_expectations(modes, kick, y).as_dict()[obs]
-        if obs == "phi_y":
-            return fieldtheory.qndsv_phi_y(modes, kick, y, p_index)
-        return fieldtheory.qndsv_phi2_y(modes, kick, y, p_index)
+        kick = fieldtheory.KickSpec(site=sp["x"], strength=lam)
+        return typed.scheme.compute(modes, kick, sp["y"], p_index, obs)
 
     return evaluate
 
 
+def _field_naive(modes, kick, y, p_index, obs: str) -> float:
+    return fieldtheory.naive_np_expectations(modes, kick, y, p_index).as_dict()[obs]
+
+
+def _field_prestate(modes, kick, y, p_index, obs: str) -> float:
+    return fieldtheory.prestate_expectations(modes, kick, y).as_dict()[obs]
+
+
+def _field_qndsv(modes, kick, y, p_index, obs: str) -> float:
+    # one closed form per reported observable, named qndsv_<observable>
+    return getattr(fieldtheory, f"qndsv_{obs}")(modes, kick, y, p_index)
+
+
+# ---------------------------------------------------------------------------
+# sweep axes: (scenario, cutoff value) -> the scenario at that cutoff
+
+def _on_lattice(coords, ratio: float, error: str):
+    """An int or list of ints times ratio, refused unless still integral."""
+    scaled = [c * ratio for c in np.atleast_1d(coords)]
+    if any(abs(w - round(w)) > 1e-9 for w in scaled):
+        raise ScenarioError(error)
+    out = [int(round(w)) for w in scaled]
+    return out[0] if np.isscalar(coords) else out
+
+
+def _rescaled_for_volume(sc: Scenario, value) -> Scenario:
+    n_sites = _integral("sweep axis 'volume'", value)
+    sp = sc.validate().params
+    p = _on_lattice(sp["p"], n_sites / sp["n_sites"], f"wavenumber {sp['p']!r} cannot "
+                    f"be held fixed in physical units at N={n_sites}")
+    return sc.with_updates(system_params={"n_sites": n_sites, "p": p})
+
+
+def _rescaled_for_spacing(sc: Scenario, value) -> Scenario:
+    spacing = _real("sweep axis 'spacing'", value)
+    sp = sc.validate().params
+    n_new = sp["n_sites"] * sp["spacing"] / spacing
+    if abs(n_new - round(n_new)) > 1e-9 or int(round(n_new)) % 2 != 0:
+        raise ScenarioError(f"spacing {spacing!r} does not preserve the box: N={n_new}")
+    ratio = sp["spacing"] / spacing
+    return sc.with_updates(system_params={
+        "n_sites": int(round(n_new)), "spacing": spacing,
+        **{key: _on_lattice(sp[key], ratio, f"site {sp[key]!r} is not on the lattice "
+                            f"at spacing {spacing!r}") for key in ("x", "y")},
+    })
+
+
+def _set_integer(section: str, key: str, sc: Scenario, value) -> Scenario:
+    """Sweep axis (bound with partial) setting one integer of a section."""
+    return sc.with_updates(**{section: {key: _integral(f"sweep axis {key!r}", value)}})
+
+
+# ---------------------------------------------------------------------------
+# the systems, one table each
+
+NO_MEASUREMENT = "none"     # every system's scheme id for the unmeasured state
+
+SPIN = System(
+    params={
+        "initial": Param("labels", ("up", "up"), flag="--initial",
+                         help="initial product state labels, e.g. up,up"),
+        "hbar": Param("float", 1.0),
+    },
+    alice="rotate",
+    alice_params={"axis": Param("vector", (0.0, 1.0, 0.0))},
+    schemes={
+        "qndsv": Scheme({"target": Param("labels", flag="--target",
+                                         help="qndsv target labels, e.g. up,right")}),
+        **{sid: Scheme() for sid in ("s2-standard", "s2-bell", "s2-luders",
+                                     "sz-standard", "sz-bell", "sz-luders")},
+        NO_MEASUREMENT: Scheme(),
+    },
+    observables=("sAx", "sAy", "sAz", "sBx", "sBy", "sBz", "S2", "Sz"),
+    default_observables=("sBz",),
+    evaluator=_spin_evaluator,
+)
+
+OSCILLATOR = System(
+    params={
+        "mass": Param("float", 1.0),
+        "frequency": Param("float", 1.0),
+        "hbar": Param("float", 1.0),
+        "p_a": Param("float", 0.0, flag="--p-a"),
+        "p_b": Param("float", 0.0, flag="--p-b"),
+        "trunc": Param("int", 40, flag="--trunc"),
+    },
+    alice="kick",
+    schemes={
+        "naive-nplus": Scheme(compute=_osc_naive),
+        "phase-nplus": Scheme({"s_cut": Param("int", flag="--s-cut"),
+                               "n_max": Param("int", None)},     # None: trunc
+                              compute=_osc_phase),
+        NO_MEASUREMENT: Scheme(compute=_osc_prestate),
+    },
+    observables={"QB": "q", "PB": "p", "QB2": "q2", "PB2": "p2", "EB": "energy"},
+    default_observables=("QB", "PB", "QB2", "PB2"),
+    evaluator=_oscillator_evaluator,
+    sweep_axes={"s_cut": functools.partial(_set_integer, "scheme", "s_cut"),
+                "trunc": functools.partial(_set_integer, "system_params", "trunc")},
+)
+
+FIELD = System(
+    params={
+        "dim": Param("int", 1, flag="--d", help="spatial dimension"),
+        "n_sites": Param("int", flag="--N", help="sites per axis"),
+        "spacing": Param("float", 1.0, flag="--a", help="lattice spacing"),
+        "mass": Param("float", flag="--mass"),
+        "x": Param("site", flag="--x", help="kick site"),
+        "y": Param("site", flag="--y", help="observation site"),
+        "p": Param("site", flag="--p-index", help="integer wavenumber of the measured mode"),
+        "dispersion": Param("choice", "lattice", flag="--dispersion", choices=DISPERSIONS),
+        "hbar": Param("float", 1.0),
+        "zero_mode_mass": Param("float", None),     # None: lattice default
+    },
+    alice="kick",
+    schemes={
+        "naive-np": Scheme(compute=_field_naive),
+        "qndsv-1p": Scheme(observables=("phi_y", "phi2_y"), compute=_field_qndsv),
+        NO_MEASUREMENT: Scheme(compute=_field_prestate),
+    },
+    observables=("phi_y", "pi_y", "phi2_y", "pi2_y"),
+    evaluator=_field_evaluator,
+    aliases={"naive": "naive-np", "qndsv": "qndsv-1p"},
+    sweep_axes={"volume": _rescaled_for_volume, "spacing": _rescaled_for_spacing},
+)
+
+SYSTEMS = {"spin": SPIN, "oscillator": OSCILLATOR, "field": FIELD}
+SWEEP_AXES = tuple(axis for spec in SYSTEMS.values() for axis in spec.sweep_axes)
+
+
 def make_evaluator(sc: Scenario):
-    sc.validate()
-    return {"spin": _spin_evaluator, "oscillator": _oscillator_evaluator,
-            "field": _field_evaluator}[sc.system](sc)
+    return SYSTEMS[sc.system].evaluator(sc, sc.validate())
 
 
 def _worker_count() -> int:
@@ -302,9 +478,6 @@ class SignalingReport:
     derivative_at_zero: dict
     max_deviation: dict
 
-    def table(self, obs: str):
-        return self.tables[obs]
-
 
 def run_scenario(sc: Scenario) -> SignalingReport:
     evaluate = make_evaluator(sc)
@@ -328,7 +501,6 @@ def run_scenario(sc: Scenario) -> SignalingReport:
 # ---------------------------------------------------------------------------
 # cutoff sweeps
 
-SWEEP_AXES = ("volume", "spacing", "s_cut", "trunc")
 SWEEP_MEASURES = ("deviation", "after_value", "amplitude")
 
 
@@ -346,82 +518,6 @@ class SweepReport:
     measure: str
     rows: dict               # observable -> tuple of measures, one per value
     fits: dict               # observable -> PowerFit
-
-
-def _rescaled_for_volume(sc: Scenario, n_sites: int) -> Scenario:
-    base_n = int(sc.system_params["n_sites"])
-    p = sc.system_params["p"]
-    if np.isscalar(p):
-        scaled = p * n_sites / base_n
-        if scaled != int(scaled):
-            raise ScenarioError(
-                f"wavenumber {p!r} cannot be held fixed in physical units at N={n_sites}")
-        p_new = int(scaled)
-    else:
-        p_new = []
-        for comp in p:
-            scaled = comp * n_sites / base_n
-            if scaled != int(scaled):
-                raise ScenarioError(
-                    f"wavenumber {p!r} cannot be held fixed in physical units at N={n_sites}")
-            p_new.append(int(scaled))
-    return sc.with_updates(system_params={"n_sites": int(n_sites), "p": p_new})
-
-
-def _rescaled_for_spacing(sc: Scenario, spacing: float) -> Scenario:
-    base_n = int(sc.system_params["n_sites"])
-    base_a = float(sc.system_params.get("spacing", 1.0))
-    length = base_n * base_a
-    n_new = length / spacing
-    if abs(n_new - round(n_new)) > 1e-9 or int(round(n_new)) % 2 != 0:
-        raise ScenarioError(f"spacing {spacing!r} does not preserve the box: N={n_new}")
-    n_new = int(round(n_new))
-    ratio = base_a / spacing
-
-    def rescale_site(site):
-        vals = [site] if np.isscalar(site) else list(site)
-        out = []
-        for v in vals:
-            w = v * ratio
-            if abs(w - round(w)) > 1e-9:
-                raise ScenarioError(
-                    f"site {site!r} is not on the lattice at spacing {spacing!r}")
-            out.append(int(round(w)))
-        return out[0] if np.isscalar(site) else out
-
-    return sc.with_updates(system_params={
-        "n_sites": n_new, "spacing": float(spacing),
-        "x": rescale_site(sc.system_params["x"]),
-        "y": rescale_site(sc.system_params["y"]),
-    })
-
-
-def _integral(axis: str, value) -> int:
-    """An integer-valued sweep point; 8.0 is accepted, 4.5 is refused."""
-    if not float(value).is_integer():
-        raise ScenarioError(f"sweep axis {axis!r} needs integer values, got {value!r}")
-    return int(value)
-
-
-def _scenario_at(sc: Scenario, axis: str, value) -> Scenario:
-    if axis == "volume":
-        return _rescaled_for_volume(sc, _integral(axis, value))
-    if axis == "spacing":
-        return _rescaled_for_spacing(sc, float(value))
-    if axis == "s_cut":
-        return sc.with_updates(scheme={"s_cut": _integral(axis, value)})
-    if axis == "trunc":
-        return sc.with_updates(system_params={"trunc": _integral(axis, value)})
-    raise ScenarioError(f"unknown sweep axis {axis!r}")
-
-
-def _axis_allowed(sc: Scenario, axis: str) -> None:
-    field_axes = ("volume", "spacing")
-    osc_axes = ("s_cut", "trunc")
-    ok = (sc.system == "field" and axis in field_axes) or \
-         (sc.system == "oscillator" and axis in osc_axes)
-    if not ok:
-        raise ScenarioError(f"axis {axis!r} is not meaningful for system {sc.system!r}")
 
 
 def power_fit(xs, ys) -> PowerFit:
@@ -449,7 +545,9 @@ def cutoff_sweep(sc: Scenario, axis: str, values, measure: str = "deviation") ->
     "after_value": <O>(lambda_ref); "amplitude": the field suppression
     amplitude max_lam lam e^{-lam^2 ginv_xx/2hbar} (observable-free).
     """
-    _axis_allowed(sc, axis)
+    scenario_at = SYSTEMS[sc.system].sweep_axes.get(axis)
+    if scenario_at is None:
+        raise ScenarioError(f"axis {axis!r} is not meaningful for system {sc.system!r}")
     if measure not in SWEEP_MEASURES:
         raise ScenarioError(f"unknown sweep measure {measure!r}")
     values = tuple(values)
@@ -457,16 +555,10 @@ def cutoff_sweep(sc: Scenario, axis: str, values, measure: str = "deviation") ->
         raise ScenarioError("a cutoff sweep needs at least 3 points")
 
     def measures_at(value) -> dict:
-        sub = _scenario_at(sc, axis, value)
+        sub = scenario_at(sc, value)
         if measure == "amplitude":
-            sp = sub.system_params
-            lattice = LatticeSpec(
-                dim=int(sp.get("dim", 1)), n_sites=int(sp["n_sites"]),
-                spacing=float(sp.get("spacing", 1.0)), mass=float(sp["mass"]),
-                hbar=float(sp.get("hbar", 1.0)),
-                dispersion=sp.get("dispersion", "lattice"),
-                zero_mode_mass=sp.get("zero_mode_mass"))
-            amp = fieldtheory.max_signaling(build_modes(lattice), sp["x"]).amplitude
+            sp = sub.validate().params
+            amp = fieldtheory.max_signaling(build_modes(_lattice(sp)), sp["x"]).amplitude
             return {"suppression_amplitude": amp}
         evaluate = make_evaluator(sub)
         out = {}
@@ -500,7 +592,8 @@ def compare_schemes(sc: Scenario, scheme_ids) -> tuple[CompareRow, ...]:
 
     'before' is Bob's value on the pre-measurement state at lambda_ref,
     'after' the post-measurement ensemble value there, 'derivative' the
-    signaling derivative of the after-value at lam = 0.
+    signaling derivative of the after-value at lam = 0.  CLI aliases are
+    accepted; rows carry the canonical id.
     """
     scheme_ids = tuple(scheme_ids)
     if len(scheme_ids) < 2:
@@ -508,12 +601,12 @@ def compare_schemes(sc: Scenario, scheme_ids) -> tuple[CompareRow, ...]:
     rows = []
     scale = max((abs(v) for v in sc.lambda_grid), default=1.0) or 1.0
     for sid in scheme_ids:
-        sub = sc.with_scheme(_scheme_for_id(sc, sid))
+        sub = sc.with_scheme(SYSTEMS[sc.system].scheme_for_id(sid, sc.scheme))
         evaluate = make_evaluator(sub)
-        before_eval = make_evaluator(sub.with_scheme({"id": "none"}))
+        before_eval = make_evaluator(sub.with_scheme({"id": NO_MEASUREMENT}))
         for obs in sub.observables:
             rows.append(CompareRow(
-                scheme_id=sid,
+                scheme_id=sub.scheme["id"],
                 observable=obs,
                 before=before_eval(obs, sub.lambda_ref),
                 after=evaluate(obs, sub.lambda_ref),
@@ -521,13 +614,3 @@ def compare_schemes(sc: Scenario, scheme_ids) -> tuple[CompareRow, ...]:
                     lambda lam: evaluate(obs, lam), 0.0, scale),
             ))
     return tuple(rows)
-
-
-def _scheme_for_id(sc: Scenario, sid: str) -> dict:
-    """Scheme dict for sid, carrying over only the extras that id accepts."""
-    keep = {"qndsv": ("target",), "phase-nplus": ("s_cut", "n_max")}.get(sid, ())
-    out = {"id": sid}
-    for key in keep:
-        if key in sc.scheme:
-            out[key] = sc.scheme[key]
-    return out

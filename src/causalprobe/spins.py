@@ -239,11 +239,8 @@ def identity_scheme(dims=(2, 2)) -> MeasurementScheme:
 
 
 def spin_scheme(scheme_id: str, target=None) -> MeasurementScheme:
-    """Scheme registry used by the harness and CLI.
-
-    ids: "qndsv" (requires target labels), "s2-standard", "s2-bell",
-    "s2-luders", "sz-standard", "sz-bell", "sz-luders", "none".
-    """
+    """The scheme a spin scheme id names; the ids are declared in
+    ``harness.SPIN``.  "qndsv" verifies the product state ``target``."""
     from .core import qndsv_scheme
 
     if scheme_id == "qndsv":

@@ -77,6 +77,16 @@ class TestFieldCommand:
         assert at_zero == [pytest.approx(0.5 * kernel_ginv(modes, 1, 1), abs=1e-12)]
 
 
+    def test_qndsv_alias_defaults_to_its_own_observables(self, tmp_path):
+        """Without --obs the observables come from the scheme's entry, and
+        qndsv-1p reports only phi_y and phi2_y."""
+        code = run(["field", "qndsv", "--N", "8", "--mass", "1", "--x", "0", "--y", "1",
+                    "--p-index", "1", "--lambda", "0.3", "--out", str(tmp_path)])
+        assert code == 0
+        rows = read_rows(tmp_path / "field_qndsv-1p.csv")
+        assert [r["observable"] for r in rows] == ["phi_y", "phi2_y"]
+
+
 class TestHoCommand:
     def test_naive_momentum(self, tmp_path):
         code = run(["ho", "naive-nplus", "--p-a", "0.3", "--p-b", "-0.2",
@@ -109,6 +119,40 @@ class TestExitCodes:
                     "--axis", "volume", "--values", "4.5,8,16", "--out", str(tmp_path)])
         assert code == 2
         assert "needs integer values, got 4.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("system_params", 5, "system_params must be an object, got int"),
+        ("alice", "rotate", "alice must be an object, got str"),
+        ("scheme", ["qndsv"], "scheme must be an object, got list"),
+        ("observables", "sBz", "observables must be a list, got str"),
+        ("lambda_grid", 0.5, "lambda_grid must be a list, got float"),
+    ])
+    def test_malformed_shape_is_validation_error(self, tmp_path, capsys, key, value,
+                                                 message):
+        raw = json.loads((SCENARIOS / "spin_qndsv.json").read_text())
+        raw[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert run(["validate", str(bad)]) == 2
+        assert run(["spin", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_non_object_scenario_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2]")
+        assert run(["validate", str(bad)]) == 2
+        assert run(["spin", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
+        assert "scenario must be an object, got list" in capsys.readouterr().err
+
+    def test_nan_in_grid_is_validation_error(self, tmp_path, capsys):
+        """json.load accepts NaN; the scenario must not run with it."""
+        raw = (SCENARIOS / "spin_qndsv.json").read_text()
+        bad = tmp_path / "bad.json"
+        bad.write_text(raw.replace('"lambda_grid": [0.0,', '"lambda_grid": [NaN,'))
+        assert run(["validate", str(bad)]) == 2
+        assert run(["spin", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
+        assert "lambda_grid needs finite numbers, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "bad.csv").exists()
 
     def test_truncation_violation_is_numeric_error(self, tmp_path):
         # a kick far too large for the truncation trips the tail policy
@@ -212,3 +256,15 @@ class TestCompareCommand:
         assert vals[("s2-bell", "sBz")] == pytest.approx(0.0, abs=1e-12)
         assert vals[("s2-standard", "S2")] == pytest.approx(1.5, abs=1e-12)
         assert vals[("s2-bell", "S2")] == pytest.approx(1.5, abs=1e-12)
+
+    def test_field_aliases_resolve_to_canonical_ids(self, tmp_path):
+        """compare accepts the aliases that the field command accepts, and
+        its rows carry the canonical scheme ids."""
+        code = run(["compare", "--scenario", str(SCENARIOS / "field_naive.json"),
+                    "--schemes", "naive,none", "--out", str(tmp_path)])
+        assert code == 0
+        rows = read_rows(tmp_path / "field_naive_compare.csv")
+        assert {r["scheme"] for r in rows} == {"naive-np", "none"}
+        naive = {r["observable"]: float(r["after"]) for r in rows if r["scheme"] == "naive-np"}
+        # <pi_y> after the naive pair collapse moves with the kick
+        assert naive["pi_y"] != 0.0

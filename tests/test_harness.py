@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+from causalprobe import harness
 from causalprobe.harness import (
     Scenario,
     ScenarioError,
@@ -106,6 +109,82 @@ class TestValidation:
             "x": 0, "y": 2, "p": 2})
         with pytest.raises(ScenarioError, match="self-conjugate"):
             run_scenario(sc)
+
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: oscillator_scenario(system_params={"trunc": 40.9}),
+         "system_params.trunc needs integer values, got 40.9"),
+        (lambda: oscillator_scenario(system_params={"trunc": True}),
+         "system_params.trunc needs integer values, got True"),
+        (lambda: oscillator_scenario(system_params={"trunc": "24"}),
+         "system_params.trunc needs integer values, got '24'"),
+        (lambda: oscillator_scenario(scheme={"id": "phase-nplus", "s_cut": 4.5}),
+         "scheme.s_cut needs integer values, got 4.5"),
+        (lambda: oscillator_scenario(system_params={"p_a": float("nan")}),
+         "system_params.p_a needs finite numbers, got nan"),
+        (lambda: oscillator_scenario(system_params={"mass": "1.0"}),
+         "system_params.mass needs finite numbers, got '1.0'"),
+        (lambda: field_scenario(system_params={"n_sites": 8.7, "mass": 1.0,
+                                               "x": 0, "y": 2, "p": 1}),
+         "system_params.n_sites needs integer values, got 8.7"),
+        (lambda: field_scenario(system_params={"n_sites": 4, "mass": 1.0,
+                                               "x": 0.5, "y": 2, "p": 1}),
+         "system_params.x needs integer values, got 0.5"),
+        (lambda: field_scenario(system_params={"n_sites": 4, "mass": float("inf"),
+                                               "x": 0, "y": 2, "p": 1}),
+         "system_params.mass needs finite numbers, got inf"),
+        (lambda: spin_scenario(lambda_grid=[0.0, float("nan")]),
+         "lambda_grid needs finite numbers, got nan"),
+        (lambda: spin_scenario(lambda_grid=[0.0, float("inf")]),
+         "lambda_grid needs finite numbers, got inf"),
+        (lambda: spin_scenario(lambda_ref=float("nan")),
+         "lambda_ref needs finite numbers, got nan"),
+        (lambda: spin_scenario(lambda_grid=[False, True]),
+         "lambda_grid needs finite numbers, got False"),
+        (lambda: spin_scenario(alice={"kind": "rotate", "axis": [0.0, float("nan"), 1.0]}),
+         "alice.axis needs finite numbers, got nan"),
+        (lambda: spin_scenario(system_params={"initial": ["up", "up", "up"]}),
+         "system_params.initial needs exactly two labels"),
+    ])
+    def test_values_are_never_coerced(self, make, message):
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            make()
+
+    def test_integral_floats_are_accepted(self):
+        sc = oscillator_scenario(system_params={"trunc": 24.0})
+        assert sc.validate().params["trunc"] == 24
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestRegistry:
+    def test_readme_table_matches_registry(self):
+        """Each system's row of the README's scenario-file table lists the
+        registry's params, scheme ids with their extras (optional ones marked
+        so) and observables, in the registry's order."""
+        rows = {}
+        for line in README.read_text().splitlines():
+            cells = [c.strip() for c in line.split("|")[1:-1]]
+            if len(cells) == 4 and cells[0].strip("`") in harness.SYSTEMS:
+                rows[cells[0].strip("`")] = [
+                    [(opt.strip(), name) for opt, name in
+                     re.findall(r"(optional )?`([^`]+)`", cell)] for cell in cells[1:]]
+        assert set(rows) == set(harness.SYSTEMS)
+        for name, spec in harness.SYSTEMS.items():
+            params, schemes, observables = rows[name]
+            assert params == [("", key) for key in spec.params], name
+            want = []
+            for sid, scheme in spec.schemes.items():
+                want.append(("", sid))
+                want += [("" if p.default is harness._REQUIRED else "optional", key)
+                         for key, p in scheme.extras.items()]
+            assert schemes == want, name
+            want = [("", obs) for obs in spec.observables]
+            for sid, scheme in spec.schemes.items():
+                if scheme.observables:
+                    want += [("", sid)] + [("", obs) for obs in scheme.observables]
+            assert observables == want, name
 
 
 class TestRunScenario:
