@@ -5,8 +5,8 @@ system is one declarative table in ``SYSTEMS``, read by validation, the
 evaluators and the CLI, so a new prescription is one table entry.
 
 Everything downstream is a pure function of the scenario, so reports are
-reproducible bit for bit; grid points may be evaluated in parallel (capped
-by CAUSAL_PROBE_THREADS) with a fixed reduction order.
+reproducible bit for bit.  Each distinct lam is evaluated once, for every
+observable, in one thread.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import os
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
+# unused here: perfbench/tracing.py:231 rebinds it; the next benchmark change removes it
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
@@ -132,11 +132,12 @@ class System:
     alice: str                    # Alice's operation kind
     schemes: dict                 # id -> Scheme
     observables: tuple | dict     # names (the oscillator's map to moment fields)
-    evaluator: Callable           # (Scenario, Typed) -> evaluate(obs, lam)
+    evaluator: Callable           # (Scenario, Typed) -> values(lam) -> {obs: value}
     default_observables: tuple = ()                   # empty: all observables
     alice_params: dict = field(default_factory=dict)
     aliases: dict = field(default_factory=dict)       # CLI name -> scheme id
     sweep_axes: dict = field(default_factory=dict)    # axis -> (sc, value) -> sc
+    amplitude: Callable | None = None   # typed params -> observable-free sweep measure
 
     def canonical(self, sid):
         """The scheme id behind a CLI alias (field: naive -> naive-np)."""
@@ -245,7 +246,7 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# evaluators: (observable, lam) -> expectation value
+# evaluators: lam -> {observable: expectation value}, every observable in one call
 
 def _spin_evaluator(sc: Scenario, typed: Typed):
     scheme = spins.spin_scheme(sc.scheme["id"], **typed.extras)
@@ -253,26 +254,24 @@ def _spin_evaluator(sc: Scenario, typed: Typed):
                for name in sc.observables}
     prestate = spins.spin_state(*typed.params["initial"])
 
-    def evaluate(obs: str, lam: float) -> float:
+    def values(lam: float) -> dict:
         state = spins.alice_rotate(prestate, typed.alice["axis"], lam)
-        return post_measurement_expectation(state, scheme, obs_ops[obs])
+        return {name: post_measurement_expectation(state, scheme, op)
+                for name, op in obs_ops.items()}
 
-    return evaluate
+    return values
 
 
 def _oscillator_evaluator(sc: Scenario, typed: Typed):
     sp = typed.params
     params = oscillators.OscParams(**{f.name: sp[f.name] for f in fields(oscillators.OscParams)})
 
-    @functools.cache
-    def moments(lam: float) -> oscillators.LocalMoments:
+    def values(lam: float) -> dict:
         kick = oscillators.KickParams(p_a=sp["p_a"], p_b=sp["p_b"], lam=lam)
-        return typed.scheme.compute(params, kick, sp["trunc"], typed.extras)
+        moments = typed.scheme.compute(params, kick, sp["trunc"], typed.extras)
+        return {obs: getattr(moments, OSCILLATOR.observables[obs]) for obs in sc.observables}
 
-    def evaluate(obs: str, lam: float) -> float:
-        return getattr(moments(lam), OSCILLATOR.observables[obs])
-
-    return evaluate
+    return values
 
 
 def _osc_naive(params, kick, trunc, extras) -> oscillators.LocalMoments:
@@ -301,24 +300,30 @@ def _field_evaluator(sc: Scenario, typed: Typed):
     if not modes.is_paired(p_index):
         raise ScenarioError(f"wavenumber {sp['p']!r} is self-conjugate, pick a paired mode")
 
-    def evaluate(obs: str, lam: float) -> float:
+    def values(lam: float) -> dict:
         kick = fieldtheory.KickSpec(site=sp["x"], strength=lam)
-        return typed.scheme.compute(modes, kick, sp["y"], p_index, obs)
+        return typed.scheme.compute(modes, kick, sp["y"], p_index, sc.observables)
 
-    return evaluate
-
-
-def _field_naive(modes, kick, y, p_index, obs: str) -> float:
-    return fieldtheory.naive_np_expectations(modes, kick, y, p_index).as_dict()[obs]
+    return values
 
 
-def _field_prestate(modes, kick, y, p_index, obs: str) -> float:
-    return fieldtheory.prestate_expectations(modes, kick, y).as_dict()[obs]
+def _field_naive(modes, kick, y, p_index, observables) -> dict:
+    return fieldtheory.naive_np_expectations(modes, kick, y, p_index).as_dict()
 
 
-def _field_qndsv(modes, kick, y, p_index, obs: str) -> float:
+def _field_prestate(modes, kick, y, p_index, observables) -> dict:
+    return fieldtheory.prestate_expectations(modes, kick, y).as_dict()
+
+
+def _field_qndsv(modes, kick, y, p_index, observables) -> dict:
     # one closed form per reported observable, named qndsv_<observable>
-    return getattr(fieldtheory, f"qndsv_{obs}")(modes, kick, y, p_index)
+    return {obs: getattr(fieldtheory, f"qndsv_{obs}")(modes, kick, y, p_index)
+            for obs in observables}
+
+
+def _field_amplitude(params: dict) -> float:
+    """The suppression amplitude max_lam lam e^{-lam^2 ginv_xx/2hbar}."""
+    return fieldtheory.max_signaling(build_modes(_lattice(params)), params["x"]).amplitude
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +437,7 @@ FIELD = System(
     evaluator=_field_evaluator,
     aliases={"naive": "naive-np", "qndsv": "qndsv-1p"},
     sweep_axes={"volume": _rescaled_for_volume, "spacing": _rescaled_for_spacing},
+    amplitude=_field_amplitude,
 )
 
 SYSTEMS = {"spin": SPIN, "oscillator": OSCILLATOR, "field": FIELD}
@@ -439,23 +445,17 @@ SWEEP_AXES = tuple(axis for spec in SYSTEMS.values() for axis in spec.sweep_axes
 
 
 def make_evaluator(sc: Scenario):
-    return SYSTEMS[sc.system].evaluator(sc, sc.validate())
+    """evaluate(obs, lam); the system's values(lam) runs once per distinct lam."""
+    values = SYSTEMS[sc.system].evaluator(sc, sc.validate())
+    memo = {}
 
+    def evaluate(obs: str, lam: float) -> float:
+        key = (lam, math.copysign(1.0, lam))    # -0.0 and 0.0 may print differently
+        if key not in memo:
+            memo[key] = values(lam)
+        return memo[key][obs]
 
-def _worker_count() -> int:
-    raw = os.environ.get("CAUSAL_PROBE_THREADS", "")
-    if raw.strip():
-        return max(1, int(raw))
-    return os.cpu_count() or 1
-
-
-def _ordered_map(fn, items):
-    items = list(items)
-    workers = min(_worker_count(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return evaluate
 
 
 def central_derivative(fn, at: float, scale: float) -> float:
@@ -481,21 +481,15 @@ class SignalingReport:
 
 def run_scenario(sc: Scenario) -> SignalingReport:
     evaluate = make_evaluator(sc)
-    grid = sc.lambda_grid
-    scale = max((abs(v) for v in grid), default=1.0) or 1.0
-    tables = {}
-    baseline = {}
-    deriv = {}
-    maxdev = {}
-    for obs in sc.observables:
-        values = _ordered_map(lambda lam: evaluate(obs, lam), grid)
-        tables[obs] = tuple(zip(grid, values))
-        base = evaluate(obs, 0.0)
-        baseline[obs] = base
-        deriv[obs] = central_derivative(lambda lam: evaluate(obs, lam), 0.0, scale)
-        maxdev[obs] = max(abs(v - base) for v in values)
-    return SignalingReport(scenario=sc, tables=tables, baseline=baseline,
-                           derivative_at_zero=deriv, max_deviation=maxdev)
+    names = sc.observables
+    scale = max((abs(v) for v in sc.lambda_grid), default=1.0) or 1.0
+    tables = {obs: tuple((lam, evaluate(obs, lam)) for lam in sc.lambda_grid) for obs in names}
+    baseline = {obs: evaluate(obs, 0.0) for obs in names}
+    return SignalingReport(
+        scenario=sc, tables=tables, baseline=baseline,
+        derivative_at_zero={obs: central_derivative(functools.partial(evaluate, obs), 0.0, scale)
+                            for obs in names},
+        max_deviation={obs: max(abs(v - baseline[obs]) for _, v in tables[obs]) for obs in names})
 
 
 # ---------------------------------------------------------------------------
@@ -542,14 +536,17 @@ def cutoff_sweep(sc: Scenario, axis: str, values, measure: str = "deviation") ->
     """Evaluate the signaling measure across a cutoff sweep and fit a power law.
 
     measure "deviation": max_lam |<O>(lam) - <O>(0)| per observable;
-    "after_value": <O>(lambda_ref); "amplitude": the field suppression
-    amplitude max_lam lam e^{-lam^2 ginv_xx/2hbar} (observable-free).
+    "after_value": <O>(lambda_ref); "amplitude": the system's observable-free
+    ``System.amplitude`` (the field's suppression amplitude).
     """
-    scenario_at = SYSTEMS[sc.system].sweep_axes.get(axis)
+    spec = SYSTEMS[sc.system]
+    scenario_at = spec.sweep_axes.get(axis)
     if scenario_at is None:
         raise ScenarioError(f"axis {axis!r} is not meaningful for system {sc.system!r}")
     if measure not in SWEEP_MEASURES:
         raise ScenarioError(f"unknown sweep measure {measure!r}")
+    if measure == "amplitude" and spec.amplitude is None:
+        raise ScenarioError(f"measure 'amplitude' is not meaningful for system {sc.system!r}")
     values = tuple(values)
     if len(values) < 3:
         raise ScenarioError("a cutoff sweep needs at least 3 points")
@@ -557,20 +554,14 @@ def cutoff_sweep(sc: Scenario, axis: str, values, measure: str = "deviation") ->
     def measures_at(value) -> dict:
         sub = scenario_at(sc, value)
         if measure == "amplitude":
-            sp = sub.validate().params
-            amp = fieldtheory.max_signaling(build_modes(_lattice(sp)), sp["x"]).amplitude
-            return {"suppression_amplitude": amp}
+            return {"suppression_amplitude": spec.amplitude(sub.validate().params)}
         evaluate = make_evaluator(sub)
-        out = {}
-        for obs in sub.observables:
-            if measure == "after_value":
-                out[obs] = evaluate(obs, sub.lambda_ref)
-            else:
-                base = evaluate(obs, 0.0)
-                out[obs] = max(abs(evaluate(obs, lam) - base) for lam in sub.lambda_grid)
-        return out
+        if measure == "after_value":
+            return {obs: evaluate(obs, sub.lambda_ref) for obs in sub.observables}
+        return {obs: max(abs(evaluate(obs, lam) - evaluate(obs, 0.0)) for lam in sub.lambda_grid)
+                for obs in sub.observables}
 
-    per_value = _ordered_map(measures_at, values)
+    per_value = [measures_at(value) for value in values]
     names = list(per_value[0])
     rows = {name: tuple(pv[name] for pv in per_value) for name in names}
     fits = {name: power_fit(values, rows[name]) for name in names}
@@ -600,10 +591,10 @@ def compare_schemes(sc: Scenario, scheme_ids) -> tuple[CompareRow, ...]:
         raise ScenarioError("compare_schemes needs at least two scheme ids")
     rows = []
     scale = max((abs(v) for v in sc.lambda_grid), default=1.0) or 1.0
+    before_eval = make_evaluator(sc.with_scheme({"id": NO_MEASUREMENT}))
     for sid in scheme_ids:
         sub = sc.with_scheme(SYSTEMS[sc.system].scheme_for_id(sid, sc.scheme))
         evaluate = make_evaluator(sub)
-        before_eval = make_evaluator(sub.with_scheme({"id": NO_MEASUREMENT}))
         for obs in sub.observables:
             rows.append(CompareRow(
                 scheme_id=sub.scheme["id"],

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from causalprobe import cli
+from causalprobe import cli, harness
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 ALL_FIXTURES = sorted(SCENARIOS.glob("*.json"))
@@ -154,6 +154,15 @@ class TestExitCodes:
         assert "lambda_grid needs finite numbers, got nan" in capsys.readouterr().err
         assert not (tmp_path / "bad.csv").exists()
 
+    def test_amplitude_sweep_on_oscillator_is_validation_error(self, tmp_path, capsys):
+        code = run(["sweep", "--scenario", str(SCENARIOS / "ho_naive.json"),
+                    "--axis", "trunc", "--values", "20,30,40", "--measure", "amplitude",
+                    "--out", str(tmp_path)])
+        assert code == 2
+        assert "measure 'amplitude' is not meaningful for system 'oscillator'" \
+            in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_truncation_violation_is_numeric_error(self, tmp_path):
         # a kick far too large for the truncation trips the tail policy
         assert run(["ho", "naive-nplus", "--trunc", "6", "--lambda", "6.0",
@@ -256,6 +265,17 @@ class TestCompareCommand:
         assert vals[("s2-bell", "sBz")] == pytest.approx(0.0, abs=1e-12)
         assert vals[("s2-standard", "S2")] == pytest.approx(1.5, abs=1e-12)
         assert vals[("s2-bell", "S2")] == pytest.approx(1.5, abs=1e-12)
+
+    def test_before_evaluator_is_built_once(self, tmp_path, monkeypatch):
+        """One lattice for the unmeasured 'before' column, one per scheme."""
+        builds = []
+        original = harness.build_modes
+        monkeypatch.setattr(harness, "build_modes",
+                            lambda spec: builds.append(spec) or original(spec))
+        code = run(["compare", "--scenario", str(SCENARIOS / "field_naive.json"),
+                    "--schemes", "naive,none", "--out", str(tmp_path)])
+        assert code == 0
+        assert len(builds) == 3
 
     def test_field_aliases_resolve_to_canonical_ids(self, tmp_path):
         """compare accepts the aliases that the field command accepts, and

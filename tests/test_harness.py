@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from causalprobe import harness
+from causalprobe import fieldtheory, harness, spins
 from causalprobe.harness import (
     Scenario,
     ScenarioError,
@@ -215,14 +215,38 @@ class TestRunScenario:
         assert a.tables == b.tables
         assert a.derivative_at_zero == b.derivative_at_zero
 
-    def test_threads_env_does_not_change_results(self, monkeypatch):
-        base = run_scenario(spin_scenario())
-        monkeypatch.setenv("CAUSAL_PROBE_THREADS", "4")
-        threaded = run_scenario(spin_scenario())
-        assert base.tables == threaded.tables
-        monkeypatch.setenv("CAUSAL_PROBE_THREADS", "1")
-        serial = run_scenario(spin_scenario())
-        assert base.tables == serial.tables
+    @pytest.mark.parametrize("module, name, make, lam_of", [
+        (spins, "alice_rotate",
+         lambda: spin_scenario(observables=["sBx", "sBy", "sBz", "S2"]),
+         lambda state, axis, angle: angle),
+        (fieldtheory, "naive_np_expectations",
+         lambda: field_scenario(observables=["phi_y", "pi_y", "phi2_y", "pi2_y"]),
+         lambda modes, kick, y, p_index: kick.strength),
+    ], ids=["spin", "field"])
+    def test_each_distinct_lambda_is_evaluated_once(self, monkeypatch, module, name,
+                                                    make, lam_of):
+        """One evaluation per distinct lam of the grid, the baseline and the
+        Richardson points, whatever the number of observables."""
+        sc = make()
+        seen = []
+        original = getattr(module, name)
+
+        def counted(*args):
+            seen.append(lam_of(*args))
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        run_scenario(sc)
+        h = 1e-3 * max(abs(v) for v in sc.lambda_grid)
+        want = set(sc.lambda_grid) | {0.0, h, -h, h / 2, -h / 2}
+        assert sorted(seen) == sorted(want)
+
+    def test_negative_zero_is_not_merged_with_zero(self):
+        """A grid point at -0.0 keeps its own value next to the baseline at
+        0.0: the CSVs print <pi_y> there as -0 and 0."""
+        rep = run_scenario(field_scenario(lambda_grid=[-0.3, -0.0, 0.3]))
+        assert math.copysign(1.0, dict(rep.tables["pi_y"])[-0.0]) == -1.0
+        assert math.copysign(1.0, rep.baseline["pi_y"]) == 1.0
 
 
 class TestDerivativeAndFit:
@@ -270,6 +294,10 @@ class TestCutoffSweep:
     def test_wavenumber_must_stay_physical(self):
         with pytest.raises(ScenarioError, match="held fixed"):
             cutoff_sweep(field_scenario(), "volume", [4, 8, 6])
+
+    def test_amplitude_needs_a_system_amplitude(self):
+        with pytest.raises(ScenarioError, match="'amplitude' is not meaningful"):
+            cutoff_sweep(oscillator_scenario(), "trunc", [20, 30, 40], measure="amplitude")
 
 
 class TestSignalingClassification:
