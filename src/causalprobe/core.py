@@ -359,16 +359,23 @@ def post_measurement_expectation(state: StateVector, scheme: MeasurementScheme,
     may be any operator with ``dims``, ``hermitian`` and ``apply``, so
     matrix-free operators run through the same path as dense ones.
     """
-    if state.dims != scheme.dims or obs.dims != scheme.dims:
-        raise ValueError(
-            f"dims mismatch: state {state.dims}, scheme {scheme.dims}, obs {obs.dims}")
-    if not obs.hermitian:
-        raise ValueError("observable must be flagged (and be) hermitian")
-    total = 0.0
-    for out in scheme.outcomes:
-        branch = out.apply(state.amplitudes)
-        total += float(np.real(np.vdot(branch, obs.apply(branch))))
-    return total
+    return post_measurement_expectations(state, scheme, (obs,))[0]
+
+
+def post_measurement_expectations(state: StateVector, scheme: MeasurementScheme,
+                                  observables) -> list[float]:
+    """post_measurement_expectation of each observable, in order; each
+    branch P_i|psi> is computed once and shared by all of them."""
+    observables = tuple(observables)
+    for obs in observables:
+        if state.dims != scheme.dims or obs.dims != scheme.dims:
+            raise ValueError(
+                f"dims mismatch: state {state.dims}, scheme {scheme.dims}, obs {obs.dims}")
+        if not obs.hermitian:
+            raise ValueError("observable must be flagged (and be) hermitian")
+    branches = [out.apply(state.amplitudes) for out in scheme.outcomes]
+    return [sum(float(np.real(np.vdot(branch, obs.apply(branch)))) for branch in branches)
+            for obs in observables]
 
 
 def validate_scheme(scheme: MeasurementScheme) -> SchemeDiagnostics:

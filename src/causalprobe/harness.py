@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import fieldtheory, oscillators, spins
-from .core import post_measurement_expectation
+from .core import post_measurement_expectations
 from .lattice import DISPERSIONS, LatticeSpec, build_modes
 
 
@@ -256,8 +256,8 @@ def _spin_evaluator(sc: Scenario, typed: Typed):
 
     def values(lam: float) -> dict:
         state = spins.alice_rotate(prestate, typed.alice["axis"], lam)
-        return {name: post_measurement_expectation(state, scheme, op)
-                for name, op in obs_ops.items()}
+        return dict(zip(obs_ops, post_measurement_expectations(state, scheme,
+                                                               obs_ops.values())))
 
     return values
 
@@ -275,8 +275,7 @@ def _oscillator_evaluator(sc: Scenario, typed: Typed):
 
 
 def _osc_naive(params, kick, trunc, extras) -> oscillators.LocalMoments:
-    pre = oscillators.coherent_prestate(params, kick, trunc)
-    return oscillators.local_moments_b(oscillators.naive_nplus_ensemble(pre), params)
+    return oscillators.kicked_moments(params, kick, trunc, collapse=True)
 
 
 def _osc_phase(params, kick, trunc, extras) -> oscillators.LocalMoments:
@@ -285,7 +284,7 @@ def _osc_phase(params, kick, trunc, extras) -> oscillators.LocalMoments:
 
 
 def _osc_prestate(params, kick, trunc, extras) -> oscillators.LocalMoments:
-    return oscillators.local_moments_b(oscillators.coherent_prestate(params, kick, trunc))
+    return oscillators.kicked_moments(params, kick, trunc)
 
 
 def _lattice(params: dict) -> LatticeSpec:
@@ -594,7 +593,7 @@ def compare_schemes(sc: Scenario, scheme_ids) -> tuple[CompareRow, ...]:
     before_eval = make_evaluator(sc.with_scheme({"id": NO_MEASUREMENT}))
     for sid in scheme_ids:
         sub = sc.with_scheme(SYSTEMS[sc.system].scheme_for_id(sid, sc.scheme))
-        evaluate = make_evaluator(sub)
+        evaluate = before_eval if sub.scheme["id"] == NO_MEASUREMENT else make_evaluator(sub)
         for obs in sub.observables:
             rows.append(CompareRow(
                 scheme_id=sub.scheme["id"],

@@ -11,11 +11,21 @@ kappa = sqrt(m Omega / hbar).  A kick of strength lam on oscillator A then
 displaces the +- modes by i Lambda_pm with Lambda_pm = lambda_pm/(2 hbar
 kappa) and lambda_pm = p_A +- p_B + lam, which is what makes the
 closed-form expansion coefficients below come out literally.
+
+Product outcomes: the kicked prestate f_+ (x) f_- and every outcome of the
+naive N_+ collapse (|n>_+ (x) f_-) and of the number-times-phase-state
+scheme (|n>_+ (x) |b, theta_s>_-) are products, so B's moments follow one
+mode at a time (``product_moments``): <Q_B> = (<Q_+> - <Q_->)/sqrt(2) and
+<Q_B^2> = (<Q_+^2> - 2 <Q_+><Q_-> + <Q_-^2>)/2, likewise for P; over + number
+states <n|Q_+|n> = 0 kills the cross term.  A mode's moments are O(trunc)
+sums of its number weights and coherences <a>, <a^2> (``mode_moments``);
+``local_moments_b`` keeps the dense route on joint arrays as the reference.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -137,6 +147,20 @@ def _normalize_trunc(trunc) -> tuple[int, int]:
     return int(a), int(b)
 
 
+def _kicked_factors(params: OscParams, kick: KickParams, trunc,
+                    policy: NumericPolicy) -> tuple[np.ndarray, np.ndarray, float]:
+    """The + and - coherent factors of the kicked prestate and its tail."""
+    d_plus, d_minus = _normalize_trunc(trunc)
+    f_plus = coherent_amplitudes(1j * kick.big_lambda_plus(params), d_plus)
+    f_minus = coherent_amplitudes(1j * kick.big_lambda_minus(params), d_minus)
+    tail = max(0.0, 1.0 - float(np.sum(np.abs(f_plus) ** 2))
+               * float(np.sum(np.abs(f_minus) ** 2)))
+    if tail > policy.tail_tol:
+        raise TruncationError(
+            f"truncation {d_plus}x{d_minus} leaves tail {tail:.3e} > {policy.tail_tol:.0e}")
+    return f_plus, f_minus, tail
+
+
 def coherent_prestate(params: OscParams, kick: KickParams, trunc,
                       policy: NumericPolicy = DEFAULT_POLICY) -> TwoModeFock:
     """Kicked coherent product state in the PM basis.
@@ -145,16 +169,9 @@ def coherent_prestate(params: OscParams, kick: KickParams, trunc,
     than silently truncating when the norm outside the box exceeds the
     policy tail tolerance.
     """
-    d_plus, d_minus = _normalize_trunc(trunc)
-    a_plus = 1j * kick.big_lambda_plus(params)
-    a_minus = 1j * kick.big_lambda_minus(params)
-    amps = np.outer(coherent_amplitudes(a_plus, d_plus),
-                    coherent_amplitudes(a_minus, d_minus))
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
-    if tail > policy.tail_tol:
-        raise TruncationError(
-            f"truncation {d_plus}x{d_minus} leaves tail {tail:.3e} > {policy.tail_tol:.0e}")
-    return TwoModeFock(params=params, amps=amps, basis=BASIS_PM, tail_bound=tail)
+    f_plus, f_minus, tail = _kicked_factors(params, kick, trunc, policy)
+    return TwoModeFock(params=params, amps=np.outer(f_plus, f_minus), basis=BASIS_PM,
+                       tail_bound=tail)
 
 
 @lru_cache(maxsize=None)
@@ -335,14 +352,12 @@ def phase_coefficients(params: OscParams, kick: KickParams, s_cut: int,
         * np.power(1j * lp, n)
     out = np.zeros((n_max, 2, s_cut + 1), dtype=complex)
     j = np.arange(s_cut + 1)
+    bases = 1j * lm * np.exp(-1j * (2.0 * math.pi * j / (s_cut + 1)))    # one per s
     for b in (0, 1):
         pw = 2 * j + b
         log_mag = -0.5 * gammaln(pw + 1) - 0.5 * math.log(s_cut + 1)
-        for s in range(s_cut + 1):
-            theta = 2.0 * math.pi * s / (s_cut + 1)
-            base = 1j * lm * np.exp(-1j * theta)
-            terms = np.exp(log_mag) * np.power(base, pw)
-            out[:, b, s] = plus_part * np.sum(terms)
+        terms = np.exp(log_mag) * np.power(bases[:, None], pw)          # [s, j]
+        out[:, b, :] = np.outer(plus_part, np.sum(terms, axis=1))
     return out
 
 
@@ -363,20 +378,25 @@ def _expect_two_mode(amps: np.ndarray, op1: np.ndarray, op2: np.ndarray) -> floa
     return float(np.real(val))
 
 
-def _inf_norm(mat: np.ndarray) -> float:
-    return float(np.max(np.sum(np.abs(mat), axis=1)))
+def _ladder_norms(dim: int) -> tuple[float, float]:
+    """Infinity norms of a + a^dag and of its square on a dim-level ladder,
+    from the closed-form row sums of the banded matrices; +-i phases and
+    signs do not change them, so they serve P and P^2 as well."""
+    n = np.arange(dim, dtype=float)
+    first = np.sqrt(n) + np.sqrt(n + 1) * (n < dim - 1)
+    second = np.sqrt(n * (n - 1)) + n + (n + 1) * (n < dim - 1) \
+        + np.sqrt((n + 1) * (n + 2)) * (n < dim - 2)
+    return float(np.max(first)), float(np.max(second))
 
 
 def _bound_scale(d1: int, d2: int, params: OscParams, basis: str) -> float:
     """Infinity-norm bound on the quadratic B observables over the box."""
-    q1m, q2m = position_matrix(d1, params), position_matrix(d2, params)
-    p1m, p2m = momentum_matrix(d1, params), momentum_matrix(d2, params)
+    scale = params.hbar / (2.0 * params.mass * params.frequency) \
+        + params.hbar * params.mass * params.frequency / 2.0    # Q and P scales squared
+    (first1, second1), (first2, second2) = _ladder_norms(d1), _ladder_norms(d2)
     if basis == BASIS_PM:
-        return 0.5 * (_inf_norm(q1m @ q1m) + 2 * _inf_norm(q1m) * _inf_norm(q2m)
-                      + _inf_norm(q2m @ q2m)
-                      + _inf_norm(p1m @ p1m) + 2 * _inf_norm(p1m) * _inf_norm(p2m)
-                      + _inf_norm(p2m @ p2m))
-    return _inf_norm(q2m @ q2m) + _inf_norm(p2m @ p2m)
+        return 0.5 * scale * (second1 + 2 * first1 * first2 + second2)
+    return scale * second2
 
 
 def _moments_from_amps(amps: np.ndarray, params: OscParams, basis: str,
@@ -439,6 +459,52 @@ def local_moments_b(obj, params: OscParams | None = None, basis: str = BASIS_PM,
     raise TypeError(f"unsupported input {type(obj).__name__}")
 
 
+# one mode's sums tr(rho X) for X = 1, Q, P, Q^2, P^2; rho need not be normalized
+ModeMoments = namedtuple("ModeMoments", "norm q p q2 p2")
+
+
+def mode_moments(params: OscParams, weights: np.ndarray, a: complex = 0j,
+                 a2: complex = 0j, box: int | None = None) -> ModeMoments:
+    """One mode's moments from its number weights rho_nn and the ladder
+    coherences <a>, <a^2> (zero for a mixture of number states), with Q and P
+    as in position_matrix and momentum_matrix.  <a a^dag> counts level n only
+    when n + 1 < box, as the dense matrices on box levels do (default: as
+    many levels as weights)."""
+    weights = np.asarray(weights, dtype=float)
+    n = np.arange(len(weights))
+    box = len(weights) if box is None else box
+    number = float(np.sum(n * weights))                            # <a^dag a>
+    number += float(np.sum(((n + 1) * weights)[n + 1 < box]))      # + <a a^dag>
+    scale_q = params.hbar / (2.0 * params.mass * params.frequency)
+    scale_p = params.hbar * params.mass * params.frequency / 2.0
+    return ModeMoments(float(np.sum(weights)), 2.0 * math.sqrt(scale_q) * a.real,
+                       2.0 * math.sqrt(scale_p) * a.imag,
+                       scale_q * (number + 2.0 * a2.real), scale_p * (number - 2.0 * a2.real))
+
+
+def _amplitude_moments(params: OscParams, f: np.ndarray) -> ModeMoments:
+    """mode_moments of the pure state with Fock amplitudes f."""
+    root = np.sqrt(np.arange(1, len(f)))                           # <n-1|a|n>
+    a = complex(np.vdot(f[:-1], root * f[1:]))
+    a2 = complex(np.vdot(f[:-2], root[:-1] * root[1:] * f[2:]))
+    return mode_moments(params, np.abs(f) ** 2, a, a2)
+
+
+def product_moments(plus: ModeMoments, minus: ModeMoments, params: OscParams,
+                    error_bound: float) -> LocalMoments:
+    """B moments on rho_+ (x) rho_-, from Q_B = (Q_+ - Q_-)/sqrt(2) and
+    P_B = (P_+ - P_-)/sqrt(2); also exact for a mixture of outcomes
+    |n>_+ (x) chi_- given the + number weights and the - factor averaged over
+    outcomes, since <n|Q_+|n> = 0 removes the cross term either way."""
+    root2 = math.sqrt(2.0)
+    q = (plus.q * minus.norm - plus.norm * minus.q) / root2
+    p = (plus.p * minus.norm - plus.norm * minus.p) / root2
+    q2 = 0.5 * (plus.q2 * minus.norm - 2.0 * plus.q * minus.q + plus.norm * minus.q2)
+    p2 = 0.5 * (plus.p2 * minus.norm - 2.0 * plus.p * minus.p + plus.norm * minus.p2)
+    energy = p2 / (2.0 * params.mass) + 0.5 * params.mass * params.frequency**2 * q2
+    return LocalMoments(q, p, q2, p2, energy, error_bound=error_bound)
+
+
 def phase_ensemble_moments(params: OscParams, kick: KickParams, s_cut: int,
                            n_max: int) -> LocalMoments:
     """B moments right after the number-times-phase-state measurement,
@@ -450,29 +516,38 @@ def phase_ensemble_moments(params: OscParams, kick: KickParams, s_cut: int,
     """
     c = phase_coefficients(params, kick, s_cut, n_max)
     w = np.abs(c) ** 2
-    # per-outcome product moments, closed form:
-    #   <Q^2>_{+,n}    = (hbar/2mOm)(2n+1)
-    #   <Q^2>_{-,b,s}  = (hbar/2mOm)[2(s_cut+b)+1 + 2 cos(2 theta_s) A_b]
-    # with A_b = sum_j sqrt((2j+b)(2j+b-1))/(s_cut+1) from the a^2 ladder
-    # inside the fixed-parity family; P^2 is the same with the cross term
-    # flipped in sign.
-    scale_q = params.hbar / (2.0 * params.mass * params.frequency)
-    scale_p = params.hbar * params.mass * params.frequency / 2.0
-    n = np.arange(n_max)
-    w_n = np.sum(w, axis=(1, 2))
-    q2 = float(np.sum(w_n * scale_q * (2 * n + 1))) * 0.5
-    p2 = float(np.sum(w_n * scale_p * (2 * n + 1))) * 0.5
+    total = float(np.sum(w))
+    # the - factor averaged over outcomes: phase state |b, theta_s> puts
+    # 1/(s_cut+1) on each level 2j+b, has <a> = 0 and <a^2> = e^{2i theta_s}
+    # A_b with A_b = sum_j sqrt((2j+b)(2j+b-1))/(s_cut+1)
+    w_bs = np.sum(w, axis=0) / total
+    j = np.arange(1, s_cut + 1)
+    a_b = np.array([np.sum(np.sqrt((2 * j + b) * (2 * j + b - 1.0))) for b in (0, 1)]) \
+        / (s_cut + 1)
     thetas = 2.0 * math.pi * np.arange(s_cut + 1) / (s_cut + 1)
-    for b in (0, 1):
-        j = np.arange(1, s_cut + 1)
-        a_b = float(np.sum(np.sqrt((2 * j + b) * (2 * j + b - 1.0)))) / (s_cut + 1)
-        diag = 2.0 * (s_cut + b) + 1.0
-        w_bs = np.sum(w[:, b, :], axis=0)
-        cross = 2.0 * np.cos(2.0 * thetas) * a_b
-        q2 += 0.5 * float(np.sum(w_bs * scale_q * (diag + cross)))
-        p2 += 0.5 * float(np.sum(w_bs * scale_p * (diag - cross)))
-    tail = max(0.0, 1.0 - float(np.sum(w)))
-    energy = p2 / (2.0 * params.mass) + 0.5 * params.mass * params.frequency**2 * q2
-    span = 2 * s_cut + 2
-    bound = tail * _bound_scale(n_max, span, params, BASIS_PM)
-    return LocalMoments(0.0, 0.0, q2, p2, energy, error_bound=bound)
+    a2 = complex(np.sum(a_b[:, None] * w_bs * np.exp(2j * thetas)))
+    levels = np.tile(np.sum(w_bs, axis=1) / (s_cut + 1), s_cut + 1)
+    # closed forms, exact on every populated level: no truncated top
+    plus = mode_moments(params, np.sum(w, axis=(1, 2)), box=n_max + 1)
+    minus = mode_moments(params, levels, a2=a2, box=len(levels) + 1)
+    tail = max(0.0, 1.0 - total)
+    return product_moments(plus, minus, params,
+                           tail * _bound_scale(n_max, len(levels), params, BASIS_PM))
+
+
+def kicked_moments(params: OscParams, kick: KickParams, trunc, collapse: bool = False,
+                   policy: NumericPolicy = DEFAULT_POLICY) -> LocalMoments:
+    """local_moments_b(coherent_prestate(...)) or, with collapse,
+    local_moments_b(naive_nplus_ensemble(coherent_prestate(...)), params),
+    from the two coherent factors: the naive collapse keeps the + number
+    weights, drops the + coherences and the branches below
+    policy.zero_probability, and leaves the - factor alone."""
+    f_plus, f_minus, tail = _kicked_factors(params, kick, trunc, policy)
+    if collapse:
+        w_plus = np.abs(f_plus) ** 2
+        prob = w_plus * float(np.sum(np.abs(f_minus) ** 2))
+        plus = mode_moments(params, np.where(prob < policy.zero_probability, 0.0, w_plus))
+    else:
+        plus = _amplitude_moments(params, f_plus)
+    return product_moments(plus, _amplitude_moments(params, f_minus), params,
+                           tail * _bound_scale(len(f_plus), len(f_minus), params, BASIS_PM))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from causalprobe import cli, harness
+from causalprobe import cli, harness, oscillators
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 ALL_FIXTURES = sorted(SCENARIOS.glob("*.json"))
@@ -95,6 +95,23 @@ class TestHoCommand:
         assert code == 0
         rows = read_rows(tmp_path / "ho_naive-nplus.csv")
         assert float(rows[0]["value"]) == pytest.approx(-0.5, abs=1e-8)
+
+    def test_naive_path_builds_no_branch_states(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("naive_nplus_ensemble called on the CLI path")
+
+        monkeypatch.setattr(oscillators, "naive_nplus_ensemble", refuse)
+        assert run(["ho", "--scenario", str(SCENARIOS / "ho_naive.json"),
+                    "--out", str(tmp_path)]) == 0
+        assert run(["compare", "--scenario", str(SCENARIOS / "ho_naive.json"),
+                    "--schemes", "naive-nplus,none", "--out", str(tmp_path)]) == 0
+
+    def test_phase_first_moments_print_as_zero(self, tmp_path):
+        assert run(["ho", "--scenario", str(SCENARIOS / "ho_phase.json"),
+                    "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "ho_phase.csv")
+        values = [r["value"] for r in rows if r["observable"] in ("QB", "PB")]
+        assert values and set(values) == {"0"}
 
 
 class TestExitCodes:
@@ -267,7 +284,8 @@ class TestCompareCommand:
         assert vals[("s2-bell", "S2")] == pytest.approx(1.5, abs=1e-12)
 
     def test_before_evaluator_is_built_once(self, tmp_path, monkeypatch):
-        """One lattice for the unmeasured 'before' column, one per scheme."""
+        """One lattice for the unmeasured 'before' column, which the 'none'
+        row reuses, and one for the naive row."""
         builds = []
         original = harness.build_modes
         monkeypatch.setattr(harness, "build_modes",
@@ -275,7 +293,7 @@ class TestCompareCommand:
         code = run(["compare", "--scenario", str(SCENARIOS / "field_naive.json"),
                     "--schemes", "naive,none", "--out", str(tmp_path)])
         assert code == 0
-        assert len(builds) == 3
+        assert len(builds) == 2
 
     def test_field_aliases_resolve_to_canonical_ids(self, tmp_path):
         """compare accepts the aliases that the field command accepts, and

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from causalprobe import fieldtheory, harness, spins
+from causalprobe.core import SchemeOutcome
 from causalprobe.harness import (
     Scenario,
     ScenarioError,
@@ -156,6 +158,7 @@ class TestValidation:
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestRegistry:
@@ -240,6 +243,22 @@ class TestRunScenario:
         h = 1e-3 * max(abs(v) for v in sc.lambda_grid)
         want = set(sc.lambda_grid) | {0.0, h, -h, h / 2, -h / 2}
         assert sorted(seen) == sorted(want)
+
+    def test_spin_branches_are_shared_by_observables(self, monkeypatch):
+        """Each outcome projector is applied once per distinct lam, not once
+        per observable."""
+        sc = Scenario.from_dict(json.loads((SCENARIOS / "spin_s2_ambiguity.json").read_text()))
+        assert len(sc.observables) == 2
+        applies = []
+        original = SchemeOutcome.apply
+        monkeypatch.setattr(SchemeOutcome, "apply",
+                            lambda self, amplitudes: applies.append(self.label)
+                            or original(self, amplitudes))
+        run_scenario(sc)
+        h = 1e-3 * max(abs(v) for v in sc.lambda_grid)
+        distinct = set(sc.lambda_grid) | {0.0, h, -h, h / 2, -h / 2}
+        outcomes = len(spins.spin_scheme(sc.scheme["id"]).outcomes)
+        assert len(applies) == outcomes * len(distinct) == 28
 
     def test_negative_zero_is_not_merged_with_zero(self):
         """A grid point at -0.0 keeps its own value next to the baseline at

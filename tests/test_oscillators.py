@@ -21,9 +21,12 @@ from causalprobe.oscillators import (
     KickParams,
     OscParams,
     TwoModeFock,
+    _amplitude_moments,
+    _bound_scale,
     ab_to_pm,
     coherent_amplitudes,
     coherent_prestate,
+    kicked_moments,
     ladder,
     local_moments_b,
     mixing_sector_matrix,
@@ -35,6 +38,7 @@ from causalprobe.oscillators import (
     phase_state,
     pm_to_ab,
     position_matrix,
+    product_moments,
 )
 from causalprobe.policy import TruncationError
 
@@ -376,3 +380,54 @@ class TestLocalMoments:
         p = momentum_matrix(30, PARAMS)
         got = float(np.real(np.vdot(vec, p @ vec)))
         assert got == pytest.approx(math.sqrt(2) * 0.3, abs=1e-10)
+
+
+class TestFactorisedMoments:
+    """The product-outcome route the CLI takes; the generic route is
+    compared with it in tests/test_properties.py."""
+
+    @pytest.mark.parametrize("collapse", [True, False])
+    def test_insufficient_truncation_rejected(self, collapse):
+        with pytest.raises(TruncationError):
+            kicked_moments(PARAMS, KickParams(lam=4.0), 4, collapse=collapse)
+
+    def test_naive_momentum_pin(self):
+        for lam in (-1.0, -0.3, 0.0, 0.5, 1.0):
+            kick = KickParams(p_a=0.3, p_b=-0.2, lam=lam)
+            assert kicked_moments(PARAMS, kick, 40, collapse=True).p == pytest.approx(
+                -(0.3 + 0.2 + lam) / 2, abs=1e-8)
+
+    def test_phase_first_moments_are_positive_zero(self):
+        """+0.0, so the CSVs print 0 and never -0."""
+        for lam in (-1.0, -0.0, 0.0, 0.7):
+            m = phase_ensemble_moments(PARAMS, KickParams(p_a=-0.4, p_b=0.3, lam=lam), 8, 24)
+            assert math.copysign(1.0, m.q) == math.copysign(1.0, m.p) == 1.0
+
+    def test_product_moments_match_dense_route_on_any_product(self):
+        """Arbitrary complex factors, unlike the kicks, also move <Q_+-> and
+        the cross terms."""
+        params = OscParams(mass=1.5, frequency=0.8, hbar=1.2)
+        rng = np.random.default_rng(7)
+        f_plus, f_minus = (rng.normal(size=d) + 1j * rng.normal(size=d) for d in (9, 12))
+        f_plus, f_minus = f_plus / np.linalg.norm(f_plus), f_minus / np.linalg.norm(f_minus)
+        dense = local_moments_b(TwoModeFock(params, np.outer(f_plus, f_minus), BASIS_PM))
+        fast = product_moments(_amplitude_moments(params, f_plus),
+                               _amplitude_moments(params, f_minus), params, 0.0)
+        assert abs(dense.q) > 0.1
+        for name in ("q", "p", "q2", "p2", "energy"):
+            assert getattr(fast, name) == pytest.approx(getattr(dense, name), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 3), (5, 4), (12, 30)])
+    def test_bound_scale_matches_dense_infinity_norms(self, dims):
+        params = OscParams(mass=2.0, frequency=0.7, hbar=1.3)
+
+        def norm(mat):
+            return float(np.max(np.sum(np.abs(mat), axis=1)))
+
+        q1, q2 = position_matrix(dims[0], params), position_matrix(dims[1], params)
+        p1, p2 = momentum_matrix(dims[0], params), momentum_matrix(dims[1], params)
+        dense_pm = 0.5 * (norm(q1 @ q1) + 2 * norm(q1) * norm(q2) + norm(q2 @ q2)
+                          + norm(p1 @ p1) + 2 * norm(p1) * norm(p2) + norm(p2 @ p2))
+        assert _bound_scale(*dims, params, BASIS_PM) == pytest.approx(dense_pm, rel=1e-13)
+        assert _bound_scale(*dims, params, BASIS_AB) == pytest.approx(
+            norm(q2 @ q2) + norm(p2 @ p2), rel=1e-13)

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalprobe import fieldtheory, spins
+from causalprobe import fieldtheory, oscillators, spins
 from causalprobe.core import StateVector, born_ensemble, post_measurement_expectation, tensor_state
 from causalprobe.harness import SPIN
 from causalprobe.lattice import LatticeSpec, build_modes
+from causalprobe.policy import TruncationError
 
 SEEDED = settings(derandomize=True, deadline=None)
 
@@ -93,3 +94,52 @@ def test_closed_forms_have_definite_parity_in_lambda(form, parity, lattice, lam)
     at = form(modes, fieldtheory.KickSpec(site=x, strength=lam), y, p)
     mirrored = form(modes, fieldtheory.KickSpec(site=x, strength=-lam), y, p)
     assert mirrored == pytest.approx(parity * at, rel=1e-12, abs=1e-15)
+
+
+# -- factorised oscillator moments against the generic Born route ------------
+
+def _moments_close(fast, generic) -> None:
+    for name in ("q", "p", "q2", "p2", "energy"):
+        assert getattr(fast, name) == pytest.approx(getattr(generic, name), rel=1e-12, abs=1e-12)
+
+
+osc_params = st.builds(oscillators.OscParams, mass=st.floats(0.5, 2.0),
+                       frequency=st.floats(0.5, 2.0), hbar=st.floats(0.5, 2.0))
+momenta = st.floats(-0.8, 0.8)
+
+
+@SEEDED
+@given(params=osc_params, p_a=momenta, p_b=momenta, lam=momenta, trunc=st.integers(8, 60))
+def test_factorised_naive_and_prestate_match_generic_route(params, p_a, p_b, lam, trunc):
+    """Both routes refuse the same truncations and otherwise agree, also
+    where the top Fock level, which the dense matrices truncate, is
+    populated."""
+    kick = oscillators.KickParams(p_a=p_a, p_b=p_b, lam=lam)
+    try:
+        pre = oscillators.coherent_prestate(params, kick, trunc)
+    except TruncationError:
+        for collapse in (True, False):
+            with pytest.raises(TruncationError):
+                oscillators.kicked_moments(params, kick, trunc, collapse=collapse)
+        return
+    _moments_close(oscillators.kicked_moments(params, kick, trunc, collapse=True),
+                   oscillators.local_moments_b(oscillators.naive_nplus_ensemble(pre), params))
+    _moments_close(oscillators.kicked_moments(params, kick, trunc),
+                   oscillators.local_moments_b(pre))
+
+
+@settings(SEEDED, max_examples=20)
+@given(p_a=st.floats(-0.1, 0.1), p_b=st.floats(-0.1, 0.1), lam=st.floats(-0.1, 0.1),
+       n_max=st.integers(8, 60), s_cut=st.sampled_from([2, 4, 6, 8]))
+def test_factorised_phase_moments_match_generic_route(p_a, p_b, lam, n_max, s_cut):
+    """The closed form takes every outcome's moments exactly, the generic
+    route through truncated matrices, whose top + level and overflow -
+    levels differ; the kicks are small enough that the weight there stays
+    far below the tolerance."""
+    params, kick = oscillators.OscParams(), oscillators.KickParams(p_a=p_a, p_b=p_b, lam=lam)
+    pad = 2 * s_cut + 4             # squares of Q_- exact on every phase-state level
+    pre = oscillators.coherent_prestate(params, kick, (n_max, pad))
+    scheme = oscillators.phase_scheme_nplus(s_cut, n_max, n_minus_dim=pad, validate=False)
+    ensemble = born_ensemble(scheme, pre.as_state(), tail_bound=pre.tail_bound)
+    _moments_close(oscillators.phase_ensemble_moments(params, kick, s_cut, n_max),
+                   oscillators.local_moments_b(ensemble, params))
