@@ -40,7 +40,18 @@ EXIT_USAGE = 64
 _SYSTEM_COMMANDS = {"spin": ("spin", "two-spin measurements"),
                     "ho": ("oscillator", "two-oscillator measurements"),
                     "field": ("field", "lattice scalar field measurements")}
-_ARG_TYPES = {"int": int, "site": int, "float": float}
+
+
+def _site_flag(text: str):
+    """--x, --y, --p-index: one integer (d = 1) or comma-separated integers."""
+    try:
+        parts = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer site: {text!r}") from None
+    return parts[0] if len(parts) == 1 else parts
+
+
+_ARG_TYPES = {"int": int, "site": _site_flag, "float": float}
 
 
 class UsageError(Exception):

@@ -102,10 +102,9 @@ class ModeSumOperator:
         return float(np.real(np.vdot(state.amplitudes, self.apply(state.amplitudes))))
 
 
-def _mode_term(modes: ModeSet, index: int, y, trunc: int, weight: float,
-               momentum: bool) -> np.ndarray:
+def _mode_term(angle: float, trunc: int, weight: float, momentum: bool) -> np.ndarray:
     a = ladder(trunc)
-    phase = np.exp(1j * modes.phase_at(index, y))
+    phase = np.exp(1j * angle)
     if momentum:
         return -1j * weight * (phase * a - np.conj(phase) * a.conj().T)
     return weight * (phase * a + np.conj(phase) * a.conj().T)
@@ -116,7 +115,7 @@ def field_operator(modes: ModeSet, y, trunc: int) -> ModeSumOperator:
     lat = modes.lattice
     weights = np.sqrt(lat.hbar / (2.0 * modes.omega * lat.volume))
     return ModeSumOperator(oracle_dims(modes, trunc), tuple(
-        _mode_term(modes, i, y, trunc, w, momentum=False) for i, w in enumerate(weights)))
+        _mode_term(t, trunc, w, momentum=False) for t, w in zip(modes.phases(y), weights)))
 
 
 def momentum_operator(modes: ModeSet, y, trunc: int) -> ModeSumOperator:
@@ -124,7 +123,7 @@ def momentum_operator(modes: ModeSet, y, trunc: int) -> ModeSumOperator:
     lat = modes.lattice
     weights = np.sqrt(lat.hbar * modes.omega / (2.0 * lat.volume))
     return ModeSumOperator(oracle_dims(modes, trunc), tuple(
-        _mode_term(modes, i, y, trunc, w, momentum=True) for i, w in enumerate(weights)))
+        _mode_term(t, trunc, w, momentum=True) for t, w in zip(modes.phases(y), weights)))
 
 
 def one_particle_state(modes: ModeSet, p_index: int, trunc: int) -> StateVector:

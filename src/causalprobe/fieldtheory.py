@@ -65,8 +65,7 @@ def single_mode_packet(modes: ModeSet, p_index: int) -> WavePacket:
 def kick_displacements(modes: ModeSet, kick: KickSpec) -> np.ndarray:
     """Per-mode coherent amplitudes of the kicked vacuum."""
     lat = modes.lattice
-    phases = np.array([modes.phase_at(i, kick.site) for i in range(modes.n_modes)])
-    return (1j * kick.strength * np.exp(-1j * phases)
+    return (1j * kick.strength * np.exp(-1j * modes.phases(kick.site))
             / np.sqrt(2.0 * lat.hbar * modes.omega * lat.volume))
 
 
@@ -78,8 +77,6 @@ def suppression_factor(modes: ModeSet, kick: KickSpec) -> float:
 
 
 def _require_paired(modes: ModeSet, p_index: int) -> None:
-    if not 0 <= p_index < modes.n_modes:
-        raise ValueError(f"mode index {p_index} out of range")
     if not modes.is_paired(p_index):
         raise ValueError(
             f"mode {p_index} is self-conjugate; a one-particle pair state needs a +-k pair")
@@ -102,9 +99,8 @@ def qndsv_phi_y(modes: ModeSet, kick: KickSpec, y, p_index: int) -> float:
 def packet_kernel(modes: ModeSet, packet: WavePacket, t: float, z) -> complex:
     """F(t,z) = (1/V) sum_k (amp_k/sqrt(omega_k)) e^{-i(omega_k t - k.z)}."""
     packet.validate(modes)
-    phases = np.array([modes.phase_at(i, z) for i in range(modes.n_modes)])
     terms = packet.spectral / np.sqrt(modes.omega) * np.exp(
-        -1j * (modes.omega * t - phases))
+        -1j * (modes.omega * t - modes.phases(z)))
     return complex(np.sum(terms) / modes.lattice.volume)
 
 

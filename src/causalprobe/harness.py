@@ -516,19 +516,21 @@ class SweepReport:
 def power_fit(xs, ys) -> PowerFit:
     """Least-squares slope of log|y| vs log x.
 
-    Magnitudes are floored at 1e-300 so an identically-zero measure yields a
-    (meaningless but finite) fit instead of log(0); causal schemes are
-    expected to produce such rows.
+    A measure flat across the cutoffs (log|y| spread at most 1e-9) has no
+    exponent: both fields are NaN, not a fit of rounding noise.  Magnitudes
+    are floored at 1e-300, so an identically-zero row, which causal schemes
+    are expected to produce, is flat too.
     """
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.maximum(np.abs(np.asarray(ys, dtype=float)), 1e-300))
+    if np.ptp(ly) <= 1e-9:
+        return PowerFit(exponent=math.nan, r_squared=math.nan)
     design = np.vstack([lx, np.ones_like(lx)]).T
     coef, *_ = np.linalg.lstsq(design, ly, rcond=None)
     resid = ly - design @ coef
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return PowerFit(exponent=float(coef[0]), r_squared=r2)
+    return PowerFit(exponent=float(coef[0]), r_squared=1.0 - ss_res / ss_tot)
 
 
 def cutoff_sweep(sc: Scenario, axis: str, values, measure: str = "deviation") -> SweepReport:

@@ -16,7 +16,6 @@ the reality of the field.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -66,15 +65,13 @@ class LatticeSpec:
 
 @dataclass(frozen=True)
 class ModeSet:
-    """Dual-lattice modes: wave vectors, frequencies, and the +-k pairing."""
+    """Dual-lattice modes: wave vectors, frequencies, and the +-k pairing in conjugate_index."""
 
     lattice: LatticeSpec
     wavenumbers: np.ndarray      # integer components, shape (M, d)
     k: np.ndarray                # physical wave vectors, shape (M, d)
     omega: np.ndarray            # shape (M,)
-    pair_indices: tuple[tuple[int, int], ...]   # (index of +k, index of -k)
-    self_conjugate: tuple[int, ...]
-    conjugate_index: np.ndarray  # index of -k for every mode
+    conjugate_index: np.ndarray  # index of -k for every mode; i itself if self-conjugate
 
     def __post_init__(self):
         for arr in (self.wavenumbers, self.k, self.omega, self.conjugate_index):
@@ -89,25 +86,32 @@ class ModeSet:
         return 1.0 / self.lattice.volume
 
     def is_paired(self, index: int) -> bool:
-        return index not in self.self_conjugate
+        if not 0 <= index < self.n_modes:
+            raise ValueError(f"mode index {index} out of range")
+        return bool(self.conjugate_index[index] != index)
 
     def mode_index(self, wavenumber) -> int:
         """Index of the mode with the given integer wave-number vector."""
-        want = np.asarray(
-            [int(wavenumber)] if np.isscalar(wavenumber) else list(wavenumber), dtype=int)
+        want = np.atleast_1d(np.asarray(wavenumber, dtype=int))
         if want.shape != (self.lattice.dim,):
             raise ValueError(f"wavenumber {wavenumber!r} does not match dimension")
-        n = self.lattice.n_sites
-        want = ((want + n // 2 - 1) % n) - n // 2 + 1
-        hits = np.where((self.wavenumbers == want).all(axis=1))[0]
-        if hits.size != 1:
-            raise ValueError(f"no mode with wavenumber {wavenumber!r}")
-        return int(hits[0])
+        return int(_flat_index(want, self.lattice.n_sites))
 
     def phase_at(self, index: int, site) -> float:
         """k . x in radians for a lattice site."""
         x = np.asarray(self.lattice.site(site), dtype=float) * self.lattice.spacing
         return float(np.dot(self.k[index], x))
+
+    def phases(self, site) -> np.ndarray:
+        """phase_at of every mode, to the bit: numpy forms (1, d) @ (d,) as np.dot."""
+        x = np.asarray(self.lattice.site(site), dtype=float) * self.lattice.spacing
+        return (self.k[:, None, :] @ x)[:, 0]
+
+
+def _flat_index(wavenumbers: np.ndarray, n: int) -> np.ndarray:
+    """Row-major ("ij") mode index of integer wavenumbers folded into (-n/2, n/2]."""
+    digits = (wavenumbers + n // 2 - 1) % n
+    return digits @ (n ** np.arange(wavenumbers.shape[-1] - 1, -1, -1))
 
 
 def build_modes(lattice: LatticeSpec) -> ModeSet:
@@ -117,8 +121,9 @@ def build_modes(lattice: LatticeSpec) -> ModeSet:
     every retained mode has omega > 0.
     """
     n = lattice.n_sites
-    rng = range(-n // 2 + 1, n // 2 + 1)
-    wavenumbers = np.array(list(itertools.product(rng, repeat=lattice.dim)), dtype=int)
+    axis = np.arange(-n // 2 + 1, n // 2 + 1)
+    wavenumbers = np.stack(np.meshgrid(*[axis] * lattice.dim, indexing="ij"),
+                           axis=-1).reshape(-1, lattice.dim)
     k = 2.0 * math.pi * wavenumbers / (n * lattice.spacing)
     if lattice.dispersion == "lattice":
         ksq = np.sum((2.0 / lattice.spacing) ** 2
@@ -127,35 +132,10 @@ def build_modes(lattice: LatticeSpec) -> ModeSet:
         ksq = np.sum(k**2, axis=1)
     msq = np.full(ksq.shape, lattice.mass**2)
     if lattice.mass == 0.0:
-        zero = np.all(wavenumbers == 0, axis=1)
-        msq[zero] = lattice.zero_mode_mass**2
+        msq[np.all(wavenumbers == 0, axis=1)] = lattice.zero_mode_mass**2
     omega = np.sqrt(msq + ksq)
-
-    half = n // 2
-    def fold(comp: int) -> int:
-        return ((comp + half - 1) % n) - half + 1
-
-    index_of = {tuple(w): i for i, w in enumerate(map(tuple, wavenumbers))}
-    conjugate = np.empty(len(wavenumbers), dtype=int)
-    pairs = []
-    selfc = []
-    for i, w in enumerate(map(tuple, wavenumbers)):
-        neg = tuple(fold(-c) for c in w)
-        j = index_of[neg]
-        conjugate[i] = j
-        if j == i:
-            selfc.append(i)
-        elif i < j:
-            pairs.append((i, j))
-    return ModeSet(
-        lattice=lattice,
-        wavenumbers=wavenumbers,
-        k=np.asarray(k, dtype=float),
-        omega=omega,
-        pair_indices=tuple(pairs),
-        self_conjugate=tuple(selfc),
-        conjugate_index=conjugate,
-    )
+    return ModeSet(lattice=lattice, wavenumbers=wavenumbers, k=k, omega=omega,
+                   conjugate_index=_flat_index(-wavenumbers, n))
 
 
 def _mode_sum(modes: ModeSet, weights: np.ndarray, x, y) -> float:

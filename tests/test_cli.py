@@ -86,6 +86,27 @@ class TestFieldCommand:
         rows = read_rows(tmp_path / "field_qndsv-1p.csv")
         assert [r["observable"] for r in rows] == ["phi_y", "phi2_y"]
 
+    def test_vector_site_flags_match_scenario_file(self, tmp_path):
+        """At d = 2 the site flags take comma-separated integers and write
+        the same tables as the same scenario given as a file."""
+        assert run(["field", "naive", "--d", "2", "--N", "4", "--mass", "1",
+                    "--x", "0,0", "--y", "1,0", "--p-index", "1,0", "--lambda", "0.3",
+                    "--out", str(tmp_path / "flags")]) == 0
+        scenario = tmp_path / "field_naive-np.json"
+        scenario.write_text(json.dumps({
+            "version": 1, "system": "field",
+            "system_params": {"dim": 2, "n_sites": 4, "mass": 1.0,
+                              "x": [0, 0], "y": [1, 0], "p": [1, 0]},
+            "alice": {"kind": "kick"}, "scheme": {"id": "naive-np"},
+            "observables": ["phi_y", "pi_y", "phi2_y", "pi2_y"],
+            "lambda_grid": [0.3], "lambda_ref": 0.3}))
+        assert run(["field", "--scenario", str(scenario), "--out", str(tmp_path / "file")]) == 0
+        tables = sorted(p.name for p in (tmp_path / "flags").glob("*.csv"))
+        assert tables == ["field_naive-np.csv", "field_naive-np_summary.csv"]
+        for name in tables:
+            assert (tmp_path / "flags" / name).read_bytes() == \
+                (tmp_path / "file" / name).read_bytes()
+
 
 class TestHoCommand:
     def test_naive_momentum(self, tmp_path):
@@ -117,6 +138,11 @@ class TestHoCommand:
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         assert run(["spin", "qndsv", "--frobnicate", "3"]) == 64
+
+    def test_non_integer_site_flag_is_usage_error(self, capsys):
+        assert run(["field", "naive", "--d", "2", "--x", "0,0.5", "--y", "1,0",
+                    "--p-index", "1,0", "--lambda", "0.3"]) == 64
+        assert "not an integer site: '0,0.5'" in capsys.readouterr().err
 
     def test_missing_subcommand_is_usage_error(self):
         assert run([]) == 64

@@ -397,6 +397,14 @@ class TestOtherLattices:
 
 
 class TestOracleGuards:
+    @pytest.mark.parametrize("p_index", [-1, MODES.n_modes])
+    def test_out_of_range_mode_refused_by_oracle_and_closed_form(self, p_index):
+        """-1 is not read as the last mode, and M is not an IndexError."""
+        with pytest.raises(ValueError, match="out of range"):
+            numeric_oracle_qndsv(MODES, KICK, 1, p_index, TRUNC)
+        with pytest.raises(ValueError, match="out of range"):
+            qndsv_phi_y(MODES, KICK, 1, p_index)
+
     def test_truncation_failure_raises(self):
         with pytest.raises(TruncationError):
             oracle_prestate(MODES, KickSpec(0, 3.0), 2)

@@ -280,12 +280,33 @@ class TestDerivativeAndFit:
         assert fit.exponent == pytest.approx(-1.5, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("ys", [[0.5, 0.5, 0.5], [0.5, 0.5 + 1e-16, 0.5],
+                                    [0.0, 0.0, 0.0], [0.0, -0.0, 0.0]],
+                             ids=["flat", "near-flat", "zero", "signed-zero"])
+    def test_power_fit_of_flat_measure_is_nan(self, ys):
+        """A flat row has no exponent; a 1e-16 wobble would fit with R^2 0.5."""
+        fit = power_fit([10.0, 20.0, 40.0], ys)
+        assert math.isnan(fit.exponent) and math.isnan(fit.r_squared)
+
+    def test_power_fit_of_slight_variation_is_kept(self):
+        fit = power_fit([10.0, 20.0, 40.0], [1.0, 1.0 + 1e-6, 1.0 + 2e-6])
+        assert 0.0 < fit.exponent < 1e-5 and fit.r_squared > 0.9
+
 
 class TestCutoffSweep:
     def test_volume_sweep_exponent(self):
         rep = cutoff_sweep(field_scenario(), "volume", [4, 8, 16])
         assert rep.fits["pi_y"].exponent == pytest.approx(-1.0, abs=0.05)
         assert rep.fits["pi_y"].r_squared > 0.999
+
+    def test_flat_measures_fit_to_nan(self):
+        """QB and PB of the phase scheme are identically zero at every s_cut;
+        QB2 varies and keeps its exponent."""
+        rep = cutoff_sweep(oscillator_scenario(observables=["QB", "PB", "QB2"]),
+                           "s_cut", [4, 6, 8])
+        assert all(math.isnan(v) for name in ("QB", "PB")
+                   for v in (rep.fits[name].exponent, rep.fits[name].r_squared))
+        assert math.isfinite(rep.fits["QB2"].exponent)
 
     def test_s_cut_sweep_exponent(self):
         rep = cutoff_sweep(oscillator_scenario(observables=["QB2"]),

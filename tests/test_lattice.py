@@ -20,8 +20,9 @@ class TestBuildModes:
         modes = build_modes(small_chain())
         ks = sorted(modes.k.ravel().tolist())
         assert ks == pytest.approx([-math.pi / 2, 0.0, math.pi / 2, math.pi])
-        assert len(modes.pair_indices) == 1
-        assert len(modes.self_conjugate) == 2
+        moved = modes.conjugate_index != np.arange(4)
+        assert moved.sum() == 2      # one +-k pair
+        assert (~moved).sum() == 2   # k = 0 and the Nyquist mode
 
     def test_lattice_dispersion(self):
         modes = build_modes(small_chain(mass=1.0, spacing=0.5))
@@ -49,19 +50,19 @@ class TestBuildModes:
         for dim, n in ((1, 6), (2, 4), (3, 2)):
             lat = LatticeSpec(dim=dim, n_sites=n, spacing=1.0, mass=1.0)
             modes = build_modes(lat)
-            seen = set(modes.self_conjugate)
-            assert len(seen) == 2**dim  # components 0 or Nyquist
+            conj = modes.conjugate_index
+            every = np.arange(modes.n_modes)
+            # an involution: fixed points and 2-cycles partition the modes
+            assert np.array_equal(conj[conj], every)
+            selfc = every[conj == every]
+            assert len(selfc) == 2**dim
+            assert np.isin(modes.wavenumbers[selfc], (0, n // 2)).all()  # 0 or Nyquist
+            assert [modes.is_paired(i) for i in every] == list(conj != every)
+            # conjugation is negation modulo the dual lattice
             half = n // 2
-            for i, j in modes.pair_indices:
-                assert i not in seen and j not in seen
-                seen.update((i, j))
-                # conjugation is negation modulo the dual lattice
-                folded = ((-modes.wavenumbers[j] + half - 1) % n) - half + 1
-                assert np.array_equal(modes.wavenumbers[i], folded)
-            assert seen == set(range(modes.n_modes))
-            for i in range(modes.n_modes):
-                j = int(modes.conjugate_index[i])
-                assert modes.omega[i] == pytest.approx(modes.omega[j], abs=1e-12)
+            folded = ((-modes.wavenumbers[conj] + half - 1) % n) - half + 1
+            assert np.array_equal(modes.wavenumbers, folded)
+            assert np.allclose(modes.omega, modes.omega[conj], rtol=0, atol=1e-12)
 
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
@@ -74,6 +75,17 @@ class TestBuildModes:
         assert not modes.is_paired(modes.mode_index(2))  # Nyquist
         with pytest.raises(ValueError):
             modes.mode_index((1, 1))
+
+    @pytest.mark.parametrize("index", [-1, 4, 99])
+    def test_is_paired_refuses_out_of_range_index(self, index):
+        with pytest.raises(ValueError, match="out of range"):
+            build_modes(small_chain()).is_paired(index)
+
+    @pytest.mark.parametrize("dim,n,site", [(1, 8, 3), (2, 6, (1, 4)), (3, 4, (3, 0, 2))])
+    def test_phases_equal_phase_at(self, dim, n, site):
+        modes = build_modes(LatticeSpec(dim=dim, n_sites=n, spacing=0.37, mass=1.0))
+        want = [modes.phase_at(i, site) for i in range(modes.n_modes)]
+        assert modes.phases(site).tolist() == want
 
 
 class TestKernels:

@@ -6,6 +6,7 @@ Tier-1 stays deterministic.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -94,6 +95,44 @@ def test_closed_forms_have_definite_parity_in_lambda(form, parity, lattice, lam)
     at = form(modes, fieldtheory.KickSpec(site=x, strength=lam), y, p)
     mirrored = form(modes, fieldtheory.KickSpec(site=x, strength=-lam), y, p)
     assert mirrored == pytest.approx(parity * at, rel=1e-12, abs=1e-15)
+
+
+def _folded(wavenumber, n_sites) -> tuple:
+    """Each component moved by a multiple of N into (-N/2, N/2]."""
+    return tuple(int(c % n_sites) - (n_sites if c % n_sites > n_sites // 2 else 0)
+                 for c in wavenumber)
+
+
+@st.composite
+def mode_lattices(draw):
+    dim = draw(st.sampled_from((1, 2, 3)))
+    n_sites = 2 * draw(st.integers(1, {1: 16, 2: 6, 3: 3}[dim]))
+    return LatticeSpec(dim=dim, n_sites=n_sites, spacing=draw(st.floats(0.25, 2.0)),
+                       mass=draw(st.sampled_from((0.0, 0.7))),
+                       dispersion=draw(st.sampled_from(("lattice", "continuum"))))
+
+
+@SEEDED
+@given(spec=mode_lattices(), data=st.data())
+def test_mode_set_matches_reference_enumeration(spec, data):
+    """The array-built mode set against a per-mode enumeration: row-major
+    wavenumbers, -k pairing as an involution with 2^d fixed points, equal
+    frequencies across each pair, and mode_index blind to dual-lattice shifts."""
+    n, dim = spec.n_sites, spec.dim
+    modes = build_modes(spec)
+    reference = list(itertools.product(range(-n // 2 + 1, n // 2 + 1), repeat=dim))
+    assert modes.wavenumbers.tolist() == [list(w) for w in reference]
+    conj = modes.conjugate_index
+    every = np.arange(modes.n_modes)
+    assert np.array_equal(conj[conj], every)
+    assert int(np.sum(conj == every)) == 2**dim
+    for i, w in enumerate(reference):
+        assert tuple(modes.wavenumbers[conj[i]]) == _folded([-c for c in w], n)
+    assert np.array_equal(modes.omega[conj], modes.omega)
+    shifts = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    for i in data.draw(st.lists(st.integers(0, modes.n_modes - 1), min_size=1, max_size=8)):
+        shifted = [w + n * s for w, s in zip(reference[i], data.draw(shifts))]
+        assert modes.mode_index(shifted) == i
 
 
 # -- factorised oscillator moments against the generic Born route ------------
