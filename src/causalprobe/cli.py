@@ -122,7 +122,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--lambda", dest="lam", type=float,
                      help="single operation strength; becomes the grid and lambda_ref")
     sub.add_argument("--grid", help="lambda grid as start:stop:count")
-    sub.add_argument("--natural-units", action="store_true", help="force hbar = 1")
     sub.add_argument("--hbar", type=float, help="hbar (default 1)")
 
 
@@ -179,8 +178,6 @@ def _scenario_from_args(args, system: str) -> dict:
     _apply_grid(args, raw)
     if args.hbar is not None:
         sp["hbar"] = args.hbar
-    if args.natural_units:
-        sp["hbar"] = 1.0
     for section, key, param in _flag_params(spec):
         value = getattr(args, key)
         if value is not None:
@@ -275,7 +272,8 @@ def build_parser() -> _Parser:
             sub.add_argument(param.flag, dest=key, type=_ARG_TYPES.get(param.kind),
                              choices=param.choices, help=param.help)
         if system == "spin":
-            sub.add_argument("--alice", help="local rotation, e.g. rotate-y:1.5707963")
+            sub.add_argument("--alice", help="local rotation, e.g. rotate-y:1.5707963; "
+                             "its angle is the single lambda")
         _add_common(sub)
 
     sweep = subs.add_parser("sweep", help="cutoff sweep with power-law fits")
@@ -297,6 +295,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "alice", None) and (args.grid or args.lam is not None):
+            other = "--grid" if args.grid else "--lambda"
+            raise UsageError(f"argument --alice: not allowed with argument {other}")
     except UsageError as exc:
         print(f"causal-probe: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,12 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policy import DEFAULT_POLICY, NumericPolicy
-
-KIND_COMPLETE = "complete-orthogonal"
-KIND_QNDSV = "qndsv"
-KIND_LUDERS = "luders"
-_KINDS = (KIND_COMPLETE, KIND_QNDSV, KIND_LUDERS)
+from .policy import DEFAULT_POLICY
 
 
 class SchemeError(ValueError):
@@ -82,8 +77,8 @@ class StateVector:
         amp[flat] = 1.0
         return cls(dims, amp)
 
-    def is_normalized(self, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
-        return abs(self.norm - 1.0) <= policy.exact_tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm - 1.0) <= DEFAULT_POLICY.exact_tol
 
     def normalized(self) -> "StateVector":
         if self.norm == 0.0:
@@ -95,8 +90,8 @@ class StateVector:
             raise ValueError(f"dims mismatch: {self.dims} vs {other.dims}")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def same_up_to_phase(self, other: "StateVector", tol: float = 1e-10) -> bool:
-        return abs(abs(self.overlap(other)) - 1.0) <= tol
+    def same_up_to_phase(self, other: "StateVector") -> bool:
+        return abs(abs(self.overlap(other)) - 1.0) <= DEFAULT_POLICY.structural_tol
 
 
 @dataclass(frozen=True)
@@ -181,12 +176,9 @@ class MeasurementScheme:
 
     dims: tuple[int, ...]
     outcomes: tuple[SchemeOutcome, ...]
-    kind: str
 
     def __post_init__(self):
         object.__setattr__(self, "dims", _as_dims(self.dims))
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown scheme kind {self.kind!r}; expected one of {_KINDS}")
         if not self.outcomes:
             raise ValueError("a scheme needs at least one outcome")
 
@@ -195,27 +187,25 @@ class MeasurementScheme:
         return int(np.prod(self.dims))
 
     @classmethod
-    def from_projectors(cls, dims, labeled, kind=KIND_COMPLETE, *,
-                        validate=True, policy=DEFAULT_POLICY) -> "MeasurementScheme":
+    def from_projectors(cls, dims, labeled, *, validate=True) -> "MeasurementScheme":
         """Build from (label, matrix) pairs; matrices may be Operator or ndarray."""
         outs = []
         for label, proj in labeled:
             mat = proj.matrix if isinstance(proj, Operator) else np.asarray(proj, dtype=complex)
             outs.append(SchemeOutcome(label=str(label), projector=mat))
-        scheme = cls(dims=_as_dims(dims), outcomes=tuple(outs), kind=kind)
+        scheme = cls(dims=_as_dims(dims), outcomes=tuple(outs))
         if validate:
-            _require_valid(scheme, policy)
+            _require_valid(scheme)
         return scheme
 
     @classmethod
-    def from_basis(cls, dims, labeled, kind=KIND_COMPLETE, *,
-                   validate=True, policy=DEFAULT_POLICY) -> "MeasurementScheme":
+    def from_basis(cls, dims, labeled, *, validate=True) -> "MeasurementScheme":
         """Build a rank-1 scheme from (label, basis vector) pairs."""
         outs = tuple(SchemeOutcome(label=str(lbl), vector=np.asarray(v, dtype=complex))
                      for lbl, v in labeled)
-        scheme = cls(dims=_as_dims(dims), outcomes=outs, kind=kind)
+        scheme = cls(dims=_as_dims(dims), outcomes=outs)
         if validate:
-            _require_valid(scheme, policy)
+            _require_valid(scheme)
         return scheme
 
 
@@ -262,9 +252,6 @@ class OutcomeEnsemble:
                 return e.probability
         raise KeyError(label)
 
-    def nonzero(self) -> tuple[OutcomeEntry, ...]:
-        return tuple(e for e in self.entries if not e.zero_branch)
-
     def average(self, obs: Operator) -> float:
         """Probability-weighted expectation of obs over the branches."""
         total = 0.0
@@ -278,13 +265,13 @@ class OutcomeEnsemble:
 # ---------------------------------------------------------------------------
 # operations
 
-def tensor_state(factors, policy: NumericPolicy = DEFAULT_POLICY) -> StateVector:
+def tensor_state(factors) -> StateVector:
     """Tensor product of normalized states; dims concatenate."""
     factors = tuple(factors)
     if not factors:
         raise ValueError("tensor_state needs at least one factor")
     for i, f in enumerate(factors):
-        if not f.is_normalized(policy):
+        if not f.is_normalized():
             raise ValueError(f"factor {i} is not normalized (norm={f.norm!r})")
     amp = factors[0].amplitudes
     dims: tuple[int, ...] = factors[0].dims
@@ -307,41 +294,40 @@ def embed_local(op: Operator, slot: int, dims) -> Operator:
     return Operator(dims, mat, hermitian=op.hermitian)
 
 
-def qndsv_scheme(target: StateVector, policy: NumericPolicy = DEFAULT_POLICY) -> MeasurementScheme:
+def qndsv_scheme(target: StateVector) -> MeasurementScheme:
     """Two-outcome verification of |target>: {yes: |t><t|, no: 1 - |t><t|}."""
-    if target.norm <= policy.zero_probability:
+    if target.norm <= DEFAULT_POLICY.zero_probability:
         raise ValueError("verification target must be a nonzero state")
-    if not target.is_normalized(policy):
+    if not target.is_normalized():
         raise ValueError(f"verification target is not normalized (norm={target.norm!r})")
     v = target.amplitudes
     outcomes = (
         SchemeOutcome(label="yes", vector=v),
         SchemeOutcome(label="no", vector=v, complement=True),
     )
-    return MeasurementScheme(dims=target.dims, outcomes=outcomes, kind=KIND_QNDSV)
+    return MeasurementScheme(dims=target.dims, outcomes=outcomes)
 
 
 def born_ensemble(scheme: MeasurementScheme, state: StateVector,
-                  policy: NumericPolicy = DEFAULT_POLICY,
                   tail_bound: float = 0.0) -> OutcomeEnsemble:
     """Born probabilities and renormalized post-measurement branches.
 
-    Branches with probability below ``policy.zero_probability`` are retained
-    with ``zero_branch=True`` and no post state; asking this function to
-    renormalize them anyway is what ``ZeroProbabilityBranch`` guards inside
-    ``StateVector.normalized``.
+    Only branches with probability at or above
+    ``DEFAULT_POLICY.zero_probability`` are divided by their norm; the rest
+    are retained with ``zero_branch=True`` and no post state.
     """
     if state.dims != scheme.dims:
         raise ValueError(f"state dims {state.dims} do not match scheme dims {scheme.dims}")
     nsq = state.norm**2
-    if nsq > 1.0 + policy.structural_tol or nsq < 1.0 - tail_bound - policy.structural_tol:
+    slack = DEFAULT_POLICY.structural_tol
+    if nsq > 1.0 + slack or nsq < 1.0 - tail_bound - slack:
         raise ValueError(f"state norm {state.norm!r} inconsistent with tail bound {tail_bound!r}")
     entries = []
     for out in scheme.outcomes:
         branch = out.apply(state.amplitudes)
         prob = float(np.real(np.vdot(state.amplitudes, branch)))
         prob = max(prob, 0.0)
-        if prob < policy.zero_probability:
+        if prob < DEFAULT_POLICY.zero_probability:
             entries.append(OutcomeEntry(out.label, prob, None, zero_branch=True))
         else:
             post = StateVector(scheme.dims, branch / np.sqrt(prob))
@@ -350,8 +336,7 @@ def born_ensemble(scheme: MeasurementScheme, state: StateVector,
 
 
 def post_measurement_expectation(state: StateVector, scheme: MeasurementScheme,
-                                 obs: Operator,
-                                 policy: NumericPolicy = DEFAULT_POLICY) -> float:
+                                 obs: Operator) -> float:
     """Ensemble average of obs right after the measurement.
 
     Evaluates sum_i <psi|P_i O P_i|psi> directly; zero-probability branches
@@ -409,9 +394,9 @@ def validate_scheme(scheme: MeasurementScheme) -> SchemeDiagnostics:
     return SchemeDiagnostics(idem, herm, ortho, comp)
 
 
-def _require_valid(scheme: MeasurementScheme, policy: NumericPolicy) -> None:
+def _require_valid(scheme: MeasurementScheme) -> None:
     diag = validate_scheme(scheme)
-    if not diag.within(policy.structural_tol):
+    if not diag.within(DEFAULT_POLICY.structural_tol):
         raise SchemeError(f"scheme fails structural checks: {diag}")
 
 

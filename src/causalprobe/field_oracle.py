@@ -25,7 +25,7 @@ from .core import StateVector, post_measurement_expectation, qndsv_scheme
 from .fieldtheory import KickSpec, kick_displacements, qndsv_phi2_y_candidate
 from .lattice import ModeSet
 from .oscillators import coherent_amplitudes, ladder
-from .policy import DEFAULT_POLICY, NumericPolicy, TruncationError
+from .policy import DEFAULT_POLICY, TruncationError
 
 _ORACLE_BYTE_BUDGET = 256 * 2**20
 # Most dim-sized complex vectors alive at once: the prestate, the
@@ -44,8 +44,7 @@ def oracle_dims(modes: ModeSet, trunc: int) -> tuple[int, ...]:
     return dims
 
 
-def oracle_prestate(modes: ModeSet, kick: KickSpec, trunc: int,
-                    policy: NumericPolicy = DEFAULT_POLICY) -> tuple[StateVector, float]:
+def oracle_prestate(modes: ModeSet, kick: KickSpec, trunc: int) -> tuple[StateVector, float]:
     """Kicked vacuum as a product of per-mode truncated coherent vectors."""
     dims = oracle_dims(modes, trunc)
     alphas = kick_displacements(modes, kick)
@@ -53,9 +52,9 @@ def oracle_prestate(modes: ModeSet, kick: KickSpec, trunc: int,
     for a in alphas:
         amp = np.kron(amp, coherent_amplitudes(a, trunc))
     tail = max(0.0, 1.0 - float(np.sum(np.abs(amp) ** 2)))
-    if tail > policy.tail_tol:
-        raise TruncationError(
-            f"per-mode truncation {trunc} leaves tail {tail:.3e} > {policy.tail_tol:.0e}")
+    if tail > DEFAULT_POLICY.tail_tol:
+        raise TruncationError(f"per-mode truncation {trunc} leaves tail {tail:.3e}"
+                              f" > {DEFAULT_POLICY.tail_tol:.0e}")
     return StateVector(dims, amp), tail
 
 
@@ -178,10 +177,9 @@ def _naive_expectation(state: StateVector, obs: ModeSumOperator, mode_a: int,
 
 
 def naive_outcome_probabilities(modes: ModeSet, kick: KickSpec, p_index: int,
-                                trunc: int,
-                                policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+                                trunc: int) -> np.ndarray:
     """P_mn table for the naive pair measurement (Poisson products)."""
-    state, _ = oracle_prestate(modes, kick, trunc, policy)
+    state, _ = oracle_prestate(modes, kick, trunc)
     q_index = int(modes.conjugate_index[p_index])
     tensor = np.abs(state.amplitudes.reshape(state.dims)) ** 2
     axes = tuple(i for i in range(modes.n_modes) if i not in (p_index, q_index))
@@ -202,8 +200,7 @@ class OracleReport:
 
 def numeric_oracle_qndsv(modes: ModeSet, kick: KickSpec, y, p_index: int,
                          trunc: int, scheme_kind: str = "qndsv",
-                         observables=("phi_y", "pi_y", "phi2_y", "pi2_y"),
-                         policy: NumericPolicy = DEFAULT_POLICY) -> OracleReport:
+                         observables=("phi_y", "pi_y", "phi2_y", "pi2_y")) -> OracleReport:
     """Exact truncated-Fock evaluation of Bob's local moments at y.
 
     scheme_kind "qndsv": two-outcome verification of the one-particle state
@@ -212,7 +209,7 @@ def numeric_oracle_qndsv(modes: ModeSet, kick: KickSpec, y, p_index: int,
     """
     if not modes.is_paired(p_index):
         raise ValueError(f"mode {p_index} is self-conjugate")
-    state, tail = oracle_prestate(modes, kick, trunc, policy)
+    state, tail = oracle_prestate(modes, kick, trunc)
     ops = {}
     phi = field_operator(modes, y, trunc)
     pi = momentum_operator(modes, y, trunc)
@@ -235,7 +232,7 @@ def numeric_oracle_qndsv(modes: ModeSet, kick: KickSpec, y, p_index: int,
         target = one_particle_state(modes, p_index, trunc)
         scheme = qndsv_scheme(target)
         p_yes = float(abs(target.overlap(state)) ** 2)
-        post = {name: post_measurement_expectation(state, scheme, op, policy)
+        post = {name: post_measurement_expectation(state, scheme, op)
                 for name, op in ops.items()}
     elif scheme_kind == "naive":
         q_index = int(modes.conjugate_index[p_index])
@@ -248,15 +245,14 @@ def numeric_oracle_qndsv(modes: ModeSet, kick: KickSpec, y, p_index: int,
 
 
 def oracle_qndsv_packet_phi_y(modes: ModeSet, kick: KickSpec, y, packet,
-                              t1: float, trunc: int,
-                              policy: NumericPolicy = DEFAULT_POLICY) -> float:
+                              t1: float, trunc: int) -> float:
     """<phi_y> after verifying the one-particle state of a wave packet,
     exact on the truncated joint space."""
-    state, _ = oracle_prestate(modes, kick, trunc, policy)
+    state, _ = oracle_prestate(modes, kick, trunc)
     target = one_particle_packet_state(modes, packet, t1, trunc)
     scheme = qndsv_scheme(target)
     phi = field_operator(modes, y, trunc)
-    return post_measurement_expectation(state, scheme, phi, policy)
+    return post_measurement_expectation(state, scheme, phi)
 
 
 @dataclass(frozen=True)
@@ -275,12 +271,11 @@ class Phi2Comparison:
     tail_bound: float
 
 
-def phi2_comparison(modes: ModeSet, kick: KickSpec, y, p_index: int, trunc: int,
-                    policy: NumericPolicy = DEFAULT_POLICY) -> Phi2Comparison:
+def phi2_comparison(modes: ModeSet, kick: KickSpec, y, p_index: int,
+                    trunc: int) -> Phi2Comparison:
     closed = qndsv_phi2_y_candidate(modes, kick, y, p_index)
     report = numeric_oracle_qndsv(modes, kick, y, p_index, trunc,
-                                  scheme_kind="qndsv", observables=("phi2_y",),
-                                  policy=policy)
+                                  scheme_kind="qndsv", observables=("phi2_y",))
     oracle = report.values["phi2_y"]
     return Phi2Comparison(closed_form=closed, oracle=oracle,
                           difference=closed - oracle, tail_bound=report.tail_bound)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import ModeSet, kernel_g, kernel_ginv
+from .policy import DEFAULT_POLICY
 
 
 @dataclass(frozen=True)
@@ -47,11 +48,11 @@ class WavePacket:
         arr.setflags(write=False)
         object.__setattr__(self, "spectral", arr)
 
-    def validate(self, modes: ModeSet, tol: float = 1e-10) -> None:
+    def validate(self, modes: ModeSet) -> None:
         if self.spectral.shape != (modes.n_modes,):
             raise ValueError("spectral amplitudes do not match the mode set")
         total = float(np.sum(np.abs(self.spectral) ** 2)) / modes.lattice.volume
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > DEFAULT_POLICY.structural_tol:
             raise ValueError(f"wave packet norm {total!r} != 1")
 
 

@@ -33,13 +33,12 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import (
-    KIND_COMPLETE,
     MeasurementScheme,
     OutcomeEnsemble,
     OutcomeEntry,
     StateVector,
 )
-from .policy import DEFAULT_POLICY, NumericPolicy, TruncationError
+from .policy import DEFAULT_POLICY, TruncationError
 
 BASIS_AB = "AB"
 BASIS_PM = "PM"
@@ -147,29 +146,28 @@ def _normalize_trunc(trunc) -> tuple[int, int]:
     return int(a), int(b)
 
 
-def _kicked_factors(params: OscParams, kick: KickParams, trunc,
-                    policy: NumericPolicy) -> tuple[np.ndarray, np.ndarray, float]:
+def _kicked_factors(params: OscParams, kick: KickParams,
+                    trunc) -> tuple[np.ndarray, np.ndarray, float]:
     """The + and - coherent factors of the kicked prestate and its tail."""
     d_plus, d_minus = _normalize_trunc(trunc)
     f_plus = coherent_amplitudes(1j * kick.big_lambda_plus(params), d_plus)
     f_minus = coherent_amplitudes(1j * kick.big_lambda_minus(params), d_minus)
     tail = max(0.0, 1.0 - float(np.sum(np.abs(f_plus) ** 2))
                * float(np.sum(np.abs(f_minus) ** 2)))
-    if tail > policy.tail_tol:
-        raise TruncationError(
-            f"truncation {d_plus}x{d_minus} leaves tail {tail:.3e} > {policy.tail_tol:.0e}")
+    if tail > DEFAULT_POLICY.tail_tol:
+        raise TruncationError(f"truncation {d_plus}x{d_minus} leaves tail {tail:.3e}"
+                              f" > {DEFAULT_POLICY.tail_tol:.0e}")
     return f_plus, f_minus, tail
 
 
-def coherent_prestate(params: OscParams, kick: KickParams, trunc,
-                      policy: NumericPolicy = DEFAULT_POLICY) -> TwoModeFock:
+def coherent_prestate(params: OscParams, kick: KickParams, trunc) -> TwoModeFock:
     """Kicked coherent product state in the PM basis.
 
     The +- modes are coherent with amplitudes i*Lambda_pm.  Fails rather
     than silently truncating when the norm outside the box exceeds the
     policy tail tolerance.
     """
-    f_plus, f_minus, tail = _kicked_factors(params, kick, trunc, policy)
+    f_plus, f_minus, tail = _kicked_factors(params, kick, trunc)
     return TwoModeFock(params=params, amps=np.outer(f_plus, f_minus), basis=BASIS_PM,
                        tail_bound=tail)
 
@@ -245,9 +243,9 @@ def pm_to_ab(state: TwoModeFock) -> TwoModeFock:
     return TwoModeFock(state.params, out, BASIS_AB, state.tail_bound + lost)
 
 
-def _separable_factors(amps: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _separable_factors(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u, s, vh = np.linalg.svd(amps)
-    if len(s) > 1 and s[1] > tol:
+    if len(s) > 1 and s[1] > DEFAULT_POLICY.tail_tol:
         raise ValueError(
             f"state is not separable across the two modes (second Schmidt value {s[1]:.3e})")
     f1 = u[:, 0] * s[0]
@@ -257,8 +255,7 @@ def _separable_factors(amps: np.ndarray, tol: float) -> tuple[np.ndarray, np.nda
     return f1 * phase, f2 * np.conj(phase)
 
 
-def naive_nplus_ensemble(prestate: TwoModeFock,
-                         policy: NumericPolicy = DEFAULT_POLICY) -> OutcomeEnsemble:
+def naive_nplus_ensemble(prestate: TwoModeFock) -> OutcomeEnsemble:
     """Collapse only the center-of-mass factor onto its number states.
 
     Defined only for prestates separable across the +- modes: outcome n has
@@ -267,14 +264,14 @@ def naive_nplus_ensemble(prestate: TwoModeFock,
     """
     if prestate.basis != BASIS_PM:
         raise ValueError("naive collapse is defined on the PM basis")
-    f_plus, f_minus = _separable_factors(prestate.amps, policy.tail_tol)
+    f_plus, f_minus = _separable_factors(prestate.amps)
     d_plus, d_minus = prestate.trunc
     nrm_minus = float(np.linalg.norm(f_minus))
     post_minus = f_minus / nrm_minus
     entries = []
     for n in range(d_plus):
         prob = float(abs(f_plus[n]) ** 2) * nrm_minus**2
-        if prob < policy.zero_probability:
+        if prob < DEFAULT_POLICY.zero_probability:
             entries.append(OutcomeEntry(f"n={n}", prob, None, zero_branch=True))
             continue
         amp = np.zeros((d_plus, d_minus), dtype=complex)
@@ -331,7 +328,7 @@ def phase_scheme_nplus(s_cut: int, n_plus_dim: int, n_minus_dim: int | None = No
         for m in range(span, n_minus_dim):
             labeled.append((f"n={n} overflow m={m}", np.kron(eye_p[n], eye_m[m])))
     return MeasurementScheme.from_basis(
-        (n_plus_dim, n_minus_dim), labeled, kind=KIND_COMPLETE, validate=validate)
+        (n_plus_dim, n_minus_dim), labeled, validate=validate)
 
 
 def phase_coefficients(params: OscParams, kick: KickParams, s_cut: int,
@@ -425,23 +422,22 @@ def _moments_from_amps(amps: np.ndarray, params: OscParams, basis: str,
     return LocalMoments(q, p, q2, p2, energy, error_bound=bound)
 
 
-def local_moments_b(obj, params: OscParams | None = None, basis: str = BASIS_PM,
-                    policy: NumericPolicy = DEFAULT_POLICY) -> LocalMoments:
+def local_moments_b(obj, params: OscParams | None = None) -> LocalMoments:
     """Moments of oscillator B for a TwoModeFock state or an OutcomeEnsemble.
 
     Ensembles (whose entries are joint StateVectors) need explicit params;
-    their states are taken to be in the given basis.  The reported
+    their states are taken to be in the PM basis.  The reported
     error_bound is tail * (an infinity-norm bound on the quadratic
     observables over the truncated box).
     """
     if isinstance(obj, TwoModeFock):
-        if obj.tail_bound > policy.tail_tol:
+        if obj.tail_bound > DEFAULT_POLICY.tail_tol:
             raise TruncationError(f"state tail {obj.tail_bound:.3e} above policy tolerance")
         return _moments_from_amps(obj.amps, obj.params, obj.basis, obj.tail_bound)
     if isinstance(obj, OutcomeEnsemble):
         if params is None:
             raise ValueError("params are required for ensemble moments")
-        if obj.tail_bound > policy.tail_tol:
+        if obj.tail_bound > DEFAULT_POLICY.tail_tol:
             raise TruncationError(f"ensemble tail {obj.tail_bound:.3e} above policy tolerance")
         acc = np.zeros(5)
         dims = None
@@ -450,11 +446,11 @@ def local_moments_b(obj, params: OscParams | None = None, basis: str = BASIS_PM,
                 continue
             dims = entry.post_state.dims
             amps = entry.post_state.amplitudes.reshape(dims)
-            m = _moments_from_amps(amps, params, basis, 0.0)
+            m = _moments_from_amps(amps, params, BASIS_PM, 0.0)
             acc += entry.probability * np.array([m.q, m.p, m.q2, m.p2, m.energy])
         if dims is None:
             raise ValueError("ensemble has no nonzero branches")
-        bound = obj.tail_bound * _bound_scale(dims[0], dims[1], params, basis)
+        bound = obj.tail_bound * _bound_scale(dims[0], dims[1], params, BASIS_PM)
         return LocalMoments(*acc, error_bound=bound)
     raise TypeError(f"unsupported input {type(obj).__name__}")
 
@@ -535,18 +531,19 @@ def phase_ensemble_moments(params: OscParams, kick: KickParams, s_cut: int,
                            tail * _bound_scale(n_max, len(levels), params, BASIS_PM))
 
 
-def kicked_moments(params: OscParams, kick: KickParams, trunc, collapse: bool = False,
-                   policy: NumericPolicy = DEFAULT_POLICY) -> LocalMoments:
+def kicked_moments(params: OscParams, kick: KickParams, trunc,
+                   collapse: bool = False) -> LocalMoments:
     """local_moments_b(coherent_prestate(...)) or, with collapse,
     local_moments_b(naive_nplus_ensemble(coherent_prestate(...)), params),
     from the two coherent factors: the naive collapse keeps the + number
     weights, drops the + coherences and the branches below
-    policy.zero_probability, and leaves the - factor alone."""
-    f_plus, f_minus, tail = _kicked_factors(params, kick, trunc, policy)
+    DEFAULT_POLICY.zero_probability, and leaves the - factor alone."""
+    f_plus, f_minus, tail = _kicked_factors(params, kick, trunc)
     if collapse:
         w_plus = np.abs(f_plus) ** 2
         prob = w_plus * float(np.sum(np.abs(f_minus) ** 2))
-        plus = mode_moments(params, np.where(prob < policy.zero_probability, 0.0, w_plus))
+        plus = mode_moments(params,
+                            np.where(prob < DEFAULT_POLICY.zero_probability, 0.0, w_plus))
     else:
         plus = _amplitude_moments(params, f_plus)
     return product_moments(plus, _amplitude_moments(params, f_minus), params,

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    KIND_COMPLETE,
-    KIND_LUDERS,
     MeasurementScheme,
     Operator,
     StateVector,
@@ -38,10 +36,6 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
-
-X_AXIS = (1.0, 0.0, 0.0)
-Y_AXIS = (0.0, 1.0, 0.0)
-Z_AXIS = (0.0, 0.0, 1.0)
 
 BASIS_CHOICES = ("standard", "bell", "luders")
 
@@ -66,12 +60,6 @@ class SpinLabel:
             object.__setattr__(self, "axis", ax)
         else:
             raise ValueError(f"unknown spin label {self.kind!r}")
-
-
-UP = SpinLabel("up")
-DOWN = SpinLabel("down")
-RIGHT = SpinLabel("right")
-LEFT = SpinLabel("left")
 
 
 def plus(axis) -> SpinLabel:
@@ -198,17 +186,13 @@ def s2_scheme(choice: str = "standard") -> MeasurementScheme:
     if choice == "luders":
         p_singlet = np.outer(SINGLET, SINGLET.conj())
         return MeasurementScheme.from_projectors(
-            (2, 2),
-            [("S=0", p_singlet), ("S=1", np.eye(4) - p_singlet)],
-            kind=KIND_LUDERS,
-        )
+            (2, 2), [("S=0", p_singlet), ("S=1", np.eye(4) - p_singlet)])
     if choice == "standard":
         triplet = [("S=1 m=0 sym", TRIPLET_SYM), ("S=1 up-up", _UU), ("S=1 down-down", _DD)]
     else:
         triplet = [("S=1 m=0 sym", TRIPLET_SYM),
                    ("S=1 phi+", BELL_PHI_PLUS), ("S=1 phi-", BELL_PHI_MINUS)]
-    return MeasurementScheme.from_basis(
-        (2, 2), [("S=0 singlet", SINGLET)] + triplet, kind=KIND_COMPLETE)
+    return MeasurementScheme.from_basis((2, 2), [("S=0 singlet", SINGLET)] + triplet)
 
 
 def sz_scheme(choice: str = "standard") -> MeasurementScheme:
@@ -220,22 +204,17 @@ def sz_scheme(choice: str = "standard") -> MeasurementScheme:
             (2, 2),
             [("m=+1", np.outer(_UU, _UU.conj())),
              ("m=-1", np.outer(_DD, _DD.conj())),
-             ("m=0", p0)],
-            kind=KIND_LUDERS,
-        )
+             ("m=0", p0)])
     if choice == "standard":
         middle = [("m=0 up-down", _UD), ("m=0 down-up", _DU)]
     else:
         middle = [("m=0 sym", TRIPLET_SYM), ("m=0 antisym", SINGLET)]
-    return MeasurementScheme.from_basis(
-        (2, 2), [("m=+1", _UU), ("m=-1", _DD)] + middle, kind=KIND_COMPLETE)
+    return MeasurementScheme.from_basis((2, 2), [("m=+1", _UU), ("m=-1", _DD)] + middle)
 
 
-def identity_scheme(dims=(2, 2)) -> MeasurementScheme:
-    """Trivial single-outcome scheme (no measurement)."""
-    dim = int(np.prod(dims))
-    return MeasurementScheme.from_projectors(
-        dims, [("none", np.eye(dim))], kind=KIND_LUDERS)
+def identity_scheme() -> MeasurementScheme:
+    """Trivial single-outcome scheme (no measurement) on two spins."""
+    return MeasurementScheme.from_projectors((2, 2), [("none", np.eye(4))])
 
 
 def spin_scheme(scheme_id: str, target=None) -> MeasurementScheme:

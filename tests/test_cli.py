@@ -144,6 +144,30 @@ class TestExitCodes:
                     "--p-index", "1,0", "--lambda", "0.3"]) == 64
         assert "not an integer site: '0,0.5'" in capsys.readouterr().err
 
+    def test_natural_units_flag_is_usage_error(self, tmp_path, capsys):
+        """hbar = 1 is --hbar 1; there is no second name for it."""
+        code = run(["spin", "qndsv", "--target", "up,right",
+                    "--alice", "rotate-y:1.5707963267948966",
+                    "--natural-units", "--out", str(tmp_path)])
+        assert code == 64
+        assert "--natural-units" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags, other", [
+        (["--grid", "0:1:5"], "--grid"),
+        (["--lambda", "0.3"], "--lambda"),
+    ])
+    def test_alice_with_grid_or_lambda_is_usage_error(self, tmp_path, capsys, flags, other):
+        """--alice carries its own angle, so a grid or lambda beside it is
+        refused rather than ignored."""
+        code = run(["spin", "qndsv", "--target", "up,right",
+                    "--alice", "rotate-y:1.5707963", *flags, "--obs", "sBz",
+                    "--out", str(tmp_path)])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert "--alice" in err and other in err
+        assert not list(tmp_path.iterdir())
+
     def test_missing_subcommand_is_usage_error(self):
         assert run([]) == 64
 
@@ -242,14 +266,6 @@ class TestCsvFormat:
         text = blob.decode()
         assert "0.78539816339744828" in text  # 17 significant digits
         assert "," in text and ";" not in text
-
-    def test_natural_units_flag(self, tmp_path):
-        code = run(["spin", "qndsv", "--target", "up,right",
-                    "--alice", "rotate-y:1.5707963267948966",
-                    "--hbar", "2.0", "--natural-units", "--out", str(tmp_path)])
-        assert code == 0
-        rows = read_rows(tmp_path / "spin_qndsv.csv")
-        assert float(rows[0]["value"]) == pytest.approx(0.25, abs=1e-12)
 
 
 def _run_fixture(path: Path, out: Path) -> list[Path]:

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import causalprobe
 from causalprobe.core import (
-    KIND_LUDERS,
     MeasurementScheme,
     Operator,
     SchemeError,
@@ -171,8 +175,7 @@ class TestPostMeasurementExpectation:
             half = dim // 2
             p1 = u[:, :half] @ u[:, :half].conj().T
             p2 = u[:, half:] @ u[:, half:].conj().T
-            lueders = MeasurementScheme.from_projectors(
-                dims, [("lo", p1), ("hi", p2)], kind=KIND_LUDERS)
+            lueders = MeasurementScheme.from_projectors(dims, [("lo", p1), ("hi", p2)])
             herm = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             obs = Operator(dims, (herm + herm.conj().T) / 2, hermitian=True)
             psi = random_state(dims, rng)
@@ -313,3 +316,38 @@ class TestNoSignalingProperty:
         a = post_measurement_expectation(spin_state("up", "up"), scheme, obs)
         b = post_measurement_expectation(spin_state("right", "up"), scheme, obs)
         assert abs(a - b) == pytest.approx(0.25, abs=1e-12)
+
+
+
+def _public_callables():
+    """(qualified name, function) for every public function and method of
+    every causalprobe module."""
+    for info in pkgutil.iter_modules(causalprobe.__path__):
+        module = importlib.import_module(f"causalprobe.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)    # classmethods
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
+
+
+def test_no_per_call_policy_kind_basis_or_tol():
+    """Tolerances are read from DEFAULT_POLICY where they are checked: no
+    public function or method takes an optional policy, scheme kind, basis
+    or tolerance, and a scheme carries no kind tag."""
+    found = {qual: fn for qual, fn in _public_callables()}
+    assert {"causalprobe.core.MeasurementScheme.from_basis",
+            "causalprobe.oscillators.local_moments_b",
+            "causalprobe.fieldtheory.WavePacket.validate",
+            "causalprobe.field_oracle.phi2_comparison"} <= set(found)
+    options = [f"{qual}({param.name})" for qual, fn in found.items()
+               for param in inspect.signature(fn).parameters.values()
+               if param.name in {"policy", "kind", "basis", "tol"}
+               and param.default is not param.empty]
+    assert options == []
+    assert [f.name for f in dataclasses.fields(MeasurementScheme)] == ["dims", "outcomes"]

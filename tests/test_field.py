@@ -435,8 +435,7 @@ class TestOracleGuards:
     def test_mask_collapse_matches_generic_machinery(self):
         """The oracle's mask-based naive collapse equals the dense Lueders
         projector family from the core on a tiny truncation."""
-        from causalprobe.core import (
-            KIND_LUDERS, MeasurementScheme, post_measurement_expectation)
+        from causalprobe.core import MeasurementScheme, post_measurement_expectation
 
         trunc = 4
         state, _ = oracle_prestate(MODES, KICK, trunc)
@@ -454,7 +453,7 @@ class TestOracleGuards:
                 sel2 = sel + sel
                 mask[tuple(sel2)] = tensor_eye[tuple(sel2)]
                 labeled.append((f"{m},{n}", mask.reshape(eye.shape)))
-        scheme = MeasurementScheme.from_projectors(dims, labeled, kind=KIND_LUDERS)
+        scheme = MeasurementScheme.from_projectors(dims, labeled)
         want = post_measurement_expectation(state, scheme, phi)
         rep = numeric_oracle_qndsv(MODES, KICK, 1, P, trunc, scheme_kind="naive",
                                    observables=("phi_y",))
