@@ -115,14 +115,17 @@ def _load_scenario_file(path: str) -> dict:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser):
+    """The flags every subcommand takes; returns the exclusive group of lambda-grid flags."""
     sub.add_argument("--scenario", help="JSON scenario file (flags override it)")
     sub.add_argument("--out", default=".", help="output directory (default: cwd)")
     sub.add_argument("--obs", help="comma-separated observables")
-    sub.add_argument("--lambda", dest="lam", type=float,
-                     help="single operation strength; becomes the grid and lambda_ref")
-    sub.add_argument("--grid", help="lambda grid as start:stop:count")
+    grid = sub.add_mutually_exclusive_group()
+    grid.add_argument("--lambda", dest="lam", type=float,
+                      help="single operation strength; becomes the grid and lambda_ref")
+    grid.add_argument("--grid", help="lambda grid as start:stop:count")
     sub.add_argument("--hbar", type=float, help="hbar (default 1)")
+    return grid
 
 
 def _parse_alice(text: str) -> tuple[tuple[float, float, float], float]:
@@ -271,10 +274,10 @@ def build_parser() -> _Parser:
         for _, key, param in _flag_params(spec):
             sub.add_argument(param.flag, dest=key, type=_ARG_TYPES.get(param.kind),
                              choices=param.choices, help=param.help)
+        grid = _add_common(sub)
         if system == "spin":
-            sub.add_argument("--alice", help="local rotation, e.g. rotate-y:1.5707963; "
-                             "its angle is the single lambda")
-        _add_common(sub)
+            grid.add_argument("--alice", help="local rotation, e.g. rotate-y:1.5707963; "
+                              "its angle is the single lambda")
 
     sweep = subs.add_parser("sweep", help="cutoff sweep with power-law fits")
     sweep.add_argument("--axis", required=True, choices=harness.SWEEP_AXES)
@@ -295,9 +298,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "alice", None) and (args.grid or args.lam is not None):
-            other = "--grid" if args.grid else "--lambda"
-            raise UsageError(f"argument --alice: not allowed with argument {other}")
     except UsageError as exc:
         print(f"causal-probe: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -279,8 +279,7 @@ def _osc_naive(params, kick, trunc, extras) -> oscillators.LocalMoments:
 
 
 def _osc_phase(params, kick, trunc, extras) -> oscillators.LocalMoments:
-    n_max = trunc if extras["n_max"] is None else extras["n_max"]
-    return oscillators.phase_ensemble_moments(params, kick, extras["s_cut"], n_max)
+    return oscillators.phase_ensemble_moments(params, kick, extras["s_cut"], trunc)
 
 
 def _osc_prestate(params, kick, trunc, extras) -> oscillators.LocalMoments:
@@ -401,9 +400,7 @@ OSCILLATOR = System(
     alice="kick",
     schemes={
         "naive-nplus": Scheme(compute=_osc_naive),
-        "phase-nplus": Scheme({"s_cut": Param("int", flag="--s-cut"),
-                               "n_max": Param("int", None)},     # None: trunc
-                              compute=_osc_phase),
+        "phase-nplus": Scheme({"s_cut": Param("int", flag="--s-cut")}, compute=_osc_phase),
         NO_MEASUREMENT: Scheme(compute=_osc_prestate),
     },
     observables={"QB": "q", "PB": "p", "QB2": "q2", "PB2": "p2", "EB": "energy"},

@@ -17,9 +17,13 @@ naive N_+ collapse (|n>_+ (x) f_-) and of the number-times-phase-state
 scheme (|n>_+ (x) |b, theta_s>_-) are products, so B's moments follow one
 mode at a time (``product_moments``): <Q_B> = (<Q_+> - <Q_->)/sqrt(2) and
 <Q_B^2> = (<Q_+^2> - 2 <Q_+><Q_-> + <Q_-^2>)/2, likewise for P; over + number
-states <n|Q_+|n> = 0 kills the cross term.  A mode's moments are O(trunc)
+states <n|Q_+|n> = 0 kills the cross term.  A mode's moments are O(levels)
 sums of its number weights and coherences <a>, <a^2> (``mode_moments``);
 ``local_moments_b`` keeps the dense route on joint arrays as the reference.
+Every scheme takes f_+, f_- and the tail check from ``_kicked_factors``.
+Level m of the phase state |b, theta_s> (Pegg & Barnett 1989) carries
+e^{i m theta_s}, theta_s = 2 pi s/(s_cut+1): the length-(2 s_cut+2) DFT
+kernel at index 2s, so one FFT per parity gives every <b, theta_s|f_->.
 """
 
 from __future__ import annotations
@@ -150,6 +154,8 @@ def _kicked_factors(params: OscParams, kick: KickParams,
                     trunc) -> tuple[np.ndarray, np.ndarray, float]:
     """The + and - coherent factors of the kicked prestate and its tail."""
     d_plus, d_minus = _normalize_trunc(trunc)
+    if min(d_plus, d_minus) < 1:
+        raise ValueError(f"trunc must be at least 1 level per mode, got {d_plus}x{d_minus}")
     f_plus = coherent_amplitudes(1j * kick.big_lambda_plus(params), d_plus)
     f_minus = coherent_amplitudes(1j * kick.big_lambda_minus(params), d_minus)
     tail = max(0.0, 1.0 - float(np.sum(np.abs(f_plus) ** 2))
@@ -281,6 +287,11 @@ def naive_nplus_ensemble(prestate: TwoModeFock) -> OutcomeEnsemble:
     return OutcomeEnsemble(tuple(entries), tail_bound=prestate.tail_bound)
 
 
+def _check_s_cut(s_cut: int) -> None:
+    if s_cut < 0 or s_cut % 2 != 0:
+        raise ValueError(f"s_cut must be even and nonnegative, got {s_cut}")
+
+
 def phase_state(parity: int, s: int, s_cut: int) -> np.ndarray:
     """Finite fixed-parity phase state on 2*s_cut+2 Fock levels.
 
@@ -290,8 +301,7 @@ def phase_state(parity: int, s: int, s_cut: int) -> np.ndarray:
     """
     if parity not in (0, 1):
         raise ValueError("parity bit must be 0 or 1")
-    if s_cut < 0 or s_cut % 2 != 0:
-        raise ValueError(f"s_cut must be even and nonnegative, got {s_cut}")
+    _check_s_cut(s_cut)
     if not 0 <= s <= s_cut:
         raise ValueError(f"s must lie in 0..{s_cut}, got {s}")
     theta = 2.0 * math.pi * s / (s_cut + 1)
@@ -331,31 +341,23 @@ def phase_scheme_nplus(s_cut: int, n_plus_dim: int, n_minus_dim: int | None = No
         (n_plus_dim, n_minus_dim), labeled, validate=validate)
 
 
+def _phase_overlaps(params: OscParams, kick: KickParams, s_cut: int,
+                    n_max: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The + factor of the kicked prestate on n_max levels, the overlaps
+    o[b, s] = <b, theta_s|f_-> of its - factor on 2*s_cut+2 levels with the
+    phase states, and the tail; see the module docstring."""
+    _check_s_cut(s_cut)
+    f_plus, f_minus, tail = _kicked_factors(params, kick, (n_max, 2 * s_cut + 2))
+    by_parity = np.where(np.arange(2 * s_cut + 2) % 2 == np.array([[0], [1]]), f_minus, 0)
+    return f_plus, np.fft.fft(by_parity, axis=1)[:, ::2] / math.sqrt(s_cut + 1), tail
+
+
 def phase_coefficients(params: OscParams, kick: KickParams, s_cut: int,
                        n_max: int) -> np.ndarray:
-    """Closed-form expansion coefficients c[n, parity, s] of the kicked
-    prestate over the number-times-phase-state basis:
-
-    c = e^{-(L+^2+L-^2)/2} (i L+)^n / sqrt(n!)
-        * sum_j (i L- e^{-i theta_s})^{2j+parity} / sqrt((2j+parity)! (s_cut+1))
-    """
-    if s_cut % 2 != 0:
-        raise ValueError(f"s_cut must be even, got {s_cut}")
-    lp = kick.big_lambda_plus(params)
-    lm = kick.big_lambda_minus(params)
-    n = np.arange(n_max)
-    # 0^0 = 1 handles the unkicked modes
-    plus_part = np.exp(-0.5 * (lp**2 + lm**2) - 0.5 * gammaln(n + 1)) \
-        * np.power(1j * lp, n)
-    out = np.zeros((n_max, 2, s_cut + 1), dtype=complex)
-    j = np.arange(s_cut + 1)
-    bases = 1j * lm * np.exp(-1j * (2.0 * math.pi * j / (s_cut + 1)))    # one per s
-    for b in (0, 1):
-        pw = 2 * j + b
-        log_mag = -0.5 * gammaln(pw + 1) - 0.5 * math.log(s_cut + 1)
-        terms = np.exp(log_mag) * np.power(bases[:, None], pw)          # [s, j]
-        out[:, b, :] = np.outer(plus_part, np.sum(terms, axis=1))
-    return out
+    """Expansion coefficients c[n, parity, s] = <n|f_+> <parity, theta_s|f_->
+    of the kicked prestate over the number-times-phase-state basis."""
+    f_plus, overlaps, _ = _phase_overlaps(params, kick, s_cut, n_max)
+    return f_plus[:, None, None] * overlaps
 
 
 @dataclass(frozen=True)
@@ -504,19 +506,18 @@ def product_moments(plus: ModeMoments, minus: ModeMoments, params: OscParams,
 def phase_ensemble_moments(params: OscParams, kick: KickParams, s_cut: int,
                            n_max: int) -> LocalMoments:
     """B moments right after the number-times-phase-state measurement,
-    via the closed-form coefficients and per-outcome product moments.
+    from the + factor's number weights and the DFT overlaps of the - factor
+    with the phase states (``_phase_overlaps``).
 
     Every outcome is a product of a + number state and a - phase state, so
     <Q_B> and <P_B> vanish outcome by outcome (parity), and the second
     moments split as (<.2>_+ + <.2>_-)/2 with no cross term.
     """
-    c = phase_coefficients(params, kick, s_cut, n_max)
-    w = np.abs(c) ** 2
-    total = float(np.sum(w))
-    # the - factor averaged over outcomes: phase state |b, theta_s> puts
+    f_plus, overlaps, tail = _phase_overlaps(params, kick, s_cut, n_max)
+    # the - factor summed over outcomes: phase state |b, theta_s> puts
     # 1/(s_cut+1) on each level 2j+b, has <a> = 0 and <a^2> = e^{2i theta_s}
     # A_b with A_b = sum_j sqrt((2j+b)(2j+b-1))/(s_cut+1)
-    w_bs = np.sum(w, axis=0) / total
+    w_bs = np.abs(overlaps) ** 2
     j = np.arange(1, s_cut + 1)
     a_b = np.array([np.sum(np.sqrt((2 * j + b) * (2 * j + b - 1.0))) for b in (0, 1)]) \
         / (s_cut + 1)
@@ -524,9 +525,8 @@ def phase_ensemble_moments(params: OscParams, kick: KickParams, s_cut: int,
     a2 = complex(np.sum(a_b[:, None] * w_bs * np.exp(2j * thetas)))
     levels = np.tile(np.sum(w_bs, axis=1) / (s_cut + 1), s_cut + 1)
     # closed forms, exact on every populated level: no truncated top
-    plus = mode_moments(params, np.sum(w, axis=(1, 2)), box=n_max + 1)
+    plus = mode_moments(params, np.abs(f_plus) ** 2, box=n_max + 1)
     minus = mode_moments(params, levels, a2=a2, box=len(levels) + 1)
-    tail = max(0.0, 1.0 - total)
     return product_moments(plus, minus, params,
                            tail * _bound_scale(n_max, len(levels), params, BASIS_PM))
 

@@ -165,7 +165,15 @@ class TestExitCodes:
                     "--out", str(tmp_path)])
         assert code == 64
         err = capsys.readouterr().err
-        assert "--alice" in err and other in err
+        assert "--alice" in err and other in err and "not allowed with argument" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_grid_with_lambda_is_usage_error(self, tmp_path, capsys):
+        code = run(["field", "naive", "--d", "1", "--N", "8", "--mass", "1", "--x", "0",
+                    "--y", "3", "--p-index", "1", "--grid", "0:1:3", "--lambda", "0.3",
+                    "--obs", "pi_y", "--out", str(tmp_path)])
+        assert code == 64
+        assert "argument --lambda: not allowed with argument --grid" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_missing_subcommand_is_usage_error(self):
@@ -234,6 +242,18 @@ class TestExitCodes:
         # a kick far too large for the truncation trips the tail policy
         assert run(["ho", "naive-nplus", "--trunc", "6", "--lambda", "6.0",
                     "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("argv, name", [
+        (["naive-nplus", "--trunc", "0"], "trunc"),
+        (["none", "--trunc", "0"], "trunc"),
+        (["phase-nplus", "--s-cut", "2", "--trunc", "0"], "trunc"),
+        (["phase-nplus", "--s-cut", "-2"], "s_cut"),
+    ])
+    def test_bad_cutoff_is_validation_error(self, tmp_path, capsys, argv, name):
+        assert run(["ho", *argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
     def test_validate_ok_on_shipped_corpus(self):
         assert ALL_FIXTURES, "fixture corpus missing"

@@ -14,6 +14,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import factorial
 
+from causalprobe import cli
 from causalprobe.core import born_ensemble, validate_scheme
 from causalprobe.oscillators import (
     BASIS_AB,
@@ -232,7 +233,9 @@ class TestPhaseScheme:
 
     def test_closed_form_coefficients_match_projection(self):
         """Most of acceptance: c_{n,b,theta_s} against the numeric overlap of
-        the prestate with each scheme basis vector, Lambda <= 1.5, s_cut 16."""
+        the prestate with each scheme basis vector, Lambda <= 1.5, s_cut 16;
+        then against overlaps with the phase states themselves at the
+        smallest cutoffs and at the benchmark's s_cut 200."""
         params = PARAMS
         kick = KickParams(p_a=1.0, p_b=-0.6, lam=1.2)   # Lambda+ = 0.8, Lambda- = 1.4
         assert abs(kick.big_lambda_plus(params)) <= 1.5
@@ -252,6 +255,15 @@ class TestPhaseScheme:
                     worst = max(worst, abs(np.vdot(out.vector, flat) - c[n, b, s]))
                     idx += 1
         assert worst < 1e-8
+        for s_cut, kick in ((0, KickParams(p_a=0.25, p_b=0.5, lam=0.25)),   # Lambda- = 0
+                            (2, KickParams(p_a=0.2, p_b=-0.1, lam=0.1)),
+                            (200, kick)):
+            pre = coherent_prestate(params, kick, (n_max, 2 * s_cut + 2))
+            chis = np.array([[phase_state(b, s, s_cut) for s in range(s_cut + 1)]
+                             for b in (0, 1)])
+            projected = np.einsum("nm,bsm->nbs", pre.amps, chis.conj())
+            c = phase_coefficients(params, kick, s_cut, n_max)
+            assert np.max(np.abs(projected - c)) < 1e-8, s_cut
 
     def test_weights_sum_to_one_within_tail(self):
         kick = KickParams(p_a=0.6, p_b=0.2, lam=0.4)
@@ -333,6 +345,16 @@ class TestPhaseMoments:
         assert closed.p2 == pytest.approx(generic.p2, abs=1e-8)
         assert closed.q == pytest.approx(generic.q, abs=1e-10)
         assert closed.p == pytest.approx(generic.p, abs=1e-10)
+
+    def test_lost_norm_is_refused(self, tmp_path):
+        """s_cut 2 gives the relative mode 6 levels, far too few for
+        lambda = 5: the library and the CLI refuse, as for the other schemes."""
+        for routine in (phase_ensemble_moments, phase_coefficients):
+            with pytest.raises(TruncationError):
+                routine(PARAMS, KickParams(lam=5.0), 2, 40)
+        assert cli.main(["ho", "phase-nplus", "--s-cut", "2", "--trunc", "40",
+                         "--lambda", "5", "--out", str(tmp_path)]) == 3
+        assert not list(tmp_path.iterdir())
 
 
 class TestLocalMoments:

@@ -182,3 +182,18 @@ def test_factorised_phase_moments_match_generic_route(p_a, p_b, lam, n_max, s_cu
     ensemble = born_ensemble(scheme, pre.as_state(), tail_bound=pre.tail_bound)
     _moments_close(oscillators.phase_ensemble_moments(params, kick, s_cut, n_max),
                    oscillators.local_moments_b(ensemble, params))
+
+
+@SEEDED
+@given(params=osc_params, p_a=momenta, p_b=momenta, lam=st.floats(-4.0, 4.0),
+       n_max=st.integers(2, 40), s_cut=st.sampled_from([0, 2, 4, 8, 16]))
+def test_phase_moments_refuse_what_the_prestate_refuses(params, p_a, p_b, lam, n_max, s_cut):
+    """phase-nplus keeps the tail check of the prestate it measures."""
+    kick = oscillators.KickParams(p_a=p_a, p_b=p_b, lam=lam)
+    try:
+        oscillators.coherent_prestate(params, kick, (n_max, 2 * s_cut + 2))
+    except TruncationError:
+        with pytest.raises(TruncationError):
+            oscillators.phase_ensemble_moments(params, kick, s_cut, n_max)
+        return
+    oscillators.phase_ensemble_moments(params, kick, s_cut, n_max)
