@@ -10,12 +10,11 @@ post-measurement ensemble average
 which equals the probability-weighted average over renormalized branches
 because each branch's normalization cancels its Born weight.
 
-Projectors are stored as dense matrices by default so that rank-1
-(complete orthogonal) and multi-rank (Lueders) schemes run through one
-code path.  Schemes made of rank-1 projectors may instead be backed by
-their basis vectors; the dense matrix is then materialized on demand.
-This matters for the large oscillator schemes, where storing every
-projector densely is not feasible.
+Every outcome projects onto the span of a frame F of orthonormal columns,
+P = F F^dag, or onto its complement 1 - F F^dag, kept implicit: complete
+measurements (rank-1 frames), Lueders projections (wider frames) and the
+verification of one state share one code path, and applying one builds
+no matrix.
 """
 
 from __future__ import annotations
@@ -43,10 +42,12 @@ def _as_dims(dims) -> tuple[int, ...]:
 
 
 def _frozen_array(values, shape=None) -> np.ndarray:
-    arr = np.array(values, dtype=complex)
+    arr = np.asarray(values, dtype=complex)
     if shape is not None and arr.shape != shape:
         raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
-    arr.setflags(write=False)
+    if arr.flags.writeable:     # the caller can still write to it: keep a copy
+        arr = np.array(arr)
+        arr.setflags(write=False)
     return arr
 
 
@@ -96,7 +97,7 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense operator on a composite space; hermiticity validated when flagged."""
+    """Dense operator on a composite space; checked hermitian when flagged."""
 
     dims: tuple[int, ...]
     matrix: np.ndarray
@@ -126,47 +127,31 @@ class Operator:
 
 @dataclass(frozen=True)
 class SchemeOutcome:
-    """One labeled outcome: a dense projector, or a rank-1 basis vector.
+    """One labeled outcome: P = F F^dag, F the orthonormal (dim, rank)
+    columns of ``frame``, or P = 1 - F F^dag when ``complement`` is set.
 
-    ``complement=True`` (vector-backed only) means P = 1 - |v><v|, kept
-    implicit so that verification-style schemes never materialize the
-    large complement matrix unless explicitly asked to.
+    The complement stays implicit, so verifying one state of a large space
+    never builds a dim x dim matrix.
     """
 
     label: str
-    projector: np.ndarray | None = None
-    vector: np.ndarray | None = None
+    frame: np.ndarray
     complement: bool = False
 
     def __post_init__(self):
-        if (self.projector is None) == (self.vector is None):
-            raise ValueError("exactly one of projector/vector must be given")
-        if self.complement and self.vector is None:
-            raise ValueError("complement outcomes must be vector-backed")
-        arr = self.projector if self.projector is not None else self.vector
-        arr = _frozen_array(arr)
-        if self.projector is not None:
-            object.__setattr__(self, "projector", arr)
-        else:
-            object.__setattr__(self, "vector", arr)
-
-    @property
-    def is_rank_one_vector(self) -> bool:
-        return self.vector is not None and not self.complement
+        frame = _frozen_array(self.frame)
+        if frame.ndim != 2:
+            raise ValueError(f"a frame is a (dim, rank) array, got shape {frame.shape}")
+        object.__setattr__(self, "frame", frame)
 
     def projector_matrix(self) -> np.ndarray:
-        if self.projector is not None:
-            return self.projector
-        proj = np.outer(self.vector, np.conj(self.vector))
-        if self.complement:
-            proj = np.eye(self.vector.size) - proj
-        return proj
+        proj = self.frame @ self.frame.conj().T
+        return np.eye(len(proj)) - proj if self.complement else proj
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """P |psi> without materializing the complement projector."""
-        if self.projector is not None:
-            return self.projector @ amplitudes
-        comp = self.vector * np.vdot(self.vector, amplitudes)
+        """P |psi> = F (F^dag psi), one vdot per column: no conjugate copy of F."""
+        coeffs = np.array([np.vdot(col, amplitudes) for col in self.frame.T])
+        comp = self.frame @ coeffs
         return amplitudes - comp if self.complement else comp
 
 
@@ -187,22 +172,10 @@ class MeasurementScheme:
         return int(np.prod(self.dims))
 
     @classmethod
-    def from_projectors(cls, dims, labeled, *, validate=True) -> "MeasurementScheme":
-        """Build from (label, matrix) pairs; matrices may be Operator or ndarray."""
-        outs = []
-        for label, proj in labeled:
-            mat = proj.matrix if isinstance(proj, Operator) else np.asarray(proj, dtype=complex)
-            outs.append(SchemeOutcome(label=str(label), projector=mat))
-        scheme = cls(dims=_as_dims(dims), outcomes=tuple(outs))
-        if validate:
-            _require_valid(scheme)
-        return scheme
-
-    @classmethod
     def from_basis(cls, dims, labeled, *, validate=True) -> "MeasurementScheme":
-        """Build a rank-1 scheme from (label, basis vector) pairs."""
-        outs = tuple(SchemeOutcome(label=str(lbl), vector=np.asarray(v, dtype=complex))
-                     for lbl, v in labeled)
+        """Build from (label, vectors) pairs: one basis vector per label, or
+        a sequence of orthonormal vectors whose span the outcome projects on."""
+        outs = tuple(SchemeOutcome(str(lbl), np.atleast_2d(v).T) for lbl, v in labeled)
         scheme = cls(dims=_as_dims(dims), outcomes=outs)
         if validate:
             _require_valid(scheme)
@@ -211,16 +184,14 @@ class MeasurementScheme:
 
 @dataclass(frozen=True)
 class SchemeDiagnostics:
-    """Max-abs deviations of a scheme from an exact projector decomposition."""
+    """Max-abs deviations of a scheme's frames from a projector decomposition."""
 
     idempotence: float
-    hermiticity: float
     orthogonality: float
     completeness: float
 
     def within(self, tol: float) -> bool:
-        return max(self.idempotence, self.hermiticity,
-                   self.orthogonality, self.completeness) <= tol
+        return max(self.idempotence, self.orthogonality, self.completeness) <= tol
 
 
 @dataclass(frozen=True)
@@ -300,12 +271,9 @@ def qndsv_scheme(target: StateVector) -> MeasurementScheme:
         raise ValueError("verification target must be a nonzero state")
     if not target.is_normalized():
         raise ValueError(f"verification target is not normalized (norm={target.norm!r})")
-    v = target.amplitudes
-    outcomes = (
-        SchemeOutcome(label="yes", vector=v),
-        SchemeOutcome(label="no", vector=v, complement=True),
-    )
-    return MeasurementScheme(dims=target.dims, outcomes=outcomes)
+    frame = target.amplitudes[:, None]     # both outcomes share the read-only target
+    return MeasurementScheme(dims=target.dims, outcomes=(
+        SchemeOutcome("yes", frame), SchemeOutcome("no", frame, complement=True)))
 
 
 def born_ensemble(scheme: MeasurementScheme, state: StateVector,
@@ -364,34 +332,31 @@ def post_measurement_expectations(state: StateVector, scheme: MeasurementScheme,
 
 
 def validate_scheme(scheme: MeasurementScheme) -> SchemeDiagnostics:
-    """Max deviations from idempotence, hermiticity, orthogonality, completeness.
+    """Max deviations from idempotence, orthogonality and completeness.
 
-    Diagnostics only; never raises.  Fully vector-backed schemes are checked
-    through their Gram matrix, which keeps the large rank-1 families cheap.
+    Diagnostics only; never raises.  Over the stacked frame columns V of all
+    outcomes, the Gram matrix V^dag V - 1 gives idempotence in its
+    within-outcome blocks and orthogonality in the rest, and V V^dag - 1
+    gives completeness.  A complement outcome enters as an orthonormal basis
+    of its range, span(F)^perp, and adds F^dag F - 1 to idempotence.
     """
-    dim = scheme.dim
-    if all(o.is_rank_one_vector for o in scheme.outcomes):
-        vecs = np.column_stack([o.vector for o in scheme.outcomes])
-        gram = vecs.conj().T @ vecs
-        norms = np.real(np.diag(gram))
-        peak = np.max(np.abs(vecs), axis=0)
-        idem = float(np.max(np.abs(norms - 1.0) * peak**2))
-        off = gram - np.diag(np.diag(gram))
-        ortho = 0.0
-        if len(scheme.outcomes) > 1:
-            ortho = float(np.max(np.abs(off) * np.outer(peak, peak)))
-        comp = float(np.max(np.abs(vecs @ vecs.conj().T - np.eye(dim))))
-        return SchemeDiagnostics(idem, 0.0, ortho, comp)
+    frames, idem = [], 0.0
+    for out in scheme.outcomes:
+        frame, rank = out.frame, out.frame.shape[1]
+        if out.complement:
+            idem = max(idem, _max_abs(frame.conj().T @ frame - np.eye(rank)))
+            frame = np.linalg.qr(frame, mode="complete")[0][:, rank:]
+        frames.append(frame)
+    stacked = np.hstack(frames)
+    gram = stacked.conj().T @ stacked - np.eye(stacked.shape[1])
+    owner = np.repeat(np.arange(len(frames)), [f.shape[1] for f in frames])
+    same = owner[:, None] == owner
+    return SchemeDiagnostics(max(idem, _max_abs(gram[same])), _max_abs(gram[~same]),
+                             _max_abs(stacked @ stacked.conj().T - np.eye(scheme.dim)))
 
-    projs = [o.projector_matrix() for o in scheme.outcomes]
-    idem = max(float(np.max(np.abs(p @ p - p))) for p in projs)
-    herm = max(float(np.max(np.abs(p - p.conj().T))) for p in projs)
-    ortho = 0.0
-    for i in range(len(projs)):
-        for j in range(i + 1, len(projs)):
-            ortho = max(ortho, float(np.max(np.abs(projs[i] @ projs[j]))))
-    comp = float(np.max(np.abs(sum(projs) - np.eye(dim))))
-    return SchemeDiagnostics(idem, herm, ortho, comp)
+
+def _max_abs(values: np.ndarray) -> float:
+    return float(np.max(np.abs(values), initial=0.0))
 
 
 def _require_valid(scheme: MeasurementScheme) -> None:

@@ -28,9 +28,9 @@ from .oscillators import coherent_amplitudes, ladder
 from .policy import DEFAULT_POLICY, TruncationError
 
 _ORACLE_BYTE_BUDGET = 256 * 2**20
-# Most dim-sized complex vectors alive at once: the prestate, the
-# verification target and the two copies its scheme keeps, a branch, and
-# the intermediate, accumulator and term product of a squared apply.
+# Dim-sized complex vectors a call may hold at once: the prestate, the
+# verification target (shared by both outcomes), the two branches, and the
+# intermediate, accumulator and term product of a squared apply; one spare.
 _LIVE_VECTORS = 8
 
 

@@ -181,12 +181,11 @@ def _check_choice(choice: str) -> str:
 
 
 def s2_scheme(choice: str = "standard") -> MeasurementScheme:
-    """Complete measurement of total S^2; ``choice`` picks the triplet basis."""
+    """Measurement of total S^2 in triplet basis ``choice``; "luders" keeps it whole."""
     _check_choice(choice)
     if choice == "luders":
-        p_singlet = np.outer(SINGLET, SINGLET.conj())
-        return MeasurementScheme.from_projectors(
-            (2, 2), [("S=0", p_singlet), ("S=1", np.eye(4) - p_singlet)])
+        return MeasurementScheme.from_basis(
+            (2, 2), [("S=0", SINGLET), ("S=1", [TRIPLET_SYM, _UU, _DD])])
     if choice == "standard":
         triplet = [("S=1 m=0 sym", TRIPLET_SYM), ("S=1 up-up", _UU), ("S=1 down-down", _DD)]
     else:
@@ -196,16 +195,11 @@ def s2_scheme(choice: str = "standard") -> MeasurementScheme:
 
 
 def sz_scheme(choice: str = "standard") -> MeasurementScheme:
-    """Complete measurement of total S^z; ``choice`` picks the m=0 basis."""
+    """Measurement of total S^z in m=0 basis ``choice``; "luders" keeps it whole."""
     _check_choice(choice)
     if choice == "luders":
-        p0 = np.outer(_UD, _UD.conj()) + np.outer(_DU, _DU.conj())
-        return MeasurementScheme.from_projectors(
-            (2, 2),
-            [("m=+1", np.outer(_UU, _UU.conj())),
-             ("m=-1", np.outer(_DD, _DD.conj())),
-             ("m=0", p0)])
-    if choice == "standard":
+        middle = [("m=0", [_UD, _DU])]
+    elif choice == "standard":
         middle = [("m=0 up-down", _UD), ("m=0 down-up", _DU)]
     else:
         middle = [("m=0 sym", TRIPLET_SYM), ("m=0 antisym", SINGLET)]
@@ -214,7 +208,7 @@ def sz_scheme(choice: str = "standard") -> MeasurementScheme:
 
 def identity_scheme() -> MeasurementScheme:
     """Trivial single-outcome scheme (no measurement) on two spins."""
-    return MeasurementScheme.from_projectors((2, 2), [("none", np.eye(4))])
+    return MeasurementScheme.from_basis((2, 2), [("none", [_UU, _UD, _DU, _DD])])
 
 
 def spin_scheme(scheme_id: str, target=None) -> MeasurementScheme:

@@ -165,7 +165,7 @@ def test_criterion_06_phase_state_scheme():
     flat = pre.amps.reshape(-1)
     labels = [(n, b, s) for n in range(n_max) for b in (0, 1)
               for s in range(s_cut + 1)]
-    worst = max(abs(np.vdot(out.vector, flat) - c[n, b, s])
+    worst = max(abs(np.vdot(out.frame[:, 0], flat) - c[n, b, s])
                 for out, (n, b, s) in zip(scheme.outcomes, labels))
     assert worst <= 1e-8
 

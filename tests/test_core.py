@@ -16,6 +16,7 @@ from causalprobe.core import (
     MeasurementScheme,
     Operator,
     SchemeError,
+    SchemeOutcome,
     StateVector,
     born_ensemble,
     embed_local,
@@ -171,11 +172,10 @@ class TestPostMeasurementExpectation:
             u = random_unitary(dim, rng)
             labeled = [(f"v{i}", u[:, i]) for i in range(dim)]
             complete = MeasurementScheme.from_basis(dims, labeled)
-            # Lueders grouping of the same basis into two blocks
+            # Lueders grouping of the same basis into two frames
             half = dim // 2
-            p1 = u[:, :half] @ u[:, :half].conj().T
-            p2 = u[:, half:] @ u[:, half:].conj().T
-            lueders = MeasurementScheme.from_projectors(dims, [("lo", p1), ("hi", p2)])
+            lueders = MeasurementScheme.from_basis(
+                dims, [("lo", u[:, :half].T), ("hi", u[:, half:].T)])
             herm = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             obs = Operator(dims, (herm + herm.conj().T) / 2, hermitian=True)
             psi = random_state(dims, rng)
@@ -184,25 +184,18 @@ class TestPostMeasurementExpectation:
                 ens = born_ensemble(scheme, psi)
                 assert direct == pytest.approx(ens.average(obs), abs=1e-10)
 
-    def test_vector_and_dense_paths_agree(self, rng):
-        dims = (2, 2)
+    def test_multi_vector_frame_is_the_lueders_projector(self, rng):
+        """An outcome given several orthonormal vectors projects onto their
+        span: its matrix and its action are those of sum_j |u_j><u_j|."""
         u = random_unitary(4, rng)
-        labeled = [(f"v{i}", u[:, i]) for i in range(4)]
-        vec_scheme = MeasurementScheme.from_basis(dims, labeled)
-        dense_scheme = MeasurementScheme.from_projectors(
-            dims, [(lbl, np.outer(v, v.conj())) for lbl, v in labeled])
-        obs = spin_observable("sBy")
-        for _ in range(5):
-            psi = random_state(dims, rng)
-            assert post_measurement_expectation(psi, vec_scheme, obs) == pytest.approx(
-                post_measurement_expectation(psi, dense_scheme, obs), abs=1e-12)
-            e1 = born_ensemble(vec_scheme, psi)
-            e2 = born_ensemble(dense_scheme, psi)
-            for a, b in zip(e1.entries, e2.entries):
-                assert a.probability == pytest.approx(b.probability, abs=1e-12)
-                if not a.zero_branch:
-                    assert abs(a.post_state.overlap(b.post_state)) == pytest.approx(
-                        1.0, abs=1e-10)
+        scheme = MeasurementScheme.from_basis(
+            (2, 2), [("lo", [u[:, 0], u[:, 1], u[:, 2]]), ("hi", u[:, 3])])
+        lo = scheme.outcomes[0]
+        want = sum(np.outer(u[:, j], u[:, j].conj()) for j in range(3))
+        assert np.allclose(lo.projector_matrix(), want, rtol=0, atol=1e-14)
+        psi = random_state((2, 2), rng)
+        assert np.allclose(lo.apply(psi.amplitudes), want @ psi.amplitudes,
+                           rtol=0, atol=1e-14)
 
 
 class TestQndsvScheme:
@@ -238,27 +231,36 @@ class TestValidateScheme:
         assert diag.within(1e-12)
 
     def test_yes_only_scheme_completeness_hole(self):
-        p = np.zeros((4, 4))
-        p[0, 0] = 1.0
-        scheme = MeasurementScheme.from_projectors(
-            (2, 2), [("yes", p)], validate=False)
+        scheme = MeasurementScheme.from_basis(
+            (2, 2), [("yes", [1, 0, 0, 0])], validate=False)
         diag = validate_scheme(scheme)
         assert diag.completeness == pytest.approx(1.0, abs=1e-12)
 
     def test_non_orthogonal_pair_flagged(self):
         v1 = np.array([1, 0, 0, 0], dtype=complex)
         v2 = np.array([1, 1, 0, 0], dtype=complex) / math.sqrt(2)
-        scheme = MeasurementScheme.from_projectors(
-            (2, 2),
-            [("a", np.outer(v1, v1.conj())), ("b", np.outer(v2, v2.conj()))],
-            validate=False)
+        scheme = MeasurementScheme.from_basis(
+            (2, 2), [("a", v1), ("b", v2)], validate=False)
         assert validate_scheme(scheme).orthogonality > 0.1
 
+    def test_non_orthonormal_frame_flagged(self):
+        """Columns of one outcome that overlap, or a complement whose frame
+        is not normalized, make that outcome fail idempotence."""
+        v1 = np.array([1, 0, 0, 0], dtype=complex)
+        v2 = np.array([1, 1, 0, 0], dtype=complex) / math.sqrt(2)
+        scheme = MeasurementScheme.from_basis(
+            (2, 2), [("a", [v1, v2]), ("b", [[0, 0, 1, 0], [0, 0, 0, 1]])],
+            validate=False)
+        assert validate_scheme(scheme).idempotence > 0.1
+        halved = MeasurementScheme((2, 2), (SchemeOutcome("yes", v1[:, None]),
+                                            SchemeOutcome("no", v1[:, None] / 2, complement=True)))
+        diag = validate_scheme(halved)
+        assert diag.idempotence > 0.1
+        assert max(diag.orthogonality, diag.completeness) < 1e-15
+
     def test_constructor_rejects_incomplete(self):
-        p = np.zeros((4, 4))
-        p[0, 0] = 1.0
         with pytest.raises(SchemeError):
-            MeasurementScheme.from_projectors((2, 2), [("yes", p)])
+            MeasurementScheme.from_basis((2, 2), [("yes", [1, 0, 0, 0])])
 
 
 class TestReducedProjector:
@@ -351,3 +353,4 @@ def test_no_per_call_policy_kind_basis_or_tol():
                and param.default is not param.empty]
     assert options == []
     assert [f.name for f in dataclasses.fields(MeasurementScheme)] == ["dims", "outcomes"]
+    assert [f.name for f in dataclasses.fields(SchemeOutcome)] == ["label", "frame", "complement"]

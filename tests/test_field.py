@@ -6,6 +6,7 @@ cutoff scalings, wave packets, and the side-by-side second-moment report."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -433,8 +434,9 @@ class TestOracleGuards:
         assert target.norm == pytest.approx(1.0, abs=1e-14)
 
     def test_mask_collapse_matches_generic_machinery(self):
-        """The oracle's mask-based naive collapse equals the dense Lueders
-        projector family from the core on a tiny truncation."""
+        """The oracle's mask-based naive collapse equals the core's Lueders
+        family, one frame of number states per joint outcome (m, n), on a
+        tiny truncation."""
         from causalprobe.core import MeasurementScheme, post_measurement_expectation
 
         trunc = 4
@@ -442,18 +444,11 @@ class TestOracleGuards:
         phi = dense_field_operator(MODES, 1, trunc)
         dims = state.dims
         q = int(MODES.conjugate_index[P])
-        labeled = []
-        eye = np.eye(int(np.prod(dims)))
-        tensor_eye = eye.reshape(dims + dims)
-        for m in range(trunc):
-            for n in range(trunc):
-                mask = np.zeros_like(tensor_eye)
-                sel = [slice(None)] * len(dims)
-                sel[P], sel[q] = m, n
-                sel2 = sel + sel
-                mask[tuple(sel2)] = tensor_eye[tuple(sel2)]
-                labeled.append((f"{m},{n}", mask.reshape(eye.shape)))
-        scheme = MeasurementScheme.from_projectors(dims, labeled)
+        digits = np.indices(dims).reshape(len(dims), -1)
+        basis = np.eye(digits.shape[1])
+        labeled = [(f"{m},{n}", basis[(digits[P] == m) & (digits[q] == n)])
+                   for m in range(trunc) for n in range(trunc)]
+        scheme = MeasurementScheme.from_basis(dims, labeled)
         want = post_measurement_expectation(state, scheme, phi)
         rep = numeric_oracle_qndsv(MODES, KICK, 1, P, trunc, scheme_kind="naive",
                                    observables=("phi_y",))
@@ -524,3 +519,21 @@ class TestOracleLattices:
             rep.values["phi_y"], abs=1e-6)
         assert qndsv_phi2_y(self.N8, KICK, y, p) == pytest.approx(
             rep.values["phi2_y"], abs=1e-8)
+
+    @pytest.mark.parametrize("kind, observables", [
+        ("qndsv", ("phi_y", "phi2_y")),
+        ("qndsv", ("phi_y", "pi_y", "phi2_y", "pi2_y")),
+        ("naive", ("phi_y", "phi2_y")),
+    ])
+    def test_peak_memory_within_live_vectors(self, kind, observables):
+        """A call's traced peak stays within the _LIVE_VECTORS dim-sized
+        vectors the byte budget charges for, plus 1 MiB for small arrays."""
+        p = self.N8.mode_index(1)
+        tracemalloc.start()
+        try:
+            numeric_oracle_qndsv(self.N8, KICK, 2, p, 5, scheme_kind=kind,
+                                 observables=observables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _LIVE_VECTORS * 5**8 * 16 + 2**20

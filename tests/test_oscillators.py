@@ -252,7 +252,7 @@ class TestPhaseScheme:
                 for s in range(s_cut + 1):
                     out = scheme.outcomes[idx]
                     assert out.label == f"n={n} b={b} s={s}"
-                    worst = max(worst, abs(np.vdot(out.vector, flat) - c[n, b, s]))
+                    worst = max(worst, abs(np.vdot(out.frame[:, 0], flat) - c[n, b, s]))
                     idx += 1
         assert worst < 1e-8
         for s_cut, kick in ((0, KickParams(p_a=0.25, p_b=0.5, lam=0.25)),   # Lambda- = 0

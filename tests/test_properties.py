@@ -15,10 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalprobe import fieldtheory, oscillators, spins
-from causalprobe.core import StateVector, born_ensemble, post_measurement_expectation, tensor_state
+from causalprobe.core import (MeasurementScheme, Operator, SchemeOutcome, StateVector,
+                              born_ensemble, post_measurement_expectation,
+                              post_measurement_expectations, tensor_state, validate_scheme)
 from causalprobe.harness import SPIN
 from causalprobe.lattice import LatticeSpec, build_modes
 from causalprobe.policy import TruncationError
+
+from conftest import random_unitary
 
 SEEDED = settings(derandomize=True, deadline=None)
 
@@ -65,6 +69,48 @@ def test_semicausal_schemes_show_no_signal(sid, state, axis, angle):
         obs = spins.spin_observable(f"sB{component}")
         after = post_measurement_expectation(rotated, scheme, obs)
         assert abs(after - post_measurement_expectation(state, scheme, obs)) <= 1e-12
+
+
+@st.composite
+def framed_schemes(draw):
+    """A random unitary on dim <= 16 split into frames of random ranks, the
+    last outcome optionally given as the complement of the others' span;
+    with each outcome's dense projector, summed from np.outer here."""
+    dim = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = random_unitary(dim, rng)
+    cuts = sorted(draw(st.sets(st.integers(1, dim - 1), max_size=dim - 1))) if dim > 1 else []
+    blocks = np.split(u, cuts, axis=1)
+    outcomes = [SchemeOutcome(f"o{i}", b) for i, b in enumerate(blocks)]
+    if len(blocks) > 1 and draw(st.booleans()):
+        outcomes[-1] = SchemeOutcome("rest", np.hstack(blocks[:-1]), complement=True)
+    projectors = []
+    for out in outcomes:
+        proj = sum(np.outer(col, col.conj()) for col in out.frame.T)
+        projectors.append(np.eye(dim) - proj if out.complement else proj)
+    herm = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2)]
+    observables = [Operator((dim,), (h + h.conj().T) / 2, hermitian=True) for h in herm]
+    amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    state = StateVector((dim,), amp / np.linalg.norm(amp))
+    return MeasurementScheme((dim,), tuple(outcomes)), projectors, observables, state
+
+
+@SEEDED
+@given(case=framed_schemes())
+def test_frames_match_dense_projectors(case):
+    """The frames pass validate_scheme, and their post-measurement averages
+    and Born weights equal sum_i <psi|P_i O P_i|psi> and <psi|P_i|psi> from
+    dense projectors."""
+    scheme, projectors, observables, state = case
+    assert validate_scheme(scheme).within(1e-10)
+    psi = state.amplitudes
+    got = post_measurement_expectations(state, scheme, observables)
+    for value, obs in zip(got, observables):
+        want = sum(np.vdot(psi, p @ obs.matrix @ p @ psi).real for p in projectors)
+        assert abs(value - want) <= 1e-12
+    weights = [e.probability for e in born_ensemble(scheme, state).entries]
+    assert np.allclose(weights, [np.vdot(psi, p @ psi).real for p in projectors],
+                       rtol=0, atol=1e-12)
 
 
 @st.composite
