@@ -21,11 +21,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import StateVector, post_measurement_expectation, qndsv_scheme
+from .core import (StateVector, post_measurement_expectation, post_measurement_expectations,
+                   qndsv_scheme)
 from .fieldtheory import KickSpec, kick_displacements, qndsv_phi2_y_candidate
 from .lattice import ModeSet
 from .oscillators import coherent_amplitudes, ladder
-from .policy import DEFAULT_POLICY, TruncationError
+from .policy import DEFAULT_POLICY, checked_tail
 
 _ORACLE_BYTE_BUDGET = 256 * 2**20
 # Dim-sized complex vectors a call may hold at once: the prestate, the
@@ -51,11 +52,8 @@ def oracle_prestate(modes: ModeSet, kick: KickSpec, trunc: int) -> tuple[StateVe
     amp = np.array([1.0], dtype=complex)
     for a in alphas:
         amp = np.kron(amp, coherent_amplitudes(a, trunc))
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(amp) ** 2)))
-    if tail > DEFAULT_POLICY.tail_tol:
-        raise TruncationError(f"per-mode truncation {trunc} leaves tail {tail:.3e}"
-                              f" > {DEFAULT_POLICY.tail_tol:.0e}")
-    return StateVector(dims, amp), tail
+    return StateVector(dims, amp), checked_tail(float(np.sum(np.abs(amp) ** 2)),
+                                                f"per-mode truncation {trunc}")
 
 
 @dataclass(frozen=True)
@@ -232,8 +230,7 @@ def numeric_oracle_qndsv(modes: ModeSet, kick: KickSpec, y, p_index: int,
         target = one_particle_state(modes, p_index, trunc)
         scheme = qndsv_scheme(target)
         p_yes = float(abs(target.overlap(state)) ** 2)
-        post = {name: post_measurement_expectation(state, scheme, op)
-                for name, op in ops.items()}
+        post = dict(zip(ops, post_measurement_expectations(state, scheme, ops.values())))
     elif scheme_kind == "naive":
         q_index = int(modes.conjugate_index[p_index])
         post = {name: _naive_expectation(state, op, p_index, q_index)

@@ -3,7 +3,8 @@
 The center-of-mass / relative coordinates Q_pm = (Q_A +- Q_B)/sqrt(2) carry
 their own ladder operators a_pm = (a_A +- a_B)/sqrt(2); on Fock amplitudes
 the change of basis is a 50:50 mixing that conserves total excitation
-number, applied here sector by sector with exact binomial coefficients.
+number, applied here sector by sector; each entry is one square root of a
+ratio of exact integers.  Coherent amplitudes follow the ladder recurrence.
 
 Phase convention: the momentum kick exp(i q Q / hbar) on a ground state is
 the displacement D(alpha) with alpha = i q / (sqrt(2) hbar kappa),
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import (
     MeasurementScheme,
@@ -42,7 +42,7 @@ from .core import (
     OutcomeEntry,
     StateVector,
 )
-from .policy import DEFAULT_POLICY, TruncationError
+from .policy import DEFAULT_POLICY, TruncationError, checked_tail
 
 BASIS_AB = "AB"
 BASIS_PM = "PM"
@@ -136,11 +136,13 @@ def momentum_matrix(dim: int, params: OscParams) -> np.ndarray:
 
 
 def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
-    """Truncated coherent state, physical (unrenormalized) amplitudes."""
-    n = np.arange(dim)
-    mag = np.exp(-abs(alpha) ** 2 / 2.0 - 0.5 * gammaln(n + 1))
-    return mag * np.power(complex(alpha), n) if alpha != 0 else (
-        np.eye(dim, dtype=complex)[0])
+    """Truncated coherent state, physical (unrenormalized) amplitudes, by the
+    ladder recurrence <n|alpha> = (alpha/sqrt(n)) <n-1|alpha> from
+    <0|alpha> = exp(-|alpha|^2/2); the running product never overflows."""
+    steps = np.full(dim, complex(alpha))
+    steps[:1] = math.exp(-0.5 * abs(alpha) * abs(alpha))
+    steps[1:] /= np.sqrt(np.arange(1, dim))
+    return np.cumprod(steps)
 
 
 def _normalize_trunc(trunc) -> tuple[int, int]:
@@ -158,12 +160,8 @@ def _kicked_factors(params: OscParams, kick: KickParams,
         raise ValueError(f"trunc must be at least 1 level per mode, got {d_plus}x{d_minus}")
     f_plus = coherent_amplitudes(1j * kick.big_lambda_plus(params), d_plus)
     f_minus = coherent_amplitudes(1j * kick.big_lambda_minus(params), d_minus)
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(f_plus) ** 2))
-               * float(np.sum(np.abs(f_minus) ** 2)))
-    if tail > DEFAULT_POLICY.tail_tol:
-        raise TruncationError(f"truncation {d_plus}x{d_minus} leaves tail {tail:.3e}"
-                              f" > {DEFAULT_POLICY.tail_tol:.0e}")
-    return f_plus, f_minus, tail
+    norm = float(np.sum(np.abs(f_plus) ** 2)) * float(np.sum(np.abs(f_minus) ** 2))
+    return f_plus, f_minus, checked_tail(norm, f"truncation {d_plus}x{d_minus}")
 
 
 def coherent_prestate(params: OscParams, kick: KickParams, trunc) -> TwoModeFock:
@@ -184,25 +182,21 @@ def mixing_sector_matrix(n: int) -> np.ndarray:
     basis inside the total-number-n sector; real, orthogonal, involutive.
 
     Entry [n_plus, n_A] comes from expanding
-    (a+_dag + a-_dag)^{n_A} (a+_dag - a-_dag)^{n_B} / sqrt(2^n):
-    the integer coefficient of t^{n_plus} in (1+t)^{n_A} (t-1)^{n_B},
-    computed exactly, times sqrt(n_plus! n_minus! / n_A! n_B!).
+    (a+_dag + a-_dag)^{n_A} (a+_dag - a-_dag)^{n_B} / sqrt(2^n): with k the
+    integer coefficient of t^{n_plus} in (1+t)^{n_A} (t-1)^{n_B}, it is
+    sign(k) sqrt(k^2 n_plus! n_minus! / (n_A! n_B! 2^n)), the ratio formed
+    from exact integers, rounded once, then square-rooted.
     """
     mat = np.zeros((n + 1, n + 1))
-    lg = gammaln(np.arange(n + 2))
+    fact = [math.factorial(i) for i in range(n + 1)]
     for n_a in range(n + 1):
         n_b = n - n_a
-        coeffs = [1]
-        for _ in range(n_a):  # multiply by (1 + t)
-            coeffs = [x + y for x, y in zip(coeffs + [0], [0] + coeffs)]
+        coeffs = [math.comb(n_a, j) for j in range(n_a + 1)]
         for _ in range(n_b):  # multiply by (t - 1)
             coeffs = [-x + y for x, y in zip(coeffs + [0], [0] + coeffs)]
         for n_p, k in enumerate(coeffs):
-            if k == 0:
-                continue
-            log_amp = 0.5 * (lg[n_p + 1] + lg[n - n_p + 1] - lg[n_a + 1] - lg[n_b + 1]) \
-                - 0.5 * n * math.log(2.0)
-            mat[n_p, n_a] = math.copysign(math.exp(log_amp + math.log(abs(k))), k)
+            root = math.sqrt(k * k * fact[n_p] * fact[n - n_p] / (fact[n_a] * fact[n_b] * 2**n))
+            mat[n_p, n_a] = root if k >= 0 else -root
     mat.setflags(write=False)
     return mat
 

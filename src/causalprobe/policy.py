@@ -4,7 +4,7 @@ Structural checks (projector algebra, completeness, scheme validation) are
 held to ``structural_tol``; quantities that are exact in real arithmetic
 (basis-state overlaps, closed-form rational values) to ``exact_tol``.
 Truncated-basis constructions must keep the norm outside the truncation
-below ``tail_tol`` or refuse to proceed.
+below ``tail_tol`` or refuse to proceed (``checked_tail``).
 """
 
 from __future__ import annotations
@@ -28,3 +28,12 @@ class NumericPolicy:
 
 
 DEFAULT_POLICY = NumericPolicy()
+
+
+def checked_tail(norm: float, what: str) -> float:
+    """1 - norm, the weight ``what`` leaves outside its truncation, clamped at 0;
+    refuses a norm not finite or off 1 by over ``tail_tol`` (above 1: bad amplitudes)."""
+    if not abs(1.0 - norm) <= DEFAULT_POLICY.tail_tol:  # false for NaN too
+        raise TruncationError(f"{what} leaves tail {1.0 - norm:.3e}, outside"
+                              f" +-{DEFAULT_POLICY.tail_tol:.0e}")
+    return max(0.0, 1.0 - norm)

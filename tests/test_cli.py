@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -117,6 +121,19 @@ class TestHoCommand:
         rows = read_rows(tmp_path / "ho_naive-nplus.csv")
         assert float(rows[0]["value"]) == pytest.approx(-0.5, abs=1e-8)
 
+    def test_high_levels_stay_finite(self, tmp_path):
+        """Levels up to 699 of |alpha|^2 = 9 coherent factors: the ladder
+        recurrence never forms alpha^n, so no inf * 0 turns a cell to NaN."""
+        assert run(["ho", "naive-nplus", "--p-a", "6", "--trunc", "700", "--lambda", "0",
+                    "--out", str(tmp_path)]) == 0
+        for name in ("ho_naive-nplus.csv", "ho_naive-nplus_summary.csv"):
+            for row in read_rows(tmp_path / name):
+                assert all(math.isfinite(float(v)) for k, v in row.items()
+                           if k != "observable"), (name, row)
+        rows = {r["observable"]: float(r["value"])
+                for r in read_rows(tmp_path / "ho_naive-nplus.csv")}
+        assert rows["PB"] == pytest.approx(-3.0, abs=1e-8)
+
     def test_naive_path_builds_no_branch_states(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("naive_nplus_ensemble called on the CLI path")
@@ -133,6 +150,17 @@ class TestHoCommand:
         rows = read_rows(tmp_path / "ho_phase.csv")
         values = [r["value"] for r in rows if r["observable"] in ("QB", "PB")]
         assert values and set(values) == {"0"}
+
+
+class TestDependencies:
+    def test_cli_import_loads_no_scipy(self):
+        """numpy is the only runtime dependency; scipy serves the tests alone."""
+        probe = ("import sys, causalprobe.cli; print(sorted(m for m in sys.modules"
+                 " if m == 'scipy' or m.startswith('scipy.')))")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestExitCodes:

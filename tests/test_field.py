@@ -28,7 +28,8 @@ from causalprobe.fieldtheory import (
     sorkin_derivative,
     suppression_factor,
 )
-from causalprobe.core import Operator, embed_local
+from causalprobe.core import (Operator, SchemeOutcome, embed_local, post_measurement_expectation,
+                             qndsv_scheme)
 from causalprobe.field_oracle import (
     _LIVE_VECTORS,
     _ORACLE_BYTE_BUDGET,
@@ -410,6 +411,11 @@ class TestOracleGuards:
         with pytest.raises(TruncationError):
             oracle_prestate(MODES, KickSpec(0, 3.0), 2)
 
+    def test_non_finite_kick_refused(self):
+        """NaN amplitudes give a NaN norm, refused rather than read as a zero tail."""
+        with np.errstate(invalid="ignore"), pytest.raises(TruncationError):
+            oracle_prestate(MODES, KickSpec(0, math.inf), 3)
+
     def test_dimension_cap(self):
         """6^64 joint amplitudes wrap to 0 in int64; the budget uses exact
         integers and refuses the lattice before allocating anything."""
@@ -473,6 +479,23 @@ class TestMatrixFreeOracle:
         bad = op.terms[:-1] + (ladder(3),)
         with pytest.raises(ValueError, match="hermitian"):
             ModeSumOperator(op.dims, bad)
+
+    def test_verification_branches_computed_once(self, monkeypatch):
+        """Both outcomes are applied once for all four observables, and the
+        values equal the one-observable route's."""
+        state, _ = oracle_prestate(MODES, KICK, 4)
+        scheme = qndsv_scheme(one_particle_state(MODES, P, 4))
+        phi, pi = field_operator(MODES, 1, 4), momentum_operator(MODES, 1, 4)
+        ops = {"phi_y": phi, "pi_y": pi, "phi2_y": phi.squared(), "pi2_y": pi.squared()}
+        want = {name: post_measurement_expectation(state, scheme, op)
+                for name, op in ops.items()}
+        calls = []
+        apply = SchemeOutcome.apply
+        monkeypatch.setattr(SchemeOutcome, "apply",
+                            lambda self, amps: calls.append(1) or apply(self, amps))
+        rep = numeric_oracle_qndsv(MODES, KICK, 1, P, 4)
+        assert len(calls) == 2
+        assert rep.values == want
 
     def test_converges_in_truncation(self):
         """Values at trunc 5 and 6 sit within the dropped amplitude,

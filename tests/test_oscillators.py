@@ -98,6 +98,25 @@ class TestCoherentPrestate:
         with pytest.raises(TruncationError):
             coherent_prestate(PARAMS, KickParams(lam=4.0), 4)
 
+    def test_underflowing_ground_amplitude_rejected(self):
+        """|alpha|^2 = 1600: e^{-|alpha|^2/2} underflows to 0, so every
+        amplitude is 0 and the tail is 1, however large the box."""
+        with pytest.raises(TruncationError):
+            coherent_prestate(PARAMS, KickParams(p_a=80.0), 2000)
+
+    def test_subnormal_ground_amplitude_rejected(self):
+        """|alpha|^2 = 1480: e^{-|alpha|^2/2} is subnormal, the recurrence
+        carries its lost digits into every level and the norm exceeds 1."""
+        momentum = math.sqrt(1480.0)
+        with pytest.raises(TruncationError):
+            kicked_moments(PARAMS, KickParams(p_a=momentum, p_b=momentum), (3000, 1))
+
+    def test_non_finite_kick_rejected(self):
+        """An infinite kick gives 0 * inf = NaN amplitudes; the NaN norm is
+        refused, not clamped to a zero tail."""
+        with np.errstate(invalid="ignore"), pytest.raises(TruncationError):
+            kicked_moments(PARAMS, KickParams(lam=math.inf), 10)
+
     def test_norm_invariant_enforced(self):
         amps = np.zeros((3, 3), dtype=complex)
         amps[0, 0] = 0.5
@@ -131,10 +150,12 @@ class TestModeMixing:
         assert np.max(np.abs(pm.amps - want)) < 1e-10
 
     def test_sector_matrices_orthogonal_involutive(self):
-        for n in (0, 1, 2, 5, 17, 40, 80):
+        """Each entry is rounded once from exact integers, so the products
+        miss the identity only by the rounding of the matrix product."""
+        for n in (0, 1, 2, 5, 17, 40, 80, 120, 160):
             b = mixing_sector_matrix(n)
-            assert np.allclose(b @ b, np.eye(n + 1), atol=1e-10)
-            assert np.allclose(b.T @ b, np.eye(n + 1), atol=1e-10)
+            assert np.max(np.abs(b @ b - np.eye(n + 1))) <= 2e-15, n
+            assert np.max(np.abs(b.T @ b - np.eye(n + 1))) <= 2e-15, n
 
     def test_transformed_basis_gram_identity_on_contained_sectors(self):
         dim = 12

@@ -6,6 +6,7 @@ Tier-1 stays deterministic.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 
@@ -243,3 +244,20 @@ def test_phase_moments_refuse_what_the_prestate_refuses(params, p_a, p_b, lam, n
             oscillators.phase_ensemble_moments(params, kick, s_cut, n_max)
         return
     oscillators.phase_ensemble_moments(params, kick, s_cut, n_max)
+
+
+@SEEDED
+@given(r=st.floats(1e-6, 20.0), theta=st.floats(-math.pi, math.pi),
+       dim=st.integers(1, 2000))
+def test_coherent_amplitudes_are_poisson_amplitudes(r, theta, dim):
+    """The ladder recurrence gives |<n|alpha>|^2 = e^{-|alpha|^2} |alpha|^{2n}/n!
+    at every level, and the full norm once the box holds the Poisson bulk."""
+    alpha = cmath.rect(r, theta)
+    amps = oscillators.coherent_amplitudes(alpha, dim)
+    assert amps.shape == (dim,) and np.all(np.isfinite(amps))
+    mag = abs(alpha)
+    poisson = np.exp([n * 2.0 * math.log(mag) - mag * mag - math.lgamma(n + 1)
+                      for n in range(dim)])
+    assert np.max(np.abs(np.abs(amps) ** 2 - poisson)) <= 1e-13
+    if dim >= mag * mag + 10.0 * mag + 20.0:
+        assert abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) <= 1e-12
