@@ -26,10 +26,9 @@ from causalprobe.core import (
 )
 from causalprobe.spins import (
     alice_rotate,
-    s2_scheme,
     spin_observable,
+    spin_scheme,
     spin_state,
-    sz_scheme,
 )
 
 HALF_PI = math.pi / 2
@@ -54,21 +53,21 @@ print("  entanglement anywhere in the protocol.")
 
 banner("2. Ideal S^2 measurement: the degenerate basis matters")
 pre = spin_state("right", "up")
-for choice in ("standard", "bell"):
-    ens = born_ensemble(s2_scheme(choice), pre)
+for sid in ("s2-standard", "s2-bell"):
+    ens = born_ensemble(spin_scheme(sid), pre)
     probs = ", ".join(f"{e.label}: {e.probability:.3f}" for e in ens.entries)
-    value = post_measurement_expectation(pre, s2_scheme(choice), SBZ)
-    print(f"  {choice:9s} triplet basis: {probs}")
+    value = post_measurement_expectation(pre, spin_scheme(sid), SBZ)
+    print(f"  {sid:11s} triplet basis: {probs}")
     print(f"            -> <s_B^z> after = {value:+.6f}")
 print("  Same operator, same prestate, different post-measurement bases:")
 print("  hbar/4 against 0.  The flip example is sharper still:")
 for label, pre2 in (("no flip", spin_state("up", "up")),
                     ("flipped", spin_state("down", "up"))):
-    value = post_measurement_expectation(pre2, s2_scheme("standard"), SBZ)
+    value = post_measurement_expectation(pre2, spin_scheme("s2-standard"), SBZ)
     print(f"    {label:8s}: <s_B^z> after S^2 = {value:+.4f}")
 
 banner("3. Why the entangled triplet basis is safe: reduced projectors")
-for out in s2_scheme("bell").outcomes:
+for out in spin_scheme("s2-bell").outcomes:
     proj = Operator((2, 2), out.projector_matrix(), hermitian=True)
     red = reduced_projector(proj, keep=1)
     print(f"  {out.label:14s} -> Tr_A P = {np.real(np.diag(red.matrix))} (always 1/2)")
@@ -79,10 +78,10 @@ banner("4. Scan of Alice's rotation angle for each prescription")
 angles = np.linspace(0.0, math.pi, 7)
 rows = {
     "verification |up right>": qndsv_scheme(spin_state("up", "right")),
-    "S^2 standard basis": s2_scheme("standard"),
-    "S^2 entangled basis": s2_scheme("bell"),
-    "S^z product m=0 basis": sz_scheme("standard"),
-    "S^z entangled m=0 basis": sz_scheme("bell"),
+    "S^2 standard basis": spin_scheme("s2-standard"),
+    "S^2 entangled basis": spin_scheme("s2-bell"),
+    "S^z product m=0 basis": spin_scheme("sz-standard"),
+    "S^z entangled m=0 basis": spin_scheme("sz-bell"),
 }
 header = "  angle/pi:" + "".join(f"{a/math.pi:8.3f}" for a in angles)
 print(header)

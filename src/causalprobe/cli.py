@@ -130,13 +130,16 @@ def _add_common(sub: argparse.ArgumentParser):
 
 def _parse_alice(text: str) -> tuple[tuple[float, float, float], float]:
     # rotate-y:1.5707963 or rotate-0,0,1:0.5
-    if not text.startswith("rotate-") or ":" not in text:
-        raise ScenarioError(f"cannot parse alice operation {text!r}")
-    axis_part, angle_part = text[len("rotate-"):].split(":", 1)
     named = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
-    # a component axis is checked for length by the scenario's typed alice.axis
-    axis = named.get(axis_part) or tuple(float(c) for c in axis_part.split(","))
-    return axis, float(angle_part)
+    try:
+        if not text.startswith("rotate-") or ":" not in text:
+            raise ValueError(text)
+        axis_part, angle_part = text[len("rotate-"):].split(":", 1)
+        # a component axis is checked for length by the scenario's typed alice.axis
+        axis = named.get(axis_part) or tuple(float(c) for c in axis_part.split(","))
+        return axis, float(angle_part)
+    except ValueError:
+        raise ScenarioError(f"cannot parse alice operation {text!r}") from None
 
 
 def _apply_grid(args, raw: dict) -> None:

@@ -223,15 +223,6 @@ class OutcomeEnsemble:
                 return e.probability
         raise KeyError(label)
 
-    def average(self, obs: Operator) -> float:
-        """Probability-weighted expectation of obs over the branches."""
-        total = 0.0
-        for e in self.entries:
-            if e.zero_branch:
-                continue
-            total += e.probability * obs.expectation(e.post_state)
-        return total
-
 
 # ---------------------------------------------------------------------------
 # operations

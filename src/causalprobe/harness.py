@@ -379,11 +379,9 @@ SPIN = System(
     schemes={
         "qndsv": Scheme({"target": Param("labels", flag="--target",
                                          help="qndsv target labels, e.g. up,right")}),
-        **{sid: Scheme() for sid in ("s2-standard", "s2-bell", "s2-luders",
-                                     "sz-standard", "sz-bell", "sz-luders")},
-        NO_MEASUREMENT: Scheme(),
+        **{sid: Scheme() for sid in spins.SCHEMES},
     },
-    observables=("sAx", "sAy", "sAz", "sBx", "sBy", "sBz", "S2", "Sz"),
+    observables=spins.OBSERVABLES,
     default_observables=("sBz",),
     evaluator=_spin_evaluator,
 )
@@ -548,6 +546,9 @@ def cutoff_sweep(sc: Scenario, axis: str, values, measure: str = "deviation") ->
     values = tuple(values)
     if len(values) < 3:
         raise ScenarioError("a cutoff sweep needs at least 3 points")
+    refused = [v for v in values if _real(f"sweep axis {axis!r}", v) <= 0]
+    if refused:
+        raise ScenarioError(f"sweep axis {axis!r} needs positive cutoffs, got {refused}")
 
     def measures_at(value) -> dict:
         sub = scenario_at(sc, value)

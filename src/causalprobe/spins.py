@@ -1,35 +1,31 @@
-"""Two-spin system: product-state builders, local rotations on particle A,
-and the competing projective prescriptions for the total-spin variables.
+"""Two-spin system, declared as three tables: the named single-spin kets
+(``_NAMED``), the measurement prescriptions (``SCHEMES``) and the
+observables (``OBSERVABLES``); plus local rotations on particle A.
 
 Both S^2 and S^z have a degenerate eigenspace on two spins, so a complete
-orthogonal measurement must pick a basis inside it.  The choice matters:
+orthogonal measurement must pick a basis inside it.  ``SCHEMES`` holds one
+entry per choice, and the choice matters:
 
-* ``s2_scheme("standard")`` keeps the product triplet states up-up/down-down
-  and signals (Bob's <s_B^z> shifts with Alice's local rotation), while
-  ``s2_scheme("bell")`` uses the entangled triplet pair and is semicausal
-  (every reduced projector on B equals 1_B/2).
-* ``sz_scheme("standard")`` keeps the product m=0 pair and is causal, while
-  ``sz_scheme("bell")`` entangles the m=0 subspace and signals.
+* ``"s2-standard"`` keeps the product triplet states up-up/down-down and
+  signals (Bob's <s_B^z> shifts with Alice's local rotation), while
+  ``"s2-bell"`` uses the entangled triplet pair and is semicausal (every
+  reduced projector on B equals 1_B/2).
+* ``"sz-standard"`` keeps the product m=0 pair and is causal, while
+  ``"sz-bell"`` entangles the m=0 subspace and signals.
 
-A Lueders variant (project onto whole eigenspaces, no basis choice) is
-included for both variables as the natural third prescription.
+The ``-luders`` entries project onto whole eigenspaces (no basis choice),
+and ``"none"`` is the single outcome of no measurement.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .core import (
-    MeasurementScheme,
-    Operator,
-    StateVector,
-    embed_local,
-    post_measurement_expectation,
-    tensor_state,
-)
+from .core import (MeasurementScheme, Operator, StateVector, embed_local, qndsv_scheme,
+                   tensor_state)
 from .policy import DEFAULT_POLICY
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -37,94 +33,66 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
-BASIS_CHOICES = ("standard", "bell", "luders")
+
+# the sigma_z (up, down) and sigma_x (right, left) eigenkets, by name
+_NAMED = MappingProxyType({
+    "up": np.array([1.0, 0.0], dtype=complex),
+    "down": np.array([0.0, 1.0], dtype=complex),
+    "right": np.array([1.0, 1.0], dtype=complex) / math.sqrt(2),
+    "left": np.array([1.0, -1.0], dtype=complex) / math.sqrt(2),
+})
+for _named_ket in _NAMED.values():
+    _named_ket.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class SpinLabel:
-    """Single-spin state label: a named axis eigenstate.
-
-    kind "up"/"down" are the sigma_z eigenstates, "right"/"left" the
-    sigma_x ones; "plus"/"minus" carry an arbitrary unit axis.
-    """
-
-    kind: str
-    axis: tuple[float, float, float] | None = None
-
-    def __post_init__(self):
-        if self.kind in ("up", "down", "right", "left"):
-            if self.axis is not None:
-                raise ValueError(f"{self.kind!r} takes no axis")
-        elif self.kind in ("plus", "minus"):
-            ax = _unit_axis(self.axis)
-            object.__setattr__(self, "axis", ax)
-        else:
-            raise ValueError(f"unknown spin label {self.kind!r}")
-
-
-def plus(axis) -> SpinLabel:
-    return SpinLabel("plus", tuple(axis))
-
-
-def minus(axis) -> SpinLabel:
-    return SpinLabel("minus", tuple(axis))
-
-
-def _unit_axis(axis) -> tuple[float, float, float]:
-    if axis is None:
-        raise ValueError("plus/minus labels need an axis")
+def _axis_sigma(axis) -> np.ndarray:
+    """axis . sigma, for a unit 3-vector axis."""
     ax = np.asarray(axis, dtype=float)
     if ax.shape != (3,):
         raise ValueError(f"axis must be a 3-vector, got shape {ax.shape}")
     n = float(np.linalg.norm(ax))
     if abs(n - 1.0) > DEFAULT_POLICY.exact_tol:
         raise ValueError(f"axis must be unit length, |axis|={n!r}")
-    return (float(ax[0]), float(ax[1]), float(ax[2]))
+    return ax[0] * SIGMA_X + ax[1] * SIGMA_Y + ax[2] * SIGMA_Z
 
 
-def _coerce_label(label) -> SpinLabel:
-    if isinstance(label, SpinLabel):
-        return label
-    if isinstance(label, str):
-        return SpinLabel(label)
-    raise TypeError(f"expected SpinLabel or label name, got {label!r}")
-
-
-def single_spin_vector(label) -> np.ndarray:
-    """Two-component ket for a spin label, phase fixed (largest component
-    made real positive)."""
-    label = _coerce_label(label)
-    if label.kind == "up":
-        return np.array([1.0, 0.0], dtype=complex)
-    if label.kind == "down":
-        return np.array([0.0, 1.0], dtype=complex)
-    if label.kind == "right":
-        return np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
-    if label.kind == "left":
-        return np.array([1.0, -1.0], dtype=complex) / math.sqrt(2)
-    ax = np.asarray(label.axis)
-    mat = ax[0] * SIGMA_X + ax[1] * SIGMA_Y + ax[2] * SIGMA_Z
-    vals, vecs = np.linalg.eigh(mat)
-    idx = int(np.argmax(vals)) if label.kind == "plus" else int(np.argmin(vals))
-    v = vecs[:, idx]
+def _axis_ket(axis, pick) -> np.ndarray:
+    """The eigenket of axis . sigma that ``pick`` selects, largest component real positive."""
+    vals, vecs = np.linalg.eigh(_axis_sigma(axis))
+    v = vecs[:, int(pick(vals))]
     pivot = v[np.argmax(np.abs(v))]
     return v * (np.conj(pivot) / abs(pivot))
 
 
+def plus(axis) -> np.ndarray:
+    """The +1 eigenket of axis . sigma, for a unit axis."""
+    return _axis_ket(axis, np.argmax)
+
+
+def minus(axis) -> np.ndarray:
+    """The -1 eigenket of axis . sigma, for a unit axis."""
+    return _axis_ket(axis, np.argmin)
+
+
+def _ket(label) -> np.ndarray:
+    if not isinstance(label, str):
+        return label                 # a ket, from plus or minus
+    if label not in _NAMED:
+        raise ValueError(f"unknown spin label {label!r}; "
+                         f"the named labels are {', '.join(_NAMED)}")
+    return _NAMED[label]
+
+
 def spin_state(a, b) -> StateVector:
-    """Normalized 4-dim product state |a_A b_B>."""
-    return tensor_state([
-        StateVector((2,), single_spin_vector(a)),
-        StateVector((2,), single_spin_vector(b)),
-    ])
+    """Normalized 4-dim product state |a_A b_B>; each label is a name in
+    ``_NAMED`` or a ket from ``plus``/``minus``."""
+    return tensor_state([StateVector((2,), _ket(a)), StateVector((2,), _ket(b))])
 
 
 def rotation_unitary(axis, angle: float) -> np.ndarray:
     """exp(-i angle (axis . sigma)/2)."""
-    ax = np.asarray(_unit_axis(tuple(axis)))
-    gen = ax[0] * SIGMA_X + ax[1] * SIGMA_Y + ax[2] * SIGMA_Z
     half = angle / 2.0
-    return math.cos(half) * np.eye(2) - 1j * math.sin(half) * gen
+    return math.cos(half) * np.eye(2) - 1j * math.sin(half) * _axis_sigma(axis)
 
 
 def alice_rotate(state: StateVector, axis, angle: float) -> StateVector:
@@ -135,18 +103,20 @@ def alice_rotate(state: StateVector, axis, angle: float) -> StateVector:
     return StateVector(state.dims, u @ state.amplitudes)
 
 
+OBSERVABLES = ("sAx", "sAy", "sAz", "sBx", "sBy", "sBz", "S2", "Sz")
+
+
 def spin_observable(name: str, hbar: float = 1.0) -> Operator:
-    """Named observables: s{A,B}{x,y,z} single-spin (hbar/2 sigma), or the
-    totals "S2" and "Sz"."""
+    """An entry of OBSERVABLES: s{A,B}{x,y,z} single-spin (hbar/2 sigma), or
+    the totals "S2" and "Sz"."""
+    if name not in OBSERVABLES:
+        raise ValueError(f"unknown spin observable {name!r}")
     if name == "S2":
         return s2_total(hbar)
     if name == "Sz":
         return sz_total(hbar)
-    if len(name) == 3 and name[0] == "s" and name[1] in "AB" and name[2] in "xyz":
-        slot = 0 if name[1] == "A" else 1
-        single = Operator((2,), (hbar / 2.0) * _PAULI[name[2]], hermitian=True)
-        return embed_local(single, slot, (2, 2))
-    raise ValueError(f"unknown spin observable {name!r}")
+    single = Operator((2,), (hbar / 2.0) * _PAULI[name[2]], hermitian=True)
+    return embed_local(single, "AB".index(name[1]), (2, 2))
 
 
 def sz_total(hbar: float = 1.0) -> Operator:
@@ -173,104 +143,28 @@ TRIPLET_SYM = (_UD + _DU) / math.sqrt(2)
 BELL_PHI_PLUS = (_UU + _DD) / math.sqrt(2)
 BELL_PHI_MINUS = (_UU - _DD) / math.sqrt(2)
 
-
-def _check_choice(choice: str) -> str:
-    if choice not in BASIS_CHOICES:
-        raise ValueError(f"basis choice must be one of {BASIS_CHOICES}, got {choice!r}")
-    return choice
-
-
-def s2_scheme(choice: str = "standard") -> MeasurementScheme:
-    """Measurement of total S^2 in triplet basis ``choice``; "luders" keeps it whole."""
-    _check_choice(choice)
-    if choice == "luders":
-        return MeasurementScheme.from_basis(
-            (2, 2), [("S=0", SINGLET), ("S=1", [TRIPLET_SYM, _UU, _DD])])
-    if choice == "standard":
-        triplet = [("S=1 m=0 sym", TRIPLET_SYM), ("S=1 up-up", _UU), ("S=1 down-down", _DD)]
-    else:
-        triplet = [("S=1 m=0 sym", TRIPLET_SYM),
-                   ("S=1 phi+", BELL_PHI_PLUS), ("S=1 phi-", BELL_PHI_MINUS)]
-    return MeasurementScheme.from_basis((2, 2), [("S=0 singlet", SINGLET)] + triplet)
-
-
-def sz_scheme(choice: str = "standard") -> MeasurementScheme:
-    """Measurement of total S^z in m=0 basis ``choice``; "luders" keeps it whole."""
-    _check_choice(choice)
-    if choice == "luders":
-        middle = [("m=0", [_UD, _DU])]
-    elif choice == "standard":
-        middle = [("m=0 up-down", _UD), ("m=0 down-up", _DU)]
-    else:
-        middle = [("m=0 sym", TRIPLET_SYM), ("m=0 antisym", SINGLET)]
-    return MeasurementScheme.from_basis((2, 2), [("m=+1", _UU), ("m=-1", _DD)] + middle)
-
-
-def identity_scheme() -> MeasurementScheme:
-    """Trivial single-outcome scheme (no measurement) on two spins."""
-    return MeasurementScheme.from_basis((2, 2), [("none", [_UU, _UD, _DU, _DD])])
+# every prescription but verification, as (label, frame) pairs in outcome order:
+# one ket per outcome, or a list of kets for an outcome that keeps its eigenspace whole
+SCHEMES = MappingProxyType({
+    "s2-standard": (("S=0 singlet", SINGLET), ("S=1 m=0 sym", TRIPLET_SYM),
+                    ("S=1 up-up", _UU), ("S=1 down-down", _DD)),
+    "s2-bell": (("S=0 singlet", SINGLET), ("S=1 m=0 sym", TRIPLET_SYM),
+                ("S=1 phi+", BELL_PHI_PLUS), ("S=1 phi-", BELL_PHI_MINUS)),
+    "s2-luders": (("S=0", SINGLET), ("S=1", [TRIPLET_SYM, _UU, _DD])),
+    "sz-standard": (("m=+1", _UU), ("m=-1", _DD), ("m=0 up-down", _UD), ("m=0 down-up", _DU)),
+    "sz-bell": (("m=+1", _UU), ("m=-1", _DD), ("m=0 sym", TRIPLET_SYM), ("m=0 antisym", SINGLET)),
+    "sz-luders": (("m=+1", _UU), ("m=-1", _DD), ("m=0", [_UD, _DU])),
+    "none": (("none", [_UU, _UD, _DU, _DD]),),
+})
 
 
 def spin_scheme(scheme_id: str, target=None) -> MeasurementScheme:
-    """The scheme a spin scheme id names; the ids are declared in
-    ``harness.SPIN``.  "qndsv" verifies the product state ``target``."""
-    from .core import qndsv_scheme
-
+    """The scheme a spin scheme id names: an entry of ``SCHEMES``, or
+    "qndsv", the verification of the product state ``target``."""
     if scheme_id == "qndsv":
         if target is None:
             raise ValueError("qndsv scheme needs a target (pair of spin labels)")
         return qndsv_scheme(spin_state(*target))
-    if scheme_id == "none":
-        return identity_scheme()
-    if "-" in scheme_id:
-        var, choice = scheme_id.split("-", 1)
-        if var == "s2":
-            return s2_scheme(choice)
-        if var == "sz":
-            return sz_scheme(choice)
-    raise ValueError(f"unknown spin scheme {scheme_id!r}")
-
-
-@dataclass(frozen=True)
-class BeforeAfter:
-    before: float
-    after: float
-
-
-def measured_flag_observable(scheme: MeasurementScheme, prestate: StateVector,
-                             obs: Operator) -> BeforeAfter:
-    """<obs> on the prestate vs the post-measurement ensemble average.
-
-    When the two differ, an observer with knowledge of the initial state can
-    tell from local data alone that (and which) measurement happened.
-    """
-    return BeforeAfter(
-        before=float(obs.expectation(prestate)),
-        after=post_measurement_expectation(prestate, scheme, obs),
-    )
-
-
-def bloch_grid(n_axes: int = 10, angles=(math.pi / 2, math.pi)):
-    """Deterministic (axis, angle) grid of A-local rotations: Fibonacci-sphere
-    axes crossed with the given angles."""
-    pts = []
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    for i in range(n_axes):
-        z = 1.0 - 2.0 * (i + 0.5) / n_axes
-        r = math.sqrt(max(0.0, 1.0 - z * z))
-        th = golden * i
-        axis = (r * math.cos(th), r * math.sin(th), z)
-        for ang in angles:
-            pts.append((axis, ang))
-    return pts
-
-
-def random_rotations(n: int, seed: int = 0):
-    """Seeded random (axis, angle) pairs, uniform axis on the sphere."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        v = rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        out.append((tuple(v), float(rng.uniform(0.0, 2.0 * math.pi))))
-    return out
+    if scheme_id not in SCHEMES:
+        raise ValueError(f"unknown spin scheme {scheme_id!r}")
+    return MeasurementScheme.from_basis((2, 2), SCHEMES[scheme_id])

@@ -51,13 +51,12 @@ from causalprobe.oscillators import (
 )
 from causalprobe.spins import (
     alice_rotate,
-    random_rotations,
-    s2_scheme,
     spin_observable,
+    spin_scheme,
     spin_state,
-    sz_scheme,
 )
 
+from conftest import random_rotations
 from test_cli import ALL_FIXTURES, _run_fixture
 
 SBZ = spin_observable("sBz")
@@ -82,16 +81,16 @@ def test_criterion_01_spin_qndsv_signaling():
 
 
 def test_criterion_02_total_spin_flip_example():
-    ens = born_ensemble(s2_scheme("standard"), spin_state("up", "up"))
+    ens = born_ensemble(spin_scheme("s2-standard"), spin_state("up", "up"))
     assert ens.probability("S=1 up-up") == pytest.approx(1.0, abs=1e-12)
     assert post_measurement_expectation(
-        spin_state("up", "up"), s2_scheme("standard"), SBZ) \
+        spin_state("up", "up"), spin_scheme("s2-standard"), SBZ) \
         == pytest.approx(0.5, abs=1e-12)
     flipped = spin_state("down", "up")
-    ens2 = born_ensemble(s2_scheme("standard"), flipped)
+    ens2 = born_ensemble(spin_scheme("s2-standard"), flipped)
     assert ens2.probability("S=0 singlet") == pytest.approx(0.5, abs=1e-12)
     assert ens2.probability("S=1 m=0 sym") == pytest.approx(0.5, abs=1e-12)
-    assert post_measurement_expectation(flipped, s2_scheme("standard"), SBZ) \
+    assert post_measurement_expectation(flipped, spin_scheme("s2-standard"), SBZ) \
         == pytest.approx(0.0, abs=1e-12)
     _report(2, "flip example: certainty without the flip, 1/2-1/2 and "
                "<sBz> = 0 with it")
@@ -99,33 +98,33 @@ def test_criterion_02_total_spin_flip_example():
 
 def test_criterion_03_post_basis_ambiguity():
     psi = spin_state("right", "up")
-    std = born_ensemble(s2_scheme("standard"), psi)
+    std = born_ensemble(spin_scheme("s2-standard"), psi)
     for label, want in (("S=0 singlet", 0.25), ("S=1 m=0 sym", 0.25),
                         ("S=1 up-up", 0.5), ("S=1 down-down", 0.0)):
         assert std.probability(label) == pytest.approx(want, abs=1e-12)
-    assert post_measurement_expectation(psi, s2_scheme("standard"), SBZ) \
+    assert post_measurement_expectation(psi, spin_scheme("s2-standard"), SBZ) \
         == pytest.approx(0.25, abs=1e-12)
-    bell = born_ensemble(s2_scheme("bell"), psi)
+    bell = born_ensemble(spin_scheme("s2-bell"), psi)
     for entry in bell.entries:
         assert entry.probability == pytest.approx(0.25, abs=1e-12)
-    assert post_measurement_expectation(psi, s2_scheme("bell"), SBZ) \
+    assert post_measurement_expectation(psi, spin_scheme("s2-bell"), SBZ) \
         == pytest.approx(0.0, abs=1e-12)
-    assert post_measurement_expectation(psi, sz_scheme("standard"), SBZ) \
+    assert post_measurement_expectation(psi, spin_scheme("sz-standard"), SBZ) \
         == pytest.approx(0.5, abs=1e-12)
-    assert post_measurement_expectation(psi, sz_scheme("bell"), SBZ) \
+    assert post_measurement_expectation(psi, spin_scheme("sz-bell"), SBZ) \
         == pytest.approx(0.25, abs=1e-12)
     _report(3, "same prestate, different degenerate bases: hbar/4 vs 0, "
                "and hbar/2 vs hbar/4 for total-Sz")
 
 
 def test_criterion_04_semicausality():
-    for out in s2_scheme("bell").outcomes:
+    for out in spin_scheme("s2-bell").outcomes:
         red = reduced_projector(
             Operator((2, 2), out.projector_matrix(), hermitian=True), keep=1)
         assert np.max(np.abs(red.matrix - np.eye(2) / 2)) <= 1e-12
     psi = spin_state("up", "up")
     worst = 0.0
-    for scheme in (s2_scheme("bell"), sz_scheme("standard")):
+    for scheme in (spin_scheme("s2-bell"), spin_scheme("sz-standard")):
         for name in ("sBx", "sBy", "sBz"):
             obs = spin_observable(name)
             ref = post_measurement_expectation(psi, scheme, obs)

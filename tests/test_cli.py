@@ -283,6 +283,39 @@ class TestExitCodes:
         assert name in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("scenario, axis, values", [
+        ("ho_phase.json", "s_cut", "0,2,4"),
+        ("field_volume_sweep.json", "spacing", "1,0.5,-0.25"),
+    ])
+    def test_non_positive_sweep_cutoff_is_validation_error(self, tmp_path, capfd, scenario,
+                                                          axis, values):
+        """Refused by name: no log(0) reaches LAPACK, whose complaint goes to fd 2."""
+        raw = json.loads((SCENARIOS / scenario).read_text())
+        raw["lambda_grid"], raw["lambda_ref"] = [0.0, 1e-6], 1e-6
+        path = tmp_path / scenario
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        code = run(["sweep", "--scenario", str(path), "--axis", axis, "--values", values,
+                    "--out", str(out)])
+        assert code == 2
+        err = capfd.readouterr().err
+        assert f"sweep axis {axis!r} needs positive cutoffs" in err
+        assert "DLASCL" not in err and "SVD" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alice", ["rotate-y:abc", "rotate-1,x,0:1", "rotate-:1"])
+    def test_unparsable_alice_is_validation_error(self, tmp_path, capsys, alice):
+        code = run(["spin", "none", "--alice", alice, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == \
+            f"causal-probe: cannot parse alice operation {alice!r}"
+        assert not list(tmp_path.iterdir())
+
+    def test_unknown_spin_label_lists_the_named_ones(self, tmp_path, capsys):
+        assert run(["spin", "none", "--initial", "plus,up", "--out", str(tmp_path)]) == 2
+        assert "the named labels are up, down, right, left" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_validate_ok_on_shipped_corpus(self):
         assert ALL_FIXTURES, "fixture corpus missing"
         assert run(["validate"] + [str(p) for p in ALL_FIXTURES]) == 0

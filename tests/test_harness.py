@@ -335,6 +335,23 @@ class TestCutoffSweep:
         with pytest.raises(ScenarioError, match="held fixed"):
             cutoff_sweep(field_scenario(), "volume", [4, 8, 6])
 
+    @pytest.mark.parametrize("make, axis, values, refused", [
+        (oscillator_scenario, "s_cut", [0, 2, 4], "[0]"),
+        (oscillator_scenario, "trunc", [20, -30, 40], "[-30]"),
+        (field_scenario, "volume", [4, 0, 8], "[0]"),
+        (field_scenario, "spacing", [1.0, 0.5, -0.25], "[-0.25]"),
+    ])
+    def test_non_positive_cutoff_refused_before_evaluation(self, monkeypatch, make, axis,
+                                                           values, refused):
+        """A zero or negative cutoff is named, not fed to log() or a lattice."""
+        sc = make()
+        monkeypatch.setattr(harness, "make_evaluator", lambda sub: pytest.fail("evaluated"))
+        monkeypatch.setitem(harness.SYSTEMS[sc.system].sweep_axes, axis,
+                            lambda sub, value: pytest.fail("rescaled"))
+        with pytest.raises(ScenarioError) as err:
+            cutoff_sweep(sc, axis, values)
+        assert str(err.value) == f"sweep axis {axis!r} needs positive cutoffs, got {refused}"
+
     def test_amplitude_needs_a_system_amplitude(self):
         with pytest.raises(ScenarioError, match="'amplitude' is not meaningful"):
             cutoff_sweep(oscillator_scenario(), "trunc", [20, 30, 40], measure="amplitude")

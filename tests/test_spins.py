@@ -7,26 +7,25 @@ import math
 import numpy as np
 import pytest
 
+from causalprobe import harness
 from causalprobe.core import (
     born_ensemble,
     post_measurement_expectation,
     validate_scheme,
 )
 from causalprobe.spins import (
+    OBSERVABLES,
+    SCHEMES,
     alice_rotate,
-    bloch_grid,
-    identity_scheme,
-    measured_flag_observable,
     minus,
     plus,
-    random_rotations,
-    s2_scheme,
     s2_total,
     spin_observable,
     spin_scheme,
     spin_state,
-    sz_scheme,
 )
+
+from conftest import bloch_grid, random_rotations
 
 SBZ = spin_observable("sBz")
 HALF_PI = math.pi / 2
@@ -79,7 +78,7 @@ class TestRotations:
 
 class TestTotalSpinSquaredScheme:
     def test_standard_probabilities_on_right_up(self):
-        ens = born_ensemble(s2_scheme("standard"), spin_state("right", "up"))
+        ens = born_ensemble(spin_scheme("s2-standard"), spin_state("right", "up"))
         probs = {e.label: e.probability for e in ens.entries}
         assert probs["S=0 singlet"] == pytest.approx(0.25, abs=1e-12)
         assert probs["S=1 m=0 sym"] == pytest.approx(0.25, abs=1e-12)
@@ -87,30 +86,30 @@ class TestTotalSpinSquaredScheme:
         assert probs["S=1 down-down"] == pytest.approx(0.0, abs=1e-14)
 
     def test_bell_probabilities_on_right_up(self):
-        ens = born_ensemble(s2_scheme("bell"), spin_state("right", "up"))
+        ens = born_ensemble(spin_scheme("s2-bell"), spin_state("right", "up"))
         for e in ens.entries:
             assert e.probability == pytest.approx(0.25, abs=1e-12)
 
     def test_basis_choice_changes_bobs_value(self):
         psi = spin_state("right", "up")
-        assert post_measurement_expectation(psi, s2_scheme("standard"), SBZ) \
+        assert post_measurement_expectation(psi, spin_scheme("s2-standard"), SBZ) \
             == pytest.approx(0.25, abs=1e-12)
-        assert post_measurement_expectation(psi, s2_scheme("bell"), SBZ) \
+        assert post_measurement_expectation(psi, spin_scheme("s2-bell"), SBZ) \
             == pytest.approx(0.0, abs=1e-12)
 
     def test_flip_example(self):
         # no flip: the product triplet state survives with certainty
-        ens = born_ensemble(s2_scheme("standard"), spin_state("up", "up"))
+        ens = born_ensemble(spin_scheme("s2-standard"), spin_state("up", "up"))
         assert ens.probability("S=1 up-up") == pytest.approx(1.0, abs=1e-12)
         assert post_measurement_expectation(
-            spin_state("up", "up"), s2_scheme("standard"), SBZ) \
+            spin_state("up", "up"), spin_scheme("s2-standard"), SBZ) \
             == pytest.approx(0.5, abs=1e-12)
         # flipped: half singlet, half symmetric triplet, Bob sees zero
         flipped = spin_state("down", "up")
-        ens2 = born_ensemble(s2_scheme("standard"), flipped)
+        ens2 = born_ensemble(spin_scheme("s2-standard"), flipped)
         assert ens2.probability("S=0 singlet") == pytest.approx(0.5, abs=1e-12)
         assert ens2.probability("S=1 m=0 sym") == pytest.approx(0.5, abs=1e-12)
-        assert post_measurement_expectation(flipped, s2_scheme("standard"), SBZ) \
+        assert post_measurement_expectation(flipped, spin_scheme("s2-standard"), SBZ) \
             == pytest.approx(0.0, abs=1e-12)
 
     def test_total_spin_conserved_across_bases(self):
@@ -119,13 +118,13 @@ class TestTotalSpinSquaredScheme:
         before = s2.expectation(psi)
         assert before == pytest.approx(1.5, abs=1e-12)
         for choice in ("standard", "bell", "luders"):
-            after = post_measurement_expectation(psi, s2_scheme(choice), s2)
+            after = post_measurement_expectation(psi, spin_scheme(f"s2-{choice}"), s2)
             assert after == pytest.approx(before, abs=1e-10)
 
     def test_lueders_matches_standard_on_down_up(self):
         psi = spin_state("down", "up")
-        std = born_ensemble(s2_scheme("standard"), psi)
-        lud = born_ensemble(s2_scheme("luders"), psi)
+        std = born_ensemble(spin_scheme("s2-standard"), psi)
+        lud = born_ensemble(spin_scheme("s2-luders"), psi)
         assert lud.probability("S=0") == pytest.approx(
             std.probability("S=0 singlet"), abs=1e-12)
         assert lud.probability("S=1") == pytest.approx(
@@ -140,38 +139,44 @@ class TestTotalSpinSquaredScheme:
 class TestTotalSpinZScheme:
     def test_m0_basis_choice_changes_bobs_value(self):
         psi = spin_state("right", "up")
-        assert post_measurement_expectation(psi, sz_scheme("standard"), SBZ) \
+        assert post_measurement_expectation(psi, spin_scheme("sz-standard"), SBZ) \
             == pytest.approx(0.5, abs=1e-12)
-        assert post_measurement_expectation(psi, sz_scheme("bell"), SBZ) \
+        assert post_measurement_expectation(psi, spin_scheme("sz-bell"), SBZ) \
             == pytest.approx(0.25, abs=1e-12)
 
     def test_eigenstate_passes_through(self):
-        ens = born_ensemble(sz_scheme("standard"), spin_state("up", "up"))
+        ens = born_ensemble(spin_scheme("sz-standard"), spin_state("up", "up"))
         assert ens.probability("m=+1") == pytest.approx(1.0, abs=1e-12)
 
     def test_schemes_validate(self):
-        for choice in ("standard", "bell", "luders"):
-            assert validate_scheme(sz_scheme(choice)).within(1e-12)
-            assert validate_scheme(s2_scheme(choice)).within(1e-12)
+        for sid, frames in SCHEMES.items():
+            assert validate_scheme(spin_scheme(sid)).within(1e-12), sid
+            labels = [label for label, _ in frames]
+            assert len(set(labels)) == len(labels), sid
 
 
 class TestMeasuredFlag:
+    """<obs> on the prestate against the post-measurement ensemble average:
+    where they differ, local data alone tell that the measurement happened."""
+
     def test_semicausal_s2_erases_local_value(self):
-        ba = measured_flag_observable(s2_scheme("bell"), spin_state("up", "up"), SBZ)
-        assert ba.before == pytest.approx(0.5, abs=1e-12)
-        assert ba.after == pytest.approx(0.0, abs=1e-12)
+        psi = spin_state("up", "up")
+        assert SBZ.expectation(psi) == pytest.approx(0.5, abs=1e-12)
+        assert post_measurement_expectation(psi, spin_scheme("s2-bell"), SBZ) \
+            == pytest.approx(0.0, abs=1e-12)
 
     def test_causal_sz_preserves_it(self):
-        ba = measured_flag_observable(sz_scheme("standard"), spin_state("up", "up"), SBZ)
-        assert ba.before == pytest.approx(0.5, abs=1e-12)
-        assert ba.after == pytest.approx(0.5, abs=1e-12)
+        psi = spin_state("up", "up")
+        assert SBZ.expectation(psi) == pytest.approx(0.5, abs=1e-12)
+        assert post_measurement_expectation(psi, spin_scheme("sz-standard"), SBZ) \
+            == pytest.approx(0.5, abs=1e-12)
 
     def test_identity_scheme_changes_nothing(self, rng):
         from conftest import random_state
 
         psi = random_state((2, 2), rng)
-        ba = measured_flag_observable(identity_scheme(), psi, SBZ)
-        assert ba.before == pytest.approx(ba.after, abs=1e-12)
+        assert post_measurement_expectation(psi, spin_scheme("none"), SBZ) \
+            == pytest.approx(SBZ.expectation(psi), abs=1e-12)
 
 
 def _invariance_deviation(scheme, rotations):
@@ -192,23 +197,23 @@ class TestNoSignalingSuite:
     ROTATIONS = bloch_grid(10) + random_rotations(100, seed=7)
 
     def test_bell_s2_passes(self):
-        assert _invariance_deviation(s2_scheme("bell"), self.ROTATIONS) <= 1e-10
+        assert _invariance_deviation(spin_scheme("s2-bell"), self.ROTATIONS) <= 1e-10
 
     def test_standard_sz_passes(self):
-        assert _invariance_deviation(sz_scheme("standard"), self.ROTATIONS) <= 1e-10
+        assert _invariance_deviation(spin_scheme("sz-standard"), self.ROTATIONS) <= 1e-10
 
     def test_standard_s2_witness(self):
-        a = post_measurement_expectation(spin_state("up", "up"), s2_scheme("standard"), SBZ)
+        a = post_measurement_expectation(spin_state("up", "up"), spin_scheme("s2-standard"), SBZ)
         b = post_measurement_expectation(
             alice_rotate(spin_state("up", "up"), (0, 1, 0), HALF_PI),
-            s2_scheme("standard"), SBZ)
+            spin_scheme("s2-standard"), SBZ)
         assert abs(a - b) >= 0.25 - 1e-10
 
     def test_bell_sz_witness(self):
-        a = post_measurement_expectation(spin_state("up", "up"), sz_scheme("bell"), SBZ)
+        a = post_measurement_expectation(spin_state("up", "up"), spin_scheme("sz-bell"), SBZ)
         b = post_measurement_expectation(
             alice_rotate(spin_state("up", "up"), (0, 1, 0), HALF_PI),
-            sz_scheme("bell"), SBZ)
+            spin_scheme("sz-bell"), SBZ)
         assert abs(a - b) >= 0.25 - 1e-10
 
 
@@ -217,7 +222,6 @@ class TestNoMeasurementEquivalence:
         """A complete orthogonal measurement in any {|+-_A>, |up/down_B>}
         product basis leaves Bob's expectation at its unmeasured value."""
         from causalprobe.core import MeasurementScheme
-        from causalprobe.spins import single_spin_vector
         from conftest import random_state
 
         for axis in [(0, 0, 1), (1, 0, 0),
@@ -225,8 +229,7 @@ class TestNoMeasurementEquivalence:
             vecs = []
             for a_label in (plus(axis), minus(axis)):
                 for b_label in ("up", "down"):
-                    vecs.append(np.kron(single_spin_vector(a_label),
-                                        single_spin_vector(b_label)))
+                    vecs.append(spin_state(a_label, b_label).amplitudes)
             scheme = MeasurementScheme.from_basis(
                 (2, 2), [(f"v{i}", v) for i, v in enumerate(vecs)])
             for _ in range(5):
@@ -240,17 +243,20 @@ class TestHbarScaling:
     def test_values_scale_linearly(self):
         psi = spin_state("right", "up")
         obs2 = spin_observable("sBz", hbar=2.0)
-        assert post_measurement_expectation(psi, s2_scheme("standard"), obs2) \
+        assert post_measurement_expectation(psi, spin_scheme("s2-standard"), obs2) \
             == pytest.approx(0.5, abs=1e-12)
 
 
 class TestSchemeRegistry:
     def test_ids_resolve(self):
-        for sid in ("qndsv", "s2-standard", "s2-bell", "s2-luders",
-                    "sz-standard", "sz-bell", "sz-luders", "none"):
+        for sid in ("qndsv", *SCHEMES):
             target = ("up", "right") if sid == "qndsv" else None
             scheme = spin_scheme(sid, target=target)
             assert validate_scheme(scheme).within(1e-10)
+
+    def test_harness_reads_the_tables(self):
+        assert set(harness.SPIN.schemes) == {"qndsv"} | set(SCHEMES)
+        assert harness.SPIN.observables == OBSERVABLES
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
