@@ -2,11 +2,15 @@
 
 Subcommands: spin, ho, field (run one system's scenario), sweep (cutoff
 scaling fits), compare (scheme side-by-side), validate (parse + dry-run).
-Scenario files are strict JSON (unknown keys rejected); flags mirror the
-schema fields and override them.  Every table is written with 17
-significant digits, '.' decimals and LF line endings so reruns are
-byte-identical; a JSON run manifest records the scenario digest and the
-numeric policy next to each table.
+Scenario files are strict JSON (unknown keys rejected).  Every subcommand
+but validate reads its --scenario file as written, and each flag it has
+overrides only the field that the flag names; sweep and compare take
+--obs, --lambda, --grid and --hbar.  spin, ho and field refuse another
+system's file, and without one start from the table defaults.  Scheme
+aliases (field naive, qndsv) are command-line names; a file names the id.
+Every table is written with 17 significant digits, '.' decimals and LF
+line endings so reruns are byte-identical; a JSON run manifest records
+the scenario digest and the numeric policy next to each table.
 
 Exit codes: 0 success, 2 validation error, 3 numeric-policy violation
 (truncation tails), 64 usage.
@@ -51,7 +55,7 @@ def _site_flag(text: str):
     return parts[0] if len(parts) == 1 else parts
 
 
-_ARG_TYPES = {"int": int, "site": _site_flag, "float": float}
+_ARG_TYPES = {"int": int, "site": _site_flag, "float": float, "labels": lambda s: s.split(",")}
 
 
 class UsageError(Exception):
@@ -117,7 +121,7 @@ def _load_scenario_file(path: str) -> dict:
 
 def _add_common(sub: argparse.ArgumentParser):
     """The flags every subcommand takes; returns the exclusive group of lambda-grid flags."""
-    sub.add_argument("--scenario", help="JSON scenario file (flags override it)")
+    sub.add_argument("--scenario", help="JSON scenario file, read as written (flags override)")
     sub.add_argument("--out", default=".", help="output directory (default: cwd)")
     sub.add_argument("--obs", help="comma-separated observables")
     grid = sub.add_mutually_exclusive_group()
@@ -144,7 +148,7 @@ def _parse_alice(text: str) -> tuple[tuple[float, float, float], float]:
 
 def _apply_grid(args, raw: dict) -> None:
     """--grid start:stop:count or --lambda become lambda_grid and lambda_ref."""
-    if args.grid:
+    if args.grid is not None:
         try:
             start, stop, count = args.grid.split(":")
             start, stop, count = float(start), float(stop), int(count)
@@ -167,46 +171,57 @@ def _flag_params(spec) -> list:
             for key, param in table.items() if param.flag]
 
 
-def _scenario_from_args(args, system: str) -> dict:
+def _skeleton(system: str, sid) -> dict:
+    """The scenario a run without --scenario starts from: the table
+    defaults, the scheme the positional id names and lam = 0."""
     spec = harness.SYSTEMS[system]
-    raw = _load_scenario_file(args.scenario) if args.scenario else \
-        {"version": 1, "system": system}
-    raw.setdefault("alice", {"kind": spec.alice})
-    sp = raw.setdefault("system_params", {})
-    scheme = raw.setdefault("scheme", {})
-    if args.scheme_id:
-        # replacing the id drops extras the new prescription does not accept
-        raw["scheme"] = spec.scheme_for_id(args.scheme_id, scheme)
-    elif "id" in scheme:
-        scheme["id"] = spec.canonical(scheme["id"])
-    if args.obs:
+    scheme = spec.scheme_for_id(sid, {}) if sid is not None else {}
+    # spin writes its initial state out, so that the manifest's digest records it
+    params = {"initial": list(spec.params["initial"].default)} if system == "spin" else {}
+    return {"version": 1, "system": system, "alice": {"kind": spec.alice},
+            "system_params": params, "scheme": scheme,
+            "observables": list(spec.defaults(scheme.get("id"))), "lambda_grid": [0.0]}
+
+
+def _scenario(args, system: str | None = None) -> tuple[dict, Scenario]:
+    """The raw and validated scenario of every subcommand but validate.
+
+    The --scenario file is read as written; a system subcommand refuses
+    another system's file, and without a file starts from ``_skeleton``.
+    Each flag the subcommand has then overrides the one field it names.
+    """
+    if args.scenario is not None:
+        raw = _load_scenario_file(args.scenario)
+        if system and raw.get("system", system) != system:
+            raise ScenarioError(f"{args.scenario} holds a {raw['system']!r} scenario; "
+                                f"{args.command} runs only {system!r} scenarios")
+    elif system:
+        raw = _skeleton(system, args.scheme_id)
+    else:
+        raise ScenarioError(f"{args.command} needs --scenario")
+    overrides = [("system_params", "hbar", args.hbar)]
+    if system:
+        spec = harness.SYSTEMS[system]
+        if args.scheme_id is not None:
+            # replacing the id drops extras the new prescription does not accept
+            raw["scheme"] = spec.scheme_for_id(args.scheme_id, raw.get("scheme", {}))
+        overrides += [(sec, key, getattr(args, key)) for sec, key, _ in _flag_params(spec)]
+    if args.obs is not None:
         raw["observables"] = args.obs.split(",")
     _apply_grid(args, raw)
-    if args.hbar is not None:
-        sp["hbar"] = args.hbar
-    for section, key, param in _flag_params(spec):
-        value = getattr(args, key)
+    for section, key, value in overrides:
         if value is not None:
-            raw[section][key] = value.split(",") if param.kind == "labels" else value
-
-    if system == "spin":
-        # written out so that the manifest's digest records the state
-        sp.setdefault("initial", list(spec.params["initial"].default))
-        if args.alice:
-            axis, angle = _parse_alice(args.alice)
-            raw["alice"] = {"kind": spec.alice, "axis": list(axis)}
-            raw["lambda_grid"], raw["lambda_ref"] = [angle], angle
-    if not raw.get("lambda_grid"):
-        raw["lambda_grid"] = [0.0]
-    if not raw.get("observables"):
-        raw["observables"] = list(spec.defaults(raw["scheme"].get("id")))
-    return raw
+            raw.setdefault(section, {})[key] = value
+    if system == "spin" and args.alice is not None:
+        axis, angle = _parse_alice(args.alice)
+        raw["alice"] = {"kind": spec.alice, "axis": list(axis)}
+        raw["lambda_grid"], raw["lambda_ref"] = [angle], angle
+    return raw, Scenario.from_dict(raw)
 
 
 def _run_system(args, system: str) -> int:
-    raw = _scenario_from_args(args, system)
     started = time.monotonic()
-    scenario = Scenario.from_dict(raw)
+    raw, scenario = _scenario(args, system)
     report = run_scenario(scenario)
     names = scenario.observables
     stem = Path(args.scenario).stem if args.scenario else \
@@ -222,17 +237,13 @@ def _run_system(args, system: str) -> int:
         for obs in names for lam, value in report.tables[obs][-1:]])
 
 
-def _file_scenario(args) -> tuple[dict, float, Scenario]:
-    """The --scenario file that sweep and compare need, and its start time."""
-    if not args.scenario:
-        raise ScenarioError(f"{args.command} needs --scenario")
-    raw = _load_scenario_file(args.scenario)
-    return raw, time.monotonic(), Scenario.from_dict(raw)
-
-
 def _run_sweep(args) -> int:
-    raw, started, scenario = _file_scenario(args)
-    values = [float(v) for v in args.values.split(",")]
+    started = time.monotonic()
+    raw, scenario = _scenario(args)
+    try:
+        values = [float(v) for v in args.values.split(",")]
+    except ValueError:
+        raise ScenarioError(f"cannot parse --values {args.values!r}") from None
     report = cutoff_sweep(scenario, args.axis, values, measure=args.measure)
     return _emit(args, f"{Path(args.scenario).stem}_sweep_{args.axis}", raw, started, [
         ("", ("observable", "cutoff", "measure"),
@@ -245,7 +256,8 @@ def _run_sweep(args) -> int:
 
 
 def _run_compare(args) -> int:
-    raw, started, scenario = _file_scenario(args)
+    started = time.monotonic()
+    raw, scenario = _scenario(args)
     rows = compare_schemes(scenario, args.schemes.split(","))
     return _emit(args, f"{Path(args.scenario).stem}_compare", raw, started, [
         ("", ("scheme", "observable", "before", "after", "derivative"),

@@ -174,17 +174,6 @@ def _naive_expectation(state: StateVector, obs: ModeSumOperator, mode_a: int,
     return total
 
 
-def naive_outcome_probabilities(modes: ModeSet, kick: KickSpec, p_index: int,
-                                trunc: int) -> np.ndarray:
-    """P_mn table for the naive pair measurement (Poisson products)."""
-    state, _ = oracle_prestate(modes, kick, trunc)
-    q_index = int(modes.conjugate_index[p_index])
-    tensor = np.abs(state.amplitudes.reshape(state.dims)) ** 2
-    axes = tuple(i for i in range(modes.n_modes) if i not in (p_index, q_index))
-    probs = tensor.sum(axis=axes)
-    return probs if p_index < q_index else probs.T
-
-
 @dataclass(frozen=True)
 class OracleReport:
     """Oracle expectation values before and after the measurement."""

@@ -56,13 +56,6 @@ class WavePacket:
             raise ValueError(f"wave packet norm {total!r} != 1")
 
 
-def single_mode_packet(modes: ModeSet, p_index: int) -> WavePacket:
-    """Spectral delta on one mode: amplitude sqrt(V) there, zero elsewhere."""
-    spec = np.zeros(modes.n_modes, dtype=complex)
-    spec[p_index] = math.sqrt(modes.lattice.volume)
-    return WavePacket(spec)
-
-
 def kick_displacements(modes: ModeSet, kick: KickSpec) -> np.ndarray:
     """Per-mode coherent amplitudes of the kicked vacuum."""
     lat = modes.lattice
@@ -93,8 +86,9 @@ def qndsv_phi_y(modes: ModeSet, kick: KickSpec, y, p_index: int) -> float:
     """
     _require_paired(modes, p_index)
     phase = modes.phase_at(p_index, y) - modes.phase_at(p_index, kick.site)
-    return (kick.strength * suppression_factor(modes, kick)
-            * (modes.eps / modes.omega[p_index]) * math.sin(phase))
+    # a zero of lam's sign turns -0.0 at lam = 0.0 into 0.0 and changes no other value
+    return (kick.strength * suppression_factor(modes, kick) * (modes.eps / modes.omega[p_index])
+            * math.sin(phase) + math.copysign(0.0, kick.strength))
 
 
 def packet_kernel(modes: ModeSet, packet: WavePacket, t: float, z) -> complex:
@@ -211,7 +205,7 @@ def naive_np_expectations(modes: ModeSet, kick: KickSpec, y,
     xs, ys = lat.site(kick.site), lat.site(y)
     onsite = (1.0 / lat.spacing**lat.dim) if xs == ys else 0.0
     phase = modes.phase_at(p_index, xs) - modes.phase_at(p_index, ys)
-    pi = lam * (onsite - 2.0 * eps * math.cos(phase))
+    pi = lam * (onsite - 2.0 * eps * math.cos(phase)) + math.copysign(0.0, lam)  # see qndsv_phi_y
     gyy_inv = kernel_ginv(modes, y, y)
     gyy = kernel_g(modes, y, y)
     phi2 = 0.5 * hbar * gyy_inv + lam**2 * eps**2 / wp**2

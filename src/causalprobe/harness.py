@@ -17,7 +17,7 @@ import numbers
 from collections import namedtuple
 # unused here: perfbench/tracing.py:231 rebinds it; the next benchmark change removes it
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -139,14 +139,10 @@ class System:
     sweep_axes: dict = field(default_factory=dict)    # axis -> (sc, value) -> sc
     amplitude: Callable | None = None   # typed params -> observable-free sweep measure
 
-    def canonical(self, sid):
-        """The scheme id behind a CLI alias (field: naive -> naive-np)."""
-        return self.aliases.get(sid, sid) if isinstance(sid, str) else sid
-
     def scheme_for_id(self, sid: str, current: dict) -> dict:
-        """Scheme dict for sid, alias resolved, carrying over from ``current``
-        only the extras that id accepts."""
-        sid = self.canonical(sid)
+        """Scheme dict for a command-line id, alias resolved (field: naive ->
+        naive-np), carrying over from ``current`` only the extras it accepts."""
+        sid = self.aliases.get(sid, sid)
         keep = self.schemes[sid].extras if sid in self.schemes else {}
         return {"id": sid, **{k: v for k, v in current.items() if k in keep}}
 
@@ -200,9 +196,6 @@ class Scenario:
         )
         sc.validate()
         return sc
-
-    def to_dict(self) -> dict:
-        return {"version": 1, **asdict(self)}
 
     def with_updates(self, *, system_params=None, scheme=None) -> "Scenario":
         out = replace(self, system_params={**self.system_params, **(system_params or {})},

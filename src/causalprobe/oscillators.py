@@ -235,14 +235,6 @@ def ab_to_pm(state: TwoModeFock) -> TwoModeFock:
     return TwoModeFock(state.params, out, BASIS_PM, state.tail_bound + lost)
 
 
-def pm_to_ab(state: TwoModeFock) -> TwoModeFock:
-    """Inverse of ab_to_pm (the mixing is its own inverse)."""
-    if state.basis != BASIS_PM:
-        raise ValueError(f"expected basis {BASIS_PM!r}, got {state.basis!r}")
-    out, lost = _apply_mixing(state.amps)
-    return TwoModeFock(state.params, out, BASIS_AB, state.tail_bound + lost)
-
-
 def _separable_factors(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u, s, vh = np.linalg.svd(amps)
     if len(s) > 1 and s[1] > DEFAULT_POLICY.tail_tol:

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from causalprobe.core import StateVector
+from causalprobe.field_oracle import oracle_prestate
+from causalprobe.fieldtheory import WavePacket
+from causalprobe.oscillators import BASIS_AB, BASIS_PM, TwoModeFock, _apply_mixing
 
 
 def random_state(dims, rng) -> StateVector:
@@ -44,6 +48,37 @@ def random_rotations(n: int, seed: int = 0):
         v /= np.linalg.norm(v)
         out.append((tuple(v), float(rng.uniform(0.0, 2.0 * math.pi))))
     return out
+
+
+def pm_to_ab(state: TwoModeFock) -> TwoModeFock:
+    """Inverse of oscillators.ab_to_pm (the mixing is its own inverse)."""
+    if state.basis != BASIS_PM:
+        raise ValueError(f"expected basis {BASIS_PM!r}, got {state.basis!r}")
+    out, lost = _apply_mixing(state.amps)
+    return TwoModeFock(state.params, out, BASIS_AB, state.tail_bound + lost)
+
+
+def naive_outcome_probabilities(modes, kick, p_index: int, trunc: int) -> np.ndarray:
+    """P_mn table for the naive pair measurement (Poisson products), from
+    the oracle's prestate."""
+    state, _ = oracle_prestate(modes, kick, trunc)
+    q_index = int(modes.conjugate_index[p_index])
+    tensor = np.abs(state.amplitudes.reshape(state.dims)) ** 2
+    axes = tuple(i for i in range(modes.n_modes) if i not in (p_index, q_index))
+    probs = tensor.sum(axis=axes)
+    return probs if p_index < q_index else probs.T
+
+
+def single_mode_packet(modes, p_index: int) -> WavePacket:
+    """Spectral delta on one mode: amplitude sqrt(V) there, zero elsewhere."""
+    spec = np.zeros(modes.n_modes, dtype=complex)
+    spec[p_index] = math.sqrt(modes.lattice.volume)
+    return WavePacket(spec)
+
+
+def scenario_dict(sc) -> dict:
+    """The raw scenario that reads back as the validated ``sc``."""
+    return {"version": 1, **dataclasses.asdict(sc)}
 
 
 @pytest.fixture

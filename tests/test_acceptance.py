@@ -28,15 +28,10 @@ from causalprobe.fieldtheory import (
     naive_np_expectations,
     qndsv_phi_y,
     qndsv_wavepacket_phi_y,
-    single_mode_packet,
     sorkin_derivative,
     suppression_factor,
 )
-from causalprobe.field_oracle import (
-    naive_outcome_probabilities,
-    numeric_oracle_qndsv,
-    oracle_prestate,
-)
+from causalprobe.field_oracle import numeric_oracle_qndsv, oracle_prestate
 from causalprobe.harness import power_fit
 from causalprobe.lattice import LatticeSpec, build_modes
 from causalprobe.oscillators import (
@@ -56,7 +51,7 @@ from causalprobe.spins import (
     spin_state,
 )
 
-from conftest import random_rotations
+from conftest import naive_outcome_probabilities, random_rotations, single_mode_packet
 from test_cli import ALL_FIXTURES, _run_fixture
 
 SBZ = spin_observable("sBz")

@@ -111,6 +111,20 @@ class TestFieldCommand:
             assert (tmp_path / "flags" / name).read_bytes() == \
                 (tmp_path / "file" / name).read_bytes()
 
+    @pytest.mark.parametrize("scheme", ["naive", "qndsv"])
+    def test_first_moments_at_zero_kick_print_as_zero(self, tmp_path, scheme):
+        """At lam = 0 the odd first moments are 0.0, never -0.0, whatever
+        the sign of the factor that multiplies lam."""
+        for y in range(8):
+            for p in (1, -1):
+                out = tmp_path / f"y{y}_p{p}"
+                assert run(["field", scheme, "--N", "8", "--mass", "1", "--x", "0",
+                            "--y", str(y), "--p-index", str(p), "--lambda", "0",
+                            "--out", str(out)]) == 0
+                for table in out.glob("*.csv"):
+                    for row in read_rows(table):
+                        assert "-0" not in row.values(), (table.name, y, p, row)
+
 
 class TestHoCommand:
     def test_naive_momentum(self, tmp_path):
@@ -256,6 +270,14 @@ class TestExitCodes:
         assert run(["spin", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
         assert "lambda_grid needs finite numbers, got nan" in capsys.readouterr().err
         assert not (tmp_path / "bad.csv").exists()
+
+    def test_unparsable_sweep_values_name_the_flag(self, tmp_path, capsys):
+        code = run(["sweep", "--scenario", str(SCENARIOS / "ho_phase.json"), "--axis", "s_cut",
+                    "--values", "2,abc,4", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == \
+            "causal-probe: cannot parse --values '2,abc,4'"
+        assert not list(tmp_path.iterdir())
 
     def test_amplitude_sweep_on_oscillator_is_validation_error(self, tmp_path, capsys):
         code = run(["sweep", "--scenario", str(SCENARIOS / "ho_naive.json"),
@@ -429,3 +451,108 @@ class TestCompareCommand:
         naive = {r["observable"]: float(r["after"]) for r in rows if r["scheme"] == "naive-np"}
         # <pi_y> after the naive pair collapse moves with the kick
         assert naive["pi_y"] != 0.0
+
+
+# Every shipped scenario as shipped and in 7 malformed variants: a missing
+# section, or an empty grid or observable list.  The CLI fills none of them in.
+_DROP = object()
+VARIANTS = {
+    "as_shipped": {}, "no_alice": {"alice": _DROP},
+    "no_system_params": {"system_params": _DROP}, "no_scheme": {"scheme": _DROP},
+    "no_lambda_grid": {"lambda_grid": _DROP}, "empty_lambda_grid": {"lambda_grid": []},
+    "no_observables": {"observables": _DROP}, "empty_observables": {"observables": []},
+}
+# scheme aliases are command-line names, so a file that uses one is refused
+ALIAS_FILES = {"field_naive": "naive", "field_qndsv": "qndsv", "field_volume_sweep": "naive"}
+AGREEMENT_CASES = [(p.stem, variant) for p in ALL_FIXTURES for variant in VARIANTS] + \
+    [(stem, "alias_id") for stem in ALIAS_FILES]
+
+
+def _variant(stem: str, variant: str) -> dict:
+    raw = json.loads((SCENARIOS / f"{stem}.json").read_text())
+    if variant == "alias_id":
+        return {**raw, "scheme": {**raw["scheme"], "id": ALIAS_FILES[stem]}}
+    edits = VARIANTS[variant]
+    return {**{k: v for k, v in raw.items() if edits.get(k) is not _DROP},
+            **{k: v for k, v in edits.items() if v is not _DROP}}
+
+
+@pytest.fixture(scope="module")
+def agreement_files(tmp_path_factory):
+    """case -> (file, its system, the exit code validate gives it)."""
+    root = tmp_path_factory.mktemp("agreement")
+    files = {}
+    for stem, variant in AGREEMENT_CASES:
+        raw = _variant(stem, variant)
+        path = root / variant / f"{stem}.json"
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(json.dumps(raw))
+        files[stem, variant] = path, raw["system"], run(["validate", str(path)])
+    return files
+
+
+class TestOneRoad:
+    """Every subcommand reads its --scenario file as written, and each flag
+    it has overrides only the field that the flag names."""
+
+    @pytest.mark.parametrize("command", ["spin", "ho", "field"])
+    @pytest.mark.parametrize("case", AGREEMENT_CASES, ids="-".join)
+    def test_subcommand_exits_as_validate_does(self, agreement_files, case, command,
+                                               tmp_path):
+        """The file's own subcommand exits as validate does; another exits 2."""
+        path, system, validated = agreement_files[case]
+        want = validated if SUBCOMMAND[system] == command else 2
+        assert run([command, "--scenario", str(path), "--out", str(tmp_path)]) == want
+
+    @pytest.mark.parametrize("command, scenario, names", [
+        ("spin", "ho_naive.json", ("'oscillator'", "'spin'")),
+        ("ho", "field_naive.json", ("'field'", "'oscillator'")),
+        ("field", "spin_qndsv.json", ("'spin'", "'field'")),
+    ])
+    def test_wrong_system_file_names_both_systems(self, tmp_path, capsys, command,
+                                                  scenario, names):
+        assert run([command, "--scenario", str(SCENARIOS / scenario),
+                    "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["spin", "qndsv", "--target", "up,right", "--scenario", ""],
+        ["spin", "", "--scenario", str(SCENARIOS / "spin_qndsv.json")],
+        ["spin", "--scenario", str(SCENARIOS / "spin_qndsv.json"), "--obs", ""],
+        ["spin", "--scenario", str(SCENARIOS / "spin_qndsv.json"), "--alice", ""],
+        ["spin", "--scenario", str(SCENARIOS / "spin_qndsv.json"), "--grid", ""],
+    ], ids=["scenario", "scheme_id", "obs", "alice", "grid"])
+    def test_empty_flag_value_is_refused_not_ignored(self, tmp_path, argv):
+        assert run([*argv, "--out", str(tmp_path)]) == 2
+        assert not list(tmp_path.iterdir())
+
+    HO_NAIVE = json.loads((SCENARIOS / "ho_naive.json").read_text())
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--axis", "trunc", "--values", "30,40,50"],
+        ["compare", "--schemes", "naive-nplus,none"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("flags, edit", [
+        (["--obs", "PB"], {"observables": ["PB"]}),
+        (["--lambda", "0.7"], {"lambda_grid": [0.7], "lambda_ref": 0.7}),
+        (["--grid=-2:2:5"], {"lambda_grid": [-2.0, -1.0, 0.0, 1.0, 2.0], "lambda_ref": 2.0}),
+        (["--hbar", "2"], {"system_params": {**HO_NAIVE["system_params"], "hbar": 2.0}}),
+    ], ids=["obs", "lambda", "grid", "hbar"])
+    def test_flag_writes_what_the_edited_file_writes(self, tmp_path, argv, flags, edit):
+        edited = tmp_path / "edited" / "ho_naive.json"    # same stem, same CSV names
+        edited.parent.mkdir()
+        edited.write_text(json.dumps({**self.HO_NAIVE, **edit}))
+        written = {}
+        for name, path, extra in (("plain", SCENARIOS / "ho_naive.json", []),
+                                  ("flag", SCENARIOS / "ho_naive.json", flags),
+                                  ("file", edited, [])):
+            out = tmp_path / name
+            assert run([argv[0], "--scenario", str(path), *argv[1:], *extra,
+                        "--out", str(out)]) == 0
+            manifest = json.loads(next(out.glob("*.manifest.json")).read_text())
+            written[name] = ({p.name: p.read_bytes() for p in out.glob("*.csv")},
+                             manifest["scenario_digest"])
+        assert written["flag"] == written["file"]
+        assert written["flag"][0] != written["plain"][0]

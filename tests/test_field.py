@@ -24,7 +24,6 @@ from causalprobe.fieldtheory import (
     qndsv_phi_y,
     qndsv_wavepacket_phi_y,
     signal_kernel,
-    single_mode_packet,
     sorkin_derivative,
     suppression_factor,
 )
@@ -36,7 +35,6 @@ from causalprobe.field_oracle import (
     ModeSumOperator,
     field_operator,
     momentum_operator,
-    naive_outcome_probabilities,
     numeric_oracle_qndsv,
     one_particle_state,
     oracle_dims,
@@ -48,6 +46,7 @@ from causalprobe.harness import power_fit
 from causalprobe.lattice import LatticeSpec, build_modes, kernel_g, kernel_ginv
 from causalprobe.oscillators import ladder
 from causalprobe.policy import TruncationError
+from conftest import naive_outcome_probabilities, single_mode_packet
 
 LAT = LatticeSpec(dim=1, n_sites=4, spacing=1.0, mass=1.0)
 MODES = build_modes(LAT)

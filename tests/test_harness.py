@@ -20,6 +20,7 @@ from causalprobe.harness import (
     power_fit,
     run_scenario,
 )
+from conftest import scenario_dict
 
 HALF_PI = math.pi / 2
 
@@ -73,17 +74,17 @@ def oscillator_scenario(**overrides) -> Scenario:
 class TestValidation:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ScenarioError, match="unknown keys"):
-            Scenario.from_dict({**spin_scenario().to_dict(), "extra": 1})
+            Scenario.from_dict({**scenario_dict(spin_scenario()), "extra": 1})
 
     def test_unknown_nested_key_rejected(self):
-        raw = spin_scenario().to_dict()
+        raw = scenario_dict(spin_scenario())
         raw["system_params"]["spin"] = 3
         with pytest.raises(ScenarioError, match="unknown keys"):
             Scenario.from_dict(raw)
 
     def test_bad_version(self):
         with pytest.raises(ScenarioError, match="version"):
-            Scenario.from_dict({**spin_scenario().to_dict(), "version": 2})
+            Scenario.from_dict({**scenario_dict(spin_scenario()), "version": 2})
 
     def test_grid_must_increase(self):
         with pytest.raises(ScenarioError, match="strictly increasing"):

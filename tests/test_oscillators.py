@@ -37,11 +37,11 @@ from causalprobe.oscillators import (
     phase_ensemble_moments,
     phase_scheme_nplus,
     phase_state,
-    pm_to_ab,
     position_matrix,
     product_moments,
 )
 from causalprobe.policy import TruncationError
+from conftest import pm_to_ab
 
 PARAMS = OscParams()
 
