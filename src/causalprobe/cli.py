@@ -5,9 +5,11 @@ scaling fits), compare (scheme side-by-side), validate (parse + dry-run).
 Scenario files are strict JSON (unknown keys rejected).  Every subcommand
 but validate reads its --scenario file as written, and each flag it has
 overrides only the field that the flag names; sweep and compare take
---obs, --lambda, --grid and --hbar.  spin, ho and field refuse another
-system's file, and without one start from the table defaults.  Scheme
-aliases (field naive, qndsv) are command-line names; a file names the id.
+--obs, --lambda, --grid and --hbar, but sweep --measure amplitude, which
+reads no observables and no lambda grid, refuses the first three.  spin,
+ho and field refuse another system's file, and without one start from the
+table defaults.  Scheme aliases (field naive, qndsv) are command-line
+names; a file names the id.
 Every table is written with 17 significant digits, '.' decimals and LF
 line endings so reruns are byte-identical; a JSON run manifest records
 the scenario digest and the numeric policy next to each table.
@@ -239,6 +241,11 @@ def _run_system(args, system: str) -> int:
 
 def _run_sweep(args) -> int:
     started = time.monotonic()
+    unread = [flag for flag, value in (("--obs", args.obs), ("--lambda", args.lam),
+                                       ("--grid", args.grid)) if value is not None]
+    if args.measure == "amplitude" and unread:
+        raise ScenarioError(f"--measure amplitude reads no observables and no lambda grid; "
+                            f"{' and '.join(unread)} would be ignored")
     raw, scenario = _scenario(args)
     try:
         values = [float(v) for v in args.values.split(",")]

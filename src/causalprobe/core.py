@@ -10,16 +10,19 @@ post-measurement ensemble average
 which equals the probability-weighted average over renormalized branches
 because each branch's normalization cancels its Born weight.
 
-Every outcome projects onto the span of a frame F of orthonormal columns,
-P = F F^dag, or onto its complement 1 - F F^dag, kept implicit: complete
-measurements (rank-1 frames), Lueders projections (wider frames) and the
-verification of one state share one code path, and applying one builds
-no matrix.
+Every outcome's ``apply`` gives P|psi> without building P.  A frame
+outcome projects onto the span of orthonormal columns F, P = F F^dag, or
+onto its implicit complement: complete measurements, Lueders projections
+and the verification of one state share that one type.  A level outcome
+fixes the Fock levels of some subsystems, identity on the rest: the Lueders
+rule of a number measurement.  Observables are dense ``Operator``s or
+matrix-free ``ModeSumOperator``s, one term per subsystem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -126,6 +129,49 @@ class Operator:
 
 
 @dataclass(frozen=True)
+class ModeSumOperator:
+    """(sum_i T_i)^power with T_i a hermitian term on subsystem i alone.
+
+    Never materialized: ``apply`` runs each term along its own tensor axis.
+    Provides the ``dims``/``hermitian``/``apply`` interface the generic
+    machinery uses for dense operators.
+    """
+
+    dims: tuple[int, ...]
+    terms: tuple[np.ndarray, ...]
+    power: int = 1
+    hermitian = True
+
+    def __post_init__(self):
+        for i, term in enumerate(self.terms):
+            dev = float(np.max(np.abs(term - term.conj().T)))
+            if dev > DEFAULT_POLICY.exact_tol:
+                raise ValueError(f"term {i} deviates from hermitian by {dev:.3e}")
+
+    def squared(self) -> "ModeSumOperator":
+        return replace(self, power=2 * self.power)
+
+    def _apply_once(self, amplitudes: np.ndarray) -> np.ndarray:
+        out = np.zeros(amplitudes.size, dtype=complex)
+        pre = 1
+        for d, term in zip(self.dims, self.terms):
+            # (pre, d, post) view: the term acts on the middle axis
+            out += (term @ amplitudes.reshape(pre, d, -1)).reshape(-1)
+            pre *= d
+        return out
+
+    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
+        for _ in range(self.power):
+            amplitudes = self._apply_once(amplitudes)
+        return amplitudes
+
+    def expectation(self, state: StateVector) -> float:
+        if state.dims != self.dims:
+            raise ValueError(f"dims mismatch: {state.dims} vs {self.dims}")
+        return float(np.real(np.vdot(state.amplitudes, self.apply(state.amplitudes))))
+
+
+@dataclass(frozen=True)
 class SchemeOutcome:
     """One labeled outcome: P = F F^dag, F the orthonormal (dim, rank)
     columns of ``frame``, or P = 1 - F F^dag when ``complement`` is set.
@@ -156,11 +202,33 @@ class SchemeOutcome:
 
 
 @dataclass(frozen=True)
+class LevelOutcome:
+    """P = |levels><levels| on subsystems ``slots``, identity on the rest.
+
+    Stores no dim-sized array: ``apply`` copies the one slice of the
+    amplitude tensor that P keeps into a zero vector.
+    """
+
+    label: str
+    dims: tuple[int, ...]
+    slots: tuple[int, ...]
+    levels: tuple[int, ...]
+
+    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
+        index = [slice(None)] * len(self.dims)
+        for slot, level in zip(self.slots, self.levels):
+            index[slot] = level
+        out = np.zeros_like(amplitudes)
+        out.reshape(self.dims)[tuple(index)] = amplitudes.reshape(self.dims)[tuple(index)]
+        return out
+
+
+@dataclass(frozen=True)
 class MeasurementScheme:
     """Ordered, labeled projector family describing a projective measurement."""
 
     dims: tuple[int, ...]
-    outcomes: tuple[SchemeOutcome, ...]
+    outcomes: tuple[SchemeOutcome | LevelOutcome, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "dims", _as_dims(self.dims))
@@ -172,13 +240,12 @@ class MeasurementScheme:
         return int(np.prod(self.dims))
 
     @classmethod
-    def from_basis(cls, dims, labeled, *, validate=True) -> "MeasurementScheme":
-        """Build from (label, vectors) pairs: one basis vector per label, or
-        a sequence of orthonormal vectors whose span the outcome projects on."""
+    def from_basis(cls, dims, labeled) -> "MeasurementScheme":
+        """Build from (label, vectors) pairs, one basis vector per label or
+        orthonormal vectors whose span the outcome projects on; validated."""
         outs = tuple(SchemeOutcome(str(lbl), np.atleast_2d(v).T) for lbl, v in labeled)
         scheme = cls(dims=_as_dims(dims), outcomes=outs)
-        if validate:
-            _require_valid(scheme)
+        _require_valid(scheme)
         return scheme
 
 
@@ -267,6 +334,18 @@ def qndsv_scheme(target: StateVector) -> MeasurementScheme:
         SchemeOutcome("yes", frame), SchemeOutcome("no", frame, complement=True)))
 
 
+def level_scheme(dims, slots) -> MeasurementScheme:
+    """Number measurement of subsystems ``slots``: one ``LevelOutcome`` per
+    joint level, labeled "n=<levels>", the last slot's level fastest."""
+    dims = _as_dims(dims)
+    slots = tuple(int(s) for s in slots)
+    if not slots or len(set(slots)) != len(slots) or not all(0 <= s < len(dims) for s in slots):
+        raise ValueError(f"slots {slots} must be distinct subsystems of dims {dims}")
+    return MeasurementScheme(dims, tuple(
+        LevelOutcome("n=" + ",".join(map(str, levels)), dims, slots, levels)
+        for levels in product(*(range(dims[s]) for s in slots))))
+
+
 def born_ensemble(scheme: MeasurementScheme, state: StateVector,
                   tail_bound: float = 0.0) -> OutcomeEnsemble:
     """Born probabilities and renormalized post-measurement branches.
@@ -308,8 +387,9 @@ def post_measurement_expectation(state: StateVector, scheme: MeasurementScheme,
 
 def post_measurement_expectations(state: StateVector, scheme: MeasurementScheme,
                                   observables) -> list[float]:
-    """post_measurement_expectation of each observable, in order; each
-    branch P_i|psi> is computed once and shared by all of them."""
+    """post_measurement_expectation of each observable, in order.  Outcomes
+    are taken one at a time: each branch P_i|psi> is computed once, serves
+    every observable, and is replaced by the next."""
     observables = tuple(observables)
     for obs in observables:
         if state.dims != scheme.dims or obs.dims != scheme.dims:
@@ -317,13 +397,17 @@ def post_measurement_expectations(state: StateVector, scheme: MeasurementScheme,
                 f"dims mismatch: state {state.dims}, scheme {scheme.dims}, obs {obs.dims}")
         if not obs.hermitian:
             raise ValueError("observable must be flagged (and be) hermitian")
-    branches = [out.apply(state.amplitudes) for out in scheme.outcomes]
-    return [sum(float(np.real(np.vdot(branch, obs.apply(branch)))) for branch in branches)
-            for obs in observables]
+    totals = [0.0] * len(observables)
+    for out in scheme.outcomes:
+        branch = out.apply(state.amplitudes)
+        for i, obs in enumerate(observables):
+            totals[i] += float(np.real(np.vdot(branch, obs.apply(branch))))
+    return totals
 
 
 def validate_scheme(scheme: MeasurementScheme) -> SchemeDiagnostics:
-    """Max deviations from idempotence, orthogonality and completeness.
+    """Max deviations from idempotence, orthogonality and completeness of a
+    frame scheme; a ``level_scheme`` is exact by construction.
 
     Diagnostics only; never raises.  Over the stacked frame columns V of all
     outcomes, the Gram matrix V^dag V - 1 gives idempotence in its

@@ -1,37 +1,39 @@
 """Independent truncated-Fock oracle for the lattice field results.
 
 Represents every lattice mode as an explicit truncated oscillator ladder,
-builds the kicked vacuum as a kron product of coherent vectors, applies the
-measurement exactly as a projector family on the joint space, and reads
-observables off mode-local operators.  Nothing here reuses the closed forms
-in ``fieldtheory``; agreement between the two is a test, not an assumption.
+builds the kicked vacuum as a kron product of coherent vectors, and measures
+through ``core``: the verification is ``core.qndsv_scheme``, the naive pair
+collapse ``core.level_scheme`` on the +-p modes.  Nothing here reuses the
+closed forms in ``fieldtheory``; agreement between the two is a test, not an
+assumption.
 
-phi_y and pi_y are sums of one trunc x trunc ladder term per mode, each
-applied along its own axis of the (trunc,)*M amplitude tensor, so no joint
-matrix is ever built: memory is O(dim) and one apply costs O(dim M trunc)
-with dim = trunc^M.  Second moments apply the sum twice.  The oracle
-refuses a lattice whose live vectors would exceed ``_ORACLE_BYTE_BUDGET``
-(256 MiB; d=1, N=8 at trunc 6 fits, trunc 7 does not).
+phi_y and pi_y are ``core.ModeSumOperator``s, sums of one trunc x trunc
+ladder term per mode, each applied along its own axis of the (trunc,)*M
+amplitude tensor, so no joint matrix is ever built: memory is O(dim) and one
+apply costs O(dim M trunc) with dim = trunc^M.  Second moments apply the sum
+twice.  The oracle refuses a lattice whose live vectors would exceed
+``_ORACLE_BYTE_BUDGET`` (256 MiB; d=1, N=8 at trunc 6 fits, trunc 7 does
+not).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (StateVector, post_measurement_expectation, post_measurement_expectations,
-                   qndsv_scheme)
+from .core import (ModeSumOperator, StateVector, level_scheme, post_measurement_expectation,
+                   post_measurement_expectations, qndsv_scheme)
 from .fieldtheory import KickSpec, kick_displacements, qndsv_phi2_y_candidate
 from .lattice import ModeSet
 from .oscillators import coherent_amplitudes, ladder
-from .policy import DEFAULT_POLICY, checked_tail
+from .policy import checked_tail
 
 _ORACLE_BYTE_BUDGET = 256 * 2**20
 # Dim-sized complex vectors a call may hold at once: the prestate, the
-# verification target (shared by both outcomes), the two branches, and the
-# intermediate, accumulator and term product of a squared apply; one spare.
+# verification target (shared by both outcomes), one branch at a time, and
+# the intermediate, accumulator and term product of a squared apply; two spare.
 _LIVE_VECTORS = 8
 
 
@@ -54,49 +56,6 @@ def oracle_prestate(modes: ModeSet, kick: KickSpec, trunc: int) -> tuple[StateVe
         amp = np.kron(amp, coherent_amplitudes(a, trunc))
     return StateVector(dims, amp), checked_tail(float(np.sum(np.abs(amp) ** 2)),
                                                 f"per-mode truncation {trunc}")
-
-
-@dataclass(frozen=True)
-class ModeSumOperator:
-    """(sum_i T_i)^power with T_i a hermitian term on mode i alone.
-
-    Never materialized: ``apply`` runs each term along its own tensor axis.
-    Provides the ``dims``/``hermitian``/``apply`` interface the generic
-    ``core`` machinery uses for dense operators.
-    """
-
-    dims: tuple[int, ...]
-    terms: tuple[np.ndarray, ...]
-    power: int = 1
-    hermitian = True
-
-    def __post_init__(self):
-        for i, term in enumerate(self.terms):
-            dev = float(np.max(np.abs(term - term.conj().T)))
-            if dev > DEFAULT_POLICY.exact_tol:
-                raise ValueError(f"term {i} deviates from hermitian by {dev:.3e}")
-
-    def squared(self) -> "ModeSumOperator":
-        return replace(self, power=2 * self.power)
-
-    def _apply_once(self, amplitudes: np.ndarray) -> np.ndarray:
-        out = np.zeros(amplitudes.size, dtype=complex)
-        pre = 1
-        for d, term in zip(self.dims, self.terms):
-            # (pre, d, post) view: the term acts on the middle axis
-            out += (term @ amplitudes.reshape(pre, d, -1)).reshape(-1)
-            pre *= d
-        return out
-
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        for _ in range(self.power):
-            amplitudes = self._apply_once(amplitudes)
-        return amplitudes
-
-    def expectation(self, state: StateVector) -> float:
-        if state.dims != self.dims:
-            raise ValueError(f"dims mismatch: {state.dims} vs {self.dims}")
-        return float(np.real(np.vdot(state.amplitudes, self.apply(state.amplitudes))))
 
 
 def _mode_term(angle: float, trunc: int, weight: float, momentum: bool) -> np.ndarray:
@@ -151,29 +110,6 @@ def one_particle_packet_state(modes: ModeSet, packet, t1: float,
     return StateVector(dims, amp)
 
 
-def _naive_expectation(state: StateVector, obs: ModeSumOperator, mode_a: int,
-                       mode_b: int) -> float:
-    """sum_{m,n} <psi|P_mn O P_mn|psi> with P_mn the joint number projector
-    on the two pair modes (identity elsewhere), applied as an index mask.
-
-    Same semantics as a Lueders projector family through the generic
-    machinery; kept mask-based so no joint-space projector matrices are
-    ever materialized.
-    """
-    dims = state.dims
-    tensor = state.amplitudes.reshape(dims)
-    total = 0.0
-    for m in range(dims[mode_a]):
-        for n in range(dims[mode_b]):
-            sel = [slice(None)] * len(dims)
-            sel[mode_a], sel[mode_b] = m, n
-            branch = np.zeros_like(tensor)
-            branch[tuple(sel)] = tensor[tuple(sel)]
-            flat = branch.reshape(-1)
-            total += float(np.real(np.vdot(flat, obs.apply(flat))))
-    return total
-
-
 @dataclass(frozen=True)
 class OracleReport:
     """Oracle expectation values before and after the measurement."""
@@ -192,25 +128,20 @@ def numeric_oracle_qndsv(modes: ModeSet, kick: KickSpec, y, p_index: int,
 
     scheme_kind "qndsv": two-outcome verification of the one-particle state
     of mode p.  scheme_kind "naive": collapse of the +-p pair onto joint
-    number states.
+    number states, ``core.level_scheme`` on the two modes.  Both kinds run
+    through one ``core.post_measurement_expectations`` call.
     """
     if not modes.is_paired(p_index):
         raise ValueError(f"mode {p_index} is self-conjugate")
     state, tail = oracle_prestate(modes, kick, trunc)
-    ops = {}
-    phi = field_operator(modes, y, trunc)
-    pi = momentum_operator(modes, y, trunc)
+    phi, pi = field_operator(modes, y, trunc), momentum_operator(modes, y, trunc)
+    # callables, so that a call makes only the operators it asks for
+    known = {"phi_y": lambda: phi, "pi_y": lambda: pi, "phi2_y": phi.squared,
+             "pi2_y": pi.squared}
     for name in observables:
-        if name == "phi_y":
-            ops[name] = phi
-        elif name == "pi_y":
-            ops[name] = pi
-        elif name == "phi2_y":
-            ops[name] = phi.squared()
-        elif name == "pi2_y":
-            ops[name] = pi.squared()
-        else:
+        if name not in known:
             raise ValueError(f"unknown field observable {name!r}")
+    ops = {name: known[name]() for name in observables}
 
     pre = {name: float(op.expectation(state)) for name, op in ops.items()}
 
@@ -219,13 +150,11 @@ def numeric_oracle_qndsv(modes: ModeSet, kick: KickSpec, y, p_index: int,
         target = one_particle_state(modes, p_index, trunc)
         scheme = qndsv_scheme(target)
         p_yes = float(abs(target.overlap(state)) ** 2)
-        post = dict(zip(ops, post_measurement_expectations(state, scheme, ops.values())))
     elif scheme_kind == "naive":
-        q_index = int(modes.conjugate_index[p_index])
-        post = {name: _naive_expectation(state, op, p_index, q_index)
-                for name, op in ops.items()}
+        scheme = level_scheme(state.dims, (p_index, int(modes.conjugate_index[p_index])))
     else:
         raise ValueError(f"unknown scheme kind {scheme_kind!r}")
+    post = dict(zip(ops, post_measurement_expectations(state, scheme, ops.values())))
     return OracleReport(scheme_kind=scheme_kind, values=post, prestate_values=pre,
                         tail_bound=tail, p_yes=p_yes)
 

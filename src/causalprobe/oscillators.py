@@ -19,8 +19,11 @@ scheme (|n>_+ (x) |b, theta_s>_-) are products, so B's moments follow one
 mode at a time (``product_moments``): <Q_B> = (<Q_+> - <Q_->)/sqrt(2) and
 <Q_B^2> = (<Q_+^2> - 2 <Q_+><Q_-> + <Q_-^2>)/2, likewise for P; over + number
 states <n|Q_+|n> = 0 kills the cross term.  A mode's moments are O(levels)
-sums of its number weights and coherences <a>, <a^2> (``mode_moments``);
-``local_moments_b`` keeps the dense route on joint arrays as the reference.
+sums of its number weights and coherences <a>, <a^2> (``mode_moments``).
+The reference route measures through ``core`` on the joint amplitudes: the
+naive collapse is ``core.level_scheme`` on the + mode, the Lueders rule on
+any PM prestate, and ``local_moments_b`` reads Q_B and P_B as
+``core.ModeSumOperator``s.
 Every scheme takes f_+, f_- and the tail check from ``_kicked_factors``.
 Level m of the phase state |b, theta_s> (Pegg & Barnett 1989) carries
 e^{i m theta_s}, theta_s = 2 pi s/(s_cut+1): the length-(2 s_cut+2) DFT
@@ -38,9 +41,11 @@ import numpy as np
 
 from .core import (
     MeasurementScheme,
+    ModeSumOperator,
     OutcomeEnsemble,
-    OutcomeEntry,
     StateVector,
+    born_ensemble,
+    level_scheme,
 )
 from .policy import DEFAULT_POLICY, TruncationError, checked_tail
 
@@ -235,42 +240,18 @@ def ab_to_pm(state: TwoModeFock) -> TwoModeFock:
     return TwoModeFock(state.params, out, BASIS_PM, state.tail_bound + lost)
 
 
-def _separable_factors(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u, s, vh = np.linalg.svd(amps)
-    if len(s) > 1 and s[1] > DEFAULT_POLICY.tail_tol:
-        raise ValueError(
-            f"state is not separable across the two modes (second Schmidt value {s[1]:.3e})")
-    f1 = u[:, 0] * s[0]
-    f2 = vh[0]
-    pivot = f1[np.argmax(np.abs(f1))]
-    phase = np.conj(pivot) / abs(pivot)
-    return f1 * phase, f2 * np.conj(phase)
-
-
 def naive_nplus_ensemble(prestate: TwoModeFock) -> OutcomeEnsemble:
-    """Collapse only the center-of-mass factor onto its number states.
+    """Collapse only the center-of-mass mode onto its number states.
 
-    Defined only for prestates separable across the +- modes: outcome n has
-    the Born weight |<n|f_plus>|^2 and leaves the relative-mode factor
-    untouched.
+    The Lueders rule of ``core.level_scheme`` on the + mode, for any PM
+    prestate: outcome n keeps row n of the amplitudes, with its squared
+    norm as Born weight.  On a product f_+ (x) f_- that weight is
+    |<n|f_+>|^2 and the relative-mode factor is left untouched.
     """
     if prestate.basis != BASIS_PM:
         raise ValueError("naive collapse is defined on the PM basis")
-    f_plus, f_minus = _separable_factors(prestate.amps)
-    d_plus, d_minus = prestate.trunc
-    nrm_minus = float(np.linalg.norm(f_minus))
-    post_minus = f_minus / nrm_minus
-    entries = []
-    for n in range(d_plus):
-        prob = float(abs(f_plus[n]) ** 2) * nrm_minus**2
-        if prob < DEFAULT_POLICY.zero_probability:
-            entries.append(OutcomeEntry(f"n={n}", prob, None, zero_branch=True))
-            continue
-        amp = np.zeros((d_plus, d_minus), dtype=complex)
-        amp[n, :] = post_minus
-        entries.append(OutcomeEntry(
-            f"n={n}", prob, StateVector((d_plus, d_minus), amp.reshape(-1))))
-    return OutcomeEnsemble(tuple(entries), tail_bound=prestate.tail_bound)
+    return born_ensemble(level_scheme(prestate.trunc, (0,)), prestate.as_state(),
+                         tail_bound=prestate.tail_bound)
 
 
 def _check_s_cut(s_cut: int) -> None:
@@ -297,8 +278,8 @@ def phase_state(parity: int, s: int, s_cut: int) -> np.ndarray:
     return vec
 
 
-def phase_scheme_nplus(s_cut: int, n_plus_dim: int, n_minus_dim: int | None = None,
-                       *, validate: bool = True) -> MeasurementScheme:
+def phase_scheme_nplus(s_cut: int, n_plus_dim: int,
+                       n_minus_dim: int | None = None) -> MeasurementScheme:
     """Complete scheme: number states on the + mode, phase states on the - mode.
 
     The phase family spans relative-mode levels 0..2*s_cut+1 exactly; the
@@ -323,8 +304,7 @@ def phase_scheme_nplus(s_cut: int, n_plus_dim: int, n_minus_dim: int | None = No
                 labeled.append((f"n={n} b={b} s={s}", np.kron(eye_p[n], chi)))
         for m in range(span, n_minus_dim):
             labeled.append((f"n={n} overflow m={m}", np.kron(eye_p[n], eye_m[m])))
-    return MeasurementScheme.from_basis(
-        (n_plus_dim, n_minus_dim), labeled, validate=validate)
+    return MeasurementScheme.from_basis((n_plus_dim, n_minus_dim), labeled)
 
 
 def _phase_overlaps(params: OscParams, kick: KickParams, s_cut: int,
@@ -358,11 +338,6 @@ class LocalMoments:
     error_bound: float
 
 
-def _expect_two_mode(amps: np.ndarray, op1: np.ndarray, op2: np.ndarray) -> float:
-    val = np.einsum("mn,mk,nl,kl->", np.conj(amps), op1, op2, amps, optimize=True)
-    return float(np.real(val))
-
-
 def _ladder_norms(dim: int) -> tuple[float, float]:
     """Infinity norms of a + a^dag and of its square on a dim-level ladder,
     from the closed-form row sums of the banded matrices; +-i phases and
@@ -384,63 +359,37 @@ def _bound_scale(d1: int, d2: int, params: OscParams, basis: str) -> float:
     return scale * second2
 
 
-def _moments_from_amps(amps: np.ndarray, params: OscParams, basis: str,
-                       tail: float) -> LocalMoments:
-    d1, d2 = amps.shape
-    q1m, q2m = position_matrix(d1, params), position_matrix(d2, params)
-    p1m, p2m = momentum_matrix(d1, params), momentum_matrix(d2, params)
-    i1, i2 = np.eye(d1, dtype=complex), np.eye(d2, dtype=complex)
-    if basis == BASIS_PM:
-        # Q_B = (Q_+ - Q_-)/sqrt2, P_B likewise
-        q = (_expect_two_mode(amps, q1m, i2) - _expect_two_mode(amps, i1, q2m)) / math.sqrt(2)
-        p = (_expect_two_mode(amps, p1m, i2) - _expect_two_mode(amps, i1, p2m)) / math.sqrt(2)
-        q2 = 0.5 * (_expect_two_mode(amps, q1m @ q1m, i2)
-                    - 2.0 * _expect_two_mode(amps, q1m, q2m)
-                    + _expect_two_mode(amps, i1, q2m @ q2m))
-        p2 = 0.5 * (_expect_two_mode(amps, p1m @ p1m, i2)
-                    - 2.0 * _expect_two_mode(amps, p1m, p2m)
-                    + _expect_two_mode(amps, i1, p2m @ p2m))
-    else:
-        q = _expect_two_mode(amps, i1, q2m)
-        p = _expect_two_mode(amps, i1, p2m)
-        q2 = _expect_two_mode(amps, i1, q2m @ q2m)
-        p2 = _expect_two_mode(amps, i1, p2m @ p2m)
-    energy = p2 / (2.0 * params.mass) + 0.5 * params.mass * params.frequency**2 * q2
-    bound = tail * _bound_scale(d1, d2, params, basis) if tail else 0.0
-    return LocalMoments(q, p, q2, p2, energy, error_bound=bound)
-
-
 def local_moments_b(obj, params: OscParams | None = None) -> LocalMoments:
     """Moments of oscillator B for a TwoModeFock state or an OutcomeEnsemble.
 
     Ensembles (whose entries are joint StateVectors) need explicit params;
-    their states are taken to be in the PM basis.  The reported
-    error_bound is tail * (an infinity-norm bound on the quadratic
-    observables over the truncated box).
+    their states are taken to be in the PM basis.  Q_B and P_B are read as
+    mode sums: (Q_+ - Q_-)/sqrt(2) in the PM basis, weights 0 and 1 on Q_A
+    and Q_B in AB; likewise for P.  The reported error_bound is tail * (an
+    infinity-norm bound on the quadratic observables over the truncated box).
     """
     if isinstance(obj, TwoModeFock):
-        if obj.tail_bound > DEFAULT_POLICY.tail_tol:
-            raise TruncationError(f"state tail {obj.tail_bound:.3e} above policy tolerance")
-        return _moments_from_amps(obj.amps, obj.params, obj.basis, obj.tail_bound)
-    if isinstance(obj, OutcomeEnsemble):
+        params, basis, weighted = obj.params, obj.basis, [(1.0, obj.as_state())]
+    elif isinstance(obj, OutcomeEnsemble):
         if params is None:
             raise ValueError("params are required for ensemble moments")
-        if obj.tail_bound > DEFAULT_POLICY.tail_tol:
-            raise TruncationError(f"ensemble tail {obj.tail_bound:.3e} above policy tolerance")
-        acc = np.zeros(5)
-        dims = None
-        for entry in obj.entries:
-            if entry.zero_branch:
-                continue
-            dims = entry.post_state.dims
-            amps = entry.post_state.amplitudes.reshape(dims)
-            m = _moments_from_amps(amps, params, BASIS_PM, 0.0)
-            acc += entry.probability * np.array([m.q, m.p, m.q2, m.p2, m.energy])
-        if dims is None:
-            raise ValueError("ensemble has no nonzero branches")
-        bound = obj.tail_bound * _bound_scale(dims[0], dims[1], params, BASIS_PM)
-        return LocalMoments(*acc, error_bound=bound)
-    raise TypeError(f"unsupported input {type(obj).__name__}")
+        basis = BASIS_PM
+        weighted = [(e.probability, e.post_state) for e in obj.entries if not e.zero_branch]
+    else:
+        raise TypeError(f"unsupported input {type(obj).__name__}")
+    if obj.tail_bound > DEFAULT_POLICY.tail_tol:
+        raise TruncationError(f"tail {obj.tail_bound:.3e} above policy tolerance")
+    if not weighted:
+        raise ValueError("ensemble has no nonzero branches")
+    dims = weighted[0][1].dims
+    weights = (1 / math.sqrt(2), -1 / math.sqrt(2)) if basis == BASIS_PM else (0.0, 1.0)
+    q_b, p_b = (ModeSumOperator(dims, tuple(w * matrix(d, params) for w, d in zip(weights, dims)))
+                for matrix in (position_matrix, momentum_matrix))
+    q, p, q2, p2 = (sum(w * op.expectation(state) for w, state in weighted)
+                    for op in (q_b, p_b, q_b.squared(), p_b.squared()))
+    energy = p2 / (2.0 * params.mass) + 0.5 * params.mass * params.frequency**2 * q2
+    return LocalMoments(q, p, q2, p2, energy,
+                        error_bound=obj.tail_bound * _bound_scale(*dims, params, basis))
 
 
 # one mode's sums tr(rho X) for X = 1, Q, P, Q^2, P^2; rho need not be normalized

@@ -155,7 +155,7 @@ def test_criterion_06_phase_state_scheme():
     s_cut, n_max = 16, 28
     pre = coherent_prestate(params, kick, (n_max, 2 * s_cut + 2))
     c = phase_coefficients(params, kick, s_cut, n_max)
-    scheme = phase_scheme_nplus(s_cut, n_max, validate=False)
+    scheme = phase_scheme_nplus(s_cut, n_max)
     flat = pre.amps.reshape(-1)
     labels = [(n, b, s) for n in range(n_max) for b in (0, 1)
               for s in range(s_cut + 1)]

@@ -288,6 +288,27 @@ class TestExitCodes:
             in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flag", [["--obs", "phi_y"], ["--lambda", "0.7"],
+                                      ["--grid", "0:1:3"]], ids=lambda f: f[0])
+    def test_amplitude_sweep_refuses_unread_flag(self, tmp_path, capsys, flag):
+        """The amplitude measure reads no observables and no lambda grid."""
+        code = run(["sweep", "--scenario", str(SCENARIOS / "field_volume_sweep.json"),
+                    "--axis", "spacing", "--measure", "amplitude", "--values", "1,0.5,0.25",
+                    *flag, "--out", str(tmp_path)])
+        assert code == 2
+        assert f"{flag[0]} would be ignored" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_amplitude_sweep_honours_hbar(self, tmp_path):
+        csv = []
+        for extra in ([], ["--hbar", "2"]):
+            out = tmp_path / str(len(csv))
+            assert run(["sweep", "--scenario", str(SCENARIOS / "field_volume_sweep.json"),
+                        "--axis", "spacing", "--measure", "amplitude", "--values", "1,0.5,0.25",
+                        *extra, "--out", str(out)]) == 0
+            csv.append((out / "field_volume_sweep_sweep_spacing.csv").read_text())
+        assert csv[0] != csv[1]
+
     def test_truncation_violation_is_numeric_error(self, tmp_path):
         # a kick far too large for the truncation trips the tail policy
         assert run(["ho", "naive-nplus", "--trunc", "6", "--lambda", "6.0",

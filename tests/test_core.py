@@ -20,6 +20,7 @@ from causalprobe.core import (
     StateVector,
     born_ensemble,
     embed_local,
+    level_scheme,
     post_measurement_expectation,
     qndsv_scheme,
     reduced_projector,
@@ -218,22 +219,38 @@ class TestQndsvScheme:
             qndsv_scheme(StateVector((2,), [0, 0]))
 
 
+class TestLevelScheme:
+    def test_one_outcome_per_joint_level(self):
+        scheme = level_scheme((2, 3, 2), (2, 0))
+        assert [out.label for out in scheme.outcomes] == ["n=0,0", "n=0,1", "n=1,0", "n=1,1"]
+
+    @pytest.mark.parametrize("slots", [(), (0, 0), (3,), (-1,)])
+    def test_slots_must_be_distinct_subsystems(self, slots):
+        with pytest.raises(ValueError, match="distinct subsystems"):
+            level_scheme((2, 3, 2), slots)
+
+
+def unchecked_scheme(dims, labeled) -> MeasurementScheme:
+    """What from_basis builds, without its validation, so that invalid
+    schemes reach validate_scheme."""
+    return MeasurementScheme(dims, tuple(SchemeOutcome(label, np.atleast_2d(v).T)
+                                         for label, v in labeled))
+
+
 class TestValidateScheme:
     def test_causal_scheme_clean(self):
         diag = validate_scheme(spin_scheme("s2-bell"))
         assert diag.within(1e-12)
 
     def test_yes_only_scheme_completeness_hole(self):
-        scheme = MeasurementScheme.from_basis(
-            (2, 2), [("yes", [1, 0, 0, 0])], validate=False)
+        scheme = unchecked_scheme((2, 2), [("yes", [1, 0, 0, 0])])
         diag = validate_scheme(scheme)
         assert diag.completeness == pytest.approx(1.0, abs=1e-12)
 
     def test_non_orthogonal_pair_flagged(self):
         v1 = np.array([1, 0, 0, 0], dtype=complex)
         v2 = np.array([1, 1, 0, 0], dtype=complex) / math.sqrt(2)
-        scheme = MeasurementScheme.from_basis(
-            (2, 2), [("a", v1), ("b", v2)], validate=False)
+        scheme = unchecked_scheme((2, 2), [("a", v1), ("b", v2)])
         assert validate_scheme(scheme).orthogonality > 0.1
 
     def test_non_orthonormal_frame_flagged(self):
@@ -241,9 +258,8 @@ class TestValidateScheme:
         is not normalized, make that outcome fail idempotence."""
         v1 = np.array([1, 0, 0, 0], dtype=complex)
         v2 = np.array([1, 1, 0, 0], dtype=complex) / math.sqrt(2)
-        scheme = MeasurementScheme.from_basis(
-            (2, 2), [("a", [v1, v2]), ("b", [[0, 0, 1, 0], [0, 0, 0, 1]])],
-            validate=False)
+        scheme = unchecked_scheme(
+            (2, 2), [("a", [v1, v2]), ("b", [[0, 0, 1, 0], [0, 0, 0, 1]])])
         assert validate_scheme(scheme).idempotence > 0.1
         halved = MeasurementScheme((2, 2), (SchemeOutcome("yes", v1[:, None]),
                                             SchemeOutcome("no", v1[:, None] / 2, complement=True)))

@@ -206,11 +206,21 @@ class TestNaiveMeasurement:
         assert ens.entries[0].probability == pytest.approx(1.0, abs=1e-12)
         assert all(e.zero_branch for e in ens.entries[1:])
 
-    def test_entangled_prestate_rejected(self):
-        amps = np.zeros((4, 4), dtype=complex)
-        amps[0, 0] = amps[1, 1] = 1 / math.sqrt(2)
-        with pytest.raises(ValueError):
-            naive_nplus_ensemble(TwoModeFock(PARAMS, amps, BASIS_PM))
+    def test_entangled_prestate_collapses_row_by_row(self):
+        """The Lueders rule on any PM prestate: outcome n keeps row n of the
+        amplitudes, with its squared norm as Born weight."""
+        rng = np.random.default_rng(11)
+        amps = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+        amps /= np.linalg.norm(amps)
+        assert np.linalg.svd(amps, compute_uv=False)[1] > 0.1     # entangled
+        ens = naive_nplus_ensemble(TwoModeFock(PARAMS, amps, BASIS_PM))
+        assert [e.label for e in ens.entries] == [f"n={n}" for n in range(4)]
+        for n, entry in enumerate(ens.entries):
+            norm = np.linalg.norm(amps[n])
+            assert entry.probability == pytest.approx(norm**2, rel=1e-14)
+            want = np.zeros_like(amps)
+            want[n] = amps[n] / norm
+            assert np.allclose(entry.post_state.amplitudes, want.reshape(-1), rtol=0, atol=1e-15)
 
 
 class TestPhaseStates:
@@ -265,7 +275,7 @@ class TestPhaseScheme:
         pre = coherent_prestate(params, kick, (n_max, 2 * s_cut + 2))
         c = phase_coefficients(params, kick, s_cut, n_max)
         flat = pre.amps.reshape(-1)
-        scheme = phase_scheme_nplus(s_cut, n_max, validate=False)
+        scheme = phase_scheme_nplus(s_cut, n_max)
         idx = 0
         worst = 0.0
         for n in range(n_max):
@@ -300,7 +310,7 @@ class TestPhaseScheme:
         kick = KickParams(p_a=0.2, p_b=-0.1, lam=0.3)
         s_cut, n_max = 6, 18
         pre = coherent_prestate(PARAMS, kick, (n_max, 2 * s_cut + 2))
-        scheme = phase_scheme_nplus(s_cut, n_max, validate=False)
+        scheme = phase_scheme_nplus(s_cut, n_max)
         ens = born_ensemble(scheme, pre.as_state(), tail_bound=pre.tail_bound)
         c = phase_coefficients(PARAMS, kick, s_cut, n_max)
         idx = 0
@@ -356,7 +366,7 @@ class TestPhaseMoments:
         s_cut, n_max = 4, 14
         pad = 2 * s_cut + 4
         pre = coherent_prestate(PARAMS, kick, (n_max, pad))
-        scheme = phase_scheme_nplus(s_cut, n_max, n_minus_dim=pad, validate=False)
+        scheme = phase_scheme_nplus(s_cut, n_max, n_minus_dim=pad)
         ens = born_ensemble(scheme, pre.as_state(), tail_bound=pre.tail_bound)
         generic = local_moments_b(ens, PARAMS)
         closed = phase_ensemble_moments(PARAMS, kick, s_cut, n_max)

@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalprobe import fieldtheory, oscillators, spins
-from causalprobe.core import (MeasurementScheme, Operator, SchemeOutcome, StateVector,
-                              born_ensemble, post_measurement_expectation,
-                              post_measurement_expectations, tensor_state, validate_scheme)
+from causalprobe.core import (MeasurementScheme, ModeSumOperator, Operator, SchemeOutcome,
+                              StateVector, born_ensemble, level_scheme,
+                              post_measurement_expectation, post_measurement_expectations,
+                              tensor_state, validate_scheme)
 from causalprobe.harness import SPIN
 from causalprobe.lattice import LatticeSpec, build_modes
 from causalprobe.policy import TruncationError
@@ -111,6 +112,49 @@ def test_frames_match_dense_projectors(case):
         assert abs(value - want) <= 1e-12
     weights = [e.probability for e in born_ensemble(scheme, state).entries]
     assert np.allclose(weights, [np.vdot(psi, p @ psi).real for p in projectors],
+                       rtol=0, atol=1e-12)
+
+
+def _hermitian(n: int, rng) -> np.ndarray:
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (h + h.conj().T) / (2 * math.sqrt(n))
+
+
+@st.composite
+def level_cases(draw):
+    """2-4 subsystems of 2-4 levels, distinct slots in a random order, a
+    random state, and a dense and a mode-sum observable."""
+    dims = tuple(draw(st.lists(st.integers(2, 4), min_size=2, max_size=4)))
+    order = draw(st.permutations(range(len(dims))))
+    slots = tuple(order[:draw(st.integers(1, len(dims)))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = math.prod(dims)
+    observables = [Operator(dims, _hermitian(dim, rng), hermitian=True),
+                   ModeSumOperator(dims, tuple(_hermitian(d, rng) for d in dims))]
+    amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return dims, slots, StateVector(dims, amp / np.linalg.norm(amp)), observables
+
+
+@SEEDED
+@given(case=level_cases())
+def test_level_scheme_matches_unit_vector_frames(case):
+    """A level scheme gives the Born weights and post-measurement averages
+    of the frame scheme whose outcome (levels) holds every basis vector with
+    those levels on the slots."""
+    dims, slots, state, observables = case
+    levels = level_scheme(dims, slots)
+    digits = np.indices(dims).reshape(len(dims), -1)
+    basis = np.eye(digits.shape[1])
+    frames = MeasurementScheme.from_basis(dims, [
+        (f"n={','.join(map(str, lv))}",
+         basis[np.all(digits[list(slots)] == np.array(lv)[:, None], axis=0)])
+        for lv in itertools.product(*(range(dims[s]) for s in slots))])
+    got, want = (born_ensemble(scheme, state).entries for scheme in (levels, frames))
+    assert [e.label for e in got] == [e.label for e in want]
+    assert np.allclose([e.probability for e in got], [e.probability for e in want],
+                       rtol=0, atol=1e-12)
+    assert np.allclose(post_measurement_expectations(state, levels, observables),
+                       post_measurement_expectations(state, frames, observables),
                        rtol=0, atol=1e-12)
 
 
@@ -225,7 +269,7 @@ def test_factorised_phase_moments_match_generic_route(p_a, p_b, lam, n_max, s_cu
     params, kick = oscillators.OscParams(), oscillators.KickParams(p_a=p_a, p_b=p_b, lam=lam)
     pad = 2 * s_cut + 4             # squares of Q_- exact on every phase-state level
     pre = oscillators.coherent_prestate(params, kick, (n_max, pad))
-    scheme = oscillators.phase_scheme_nplus(s_cut, n_max, n_minus_dim=pad, validate=False)
+    scheme = oscillators.phase_scheme_nplus(s_cut, n_max, n_minus_dim=pad)
     ensemble = born_ensemble(scheme, pre.as_state(), tail_bound=pre.tail_bound)
     _moments_close(oscillators.phase_ensemble_moments(params, kick, s_cut, n_max),
                    oscillators.local_moments_b(ensemble, params))
