@@ -6,7 +6,9 @@ Scenario files are strict JSON (unknown keys rejected).  Every subcommand
 but validate reads its --scenario file as written, and each flag it has
 overrides only the field that the flag names; sweep and compare take
 --obs, --lambda, --grid and --hbar, but sweep --measure amplitude, which
-reads no observables and no lambda grid, refuses the first three.  spin,
+reads no observables and no lambda grid, refuses the first three.  compare
+also takes the scheme-extra flags (--s-cut, --target) and gives each to
+every compared scheme that reads it, refusing one that none reads.  spin,
 ho and field refuse another system's file, and without one start from the
 table defaults.  Scheme aliases (field naive, qndsv) are command-line
 names; a file names the id.
@@ -262,10 +264,28 @@ def _run_sweep(args) -> int:
         for name, f in report.fits.items()])
 
 
+def _scheme_flags() -> dict:
+    """key -> Param of every scheme extra a system subcommand has a flag for."""
+    return {key: param for spec in harness.SYSTEMS.values()
+            for section, key, param in _flag_params(spec) if section == "scheme"}
+
+
 def _run_compare(args) -> int:
     started = time.monotonic()
     raw, scenario = _scenario(args)
-    rows = compare_schemes(scenario, args.schemes.split(","))
+    scheme_ids = args.schemes.split(",")
+    flags = _scheme_flags()
+    extras = {key: getattr(args, key) for key in flags if getattr(args, key) is not None}
+    spec = harness.SYSTEMS[scenario.system]
+    accepted = {key for sid in scheme_ids for key in spec.scheme_for_id(sid, extras)}
+    unread = [flags[key].flag for key in extras if key not in accepted]
+    if unread:
+        raise ScenarioError(f"none of the compared schemes {args.schemes} reads "
+                            f"{' or '.join(unread)}")
+    rows = compare_schemes(scenario, scheme_ids, extras)
+    if extras:
+        # the digest records what ran: the file, its overrides and these extras
+        raw = {**raw, "compare_extras": extras}
     return _emit(args, f"{Path(args.scenario).stem}_compare", raw, started, [
         ("", ("scheme", "observable", "before", "after", "derivative"),
          [(r.scheme_id, r.observable, _fmt(r.before), _fmt(r.after), _fmt(r.derivative))
@@ -309,6 +329,10 @@ def build_parser() -> _Parser:
 
     cmp_ = subs.add_parser("compare", help="before/after table across schemes")
     cmp_.add_argument("--schemes", required=True, help="comma-separated scheme ids")
+    for key, param in _scheme_flags().items():
+        cmp_.add_argument(param.flag, dest=key, type=_ARG_TYPES.get(param.kind),
+                          help=f"{param.help or key}; given to every compared scheme "
+                               "that takes it")
     _add_common(cmp_)
 
     val = subs.add_parser("validate", help="parse, validate and dry-run scenarios")

@@ -21,7 +21,8 @@ matrix-free ``ModeSumOperator``s, one term per subsystem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -149,7 +150,10 @@ class ModeSumOperator:
                 raise ValueError(f"term {i} deviates from hermitian by {dev:.3e}")
 
     def squared(self) -> "ModeSumOperator":
-        return replace(self, power=2 * self.power)
+        # a copy skips __post_init__: the terms were checked when self was made
+        out = copy.copy(self)
+        object.__setattr__(out, "power", 2 * self.power)
+        return out
 
     def _apply_once(self, amplitudes: np.ndarray) -> np.ndarray:
         out = np.zeros(amplitudes.size, dtype=complex)

@@ -570,13 +570,14 @@ class CompareRow:
     derivative: float
 
 
-def compare_schemes(sc: Scenario, scheme_ids) -> tuple[CompareRow, ...]:
+def compare_schemes(sc: Scenario, scheme_ids, extras=None) -> tuple[CompareRow, ...]:
     """Side-by-side before/after/derivative table across prescriptions.
 
     'before' is Bob's value on the pre-measurement state at lambda_ref,
     'after' the post-measurement ensemble value there, 'derivative' the
     signaling derivative of the after-value at lam = 0.  CLI aliases are
-    accepted; rows carry the canonical id.
+    accepted; rows carry the canonical id.  ``extras`` (e.g. s_cut) go to
+    every compared scheme that accepts them, over the scenario's own.
     """
     scheme_ids = tuple(scheme_ids)
     if len(scheme_ids) < 2:
@@ -584,8 +585,9 @@ def compare_schemes(sc: Scenario, scheme_ids) -> tuple[CompareRow, ...]:
     rows = []
     scale = max((abs(v) for v in sc.lambda_grid), default=1.0) or 1.0
     before_eval = make_evaluator(sc.with_scheme({"id": NO_MEASUREMENT}))
+    given = {**sc.scheme, **(extras or {})}
     for sid in scheme_ids:
-        sub = sc.with_scheme(SYSTEMS[sc.system].scheme_for_id(sid, sc.scheme))
+        sub = sc.with_scheme(SYSTEMS[sc.system].scheme_for_id(sid, given))
         evaluate = before_eval if sub.scheme["id"] == NO_MEASUREMENT else make_evaluator(sub)
         for obs in sub.observables:
             rows.append(CompareRow(

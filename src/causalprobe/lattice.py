@@ -12,12 +12,15 @@ Dual-lattice wave vectors are k = 2 pi n / (N a) with integer components in
 (-N/2, N/2].  A mode is self-conjugate when k = -k modulo 2 pi/a (each
 component 0 or the Nyquist value); the rest come in +-k pairs coupled by
 the reality of the field.
+
+The kernels g and g^-1 are sums over every mode; each is computed once per
+mode set, weight and site displacement, and kept on the mode set.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,6 +75,8 @@ class ModeSet:
     k: np.ndarray                # physical wave vectors, shape (M, d)
     omega: np.ndarray            # shape (M,)
     conjugate_index: np.ndarray  # index of -k for every mode; i itself if self-conjugate
+    # _mode_sum's values by (weight, displacement): floats only, gone with the mode set
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for arr in (self.wavenumbers, self.k, self.omega, self.conjugate_index):
@@ -138,17 +143,26 @@ def build_modes(lattice: LatticeSpec) -> ModeSet:
                    conjugate_index=_flat_index(-wavenumbers, n))
 
 
-def _mode_sum(modes: ModeSet, weights: np.ndarray, x, y) -> float:
-    """(1/V) sum_k w_k cos(k.(x - y)); real because +-k enter symmetrically."""
+def _mode_sum(modes: ModeSet, inverse: bool, x, y) -> float:
+    """(1/V) sum_k w_k cos(k.(x - y)) with w_k = 1/omega_k if inverse else
+    omega_k; real because +-k enter symmetrically.
+
+    Computed once per mode set, weight and integer displacement
+    site(x) - site(y), the only input of k.(x - y), so ginv_xx and ginv_yy
+    are one sum.
+    """
     lat = modes.lattice
-    dx = (np.asarray(lat.site(x), dtype=float)
-          - np.asarray(lat.site(y), dtype=float)) * lat.spacing
-    return float(np.sum(weights * np.cos(modes.k @ dx)) / lat.volume)
+    key = (inverse, tuple(a - b for a, b in zip(lat.site(x), lat.site(y))))
+    if key not in modes._kernels:
+        weights = 1.0 / modes.omega if inverse else modes.omega
+        dx = np.asarray(key[1], dtype=float) * lat.spacing
+        modes._kernels[key] = float(np.sum(weights * np.cos(modes.k @ dx)) / lat.volume)
+    return modes._kernels[key]
 
 
 def kernel_g(modes: ModeSet, x, y) -> float:
     """Position-space kernel with Fourier weight omega_k (vacuum stiffness)."""
-    return _mode_sum(modes, modes.omega, x, y)
+    return _mode_sum(modes, False, x, y)
 
 
 def kernel_ginv(modes: ModeSet, x, y) -> float:
@@ -157,4 +171,4 @@ def kernel_ginv(modes: ModeSet, x, y) -> float:
     Discrete convolution inverse of kernel_g:
     a^d sum_z ginv(x,z) g(z,y) = delta_xy / a^d.
     """
-    return _mode_sum(modes, 1.0 / modes.omega, x, y)
+    return _mode_sum(modes, True, x, y)

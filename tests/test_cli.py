@@ -473,6 +473,46 @@ class TestCompareCommand:
         # <pi_y> after the naive pair collapse moves with the kick
         assert naive["pi_y"] != 0.0
 
+    @pytest.mark.parametrize("stem, command, scheme, flags", [
+        ("ho_naive", "ho", "phase-nplus", ["--s-cut", "8"]),
+        ("spin_qndsv", "spin", "qndsv", ["--target", "up,left"]),
+    ])
+    def test_scheme_extra_flag_reaches_the_compared_scheme(self, tmp_path, stem, command,
+                                                            scheme, flags):
+        """A compared scheme given an extra by flag reports at lambda_ref
+        what its system command reports with the same flag."""
+        path = str(SCENARIOS / f"{stem}.json")
+        assert run(["compare", "--scenario", path, "--schemes", f"{scheme},none", *flags,
+                    "--out", str(tmp_path / "cmp")]) == 0
+        assert run([command, scheme, "--scenario", path, *flags,
+                    "--out", str(tmp_path / "sys")]) == 0
+        ref = cli._fmt(json.loads(Path(path).read_text())["lambda_ref"])
+        want = {r["observable"]: r["value"] for r in read_rows(tmp_path / "sys" / f"{stem}.csv")
+                if r["lambda"] == ref}
+        got = {r["observable"]: r["after"]
+               for r in read_rows(tmp_path / "cmp" / f"{stem}_compare.csv")
+               if r["scheme"] == scheme}
+        assert got == want and len(got) > 0
+
+    @pytest.mark.parametrize("stem, schemes, flag", [
+        ("ho_naive", "naive-nplus,phase-nplus,none", ["--target", "up,up"]),
+        ("field_naive", "naive,none", ["--s-cut", "8"]),
+        ("ho_phase", "naive-nplus,none", ["--s-cut", "8"]),
+    ])
+    def test_scheme_extra_flag_no_scheme_reads_is_refused(self, tmp_path, capsys, stem,
+                                                          schemes, flag):
+        code = run(["compare", "--scenario", str(SCENARIOS / f"{stem}.json"),
+                    "--schemes", schemes, *flag, "--out", str(tmp_path)])
+        assert code == cli.EXIT_VALIDATION
+        assert flag[0] in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_phase_nplus_without_s_cut_is_still_refused(self, tmp_path, capsys):
+        code = run(["compare", "--scenario", str(SCENARIOS / "ho_naive.json"),
+                    "--schemes", "naive-nplus,phase-nplus,none", "--out", str(tmp_path)])
+        assert code == cli.EXIT_VALIDATION
+        assert "s_cut" in capsys.readouterr().err
+
 
 # Every shipped scenario as shipped and in 7 malformed variants: a missing
 # section, or an empty grid or observable list.  The CLI fills none of them in.

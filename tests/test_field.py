@@ -478,6 +478,17 @@ class TestMatrixFreeOracle:
         with pytest.raises(ValueError, match="hermitian"):
             ModeSumOperator(op.dims, bad)
 
+    def test_squared_does_not_recheck_terms(self, monkeypatch):
+        op = field_operator(MODES, 1, 3)
+
+        def refuse(self):
+            raise AssertionError("terms checked again")
+
+        monkeypatch.setattr(ModeSumOperator, "__post_init__", refuse)
+        square = op.squared().squared()
+        assert (op.power, square.power) == (1, 4)
+        assert square.terms is op.terms and square.dims == op.dims
+
     def test_verification_branches_computed_once(self, monkeypatch):
         """Both outcomes are applied once for all four observables, and the
         values equal the one-observable route's."""

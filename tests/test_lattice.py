@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from causalprobe import cli, lattice
 from causalprobe.lattice import LatticeSpec, build_modes, kernel_g, kernel_ginv
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def small_chain(n=4, mass=1.0, spacing=1.0, dispersion="lattice") -> LatticeSpec:
@@ -136,3 +140,51 @@ class TestKernels:
             for y in range(4):
                 assert kernel_ginv(modes, x, y) == pytest.approx(
                     kernel_ginv(modes, y, x), abs=1e-14)
+
+
+class _CosCounter:
+    """numpy as ``lattice`` sees it, counting np.cos calls: one per kernel sum."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cos(self, *args, **kwargs):
+        self.calls += 1
+        return np.cos(*args, **kwargs)
+
+
+@pytest.fixture
+def kernel_sums(monkeypatch):
+    counter = _CosCounter()
+    monkeypatch.setattr(lattice, "np", counter)
+    return counter
+
+
+class TestKernelMemo:
+    """Each kernel is summed once per mode set, weight and displacement."""
+
+    D3 = ["--d", "3", "--N", "32", "--mass", "1", "--x", "0,0,0", "--y", "1,0,0",
+          "--p-index", "1,0,0", "--grid=-1:1:21"]
+
+    @pytest.mark.parametrize("scheme", ["qndsv", "naive"])
+    def test_d3_run_sums_two_kernels(self, kernel_sums, tmp_path, scheme):
+        """21 grid points and 4 Richardson steps: qndsv needs ginv at
+        displacements 0 (xx and yy) and x - y; naive needs ginv_yy and g_yy."""
+        assert cli.main(["field", scheme, *self.D3, "--out", str(tmp_path)]) == 0
+        assert kernel_sums.calls == 2
+
+    def test_volume_sweep_sums_two_kernels_per_volume(self, kernel_sums, tmp_path):
+        assert cli.main(["sweep", "--scenario", str(SCENARIOS / "field_volume_sweep.json"),
+                         "--axis", "volume", "--values", "4,8,16,32",
+                         "--out", str(tmp_path)]) == 0
+        assert kernel_sums.calls == 2 * 4
+
+    def test_diagonal_is_one_sum_per_weight(self, kernel_sums):
+        modes = build_modes(LatticeSpec(dim=2, n_sites=6, spacing=0.5, mass=0.3))
+        for x in [(0, 0), (1, 4), (5, 5), (-1, 7)]:
+            kernel_g(modes, x, x)
+            kernel_ginv(modes, x, x)
+        assert kernel_sums.calls == 2

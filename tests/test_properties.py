@@ -9,6 +9,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from causalprobe.core import (MeasurementScheme, ModeSumOperator, Operator, Sche
                               post_measurement_expectation, post_measurement_expectations,
                               tensor_state, validate_scheme)
 from causalprobe.harness import SPIN
-from causalprobe.lattice import LatticeSpec, build_modes
+from causalprobe.lattice import LatticeSpec, ModeSet, build_modes, kernel_g, kernel_ginv
 from causalprobe.policy import TruncationError
 
 from conftest import random_unitary
@@ -224,6 +225,38 @@ def test_mode_set_matches_reference_enumeration(spec, data):
     for i in data.draw(st.lists(st.integers(0, modes.n_modes - 1), min_size=1, max_size=8)):
         shifted = [w + n * s for w, s in zip(reference[i], data.draw(shifts))]
         assert modes.mode_index(shifted) == i
+
+
+def _fresh_sum(modes, weights, x, y) -> str:
+    """The kernel sum as an expression of its own, evaluated afresh, in hex."""
+    lat = modes.lattice
+    dx = (np.asarray(lat.site(x), dtype=float)
+          - np.asarray(lat.site(y), dtype=float)) * lat.spacing
+    return float(np.sum(weights * np.cos(modes.k @ dx)) / lat.volume).hex()
+
+
+@SEEDED
+@given(spec=mode_lattices(), data=st.data())
+def test_memoised_kernels_equal_fresh_sums_bit_for_bit(spec, data):
+    """kernel_g and kernel_ginv, read through the mode set's memo, equal a
+    fresh sum to the bit in either site order and on the diagonal; a mode
+    set of another lattice shares no entry; equality ignores the memo."""
+    sites = st.lists(st.integers(-2 * spec.n_sites, 2 * spec.n_sites),
+                     min_size=spec.dim, max_size=spec.dim)
+    x, y = data.draw(sites), data.draw(sites)
+    modes = build_modes(spec)
+    # same sites and displacements, other spacing: every key coincides
+    other = build_modes(replace(spec, spacing=2.0 * spec.spacing))
+    for kernel, inverse in ((kernel_g, False), (kernel_ginv, True)):
+        for a, b in ((x, y), (y, x), (x, x), (y, y)):
+            for ms in (modes, other):
+                weights = 1.0 / ms.omega if inverse else ms.omega
+                assert kernel(ms, a, b).hex() == _fresh_sum(ms, weights, a, b)
+    assert modes._kernels is not other._kernels
+    assert all(type(v) is float for v in modes._kernels.values())
+    twin = replace(modes)
+    assert twin._kernels == {} and twin == modes
+    assert "_kernels" not in [f.name for f in fields(ModeSet) if f.compare or f.hash]
 
 
 # -- factorised oscillator moments against the generic Born route ------------
