@@ -10,10 +10,12 @@ assumption.
 phi_y and pi_y are ``core.ModeSumOperator``s, sums of one trunc x trunc
 ladder term per mode, each applied along its own axis of the (trunc,)*M
 amplitude tensor, so no joint matrix is ever built: memory is O(dim) and one
-apply costs O(dim M trunc) with dim = trunc^M.  Second moments apply the sum
-twice.  The oracle refuses a lattice whose live vectors would exceed
-``_ORACLE_BYTE_BUDGET`` (256 MiB; d=1, N=8 at trunc 6 fits, trunc 7 does
-not).
+apply costs O(dim M trunc) with dim = trunc^M.  Under the verification a
+second moment applies the sum twice to each of the two branches; under the
+naive collapse every moment is one apply of the dephased sum to the prestate
+(``core`` docstring), with no branch built.  The oracle refuses a lattice
+whose live vectors would exceed ``_ORACLE_BYTE_BUDGET`` (256 MiB; d=1, N=8 at
+trunc 6 fits, trunc 7 does not).
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ from .oscillators import coherent_amplitudes, ladder
 from .policy import checked_tail
 
 _ORACLE_BYTE_BUDGET = 256 * 2**20
-# Dim-sized complex vectors a call may hold at once: the prestate, the
-# verification target (shared by both outcomes), one branch at a time, and
-# the intermediate, accumulator and term product of a squared apply; two spare.
+# Dim-sized complex vectors a call may hold at once.  Verification: the
+# prestate, the target (shared by both outcomes), one branch at a time, and the
+# intermediate, accumulator and term product of a squared apply (6, traced).
+# Naive collapse: the prestate and one dephased apply (4, traced).  Two spare.
 _LIVE_VECTORS = 8
 
 
@@ -127,9 +130,12 @@ def numeric_oracle_qndsv(modes: ModeSet, kick: KickSpec, y, p_index: int,
     """Exact truncated-Fock evaluation of Bob's local moments at y.
 
     scheme_kind "qndsv": two-outcome verification of the one-particle state
-    of mode p.  scheme_kind "naive": collapse of the +-p pair onto joint
-    number states, ``core.level_scheme`` on the two modes.  Both kinds run
-    through one ``core.post_measurement_expectations`` call.
+    of mode p, both branches built once for all observables.  scheme_kind
+    "naive": collapse of the +-p pair onto joint number states,
+    ``core.level_scheme`` on the two modes, whose averages ``core`` reads
+    from the prestate with one dephased apply per observable instead of
+    trunc^2 branches.  Both kinds run through one
+    ``core.post_measurement_expectations`` call.
     """
     if not modes.is_paired(p_index):
         raise ValueError(f"mode {p_index} is self-conjugate")

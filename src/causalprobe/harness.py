@@ -132,7 +132,7 @@ class System:
     alice: str                    # Alice's operation kind
     schemes: dict                 # id -> Scheme
     observables: tuple | dict     # names (the oscillator's map to moment fields)
-    evaluator: Callable           # (Scenario, Typed) -> values(lam) -> {obs: value}
+    evaluator: Callable           # (Scenario, Typed, built) -> values(lam) -> {obs: value}
     default_observables: tuple = ()                   # empty: all observables
     alice_params: dict = field(default_factory=dict)
     aliases: dict = field(default_factory=dict)       # CLI name -> scheme id
@@ -241,7 +241,7 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # evaluators: lam -> {observable: expectation value}, every observable in one call
 
-def _spin_evaluator(sc: Scenario, typed: Typed):
+def _spin_evaluator(sc: Scenario, typed: Typed, built: dict):
     scheme = spins.spin_scheme(sc.scheme["id"], **typed.extras)
     obs_ops = {name: spins.spin_observable(name, typed.params["hbar"])
                for name in sc.observables}
@@ -255,7 +255,7 @@ def _spin_evaluator(sc: Scenario, typed: Typed):
     return values
 
 
-def _oscillator_evaluator(sc: Scenario, typed: Typed):
+def _oscillator_evaluator(sc: Scenario, typed: Typed, built: dict):
     sp = typed.params
     params = oscillators.OscParams(**{f.name: sp[f.name] for f in fields(oscillators.OscParams)})
 
@@ -284,9 +284,12 @@ def _lattice(params: dict) -> LatticeSpec:
     return LatticeSpec(**{f.name: params[f.name] for f in fields(LatticeSpec)})
 
 
-def _field_evaluator(sc: Scenario, typed: Typed):
+def _field_evaluator(sc: Scenario, typed: Typed, built: dict):
     sp = typed.params
-    modes = build_modes(_lattice(sp))
+    lattice = _lattice(sp)
+    if lattice not in built:
+        built[lattice] = build_modes(lattice)
+    modes = built[lattice]
     p_index = modes.mode_index(sp["p"])
     if not modes.is_paired(p_index):
         raise ScenarioError(f"wavenumber {sp['p']!r} is self-conjugate, pick a paired mode")
@@ -431,9 +434,13 @@ SYSTEMS = {"spin": SPIN, "oscillator": OSCILLATOR, "field": FIELD}
 SWEEP_AXES = tuple(axis for spec in SYSTEMS.values() for axis in spec.sweep_axes)
 
 
-def make_evaluator(sc: Scenario):
-    """evaluate(obs, lam); the system's values(lam) runs once per distinct lam."""
-    values = SYSTEMS[sc.system].evaluator(sc, sc.validate())
+def make_evaluator(sc: Scenario, *, built: dict | None = None):
+    """evaluate(obs, lam); the system's values(lam) runs once per distinct lam.
+
+    Evaluators given one ``built`` dict share what they build from equal
+    system params: the field's mode set, and with it its kernel memo.
+    """
+    values = SYSTEMS[sc.system].evaluator(sc, sc.validate(), {} if built is None else built)
     memo = {}
 
     def evaluate(obs: str, lam: float) -> float:
@@ -584,11 +591,13 @@ def compare_schemes(sc: Scenario, scheme_ids, extras=None) -> tuple[CompareRow, 
         raise ScenarioError("compare_schemes needs at least two scheme ids")
     rows = []
     scale = max((abs(v) for v in sc.lambda_grid), default=1.0) or 1.0
-    before_eval = make_evaluator(sc.with_scheme({"id": NO_MEASUREMENT}))
+    built = {}      # one mode set for every compared field scheme
+    before_eval = make_evaluator(sc.with_scheme({"id": NO_MEASUREMENT}), built=built)
     given = {**sc.scheme, **(extras or {})}
     for sid in scheme_ids:
         sub = sc.with_scheme(SYSTEMS[sc.system].scheme_for_id(sid, given))
-        evaluate = before_eval if sub.scheme["id"] == NO_MEASUREMENT else make_evaluator(sub)
+        evaluate = before_eval if sub.scheme["id"] == NO_MEASUREMENT \
+            else make_evaluator(sub, built=built)
         for obs in sub.observables:
             rows.append(CompareRow(
                 scheme_id=sub.scheme["id"],

@@ -66,9 +66,11 @@ class LatticeSpec:
         return tuple(c % self.n_sites for c in coords)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeSet:
-    """Dual-lattice modes: wave vectors, frequencies, and the +-k pairing in conjugate_index."""
+    """Dual-lattice modes: wave vectors, frequencies, and the +-k pairing in
+    conjugate_index.  Compared and hashed by identity: each build owns its
+    kernel memo."""
 
     lattice: LatticeSpec
     wavenumbers: np.ndarray      # integer components, shape (M, d)
@@ -76,7 +78,7 @@ class ModeSet:
     omega: np.ndarray            # shape (M,)
     conjugate_index: np.ndarray  # index of -k for every mode; i itself if self-conjugate
     # _mode_sum's values by (weight, displacement): floats only, gone with the mode set
-    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _kernels: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for arr in (self.wavenumbers, self.k, self.omega, self.conjugate_index):

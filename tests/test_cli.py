@@ -449,17 +449,22 @@ class TestCompareCommand:
         assert vals[("s2-standard", "S2")] == pytest.approx(1.5, abs=1e-12)
         assert vals[("s2-bell", "S2")] == pytest.approx(1.5, abs=1e-12)
 
-    def test_before_evaluator_is_built_once(self, tmp_path, monkeypatch):
-        """One lattice for the unmeasured 'before' column, which the 'none'
-        row reuses, and one for the naive row."""
+    @pytest.mark.parametrize("scenario, schemes", [
+        ("field_naive.json", "naive,none"),
+        ("field_qndsv.json", "none,naive,qndsv"),
+    ])
+    def test_one_lattice_for_every_compared_scheme(self, tmp_path, monkeypatch,
+                                                   scenario, schemes):
+        """The 'before' column, the 'none' row that reuses it and every
+        measured row share one mode set, and so one kernel memo."""
         builds = []
         original = harness.build_modes
         monkeypatch.setattr(harness, "build_modes",
-                            lambda spec: builds.append(spec) or original(spec))
-        code = run(["compare", "--scenario", str(SCENARIOS / "field_naive.json"),
-                    "--schemes", "naive,none", "--out", str(tmp_path)])
+                            lambda spec: builds.append(original(spec)) or builds[-1])
+        code = run(["compare", "--scenario", str(SCENARIOS / scenario),
+                    "--schemes", schemes, "--out", str(tmp_path)])
         assert code == 0
-        assert len(builds) == 2
+        assert len(builds) == 1
 
     def test_field_aliases_resolve_to_canonical_ids(self, tmp_path):
         """compare accepts the aliases that the field command accepts, and

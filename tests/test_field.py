@@ -27,8 +27,9 @@ from causalprobe.fieldtheory import (
     sorkin_derivative,
     suppression_factor,
 )
-from causalprobe.core import (ModeSumOperator, Operator, SchemeOutcome, embed_local,
-                             post_measurement_expectation, qndsv_scheme)
+from causalprobe.core import (LevelOutcome, ModeSumOperator, Operator, SchemeOutcome,
+                             embed_local, level_scheme, post_measurement_expectation,
+                             qndsv_scheme)
 from causalprobe.field_oracle import (
     _LIVE_VECTORS,
     _ORACLE_BYTE_BUDGET,
@@ -438,25 +439,29 @@ class TestOracleGuards:
         assert target.norm == pytest.approx(1.0, abs=1e-14)
 
     def test_mask_collapse_matches_generic_machinery(self):
-        """The oracle's naive collapse, a level scheme on the pair, equals
-        the core's Lueders family of frames, one frame of number states per
-        joint outcome (m, n), on a tiny truncation."""
-        from causalprobe.core import MeasurementScheme, post_measurement_expectation
+        """The oracle's naive collapse, a level scheme on the pair read from
+        the prestate, equals the core's Lueders family of frames, one frame
+        of number states per joint outcome (m, n), with dense observables
+        and their dense squares, on a tiny truncation."""
+        from causalprobe.core import MeasurementScheme, post_measurement_expectations
 
         trunc = 4
         state, _ = oracle_prestate(MODES, KICK, trunc)
-        phi = dense_field_operator(MODES, 1, trunc)
         dims = state.dims
+        phi, pi = (dense_field_operator(MODES, 1, trunc, momentum).matrix
+                   for momentum in (False, True))
+        dense = {name: Operator(dims, m, hermitian=True) for name, m in (
+            ("phi_y", phi), ("pi_y", pi), ("phi2_y", phi @ phi), ("pi2_y", pi @ pi))}
         q = int(MODES.conjugate_index[P])
         digits = np.indices(dims).reshape(len(dims), -1)
         basis = np.eye(digits.shape[1])
         labeled = [(f"{m},{n}", basis[(digits[P] == m) & (digits[q] == n)])
                    for m in range(trunc) for n in range(trunc)]
         scheme = MeasurementScheme.from_basis(dims, labeled)
-        want = post_measurement_expectation(state, scheme, phi)
-        rep = numeric_oracle_qndsv(MODES, KICK, 1, P, trunc, scheme_kind="naive",
-                                   observables=("phi_y",))
-        assert rep.values["phi_y"] == pytest.approx(want, abs=1e-12)
+        want = dict(zip(dense, post_measurement_expectations(state, scheme, dense.values())))
+        rep = numeric_oracle_qndsv(MODES, KICK, 1, P, trunc, scheme_kind="naive")
+        for name, value in want.items():
+            assert rep.values[name] == pytest.approx(value, abs=1e-12), name
 
 
 class TestMatrixFreeOracle:
@@ -506,6 +511,28 @@ class TestMatrixFreeOracle:
         assert len(calls) == 2
         assert rep.values == want
 
+    def test_naive_collapse_applies_no_branch(self, monkeypatch):
+        """The level scheme's four mode sums are read from the prestate, with
+        no outcome applied, and equal the branch loop's values, which a
+        dense copy of each operator still takes."""
+        state, _ = oracle_prestate(MODES, KICK, 4)
+        scheme = level_scheme(state.dims, (P, int(MODES.conjugate_index[P])))
+        phi, pi = field_operator(MODES, 1, 4), momentum_operator(MODES, 1, 4)
+        ops = {"phi_y": phi, "pi_y": pi, "phi2_y": phi.squared(), "pi2_y": pi.squared()}
+        eye = np.eye(math.prod(state.dims))
+        want = {name: post_measurement_expectation(state, scheme, Operator(
+                    state.dims, np.stack([op.apply(col) for col in eye], axis=1),
+                    hermitian=True))
+                for name, op in ops.items()}
+        calls = []
+        apply = LevelOutcome.apply
+        monkeypatch.setattr(LevelOutcome, "apply",
+                            lambda self, amps: calls.append(1) or apply(self, amps))
+        rep = numeric_oracle_qndsv(MODES, KICK, 1, P, 4, scheme_kind="naive")
+        assert calls == []
+        for name, value in want.items():
+            assert rep.values[name] == pytest.approx(value, abs=1e-12), name
+
     def test_converges_in_truncation(self):
         """Values at trunc 5 and 6 sit within the dropped amplitude,
         sqrt(tail_bound), of trunc 7, for both schemes."""
@@ -529,6 +556,13 @@ class TestOracleLattices:
         p = self.N6.mode_index(1)
         rep = numeric_oracle_qndsv(self.N6, KICK, 2, p, 6, scheme_kind="naive")
         closed = naive_np_expectations(self.N6, KICK, 2, p).as_dict()
+        for name in ("phi_y", "pi_y", "phi2_y", "pi2_y"):
+            assert closed[name] == pytest.approx(rep.values[name], abs=1e-6), name
+
+    def test_n8_naive(self):
+        p = self.N8.mode_index(1)
+        rep = numeric_oracle_qndsv(self.N8, KICK, 3, p, 5, scheme_kind="naive")
+        closed = naive_np_expectations(self.N8, KICK, 3, p).as_dict()
         for name in ("phi_y", "pi_y", "phi2_y", "pi2_y"):
             assert closed[name] == pytest.approx(rep.values[name], abs=1e-6), name
 
@@ -556,13 +590,16 @@ class TestOracleLattices:
         ("qndsv", ("phi_y", "phi2_y")),
         ("qndsv", ("phi_y", "pi_y", "phi2_y", "pi2_y")),
         ("naive", ("phi_y", "phi2_y")),
+        ("naive", ("phi_y", "pi_y", "phi2_y", "pi2_y")),
     ])
     def test_peak_memory_within_live_vectors(self, kind, observables):
         """A call's traced peak stays within the dim-sized vectors it holds,
-        plus 1 MiB for small arrays: the prestate, one branch and three in a
-        squared apply, and for qndsv the verification target.  That is
-        inside the _LIVE_VECTORS the byte budget charges for."""
-        vectors = {"qndsv": 6, "naive": 5}[kind]
+        plus 1 MiB for small arrays.  qndsv: the prestate, the verification
+        target, one branch and three in a squared apply.  naive: the
+        prestate and the output, accumulator and term product of one
+        dephased apply.  That is inside the _LIVE_VECTORS the byte budget
+        charges for."""
+        vectors = {"qndsv": 6, "naive": 4}[kind]
         assert vectors <= _LIVE_VECTORS
         p = self.N8.mode_index(1)
         tracemalloc.start()

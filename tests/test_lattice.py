@@ -68,6 +68,13 @@ class TestBuildModes:
             assert np.array_equal(modes.wavenumbers, folded)
             assert np.allclose(modes.omega, modes.omega[conj], rtol=0, atol=1e-12)
 
+    def test_mode_sets_compare_and_hash_by_identity(self):
+        """Two builds of one lattice are distinct mode sets, each with its
+        own kernel memo; either can key a dict."""
+        first, second = build_modes(small_chain()), build_modes(small_chain())
+        assert first == first and first != second
+        assert {first: 1, second: 2}[first] == 1
+
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
             LatticeSpec(dim=1, n_sites=5, spacing=1.0, mass=1.0)
@@ -181,6 +188,13 @@ class TestKernelMemo:
                          "--axis", "volume", "--values", "4,8,16,32",
                          "--out", str(tmp_path)]) == 0
         assert kernel_sums.calls == 2 * 4
+
+    def test_compare_shares_one_memo(self, kernel_sums, tmp_path):
+        """none, naive and qndsv rows read one mode set: ginv at displacements
+        0 and x - y and g at 0, each summed once for the whole table."""
+        assert cli.main(["compare", "--scenario", str(SCENARIOS / "field_qndsv.json"),
+                         "--schemes", "none,naive,qndsv", "--out", str(tmp_path)]) == 0
+        assert kernel_sums.calls == 3
 
     def test_diagonal_is_one_sum_per_weight(self, kernel_sums):
         modes = build_modes(LatticeSpec(dim=2, n_sites=6, spacing=0.5, mass=0.3))
