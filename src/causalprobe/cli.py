@@ -23,6 +23,7 @@ Exit codes: 0 success, 2 validation error, 3 numeric-policy violation
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -303,6 +304,7 @@ def _run_validate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache     # the tables it reads are fixed once the package is imported
 def build_parser() -> _Parser:
     parser = _Parser(prog="causal-probe", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)

@@ -17,17 +17,6 @@ and the verification of one state share that one type.  A level outcome
 fixes the Fock levels of some subsystems, identity on the rest: the Lueders
 rule of a number measurement.  Observables are dense ``Operator``s or
 matrix-free ``ModeSumOperator``s, one term per subsystem.
-
-A full number measurement needs no branches for a mode sum O = sum_k T_k.
-Its level projectors P_i on slots S commute with every term off S, so
-
-    sum_i P_i O P_i   = D,
-    sum_i P_i O^2 P_i = D^2 + sum_{k in S} diag_k(sum_{m != n} |T_k[m, n]|^2),
-
-with D the sum whose measured terms T_k (k in S) keep only their diagonal.
-Hence <O> = <psi|D psi> and <O^2> = |D psi|^2 + sum_{k in S} sum_n
-p_k(n) sum_{m != n} |T_k[m, n]|^2, p_k the level marginal of slot k: one
-apply of D on the prestate instead of one branch per joint level.
 """
 
 from __future__ import annotations
@@ -84,14 +73,6 @@ class StateVector:
             )
         object.__setattr__(self, "amplitudes", amp)
         object.__setattr__(self, "norm", float(np.linalg.norm(amp)))
-
-    @classmethod
-    def basis_state(cls, dims, index) -> "StateVector":
-        dims = _as_dims(dims)
-        amp = np.zeros(int(np.prod(dims)), dtype=complex)
-        flat = int(np.ravel_multi_index(tuple(index), dims)) if not np.isscalar(index) else int(index)
-        amp[flat] = 1.0
-        return cls(dims, amp)
 
     def is_normalized(self) -> bool:
         return abs(self.norm - 1.0) <= DEFAULT_POLICY.exact_tol
@@ -404,11 +385,8 @@ def post_measurement_expectations(state: StateVector, scheme: MeasurementScheme,
                                   observables) -> list[float]:
     """post_measurement_expectation of each observable, in order.
 
-    Under a full number measurement a mode sum of power 1 or 2 is read
-    from the prestate with one apply of its dephased sum (module
-    docstring).  Every other observable takes the outcomes one at a time:
-    each branch P_i|psi> is computed once, serves every such observable,
-    and is replaced by the next.
+    The outcomes are taken one at a time: each branch P_i|psi> is computed
+    once, serves every observable, and is replaced by the next.
     """
     observables = tuple(observables)
     for obs in observables:
@@ -418,52 +396,11 @@ def post_measurement_expectations(state: StateVector, scheme: MeasurementScheme,
         if not obs.hermitian:
             raise ValueError("observable must be flagged (and be) hermitian")
     totals = [0.0] * len(observables)
-    slots = _level_slots(scheme)
-    looped = []
-    for i, obs in enumerate(observables):
-        if slots and isinstance(obs, ModeSumOperator) and obs.power in (1, 2):
-            totals[i] = _dephased_expectation(state.amplitudes, obs, slots)
-        else:
-            looped.append(i)
-    if looped:
-        for out in scheme.outcomes:
-            branch = out.apply(state.amplitudes)
-            for i in looped:
-                totals[i] += float(np.real(np.vdot(branch, observables[i].apply(branch))))
+    for out in scheme.outcomes:
+        branch = out.apply(state.amplitudes)
+        for i, obs in enumerate(observables):
+            totals[i] += float(np.real(np.vdot(branch, obs.apply(branch))))
     return totals
-
-
-def _level_slots(scheme: MeasurementScheme) -> tuple[int, ...]:
-    """The slots of a full number measurement, one ``LevelOutcome`` per
-    joint level of the same distinct slots; () for any other scheme."""
-    outs = scheme.outcomes
-    slots = outs[0].slots if isinstance(outs[0], LevelOutcome) else ()
-    if len(set(slots)) != len(slots) or not all(
-            isinstance(o, LevelOutcome) and o.slots == slots and o.dims == scheme.dims
-            for o in outs):
-        return ()
-    every = list(product(*(range(scheme.dims[s]) for s in slots)))
-    return slots if sorted(o.levels for o in outs) == every else ()
-
-
-def _dephased_expectation(amplitudes: np.ndarray, obs: ModeSumOperator, slots) -> float:
-    """sum_i <psi|P_i O P_i|psi> over the level projectors on ``slots``:
-    <psi|D psi> for power 1, |D psi|^2 plus the jump term for power 2."""
-    jumps = 0.0
-    for k in slots if obs.power == 2 else ():
-        weights = np.abs(obs.terms[k]) ** 2
-        np.fill_diagonal(weights, 0.0)
-        others = tuple(a for a in range(len(obs.dims)) if a != k)
-        marginal = (np.abs(amplitudes.reshape(obs.dims)) ** 2).sum(axis=others)
-        jumps += float(marginal @ weights.sum(axis=0))
-    dephased = copy.copy(obs)   # diagonals of checked hermitian terms: no recheck
-    object.__setattr__(dephased, "power", 1)
-    object.__setattr__(dephased, "terms", tuple(
-        np.diag(np.diag(t)) if k in slots else t for k, t in enumerate(obs.terms)))
-    moved = dephased.apply(amplitudes)
-    if obs.power == 1:
-        return float(np.real(np.vdot(amplitudes, moved)))
-    return float(np.real(np.vdot(moved, moved))) + jumps
 
 
 def validate_scheme(scheme: MeasurementScheme) -> SchemeDiagnostics:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from causalprobe.core import StateVector
-from causalprobe.field_oracle import oracle_prestate
+from dense_oracle import oracle_prestate
 from causalprobe.fieldtheory import WavePacket
 from causalprobe.oscillators import BASIS_AB, BASIS_PM, TwoModeFock, _apply_mixing
 

@@ -31,7 +31,8 @@ from causalprobe.fieldtheory import (
     sorkin_derivative,
     suppression_factor,
 )
-from causalprobe.field_oracle import numeric_oracle_qndsv, oracle_prestate
+from causalprobe.field_oracle import numeric_oracle_qndsv
+from dense_oracle import oracle_prestate
 from causalprobe.harness import power_fit
 from causalprobe.lattice import LatticeSpec, build_modes
 from causalprobe.oscillators import (

@@ -1,7 +1,8 @@
 """Field measurements: closed forms against the independent truncated-Fock
-oracle on the standard small fixture (d=1, N=4, trunc 6) and on N=6 and N=8
-lattices, the matrix-free oracle against a dense reference, parity and
-cutoff scalings, wave packets, and the side-by-side second-moment report."""
+oracle on the standard small fixture (d=1, N=4, trunc 6), on N=6 and N=8
+lattices and at d=3, the factorised oracle against the dense reference of
+``dense_oracle``, parity and cutoff scalings, wave packets, and the
+side-by-side second-moment report."""
 
 from __future__ import annotations
 
@@ -27,19 +28,16 @@ from causalprobe.fieldtheory import (
     sorkin_derivative,
     suppression_factor,
 )
+from causalprobe import field_oracle
 from causalprobe.core import (LevelOutcome, ModeSumOperator, Operator, SchemeOutcome,
                              embed_local, level_scheme, post_measurement_expectation,
                              qndsv_scheme)
 from causalprobe.field_oracle import (
-    _LIVE_VECTORS,
+    _LIVE_STACKS,
     _ORACLE_BYTE_BUDGET,
     field_operator,
     momentum_operator,
     numeric_oracle_qndsv,
-    one_particle_state,
-    oracle_dims,
-    oracle_prestate,
-    oracle_qndsv_packet_phi_y,
     phi2_comparison,
 )
 from causalprobe.harness import power_fit
@@ -47,11 +45,14 @@ from causalprobe.lattice import LatticeSpec, build_modes, kernel_g, kernel_ginv
 from causalprobe.oscillators import ladder
 from causalprobe.policy import TruncationError
 from conftest import naive_outcome_probabilities, single_mode_packet
+from dense_oracle import (dense_oracle, mode_sum, one_particle_state,
+                          oracle_prestate, oracle_qndsv_packet_phi_y)
 
 LAT = LatticeSpec(dim=1, n_sites=4, spacing=1.0, mass=1.0)
 MODES = build_modes(LAT)
 P = MODES.mode_index(1)
 KICK = KickSpec(site=0, strength=0.3)
+KICK3 = KickSpec(site=(0, 0, 0), strength=0.3)
 TRUNC = 6
 
 
@@ -406,33 +407,48 @@ class TestOracleGuards:
         with pytest.raises(ValueError, match="out of range"):
             qndsv_phi_y(MODES, KICK, 1, p_index)
 
-    def test_truncation_failure_raises(self):
+    @pytest.mark.parametrize("route", [numeric_oracle_qndsv, dense_oracle],
+                             ids=["factorised", "dense"])
+    def test_truncation_failure_raises(self, route):
         with pytest.raises(TruncationError):
-            oracle_prestate(MODES, KickSpec(0, 3.0), 2)
+            route(MODES, KickSpec(0, 3.0), 1, P, 2)
 
-    def test_non_finite_kick_refused(self):
+    @pytest.mark.parametrize("route", [numeric_oracle_qndsv, dense_oracle],
+                             ids=["factorised", "dense"])
+    def test_non_finite_kick_refused(self, route):
         """NaN amplitudes give a NaN norm, refused rather than read as a zero tail."""
         with np.errstate(invalid="ignore"), pytest.raises(TruncationError):
-            oracle_prestate(MODES, KickSpec(0, math.inf), 3)
+            route(MODES, KickSpec(0, math.inf), 1, P, 3)
 
-    def test_dimension_cap(self):
-        """6^64 joint amplitudes wrap to 0 in int64; the budget uses exact
-        integers and refuses the lattice before allocating anything."""
+    def test_three_dimensions_accepted(self):
+        """d=3, N=4 holds 6^64 joint amplitudes, which the dense reference
+        refuses in exact integers (int64 would wrap to 0); the factorised
+        oracle holds 64 terms of 6 x 6 and matches the closed forms."""
         big = build_modes(LatticeSpec(dim=3, n_sites=4, spacing=1.0, mass=1.0))
-        with pytest.raises(ValueError, match="over the byte budget"):
-            oracle_prestate(big, KickSpec(site=(0, 0, 0), strength=0.3), 6)
+        p = big.mode_index((1, 0, 0))
+        with pytest.raises(ValueError, match="exceed the dense reference"):
+            dense_oracle(big, KICK3, (1, 2, 0), p, 6)
+        rep = numeric_oracle_qndsv(big, KICK3, (1, 2, 0), p, 6, scheme_kind="naive")
+        closed = naive_np_expectations(big, KICK3, (1, 2, 0), p).as_dict()
+        for name, value in closed.items():
+            assert rep.values[name] == pytest.approx(value, abs=1e-10 + rep.tail_bound), name
 
     def test_byte_budget_boundary(self):
-        """d=1, N=8 is admitted up to the last truncation whose live vectors
-        fit the budget and refused one step above it."""
-        modes = build_modes(LatticeSpec(dim=1, n_sites=8, spacing=1.0, mass=1.0))
-        assert oracle_dims(modes, 5) == (5,) * 8
-        trunc = 5
-        while (trunc + 1) ** 8 * 16 * _LIVE_VECTORS <= _ORACLE_BYTE_BUDGET:
+        """The budget charges _LIVE_STACKS term stacks of M x trunc x trunc
+        complex numbers: d=3, N=32 is admitted at trunc 8 and refused at the
+        first truncation whose stacks exceed the budget, before any array
+        is made."""
+        modes = build_modes(LatticeSpec(dim=3, n_sites=32, spacing=1.0, mass=1.0))
+        assert _LIVE_STACKS * modes.n_modes * 8**2 * 16 <= _ORACLE_BYTE_BUDGET
+        trunc = 8
+        while _LIVE_STACKS * modes.n_modes * (trunc + 1) ** 2 * 16 <= _ORACLE_BYTE_BUDGET:
             trunc += 1
-        assert oracle_dims(modes, trunc) == (trunc,) * 8
-        with pytest.raises(ValueError, match="over the byte budget"):
-            oracle_dims(modes, trunc + 1)
+        field_oracle._check_budget(modes.n_modes, trunc)
+        for call in (lambda: field_operator(modes, (0, 0, 0), trunc + 1),
+                     lambda: numeric_oracle_qndsv(modes, KICK3, (0, 0, 0),
+                                                  modes.mode_index((1, 0, 0)), trunc + 1)):
+            with pytest.raises(ValueError, match="over the byte budget"):
+                call()
 
     def test_one_particle_state_is_normalized(self):
         target = one_particle_state(MODES, P, TRUNC)
@@ -468,8 +484,10 @@ class TestMatrixFreeOracle:
     @pytest.mark.parametrize("trunc", [3, 4])
     @pytest.mark.parametrize("momentum", [False, True])
     def test_apply_matches_dense_matvec(self, trunc, momentum):
+        """The term stacks, applied as mode sums, against the dense joint
+        matrix built independently from the ladder."""
         build = momentum_operator if momentum else field_operator
-        op = build(MODES, 1, trunc)
+        op = mode_sum(build(MODES, 1, trunc))
         dense = dense_field_operator(MODES, 1, trunc, momentum).matrix
         rng = np.random.default_rng(trunc)
         v = rng.normal(size=trunc**4) + 1j * rng.normal(size=trunc**4)
@@ -477,14 +495,22 @@ class TestMatrixFreeOracle:
         assert np.allclose(op.squared().apply(v), dense @ (dense @ v),
                            rtol=0, atol=1e-12)
 
-    def test_non_hermitian_term_refused(self):
-        op = field_operator(MODES, 1, 3)
+    def test_non_hermitian_term_refused(self, monkeypatch):
+        """By the mode sum, and by the factorised oracle for either field."""
+        op = mode_sum(field_operator(MODES, 1, 3))
         bad = op.terms[:-1] + (ladder(3),)
         with pytest.raises(ValueError, match="hermitian"):
             ModeSumOperator(op.dims, bad)
+        for name, build in (("field_operator", field_operator),
+                            ("momentum_operator", momentum_operator)):
+            with monkeypatch.context() as patch:
+                patch.setattr(field_oracle, name, lambda modes, y, trunc, build=build:
+                              np.concatenate([build(modes, y, trunc)[:-1], ladder(trunc)[None]]))
+                with pytest.raises(ValueError, match="hermitian"):
+                    numeric_oracle_qndsv(MODES, KICK, 1, P, TRUNC)
 
     def test_squared_does_not_recheck_terms(self, monkeypatch):
-        op = field_operator(MODES, 1, 3)
+        op = mode_sum(field_operator(MODES, 1, 3))
 
         def refuse(self):
             raise AssertionError("terms checked again")
@@ -495,11 +521,11 @@ class TestMatrixFreeOracle:
         assert square.terms is op.terms and square.dims == op.dims
 
     def test_verification_branches_computed_once(self, monkeypatch):
-        """Both outcomes are applied once for all four observables, and the
-        values equal the one-observable route's."""
+        """The dense reference applies both outcomes once for all four
+        observables, and its values equal the one-observable route's."""
         state, _ = oracle_prestate(MODES, KICK, 4)
         scheme = qndsv_scheme(one_particle_state(MODES, P, 4))
-        phi, pi = field_operator(MODES, 1, 4), momentum_operator(MODES, 1, 4)
+        phi, pi = (mode_sum(build(MODES, 1, 4)) for build in (field_operator, momentum_operator))
         ops = {"phi_y": phi, "pi_y": pi, "phi2_y": phi.squared(), "pi2_y": pi.squared()}
         want = {name: post_measurement_expectation(state, scheme, op)
                 for name, op in ops.items()}
@@ -507,17 +533,17 @@ class TestMatrixFreeOracle:
         apply = SchemeOutcome.apply
         monkeypatch.setattr(SchemeOutcome, "apply",
                             lambda self, amps: calls.append(1) or apply(self, amps))
-        rep = numeric_oracle_qndsv(MODES, KICK, 1, P, 4)
+        rep = dense_oracle(MODES, KICK, 1, P, 4)
         assert len(calls) == 2
         assert rep.values == want
 
     def test_naive_collapse_applies_no_branch(self, monkeypatch):
-        """The level scheme's four mode sums are read from the prestate, with
-        no outcome applied, and equal the branch loop's values, which a
-        dense copy of each operator still takes."""
+        """The dense reference reads the level scheme's four mode sums from
+        the prestate, with no outcome applied, and they equal the branch
+        loop's values, which a dense copy of each operator still takes."""
         state, _ = oracle_prestate(MODES, KICK, 4)
         scheme = level_scheme(state.dims, (P, int(MODES.conjugate_index[P])))
-        phi, pi = field_operator(MODES, 1, 4), momentum_operator(MODES, 1, 4)
+        phi, pi = (mode_sum(build(MODES, 1, 4)) for build in (field_operator, momentum_operator))
         ops = {"phi_y": phi, "pi_y": pi, "phi2_y": phi.squared(), "pi2_y": pi.squared()}
         eye = np.eye(math.prod(state.dims))
         want = {name: post_measurement_expectation(state, scheme, Operator(
@@ -528,7 +554,7 @@ class TestMatrixFreeOracle:
         apply = LevelOutcome.apply
         monkeypatch.setattr(LevelOutcome, "apply",
                             lambda self, amps: calls.append(1) or apply(self, amps))
-        rep = numeric_oracle_qndsv(MODES, KICK, 1, P, 4, scheme_kind="naive")
+        rep = dense_oracle(MODES, KICK, 1, P, 4, scheme_kind="naive")
         assert calls == []
         for name, value in want.items():
             assert rep.values[name] == pytest.approx(value, abs=1e-12), name
@@ -592,21 +618,63 @@ class TestOracleLattices:
         ("naive", ("phi_y", "phi2_y")),
         ("naive", ("phi_y", "pi_y", "phi2_y", "pi2_y")),
     ])
-    def test_peak_memory_within_live_vectors(self, kind, observables):
-        """A call's traced peak stays within the dim-sized vectors it holds,
-        plus 1 MiB for small arrays.  qndsv: the prestate, the verification
-        target, one branch and three in a squared apply.  naive: the
-        prestate and the output, accumulator and term product of one
-        dephased apply.  That is inside the _LIVE_VECTORS the byte budget
-        charges for."""
-        vectors = {"qndsv": 6, "naive": 4}[kind]
-        assert vectors <= _LIVE_VECTORS
-        p = self.N8.mode_index(1)
+    def test_peak_memory_within_live_stacks(self, kind, observables):
+        """A call's traced peak stays within the _LIVE_STACKS term stacks of
+        M x trunc x trunc complex numbers the byte budget charges for, plus
+        256 KiB for the per-mode vectors, at d=2, N=32 (1024 modes, 1 MiB
+        per stack at trunc 8)."""
+        modes = build_modes(LatticeSpec(dim=2, n_sites=32, spacing=1.0, mass=1.0))
+        p = modes.mode_index((1, 0))
         tracemalloc.start()
         try:
-            numeric_oracle_qndsv(self.N8, KICK, 2, p, 5, scheme_kind=kind,
-                                 observables=observables)
+            numeric_oracle_qndsv(modes, KickSpec((0, 0), 0.3), (2, 1), p, 8,
+                                 scheme_kind=kind, observables=observables)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= vectors * 5**8 * 16 + 2**20
+        assert peak <= _LIVE_STACKS * modes.n_modes * 8**2 * 16 + 2**18
+
+
+class TestFactorisedOracle:
+    """The factorised oracle against the dense kron reference: values,
+    prestate values, tail and verification probability within 1e-13, for
+    both kinds, lam = -0.5, 0.3 and 0.6 and mass 1 and 0.5.  A truncation
+    that loses too much norm is refused by both routes alike."""
+
+    @staticmethod
+    def _compare(modes, trunc, kind, lam, ys):
+        p = modes.mode_index(1)
+        for y in ys:
+            try:
+                got = numeric_oracle_qndsv(modes, KickSpec(0, lam), y, p, trunc,
+                                           scheme_kind=kind)
+            except TruncationError:
+                with pytest.raises(TruncationError):
+                    dense_oracle(modes, KickSpec(0, lam), y, p, trunc, scheme_kind=kind)
+                continue
+            want = dense_oracle(modes, KickSpec(0, lam), y, p, trunc, scheme_kind=kind)
+            for table in ("values", "prestate_values"):
+                for name, value in getattr(want, table).items():
+                    assert abs(getattr(got, table)[name] - value) <= 1e-13, (table, name, y)
+            assert abs(got.tail_bound - want.tail_bound) <= 1e-13
+            assert (got.p_yes is None) == (want.p_yes is None)
+            if kind == "qndsv":
+                assert abs(got.p_yes - want.p_yes) <= 1e-13
+
+    @pytest.mark.parametrize("kind", ["naive", "qndsv"])
+    @pytest.mark.parametrize("mass", [1.0, 0.5])
+    @pytest.mark.parametrize("trunc", [5, 6, 7])
+    def test_n4_every_site(self, trunc, mass, kind):
+        modes = build_modes(LatticeSpec(dim=1, n_sites=4, spacing=1.0, mass=mass))
+        for lam in (-0.5, 0.3, 0.6):
+            self._compare(modes, trunc, kind, lam, range(4))
+
+    @pytest.mark.parametrize("kind", ["naive", "qndsv"])
+    def test_n6(self, kind):
+        modes = build_modes(LatticeSpec(dim=1, n_sites=6, spacing=1.0, mass=1.0))
+        self._compare(modes, 6, kind, 0.6, (0, 3))
+
+    @pytest.mark.parametrize("kind", ["naive", "qndsv"])
+    def test_n8(self, kind):
+        modes = build_modes(LatticeSpec(dim=1, n_sites=8, spacing=1.0, mass=1.0))
+        self._compare(modes, 5, kind, -0.5, (6,))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalprobe import fieldtheory, oscillators, spins
+from causalprobe import field_oracle, fieldtheory, oscillators, spins
 from causalprobe.core import (MeasurementScheme, ModeSumOperator, Operator, SchemeOutcome,
                               StateVector, born_ensemble, level_scheme,
                               post_measurement_expectation, post_measurement_expectations,
@@ -25,6 +25,7 @@ from causalprobe.harness import SPIN
 from causalprobe.lattice import LatticeSpec, build_modes, kernel_g, kernel_ginv
 from causalprobe.policy import TruncationError
 
+import dense_oracle
 from conftest import random_unitary
 
 SEEDED = settings(derandomize=True, deadline=None)
@@ -125,8 +126,8 @@ def _hermitian(n: int, rng) -> np.ndarray:
 def level_cases(draw):
     """2-4 subsystems of 2-4 levels, distinct slots in a random order, a
     random state, and a mode sum at powers 1, 2 and 3, sometimes with a
-    dense observable among them.  Powers 1 and 2 are read from the prestate,
-    power 3 and the dense one take the branch loop."""
+    dense observable among them.  The dense oracle reads powers 1 and 2 from
+    the prestate; power 3 and the dense one take the branch loop."""
     dims = tuple(draw(st.lists(st.integers(2, 4), min_size=2, max_size=4)))
     order = draw(st.permutations(range(len(dims))))
     slots = tuple(order[:draw(st.integers(1, len(dims)))])
@@ -146,7 +147,8 @@ def level_cases(draw):
 def test_level_scheme_matches_unit_vector_frames(case):
     """A level scheme gives the Born weights and post-measurement averages
     of the frame scheme whose outcome (levels) holds every basis vector with
-    those levels on the slots."""
+    those levels on the slots, by the branch loop and by the dense oracle's
+    dephased route alike."""
     dims, slots, state, observables = case
     levels = level_scheme(dims, slots)
     digits = np.indices(dims).reshape(len(dims), -1)
@@ -159,9 +161,9 @@ def test_level_scheme_matches_unit_vector_frames(case):
     assert [e.label for e in got] == [e.label for e in want]
     assert np.allclose([e.probability for e in got], [e.probability for e in want],
                        rtol=0, atol=1e-12)
-    assert np.allclose(post_measurement_expectations(state, levels, observables),
-                       post_measurement_expectations(state, frames, observables),
-                       rtol=0, atol=1e-12)
+    averages = post_measurement_expectations(state, frames, observables)
+    for route in (post_measurement_expectations, dense_oracle.post_measurement_expectations):
+        assert np.allclose(route(state, levels, observables), averages, rtol=0, atol=1e-12)
 
 
 @st.composite
@@ -192,6 +194,44 @@ def test_closed_forms_have_definite_parity_in_lambda(form, parity, lattice, lam)
     at = form(modes, fieldtheory.KickSpec(site=x, strength=lam), y, p)
     mirrored = form(modes, fieldtheory.KickSpec(site=x, strength=-lam), y, p)
     assert mirrored == pytest.approx(parity * at, rel=1e-12, abs=1e-15)
+
+
+@st.composite
+def field_cases(draw):
+    """A d = 1, 2 or 3 lattice with one of either dispersion, a kick site x,
+    an observation site y, a paired mode p and lam.  Mass >= 0.5, spacing
+    >= 0.5 and |lam| <= 1 keep every |alpha_k|^2 <= 1/2, so 14 levels leave
+    the top kept level below 1e-13 and the oracle's truncation error below
+    the tolerance."""
+    dim = draw(st.sampled_from((1, 2, 3)))
+    n_sites = 2 * draw(st.integers(2, {1: 16, 2: 8, 3: 4}[dim]))
+    modes = build_modes(LatticeSpec(
+        dim=dim, n_sites=n_sites, spacing=draw(st.floats(0.5, 2.0)),
+        mass=draw(st.floats(0.5, 3.0)),
+        dispersion=draw(st.sampled_from(("lattice", "continuum")))))
+    site = st.tuples(*[st.integers(0, n_sites - 1)] * dim)
+    p = draw(st.integers(0, modes.n_modes - 1).filter(modes.is_paired))
+    return (modes, fieldtheory.KickSpec(site=draw(site), strength=draw(st.floats(-1.0, 1.0))),
+            draw(site), p)
+
+
+@SEEDED
+@given(case=field_cases())
+def test_field_closed_forms_match_factorised_oracle(case):
+    """Every field closed form equals the factorised truncated-Fock oracle
+    within 1e-10 relative to max(1, |value|), plus the tail: the naive
+    collapse for all four observables, the verification for phi_y and
+    phi2_y."""
+    modes, kick, y, p = case
+    closed = {"naive": fieldtheory.naive_np_expectations(modes, kick, y, p).as_dict(),
+              "qndsv": {"phi_y": fieldtheory.qndsv_phi_y(modes, kick, y, p),
+                        "phi2_y": fieldtheory.qndsv_phi2_y(modes, kick, y, p)}}
+    for kind, want in closed.items():
+        rep = field_oracle.numeric_oracle_qndsv(modes, kick, y, p, 14, scheme_kind=kind,
+                                                observables=tuple(want))
+        for name, value in want.items():
+            assert abs(rep.values[name] - value) <= 1e-10 * max(1.0, abs(value)) \
+                + rep.tail_bound, (kind, name)
 
 
 def _folded(wavenumber, n_sites) -> tuple:
