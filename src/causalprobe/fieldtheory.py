@@ -16,6 +16,14 @@ Two measurement prescriptions are covered:
 The second moments of the naive measurement carry the coefficients
 lam^2 eps^2 / omega_p^2 (for phi) and lam^2 eps^2 (for pi); both are fixed
 by the independent truncated-Fock oracle in ``field_oracle``.
+
+Each (scheme, observable) pair has one closed form of its own, named
+``<scheme>_<observable>`` (schemes ``naive_np``, ``prestate``, ``qndsv``)
+and read by name through ``closed_forms``, so a report sums only the
+kernels that its observables read.  Before a measurement and after the
+naive one, <phi_y> and <pi_y> read none, <phi_y^2> reads ginv_yy and
+<pi_y^2> g_yy; after the verification, <phi_y> reads ginv_xx and <phi_y^2>
+ginv_xx, ginv_xy and ginv_yy.
 """
 
 from __future__ import annotations
@@ -134,12 +142,11 @@ def qndsv_phi2_y(modes: ModeSet, kick: KickSpec, y, p_index: int) -> float:
     _require_paired(modes, p_index)
     lam, hbar = kick.strength, modes.lattice.hbar
     wp = modes.omega[p_index]
-    gyy = kernel_ginv(modes, y, y)
     gxy = kernel_ginv(modes, kick.site, y)
     phase = modes.phase_at(p_index, kick.site) - modes.phase_at(p_index, y)
     bracket = (0.25 * lam**2 * gxy**2 - hbar * gxy * math.cos(phase)
                + hbar * modes.eps / wp)
-    return (0.5 * hbar * gyy + suppression_factor(modes, kick)
+    return (_vacuum_phi2(modes, y) + suppression_factor(modes, kick)
             * (lam**2 * modes.eps / (hbar * wp)) * bracket)
 
 
@@ -170,6 +177,9 @@ def qndsv_phi2_y_candidate(modes: ModeSet, kick: KickSpec, y, p_index: int) -> f
             - (lam**2 * modes.eps / (hbar * wp)) * damp * bracket)
 
 
+OBSERVABLES = ("phi_y", "pi_y", "phi2_y", "pi2_y")
+
+
 @dataclass(frozen=True)
 class FieldExpectations:
     """Bob's local expectation values {phi, pi, phi^2, pi^2} at one site."""
@@ -180,8 +190,96 @@ class FieldExpectations:
     pi2: float
 
     def as_dict(self) -> dict:
-        return {"phi_y": self.phi, "pi_y": self.pi,
-                "phi2_y": self.phi2, "pi2_y": self.pi2}
+        return dict(zip(OBSERVABLES, (self.phi, self.pi, self.phi2, self.pi2)))
+
+
+def closed_forms(scheme: str, modes: ModeSet, kick: KickSpec, y, p_index: int,
+                 observables=OBSERVABLES) -> dict:
+    """{observable: value} from the forms ``<scheme>_<observable>`` alone,
+    so only the kernels those observables read are summed."""
+    forms = globals()
+    return {obs: forms[f"{scheme}_{obs}"](modes, kick, y, p_index) for obs in observables}
+
+
+def _sites(modes: ModeSet, kick: KickSpec, y) -> tuple:
+    """The kick site and y, each refused unless it is a lattice site."""
+    lat = modes.lattice
+    return lat.site(kick.site), lat.site(y)
+
+
+def _contact(modes: ModeSet, kick: KickSpec, y) -> float:
+    """delta_xy / a^d, the momentum density the kick itself leaves at y."""
+    xs, ys = _sites(modes, kick, y)
+    return (1.0 / modes.lattice.spacing**modes.lattice.dim) if xs == ys else 0.0
+
+
+def _vacuum_phi2(modes: ModeSet, y) -> float:
+    """(hbar/2) ginv_yy, the vacuum's <phi_y^2>."""
+    return 0.5 * modes.lattice.hbar * kernel_ginv(modes, y, y)
+
+
+def _vacuum_pi2(modes: ModeSet, y) -> float:
+    """(hbar/2) g_yy, the vacuum's <pi_y^2>."""
+    return 0.5 * modes.lattice.hbar * kernel_g(modes, y, y)
+
+
+# the kicked vacuum, before any measurement; p_index is not read
+
+def prestate_phi_y(modes: ModeSet, kick: KickSpec, y, p_index=None) -> float:
+    """<phi_y> = 0: the kick displaces only the momenta."""
+    _sites(modes, kick, y)
+    return 0.0
+
+
+def prestate_pi_y(modes: ModeSet, kick: KickSpec, y, p_index=None) -> float:
+    """<pi_y> = lam delta_xy / a^d."""
+    return kick.strength * _contact(modes, kick, y)
+
+
+def prestate_phi2_y(modes: ModeSet, kick: KickSpec, y, p_index=None) -> float:
+    """<phi_y^2> = (hbar/2) ginv_yy."""
+    _sites(modes, kick, y)
+    return _vacuum_phi2(modes, y)
+
+
+def prestate_pi2_y(modes: ModeSet, kick: KickSpec, y, p_index=None) -> float:
+    """<pi_y^2> = <pi_y>^2 + (hbar/2) g_yy."""
+    return prestate_pi_y(modes, kick, y) ** 2 + _vacuum_pi2(modes, y)
+
+
+def prestate_expectations(modes: ModeSet, kick: KickSpec, y) -> FieldExpectations:
+    """Same local moments on the kicked vacuum, before any measurement."""
+    return FieldExpectations(*closed_forms("prestate", modes, kick, y, None).values())
+
+
+# the naive collapse of the +-p pair onto its number states
+
+def naive_np_phi_y(modes: ModeSet, kick: KickSpec, y, p_index: int) -> float:
+    """<phi_y> = 0, as before the collapse."""
+    _require_paired(modes, p_index)
+    return prestate_phi_y(modes, kick, y)
+
+
+def naive_np_pi_y(modes: ModeSet, kick: KickSpec, y, p_index: int) -> float:
+    """<pi_y> = lam [ delta_xy/a^d - 2 eps cos p.(x-y) ]."""
+    _require_paired(modes, p_index)
+    lam = kick.strength
+    phase = modes.phase_at(p_index, kick.site) - modes.phase_at(p_index, y)
+    return (lam * (_contact(modes, kick, y) - 2.0 * modes.eps * math.cos(phase))
+            + math.copysign(0.0, lam))  # see qndsv_phi_y
+
+
+def naive_np_phi2_y(modes: ModeSet, kick: KickSpec, y, p_index: int) -> float:
+    """<phi_y^2> = (hbar/2) ginv_yy + lam^2 eps^2 / omega_p^2."""
+    _require_paired(modes, p_index)
+    _sites(modes, kick, y)
+    return _vacuum_phi2(modes, y) + kick.strength**2 * modes.eps**2 / modes.omega[p_index]**2
+
+
+def naive_np_pi2_y(modes: ModeSet, kick: KickSpec, y, p_index: int) -> float:
+    """<pi_y^2> = <pi_y>^2 + (hbar/2) g_yy + lam^2 eps^2."""
+    return (naive_np_pi_y(modes, kick, y, p_index) ** 2 + _vacuum_pi2(modes, y)
+            + kick.strength**2 * modes.eps**2)
 
 
 def naive_np_expectations(modes: ModeSet, kick: KickSpec, y,
@@ -197,31 +295,7 @@ def naive_np_expectations(modes: ModeSet, kick: KickSpec, y,
     The lam-dependent pieces for y != x all carry the mode-volume factor
     eps = 1/V.
     """
-    _require_paired(modes, p_index)
-    lat = modes.lattice
-    lam, hbar = kick.strength, lat.hbar
-    eps = modes.eps
-    wp = modes.omega[p_index]
-    xs, ys = lat.site(kick.site), lat.site(y)
-    onsite = (1.0 / lat.spacing**lat.dim) if xs == ys else 0.0
-    phase = modes.phase_at(p_index, xs) - modes.phase_at(p_index, ys)
-    pi = lam * (onsite - 2.0 * eps * math.cos(phase)) + math.copysign(0.0, lam)  # see qndsv_phi_y
-    gyy_inv = kernel_ginv(modes, y, y)
-    gyy = kernel_g(modes, y, y)
-    phi2 = 0.5 * hbar * gyy_inv + lam**2 * eps**2 / wp**2
-    pi2 = pi**2 + 0.5 * hbar * gyy + lam**2 * eps**2
-    return FieldExpectations(phi=0.0, pi=pi, phi2=phi2, pi2=pi2)
-
-
-def prestate_expectations(modes: ModeSet, kick: KickSpec, y) -> FieldExpectations:
-    """Same local moments on the kicked vacuum, before any measurement."""
-    lat = modes.lattice
-    xs, ys = lat.site(kick.site), lat.site(y)
-    onsite = (1.0 / lat.spacing**lat.dim) if xs == ys else 0.0
-    pi = kick.strength * onsite
-    phi2 = 0.5 * lat.hbar * kernel_ginv(modes, y, y)
-    pi2 = pi**2 + 0.5 * lat.hbar * kernel_g(modes, y, y)
-    return FieldExpectations(phi=0.0, pi=pi, phi2=phi2, pi2=pi2)
+    return FieldExpectations(*closed_forms("naive_np", modes, kick, y, p_index).values())
 
 
 @dataclass(frozen=True)

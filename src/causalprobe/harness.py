@@ -301,20 +301,6 @@ def _field_evaluator(sc: Scenario, typed: Typed, built: dict):
     return values
 
 
-def _field_naive(modes, kick, y, p_index, observables) -> dict:
-    return fieldtheory.naive_np_expectations(modes, kick, y, p_index).as_dict()
-
-
-def _field_prestate(modes, kick, y, p_index, observables) -> dict:
-    return fieldtheory.prestate_expectations(modes, kick, y).as_dict()
-
-
-def _field_qndsv(modes, kick, y, p_index, observables) -> dict:
-    # one closed form per reported observable, named qndsv_<observable>
-    return {obs: getattr(fieldtheory, f"qndsv_{obs}")(modes, kick, y, p_index)
-            for obs in observables}
-
-
 def _field_amplitude(params: dict) -> float:
     """The suppression amplitude max_lam lam e^{-lam^2 ginv_xx/2hbar}."""
     return fieldtheory.max_signaling(build_modes(_lattice(params)), params["x"]).amplitude
@@ -419,11 +405,14 @@ FIELD = System(
     },
     alice="kick",
     schemes={
-        "naive-np": Scheme(compute=_field_naive),
-        "qndsv-1p": Scheme(observables=("phi_y", "phi2_y"), compute=_field_qndsv),
-        NO_MEASUREMENT: Scheme(compute=_field_prestate),
+        # each reported observable is read from its own closed form, and
+        # sums only the kernels that it reads
+        "naive-np": Scheme(compute=functools.partial(fieldtheory.closed_forms, "naive_np")),
+        "qndsv-1p": Scheme(observables=("phi_y", "phi2_y"),
+                           compute=functools.partial(fieldtheory.closed_forms, "qndsv")),
+        NO_MEASUREMENT: Scheme(compute=functools.partial(fieldtheory.closed_forms, "prestate")),
     },
-    observables=("phi_y", "pi_y", "phi2_y", "pi2_y"),
+    observables=fieldtheory.OBSERVABLES,
     evaluator=_field_evaluator,
     aliases={"naive": "naive-np", "qndsv": "qndsv-1p"},
     sweep_axes={"volume": _rescaled_for_volume, "spacing": _rescaled_for_spacing},

@@ -13,13 +13,20 @@ Dual-lattice wave vectors are k = 2 pi n / (N a) with integer components in
 component 0 or the Nyquist value); the rest come in +-k pairs coupled by
 the reality of the field.
 
-The kernels g and g^-1 are sums over every mode; each is computed once per
-mode set, weight and site displacement, and kept on the mode set.
+The mode set is built axis by axis: every per-mode array is a broadcast of
+N-entry arrays of one axis, so a build takes d N sines, not M d.  The
+kernels g and g^-1 are sums over every mode; each is computed once per mode
+set, weight and site displacement, and kept on the mode set, and only when
+an observable reads it (see ``fieldtheory``).
+
+Sites, wavenumbers, ``dim`` and ``n_sites`` are integers: a bool, float or
+string is refused with a ValueError, never truncated.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +45,14 @@ class LatticeSpec:
     zero_mode_mass: float | None = None
 
     def __post_init__(self):
+        for name in ("dim", "n_sites"):
+            value = getattr(self, name)
+            try:
+                if type(value) is bool:
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.dim not in (1, 2, 3):
             raise ValueError(f"spatial dimension must be 1, 2 or 3, got {self.dim}")
         if self.n_sites < 2 or self.n_sites % 2 != 0:
@@ -58,12 +73,20 @@ class LatticeSpec:
     def volume(self) -> float:
         return float((self.n_sites * self.spacing) ** self.dim)
 
-    def site(self, x) -> tuple[int, ...]:
-        """Normalize a site given as int (d=1) or sequence of ints."""
-        coords = (int(x),) if np.isscalar(x) else tuple(int(c) for c in x)
+    def site(self, x, what: str = "site") -> tuple[int, ...]:
+        """Normalize a site given as int (d=1) or sequence of ints into
+        [0, N)^d.  A bool, float or string coordinate is refused with a
+        ValueError naming ``what``, not truncated."""
+        coords = tuple(x) if isinstance(x, (tuple, list, np.ndarray)) else (x,)
         if len(coords) != self.dim:
-            raise ValueError(f"site {x!r} does not match dimension {self.dim}")
-        return tuple(c % self.n_sites for c in coords)
+            raise ValueError(f"{what} {x!r} does not match dimension {self.dim}")
+        if bool not in map(type, coords):
+            try:
+                n = self.n_sites
+                return tuple([operator.index(c) % n for c in coords])
+            except TypeError:
+                pass
+        raise ValueError(f"{what} needs integer coordinates, got {x!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,10 +122,11 @@ class ModeSet:
 
     def mode_index(self, wavenumber) -> int:
         """Index of the mode with the given integer wave-number vector."""
-        want = np.atleast_1d(np.asarray(wavenumber, dtype=int))
-        if want.shape != (self.lattice.dim,):
-            raise ValueError(f"wavenumber {wavenumber!r} does not match dimension")
-        return int(_flat_index(want, self.lattice.n_sites))
+        n = self.lattice.n_sites
+        index = 0
+        for w in self.lattice.site(wavenumber, "wavenumber"):
+            index = index * n + (w + n // 2 - 1) % n    # row-major digits of (-n/2, n/2]
+        return index
 
     def phase_at(self, index: int, site) -> float:
         """k . x in radians for a lattice site."""
@@ -115,34 +139,42 @@ class ModeSet:
         return (self.k[:, None, :] @ x)[:, 0]
 
 
-def _flat_index(wavenumbers: np.ndarray, n: int) -> np.ndarray:
-    """Row-major ("ij") mode index of integer wavenumbers folded into (-n/2, n/2]."""
-    digits = (wavenumbers + n // 2 - 1) % n
-    return digits @ (n ** np.arange(wavenumbers.shape[-1] - 1, -1, -1))
-
-
 def build_modes(lattice: LatticeSpec) -> ModeSet:
-    """Enumerate dual-lattice modes with Kronecker normalization.
+    """Enumerate dual-lattice modes with Kronecker normalization, in row-major
+    ("ij") order of the wavenumbers.
 
-    Massless lattices get the configured regulator mass on the zero mode so
-    every retained mode has omega > 0.
+    Each axis contributes N-entry arrays: its wavenumbers, k, dispersion term
+    and the position (N - 2 - j) mod N of -k for position j.  They are
+    broadcast into the mode set's arrays, each written once: omega^2 adds
+    the axes' terms in axis order, and the conjugate index reads the
+    positions as base-N digits.  Massless lattices get the configured
+    regulator mass on the zero mode so every retained mode has omega > 0.
     """
-    n = lattice.n_sites
+    n, dim, a = lattice.n_sites, lattice.dim, lattice.spacing
     axis = np.arange(-n // 2 + 1, n // 2 + 1)
-    wavenumbers = np.stack(np.meshgrid(*[axis] * lattice.dim, indexing="ij"),
-                           axis=-1).reshape(-1, lattice.dim)
-    k = 2.0 * math.pi * wavenumbers / (n * lattice.spacing)
+    k_axis = 2.0 * math.pi * axis / (n * a)
     if lattice.dispersion == "lattice":
-        ksq = np.sum((2.0 / lattice.spacing) ** 2
-                     * np.sin(k * lattice.spacing / 2.0) ** 2, axis=1)
+        ksq_axis = (2.0 / a) ** 2 * np.sin(k_axis * a / 2.0) ** 2
     else:
-        ksq = np.sum(k**2, axis=1)
-    msq = np.full(ksq.shape, lattice.mass**2)
+        ksq_axis = k_axis**2
+    conj_axis = (n - 2 - np.arange(n)) % n
+    omega_sq, conj = ksq_axis, conj_axis
+    for _ in range(dim - 1):    # only the last step is M-sized
+        omega_sq = omega_sq[..., None] + ksq_axis
+        conj = conj[..., None] * n + conj_axis
+    omega_sq += lattice.mass**2
     if lattice.mass == 0.0:
-        msq[np.all(wavenumbers == 0, axis=1)] = lattice.zero_mode_mass**2
-    omega = np.sqrt(msq + ksq)
-    return ModeSet(lattice=lattice, wavenumbers=wavenumbers, k=k, omega=omega,
-                   conjugate_index=_flat_index(-wavenumbers, n))
+        omega_sq[(n // 2 - 1,) * dim] += lattice.zero_mode_mass**2
+    omega = np.sqrt(omega_sq, out=omega_sq)
+    wavenumbers = np.empty((n,) * dim + (dim,), dtype=axis.dtype)
+    k = np.empty(wavenumbers.shape)
+    for j in range(dim):
+        along = (n,) + (1,) * (dim - 1 - j)     # broadcasts over grid axis j
+        wavenumbers[..., j] = axis.reshape(along)
+        k[..., j] = k_axis.reshape(along)
+    return ModeSet(lattice=lattice, wavenumbers=wavenumbers.reshape(-1, dim),
+                   k=k.reshape(-1, dim), omega=omega.reshape(-1),
+                   conjugate_index=conj.reshape(-1))
 
 
 def _mode_sum(modes: ModeSet, inverse: bool, x, y) -> float:
@@ -156,9 +188,11 @@ def _mode_sum(modes: ModeSet, inverse: bool, x, y) -> float:
     lat = modes.lattice
     key = (inverse, tuple(a - b for a, b in zip(lat.site(x), lat.site(y))))
     if key not in modes._kernels:
-        weights = 1.0 / modes.omega if inverse else modes.omega
         dx = np.asarray(key[1], dtype=float) * lat.spacing
-        modes._kernels[key] = float(np.sum(weights * np.cos(modes.k @ dx)) / lat.volume)
+        terms = modes.k @ dx
+        np.cos(terms, out=terms)     # at most two M-sized temporaries: these and 1/omega
+        terms *= 1.0 / modes.omega if inverse else modes.omega
+        modes._kernels[key] = float(np.sum(terms) / lat.volume)
     return modes._kernels[key]
 
 

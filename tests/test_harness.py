@@ -223,7 +223,8 @@ class TestRunScenario:
         (spins, "alice_rotate",
          lambda: spin_scenario(observables=["sBx", "sBy", "sBz", "S2"]),
          lambda state, axis, angle: angle),
-        (fieldtheory, "naive_np_expectations",
+        # phi_y's form runs once per values(lam); pi_y's also runs inside pi2_y's
+        (fieldtheory, "naive_np_phi_y",
          lambda: field_scenario(observables=["phi_y", "pi_y", "phi2_y", "pi2_y"]),
          lambda modes, kick, y, p_index: kick.strength),
     ], ids=["spin", "field"])

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from causalprobe import cli, lattice
+from causalprobe import cli, fieldtheory, lattice
+from causalprobe.fieldtheory import KickSpec
+from causalprobe.harness import Scenario, make_evaluator
 from causalprobe.lattice import LatticeSpec, build_modes, kernel_g, kernel_ginv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -99,6 +103,56 @@ class TestBuildModes:
         assert modes.phases(site).tolist() == want
 
 
+class TestIntegralInputs:
+    """Sites, wavenumbers, dim and n_sites are integers or refused by name."""
+
+    @pytest.mark.parametrize("site", [2.7, 2.0, "3", True, np.float64(1.0), [1.5], None])
+    def test_site_refuses_non_integers(self, site):
+        with pytest.raises(ValueError, match="site"):
+            small_chain().site(site)
+
+    @pytest.mark.parametrize("site", [(1, 2.5, 0), [0, True, 1], "123", np.array([0.0, 1.0, 2.0])])
+    def test_site_refuses_non_integer_coordinates(self, site):
+        with pytest.raises(ValueError, match="site"):
+            LatticeSpec(dim=3, n_sites=4, spacing=1.0, mass=1.0).site(site)
+
+    def test_site_takes_any_integer_type(self):
+        lat = LatticeSpec(dim=2, n_sites=4, spacing=1.0, mass=1.0)
+        assert lat.site((np.int64(5), -1)) == lat.site(np.array([1, 3])) == (1, 3)
+        assert small_chain().site(np.int32(6)) == (2,)
+
+    @pytest.mark.parametrize("wavenumber", [1.7, 1.0, "1", True, [1.0]])
+    def test_mode_index_refuses_non_integers(self, wavenumber):
+        with pytest.raises(ValueError, match="wavenumber"):
+            build_modes(small_chain()).mode_index(wavenumber)
+
+    @pytest.mark.parametrize("field, value", [("dim", True), ("dim", 1.0), ("dim", "1"),
+                                              ("n_sites", 8.0), ("n_sites", True),
+                                              ("n_sites", (8,))])
+    def test_spec_refuses_non_integer_sizes(self, field, value):
+        sizes = {"dim": 1, "n_sites": 8, field: value}
+        with pytest.raises(ValueError, match=field):
+            LatticeSpec(**sizes, spacing=1.0, mass=1.0)
+
+    def test_spec_stores_plain_ints(self):
+        lat = LatticeSpec(dim=np.int64(2), n_sites=np.int64(4), spacing=1.0, mass=1.0)
+        assert type(lat.dim) is int and type(lat.n_sites) is int
+        assert lat == LatticeSpec(dim=2, n_sites=4, spacing=1.0, mass=1.0)
+
+    @pytest.mark.parametrize("x, y", [(0.9, 2), (0, 2.5), (0.9, 2.5)])
+    def test_closed_forms_refuse_off_lattice_sites(self, x, y):
+        """Formerly truncated: kick site 0.9 and y = 2.5 reported sites 0 and 2."""
+        modes = build_modes(small_chain(n=8))
+        p = modes.mode_index(1)
+        kick = KickSpec(site=x, strength=0.3)
+        for forms in ("naive_np", "prestate", "qndsv"):
+            for obs in fieldtheory.OBSERVABLES if forms != "qndsv" else ("phi_y", "phi2_y"):
+                with pytest.raises(ValueError, match="site"):
+                    fieldtheory.closed_forms(forms, modes, kick, y, p, (obs,))
+        with pytest.raises(ValueError, match="site"):
+            fieldtheory.naive_np_expectations(modes, kick, y, p)
+
+
 class TestKernels:
     def test_two_site_hand_sum(self):
         # modes k in {0, pi}: omega = {1, sqrt(5)}; volume 2
@@ -183,18 +237,40 @@ class TestKernelMemo:
         assert cli.main(["field", scheme, *self.D3, "--out", str(tmp_path)]) == 0
         assert kernel_sums.calls == 2
 
-    def test_volume_sweep_sums_two_kernels_per_volume(self, kernel_sums, tmp_path):
+    def test_pi_y_volume_sweep_sums_no_kernel(self, kernel_sums, tmp_path):
+        """<pi_y> reads no kernel: a pi_y-only sweep sums none at any volume."""
         assert cli.main(["sweep", "--scenario", str(SCENARIOS / "field_volume_sweep.json"),
                          "--axis", "volume", "--values", "4,8,16,32",
                          "--out", str(tmp_path)]) == 0
-        assert kernel_sums.calls == 2 * 4
+        assert kernel_sums.calls == 0
 
     def test_compare_shares_one_memo(self, kernel_sums, tmp_path):
-        """none, naive and qndsv rows read one mode set: ginv at displacements
-        0 and x - y and g at 0, each summed once for the whole table."""
+        """none, naive and qndsv rows of phi_y and phi2_y read one mode set:
+        ginv at displacements 0 and x - y, each summed once for the whole
+        table, and g not at all."""
         assert cli.main(["compare", "--scenario", str(SCENARIOS / "field_qndsv.json"),
                          "--schemes", "none,naive,qndsv", "--out", str(tmp_path)]) == 0
-        assert kernel_sums.calls == 3
+        assert kernel_sums.calls == 2
+
+    @pytest.mark.parametrize("scheme", ["naive-np", "none"])
+    def test_each_observable_sums_only_the_kernels_it_reads(self, scheme):
+        """On one mode set: phi_y and pi_y sum no kernel, phi2_y adds one
+        ginv entry and pi2_y one g entry."""
+        base = Scenario.from_dict(json.loads((SCENARIOS / "field_naive.json").read_text()))
+        built = {}
+
+        def kernels_after(obs):
+            sc = replace(base.with_scheme({"id": scheme}), observables=(obs,))
+            evaluate = make_evaluator(sc, built=built)
+            for lam in sc.lambda_grid:
+                evaluate(obs, lam)
+            (modes,) = built.values()
+            return sorted(inverse for inverse, _ in modes._kernels)
+
+        assert kernels_after("pi_y") == []
+        assert kernels_after("phi_y") == []
+        assert kernels_after("phi2_y") == [True]
+        assert kernels_after("pi2_y") == [False, True]
 
     def test_diagonal_is_one_sum_per_weight(self, kernel_sums):
         modes = build_modes(LatticeSpec(dim=2, n_sites=6, spacing=0.5, mass=0.3))

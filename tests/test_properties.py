@@ -27,6 +27,7 @@ from causalprobe.policy import TruncationError
 
 import dense_oracle
 from conftest import random_unitary
+from reference_modes import reference_modes
 
 SEEDED = settings(derandomize=True, deadline=None)
 
@@ -270,6 +271,31 @@ def test_mode_set_matches_reference_enumeration(spec, data):
     for i in data.draw(st.lists(st.integers(0, modes.n_modes - 1), min_size=1, max_size=8)):
         shifted = [w + n * s for w, s in zip(reference[i], data.draw(shifts))]
         assert modes.mode_index(shifted) == i
+
+
+@st.composite
+def reference_lattices(draw):
+    """Lattices for the byte comparison: every dimension, dispersion and
+    zero-mode regulator, spacings off the binary grid, M up to 4096."""
+    dim = draw(st.sampled_from((1, 2, 3)))
+    mass = draw(st.sampled_from((0.0, 0.7, 1.0)) | st.floats(0.0, 3.0))
+    return LatticeSpec(dim=dim, n_sites=2 * draw(st.integers(1, {1: 300, 2: 32, 3: 8}[dim])),
+                       spacing=draw(st.floats(1e-3, 4.0)), mass=mass,
+                       hbar=draw(st.sampled_from((1.0, 0.8))),
+                       dispersion=draw(st.sampled_from(("lattice", "continuum"))),
+                       zero_mode_mass=draw(st.none() | st.floats(1e-4, 2.0)))
+
+
+@settings(SEEDED, max_examples=200)
+@given(spec=reference_lattices())
+def test_axis_built_mode_set_is_the_meshgrid_build_byte_for_byte(spec):
+    """build_modes, built axis by axis, equals the meshgrid build in
+    ``reference_modes`` by dtype, shape and bytes."""
+    modes = build_modes(spec)
+    for name, want in reference_modes(spec).items():
+        got = getattr(modes, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
 
 
 def _fresh_sum(modes, weights, x, y) -> str:
