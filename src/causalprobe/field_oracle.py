@@ -29,11 +29,12 @@ O(M trunc^2); the oracle refuses a lattice whose term stacks would exceed
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldtheory import KickSpec, kick_displacements, qndsv_phi2_y_candidate
+from .fieldtheory import KickSpec, kick_displacements
 from .lattice import ModeSet
 from .oscillators import coherent_amplitudes, ladder
 from .policy import DEFAULT_POLICY, checked_tail
@@ -112,6 +113,8 @@ def numeric_oracle_qndsv(modes: ModeSet, kick: KickSpec, y, p_index: int,
     number states.  Each moment is read from running products over the
     modes (module docstring).
     """
+    if isinstance(trunc, bool) or not isinstance(trunc, numbers.Integral) or trunc < 2:
+        raise ValueError(f"trunc must be an integer of at least 2, got {trunc!r}")
     if not modes.is_paired(p_index):
         raise ValueError(f"mode {p_index} is self-conjugate")
     for name in observables:
@@ -174,29 +177,3 @@ def numeric_oracle_qndsv(modes: ModeSet, kick: KickSpec, y, p_index: int,
     return OracleReport(scheme_kind=scheme_kind, values=read(after),
                         prestate_values=read(moments[:, 0]), tail_bound=tail,
                         p_yes=float(abs(overlap) ** 2) if scheme_kind == "qndsv" else None)
-
-
-@dataclass(frozen=True)
-class Phi2Comparison:
-    """Side-by-side <phi_y^2> after the single-mode verification.
-
-    ``closed_form`` is the paper's candidate
-    (``fieldtheory.qndsv_phi2_y_candidate``), which disagrees with the
-    oracle systematically, already at lam = 0; reports use
-    ``fieldtheory.qndsv_phi2_y``, which matches it.
-    """
-
-    closed_form: float
-    oracle: float
-    difference: float
-    tail_bound: float
-
-
-def phi2_comparison(modes: ModeSet, kick: KickSpec, y, p_index: int,
-                    trunc: int) -> Phi2Comparison:
-    closed = qndsv_phi2_y_candidate(modes, kick, y, p_index)
-    report = numeric_oracle_qndsv(modes, kick, y, p_index, trunc,
-                                  scheme_kind="qndsv", observables=("phi2_y",))
-    oracle = report.values["phi2_y"]
-    return Phi2Comparison(closed_form=closed, oracle=oracle,
-                          difference=closed - oracle, tail_bound=report.tail_bound)

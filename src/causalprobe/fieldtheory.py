@@ -150,33 +150,6 @@ def qndsv_phi2_y(modes: ModeSet, kick: KickSpec, y, p_index: int) -> float:
             * (lam**2 * modes.eps / (hbar * wp)) * bracket)
 
 
-def qndsv_phi2_y_candidate(modes: ModeSet, kick: KickSpec, y, p_index: int) -> float:
-    """The paper's closed-form candidate for <phi_y^2> after the single-mode
-    verification:
-
-        (3hbar/2) ginv_yy + 2 hbar eps/omega_p
-        - (lam^2 eps / hbar omega_p) e^{-lam^2 ginv_xx/2hbar}
-          [ 2 hbar ginv_xy cos p.(x-y) + (hbar/2) ginv_yy
-            - (lam^2/4) ginv_xy^2 ]
-
-    The independent oracle disagrees with this expression even at lam = 0;
-    ``qndsv_phi2_y`` is the value reports use, and this one is kept only
-    for ``field_oracle.phi2_comparison``.
-    """
-    _require_paired(modes, p_index)
-    lat = modes.lattice
-    lam, hbar = kick.strength, lat.hbar
-    wp = modes.omega[p_index]
-    gyy = kernel_ginv(modes, y, y)
-    gxy = kernel_ginv(modes, kick.site, y)
-    phase = modes.phase_at(p_index, kick.site) - modes.phase_at(p_index, y)
-    damp = suppression_factor(modes, kick)
-    bracket = (2.0 * hbar * gxy * math.cos(phase) + 0.5 * hbar * gyy
-               - (lam**2 / 4.0) * gxy**2)
-    return (1.5 * hbar * gyy + 2.0 * hbar * modes.eps / wp
-            - (lam**2 * modes.eps / (hbar * wp)) * damp * bracket)
-
-
 OBSERVABLES = ("phi_y", "pi_y", "phi2_y", "pi2_y")
 
 

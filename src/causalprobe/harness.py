@@ -183,7 +183,7 @@ class Scenario:
         check_shape(raw)
         _check_keys(raw, ("version", "system", "system_params", "alice", "scheme",
                           "observables", "lambda_grid"), ("lambda_ref",), "scenario")
-        if raw["version"] != 1:
+        if _integral("version", raw["version"]) != 1:
             raise ScenarioError(f"unsupported scenario version {raw['version']!r}")
         sc = cls(
             system=raw["system"],

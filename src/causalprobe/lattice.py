@@ -96,7 +96,6 @@ class ModeSet:
     kernel memo."""
 
     lattice: LatticeSpec
-    wavenumbers: np.ndarray      # integer components, shape (M, d)
     k: np.ndarray                # physical wave vectors, shape (M, d)
     omega: np.ndarray            # shape (M,)
     conjugate_index: np.ndarray  # index of -k for every mode; i itself if self-conjugate
@@ -104,7 +103,7 @@ class ModeSet:
     _kernels: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        for arr in (self.wavenumbers, self.k, self.omega, self.conjugate_index):
+        for arr in (self.k, self.omega, self.conjugate_index):
             arr.setflags(write=False)
 
     @property
@@ -143,12 +142,12 @@ def build_modes(lattice: LatticeSpec) -> ModeSet:
     """Enumerate dual-lattice modes with Kronecker normalization, in row-major
     ("ij") order of the wavenumbers.
 
-    Each axis contributes N-entry arrays: its wavenumbers, k, dispersion term
-    and the position (N - 2 - j) mod N of -k for position j.  They are
-    broadcast into the mode set's arrays, each written once: omega^2 adds
-    the axes' terms in axis order, and the conjugate index reads the
-    positions as base-N digits.  Massless lattices get the configured
-    regulator mass on the zero mode so every retained mode has omega > 0.
+    Each axis contributes N-entry arrays: its k, dispersion term and the
+    position (N - 2 - j) mod N of -k for position j.  They are broadcast
+    into the mode set's arrays, each written once: omega^2 adds the axes'
+    terms in axis order, and the conjugate index reads the positions as
+    base-N digits.  Massless lattices get the configured regulator mass on
+    the zero mode so every retained mode has omega > 0.
     """
     n, dim, a = lattice.n_sites, lattice.dim, lattice.spacing
     axis = np.arange(-n // 2 + 1, n // 2 + 1)
@@ -166,14 +165,10 @@ def build_modes(lattice: LatticeSpec) -> ModeSet:
     if lattice.mass == 0.0:
         omega_sq[(n // 2 - 1,) * dim] += lattice.zero_mode_mass**2
     omega = np.sqrt(omega_sq, out=omega_sq)
-    wavenumbers = np.empty((n,) * dim + (dim,), dtype=axis.dtype)
-    k = np.empty(wavenumbers.shape)
+    k = np.empty((n,) * dim + (dim,))
     for j in range(dim):
-        along = (n,) + (1,) * (dim - 1 - j)     # broadcasts over grid axis j
-        wavenumbers[..., j] = axis.reshape(along)
-        k[..., j] = k_axis.reshape(along)
-    return ModeSet(lattice=lattice, wavenumbers=wavenumbers.reshape(-1, dim),
-                   k=k.reshape(-1, dim), omega=omega.reshape(-1),
+        k[..., j] = k_axis.reshape((n,) + (1,) * (dim - 1 - j))    # along grid axis j
+    return ModeSet(lattice=lattice, k=k.reshape(-1, dim), omega=omega.reshape(-1),
                    conjugate_index=conj.reshape(-1))
 
 

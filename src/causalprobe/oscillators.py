@@ -1,10 +1,9 @@
 """Two identical harmonic oscillators in truncated Fock space.
 
 The center-of-mass / relative coordinates Q_pm = (Q_A +- Q_B)/sqrt(2) carry
-their own ladder operators a_pm = (a_A +- a_B)/sqrt(2); on Fock amplitudes
-the change of basis is a 50:50 mixing that conserves total excitation
-number, applied here sector by sector; each entry is one square root of a
-ratio of exact integers.  Coherent amplitudes follow the ladder recurrence.
+their own ladder operators a_pm = (a_A +- a_B)/sqrt(2), and every state here
+is held as Fock amplitudes of those two modes; oscillator B is read through
+Q_B = (Q_+ - Q_-)/sqrt(2).  Coherent amplitudes follow the ladder recurrence.
 
 Phase convention: the momentum kick exp(i q Q / hbar) on a ground state is
 the displacement D(alpha) with alpha = i q / (sqrt(2) hbar kappa),
@@ -22,7 +21,7 @@ states <n|Q_+|n> = 0 kills the cross term.  A mode's moments are O(levels)
 sums of its number weights and coherences <a>, <a^2> (``mode_moments``).
 The reference route measures through ``core`` on the joint amplitudes: the
 naive collapse is ``core.level_scheme`` on the + mode, the Lueders rule on
-any PM prestate, and ``local_moments_b`` reads Q_B and P_B as
+any +- prestate, and ``local_moments_b`` reads Q_B and P_B as
 ``core.ModeSumOperator``s.
 Every scheme takes f_+, f_- and the tail check from ``_kicked_factors``.
 Level m of the phase state |b, theta_s> (Pegg & Barnett 1989) carries
@@ -35,7 +34,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,9 +46,6 @@ from .core import (
     level_scheme,
 )
 from .policy import DEFAULT_POLICY, TruncationError, checked_tail
-
-BASIS_AB = "AB"
-BASIS_PM = "PM"
 
 
 @dataclass(frozen=True)
@@ -95,19 +90,16 @@ class KickParams:
 
 @dataclass(frozen=True)
 class TwoModeFock:
-    """Truncated two-mode Fock amplitudes with a basis tag (AB or PM)."""
+    """Truncated Fock amplitudes amps[n_plus, n_minus] of the +- modes."""
 
     params: OscParams
     amps: np.ndarray
-    basis: str
     tail_bound: float = 0.0
 
     def __post_init__(self):
-        if self.basis not in (BASIS_AB, BASIS_PM):
-            raise ValueError(f"basis must be {BASIS_AB!r} or {BASIS_PM!r}")
         amps = np.array(self.amps, dtype=complex)
         if amps.ndim != 2:
-            raise ValueError("amplitudes must be a 2-d array (n_first, n_second)")
+            raise ValueError("amplitudes must be a 2-d array (n_plus, n_minus)")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
         total = float(np.sum(np.abs(amps) ** 2)) + self.tail_bound
@@ -170,86 +162,24 @@ def _kicked_factors(params: OscParams, kick: KickParams,
 
 
 def coherent_prestate(params: OscParams, kick: KickParams, trunc) -> TwoModeFock:
-    """Kicked coherent product state in the PM basis.
+    """Kicked coherent product state of the +- modes.
 
     The +- modes are coherent with amplitudes i*Lambda_pm.  Fails rather
     than silently truncating when the norm outside the box exceeds the
     policy tail tolerance.
     """
     f_plus, f_minus, tail = _kicked_factors(params, kick, trunc)
-    return TwoModeFock(params=params, amps=np.outer(f_plus, f_minus), basis=BASIS_PM,
-                       tail_bound=tail)
-
-
-@lru_cache(maxsize=None)
-def mixing_sector_matrix(n: int) -> np.ndarray:
-    """Fock-amplitude matrix of the a_pm = (a_A +- a_B)/sqrt(2) change of
-    basis inside the total-number-n sector; real, orthogonal, involutive.
-
-    Entry [n_plus, n_A] comes from expanding
-    (a+_dag + a-_dag)^{n_A} (a+_dag - a-_dag)^{n_B} / sqrt(2^n): with k the
-    integer coefficient of t^{n_plus} in (1+t)^{n_A} (t-1)^{n_B}, it is
-    sign(k) sqrt(k^2 n_plus! n_minus! / (n_A! n_B! 2^n)), the ratio formed
-    from exact integers, rounded once, then square-rooted.
-    """
-    mat = np.zeros((n + 1, n + 1))
-    fact = [math.factorial(i) for i in range(n + 1)]
-    for n_a in range(n + 1):
-        n_b = n - n_a
-        coeffs = [math.comb(n_a, j) for j in range(n_a + 1)]
-        for _ in range(n_b):  # multiply by (t - 1)
-            coeffs = [-x + y for x, y in zip(coeffs + [0], [0] + coeffs)]
-        for n_p, k in enumerate(coeffs):
-            root = math.sqrt(k * k * fact[n_p] * fact[n - n_p] / (fact[n_a] * fact[n_b] * 2**n))
-            mat[n_p, n_a] = root if k >= 0 else -root
-    mat.setflags(write=False)
-    return mat
-
-
-def _apply_mixing(amps: np.ndarray) -> tuple[np.ndarray, float]:
-    """Apply the sector-exact mixing on a truncation box; returns (out, lost norm).
-
-    Sectors with total number beyond the per-mode cutoffs are only partially
-    contained in the box, so a little norm can leak out; it is returned so
-    callers can fold it into their tail accounting.
-    """
-    d1, d2 = amps.shape
-    out = np.zeros_like(amps)
-    lost = 0.0
-    for n in range(d1 + d2 - 1):
-        lo, hi = max(0, n - (d2 - 1)), min(d1 - 1, n)
-        vin = np.zeros(n + 1, dtype=complex)
-        for i in range(lo, hi + 1):
-            vin[i] = amps[i, n - i]
-        if not np.any(vin):
-            continue
-        vout = mixing_sector_matrix(n) @ vin
-        kept = 0.0
-        for i in range(lo, hi + 1):
-            out[i, n - i] = vout[i]
-            kept += abs(vout[i]) ** 2
-        lost += float(np.sum(np.abs(vout) ** 2) - kept)
-    return out, max(lost, 0.0)
-
-
-def ab_to_pm(state: TwoModeFock) -> TwoModeFock:
-    """Per-oscillator amplitudes -> center-of-mass/relative amplitudes."""
-    if state.basis != BASIS_AB:
-        raise ValueError(f"expected basis {BASIS_AB!r}, got {state.basis!r}")
-    out, lost = _apply_mixing(state.amps)
-    return TwoModeFock(state.params, out, BASIS_PM, state.tail_bound + lost)
+    return TwoModeFock(params=params, amps=np.outer(f_plus, f_minus), tail_bound=tail)
 
 
 def naive_nplus_ensemble(prestate: TwoModeFock) -> OutcomeEnsemble:
     """Collapse only the center-of-mass mode onto its number states.
 
-    The Lueders rule of ``core.level_scheme`` on the + mode, for any PM
+    The Lueders rule of ``core.level_scheme`` on the + mode, for any
     prestate: outcome n keeps row n of the amplitudes, with its squared
     norm as Born weight.  On a product f_+ (x) f_- that weight is
     |<n|f_+>|^2 and the relative-mode factor is left untouched.
     """
-    if prestate.basis != BASIS_PM:
-        raise ValueError("naive collapse is defined on the PM basis")
     return born_ensemble(level_scheme(prestate.trunc, (0,)), prestate.as_state(),
                          tail_bound=prestate.tail_bound)
 
@@ -349,31 +279,27 @@ def _ladder_norms(dim: int) -> tuple[float, float]:
     return float(np.max(first)), float(np.max(second))
 
 
-def _bound_scale(d1: int, d2: int, params: OscParams, basis: str) -> float:
+def _bound_scale(d1: int, d2: int, params: OscParams) -> float:
     """Infinity-norm bound on the quadratic B observables over the box."""
     scale = params.hbar / (2.0 * params.mass * params.frequency) \
         + params.hbar * params.mass * params.frequency / 2.0    # Q and P scales squared
     (first1, second1), (first2, second2) = _ladder_norms(d1), _ladder_norms(d2)
-    if basis == BASIS_PM:
-        return 0.5 * scale * (second1 + 2 * first1 * first2 + second2)
-    return scale * second2
+    return 0.5 * scale * (second1 + 2 * first1 * first2 + second2)
 
 
 def local_moments_b(obj, params: OscParams | None = None) -> LocalMoments:
     """Moments of oscillator B for a TwoModeFock state or an OutcomeEnsemble.
 
-    Ensembles (whose entries are joint StateVectors) need explicit params;
-    their states are taken to be in the PM basis.  Q_B and P_B are read as
-    mode sums: (Q_+ - Q_-)/sqrt(2) in the PM basis, weights 0 and 1 on Q_A
-    and Q_B in AB; likewise for P.  The reported error_bound is tail * (an
-    infinity-norm bound on the quadratic observables over the truncated box).
+    Ensembles (whose entries are joint StateVectors of the +- modes) need
+    explicit params.  Q_B and P_B are read as mode sums, Q_B = (Q_+ - Q_-)/sqrt(2)
+    and likewise for P.  The reported error_bound is tail * (an infinity-norm
+    bound on the quadratic observables over the truncated box).
     """
     if isinstance(obj, TwoModeFock):
-        params, basis, weighted = obj.params, obj.basis, [(1.0, obj.as_state())]
+        params, weighted = obj.params, [(1.0, obj.as_state())]
     elif isinstance(obj, OutcomeEnsemble):
         if params is None:
             raise ValueError("params are required for ensemble moments")
-        basis = BASIS_PM
         weighted = [(e.probability, e.post_state) for e in obj.entries if not e.zero_branch]
     else:
         raise TypeError(f"unsupported input {type(obj).__name__}")
@@ -382,14 +308,14 @@ def local_moments_b(obj, params: OscParams | None = None) -> LocalMoments:
     if not weighted:
         raise ValueError("ensemble has no nonzero branches")
     dims = weighted[0][1].dims
-    weights = (1 / math.sqrt(2), -1 / math.sqrt(2)) if basis == BASIS_PM else (0.0, 1.0)
+    weights = (1 / math.sqrt(2), -1 / math.sqrt(2))
     q_b, p_b = (ModeSumOperator(dims, tuple(w * matrix(d, params) for w, d in zip(weights, dims)))
                 for matrix in (position_matrix, momentum_matrix))
     q, p, q2, p2 = (sum(w * op.expectation(state) for w, state in weighted)
                     for op in (q_b, p_b, q_b.squared(), p_b.squared()))
     energy = p2 / (2.0 * params.mass) + 0.5 * params.mass * params.frequency**2 * q2
     return LocalMoments(q, p, q2, p2, energy,
-                        error_bound=obj.tail_bound * _bound_scale(*dims, params, basis))
+                        error_bound=obj.tail_bound * _bound_scale(*dims, params))
 
 
 # one mode's sums tr(rho X) for X = 1, Q, P, Q^2, P^2; rho need not be normalized
@@ -463,7 +389,7 @@ def phase_ensemble_moments(params: OscParams, kick: KickParams, s_cut: int,
     plus = mode_moments(params, np.abs(f_plus) ** 2, box=n_max + 1)
     minus = mode_moments(params, levels, a2=a2, box=len(levels) + 1)
     return product_moments(plus, minus, params,
-                           tail * _bound_scale(n_max, len(levels), params, BASIS_PM))
+                           tail * _bound_scale(n_max, len(levels), params))
 
 
 def kicked_moments(params: OscParams, kick: KickParams, trunc,
@@ -482,4 +408,4 @@ def kicked_moments(params: OscParams, kick: KickParams, trunc,
     else:
         plus = _amplitude_moments(params, f_plus)
     return product_moments(plus, _amplitude_moments(params, f_minus), params,
-                           tail * _bound_scale(len(f_plus), len(f_minus), params, BASIS_PM))
+                           tail * _bound_scale(len(f_plus), len(f_minus), params))

@@ -111,6 +111,8 @@ def spin_observable(name: str, hbar: float = 1.0) -> Operator:
     the totals "S2" and "Sz"."""
     if name not in OBSERVABLES:
         raise ValueError(f"unknown spin observable {name!r}")
+    if not hbar > 0:
+        raise ValueError("hbar must be positive")
     if name == "S2":
         return s2_total(hbar)
     if name == "Sz":

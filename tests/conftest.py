@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import causalprobe
 from causalprobe.core import StateVector
 from dense_oracle import oracle_prestate
 from causalprobe.fieldtheory import WavePacket
-from causalprobe.oscillators import BASIS_AB, BASIS_PM, TwoModeFock, _apply_mixing
 
 
 def random_state(dims, rng) -> StateVector:
@@ -50,12 +53,22 @@ def random_rotations(n: int, seed: int = 0):
     return out
 
 
-def pm_to_ab(state: TwoModeFock) -> TwoModeFock:
-    """Inverse of oscillators.ab_to_pm (the mixing is its own inverse)."""
-    if state.basis != BASIS_PM:
-        raise ValueError(f"expected basis {BASIS_PM!r}, got {state.basis!r}")
-    out, lost = _apply_mixing(state.amps)
-    return TwoModeFock(state.params, out, BASIS_AB, state.tail_bound + lost)
+def public_callables():
+    """(qualified name, function) for every public function, method and
+    property getter of every causalprobe module."""
+    for info in pkgutil.iter_modules(causalprobe.__path__):
+        module = importlib.import_module(f"causalprobe.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    # classmethods and properties
+                    member = getattr(member, "__func__", getattr(member, "fget", member))
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
 
 
 def naive_outcome_probabilities(modes, kick, p_index: int, trunc: int) -> np.ndarray:

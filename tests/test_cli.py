@@ -326,6 +326,17 @@ class TestExitCodes:
         assert name in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command, stem", [("spin", "spin_qndsv"), ("ho", "ho_naive"),
+                                               ("field", "field_naive")])
+    @pytest.mark.parametrize("hbar", ["-1", "0"])
+    def test_non_positive_hbar_is_validation_error(self, tmp_path, capsys, command, stem, hbar):
+        """Every system refuses hbar <= 0, which would flip or zero each spin value."""
+        assert run([command, "--scenario", str(SCENARIOS / f"{stem}.json"), "--hbar", hbar,
+                    "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "hbar must be positive" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("scenario, axis, values", [
         ("ho_phase.json", "s_cut", "0,2,4"),
         ("field_volume_sweep.json", "spacing", "1,0.5,-0.25"),

@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
-import importlib
 import inspect
 import math
-import pkgutil
 
 import numpy as np
 import pytest
 
-import causalprobe
 from causalprobe.core import (
     MeasurementScheme,
     Operator,
@@ -29,7 +26,7 @@ from causalprobe.core import (
 )
 from causalprobe.spins import SIGMA_X, SIGMA_Z, spin_observable, spin_scheme, spin_state
 
-from conftest import random_state, random_unitary
+from conftest import public_callables, random_state, random_unitary
 
 UP = StateVector((2,), [1, 0])
 DOWN = StateVector((2,), [0, 1])
@@ -325,33 +322,15 @@ class TestNoSignalingProperty:
         assert abs(a - b) == pytest.approx(0.25, abs=1e-12)
 
 
-
-def _public_callables():
-    """(qualified name, function) for every public function and method of
-    every causalprobe module."""
-    for info in pkgutil.iter_modules(causalprobe.__path__):
-        module = importlib.import_module(f"causalprobe.{info.name}")
-        for name, obj in vars(module).items():
-            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
-                continue
-            if inspect.isfunction(obj):
-                yield f"{module.__name__}.{name}", obj
-            elif inspect.isclass(obj):
-                for attr, member in vars(obj).items():
-                    member = getattr(member, "__func__", member)    # classmethods
-                    if not attr.startswith("_") and inspect.isfunction(member):
-                        yield f"{module.__name__}.{name}.{attr}", member
-
-
 def test_no_per_call_policy_kind_basis_or_tol():
     """Tolerances are read from DEFAULT_POLICY where they are checked: no
     public function or method takes an optional policy, scheme kind, basis
     or tolerance, and a scheme carries no kind tag."""
-    found = {qual: fn for qual, fn in _public_callables()}
+    found = dict(public_callables())
     assert {"causalprobe.core.MeasurementScheme.from_basis",
             "causalprobe.oscillators.local_moments_b",
             "causalprobe.fieldtheory.WavePacket.validate",
-            "causalprobe.field_oracle.phi2_comparison"} <= set(found)
+            "causalprobe.field_oracle.numeric_oracle_qndsv"} <= set(found)
     options = [f"{qual}({param.name})" for qual, fn in found.items()
                for param in inspect.signature(fn).parameters.values()
                if param.name in {"policy", "kind", "basis", "tol"}

@@ -86,6 +86,17 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="version"):
             Scenario.from_dict({**scenario_dict(spin_scenario()), "version": 2})
 
+    @pytest.mark.parametrize("version", [True, "1", 1.5, None])
+    def test_non_integer_version_refused(self, version):
+        """true == 1 in Python, so a plain comparison would let it through."""
+        with pytest.raises(ScenarioError, match="version needs integer values"):
+            Scenario.from_dict({**scenario_dict(spin_scenario()), "version": version})
+
+    def test_integral_float_version_accepted(self):
+        """As for every other integer field, 1.0 is 1."""
+        raw = {**scenario_dict(spin_scenario()), "version": 1.0}
+        assert Scenario.from_dict(raw) == spin_scenario()
+
     def test_grid_must_increase(self):
         with pytest.raises(ScenarioError, match="strictly increasing"):
             spin_scenario(lambda_grid=[0.0, 0.0, 1.0])

@@ -14,6 +14,7 @@ from causalprobe import cli, fieldtheory, lattice
 from causalprobe.fieldtheory import KickSpec
 from causalprobe.harness import Scenario, make_evaluator
 from causalprobe.lattice import LatticeSpec, build_modes, kernel_g, kernel_ginv
+from reference_modes import reference_modes
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -58,18 +59,20 @@ class TestBuildModes:
         for dim, n in ((1, 6), (2, 4), (3, 2)):
             lat = LatticeSpec(dim=dim, n_sites=n, spacing=1.0, mass=1.0)
             modes = build_modes(lat)
-            conj = modes.conjugate_index
+            wavenumbers = reference_modes(lat)["wavenumbers"]
             every = np.arange(modes.n_modes)
+            assert [modes.mode_index(w) for w in wavenumbers.tolist()] == list(every)
+            conj = modes.conjugate_index
             # an involution: fixed points and 2-cycles partition the modes
             assert np.array_equal(conj[conj], every)
             selfc = every[conj == every]
             assert len(selfc) == 2**dim
-            assert np.isin(modes.wavenumbers[selfc], (0, n // 2)).all()  # 0 or Nyquist
+            assert np.isin(wavenumbers[selfc], (0, n // 2)).all()  # 0 or Nyquist
             assert [modes.is_paired(i) for i in every] == list(conj != every)
             # conjugation is negation modulo the dual lattice
             half = n // 2
-            folded = ((-modes.wavenumbers[conj] + half - 1) % n) - half + 1
-            assert np.array_equal(modes.wavenumbers, folded)
+            folded = ((-wavenumbers[conj] + half - 1) % n) - half + 1
+            assert np.array_equal(wavenumbers, folded)
             assert np.allclose(modes.omega, modes.omega[conj], rtol=0, atol=1e-12)
 
     def test_mode_sets_compare_and_hash_by_identity(self):

@@ -1,4 +1,4 @@
-"""Two-oscillator lab: kicked coherent states, the +- mixing, the naive
+"""Two-oscillator lab: kicked coherent states of the +- modes, the naive
 center-of-mass number measurement, and the number-times-phase-state scheme.
 
 The independent oracle used throughout is the brute-force displacement
@@ -17,20 +17,16 @@ from scipy.special import factorial
 from causalprobe import cli
 from causalprobe.core import born_ensemble, validate_scheme
 from causalprobe.oscillators import (
-    BASIS_AB,
-    BASIS_PM,
     KickParams,
     OscParams,
     TwoModeFock,
     _amplitude_moments,
     _bound_scale,
-    ab_to_pm,
     coherent_amplitudes,
     coherent_prestate,
     kicked_moments,
     ladder,
     local_moments_b,
-    mixing_sector_matrix,
     momentum_matrix,
     naive_nplus_ensemble,
     phase_coefficients,
@@ -41,7 +37,6 @@ from causalprobe.oscillators import (
     product_moments,
 )
 from causalprobe.policy import TruncationError
-from conftest import pm_to_ab
 
 PARAMS = OscParams()
 
@@ -75,7 +70,6 @@ class TestCoherentPrestate:
         want = np.zeros((10, 10))
         want[0, 0] = 1.0
         assert np.allclose(pre.amps, want)
-        assert pre.basis == BASIS_PM
 
     def test_unkicked_relative_mode_stays_ground(self):
         # p_a = 0, p_b = x, lam = x makes lambda_minus vanish
@@ -121,67 +115,7 @@ class TestCoherentPrestate:
         amps = np.zeros((3, 3), dtype=complex)
         amps[0, 0] = 0.5
         with pytest.raises(ValueError):
-            TwoModeFock(PARAMS, amps, BASIS_PM, tail_bound=0.0)
-
-
-class TestModeMixing:
-    def test_single_quantum_splits_evenly(self):
-        amps = np.zeros((4, 4), dtype=complex)
-        amps[1, 0] = 1.0
-        pm = ab_to_pm(TwoModeFock(PARAMS, amps, BASIS_AB))
-        want = np.zeros((4, 4))
-        want[1, 0] = want[0, 1] = 1 / math.sqrt(2)
-        assert np.allclose(pm.amps, want, atol=1e-12)
-
-    def test_ground_state_fixed(self):
-        amps = np.zeros((4, 4), dtype=complex)
-        amps[0, 0] = 1.0
-        assert np.allclose(ab_to_pm(TwoModeFock(PARAMS, amps, BASIS_AB)).amps, amps)
-
-    def test_coherent_states_map_to_mixed_amplitudes(self):
-        """Oracle: build both sides with expm displacement operators."""
-        a_amp, b_amp = 0.4 + 0.15j, -0.2 + 0.3j
-        dim = 28
-        amps = np.outer(displaced_ground(a_amp, dim), displaced_ground(b_amp, dim))
-        tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
-        pm = ab_to_pm(TwoModeFock(PARAMS, amps, BASIS_AB, tail_bound=tail))
-        want = np.outer(displaced_ground((a_amp + b_amp) / math.sqrt(2), dim),
-                        displaced_ground((a_amp - b_amp) / math.sqrt(2), dim))
-        assert np.max(np.abs(pm.amps - want)) < 1e-10
-
-    def test_sector_matrices_orthogonal_involutive(self):
-        """Each entry is rounded once from exact integers, so the products
-        miss the identity only by the rounding of the matrix product."""
-        for n in (0, 1, 2, 5, 17, 40, 80, 120, 160):
-            b = mixing_sector_matrix(n)
-            assert np.max(np.abs(b @ b - np.eye(n + 1))) <= 2e-15, n
-            assert np.max(np.abs(b.T @ b - np.eye(n + 1))) <= 2e-15, n
-
-    def test_transformed_basis_gram_identity_on_contained_sectors(self):
-        dim = 12
-        vecs = []
-        for n_a in range(dim):
-            for n_b in range(dim):
-                if n_a + n_b >= dim:
-                    continue  # sectors beyond the cutoff clip by construction
-                amps = np.zeros((dim, dim), dtype=complex)
-                amps[n_a, n_b] = 1.0
-                vecs.append(ab_to_pm(TwoModeFock(PARAMS, amps, BASIS_AB)).amps.reshape(-1))
-        mat = np.column_stack(vecs)
-        gram = mat.conj().T @ mat
-        assert np.max(np.abs(gram - np.eye(len(vecs)))) < 1e-10
-
-    def test_involution_roundtrip(self):
-        kick = KickParams(p_a=0.3, p_b=0.2, lam=-0.4)
-        pre = coherent_prestate(PARAMS, kick, 40)
-        back = ab_to_pm(pm_to_ab(pre))
-        assert np.max(np.abs(back.amps - pre.amps)) < 1e-10
-        assert abs(1.0 - float(np.sum(np.abs(back.amps) ** 2))) < 1e-10
-
-    def test_wrong_basis_tag_rejected(self):
-        pre = coherent_prestate(PARAMS, KickParams(), 6)
-        with pytest.raises(ValueError):
-            ab_to_pm(pre)  # already PM
+            TwoModeFock(PARAMS, amps, tail_bound=0.0)
 
 
 class TestNaiveMeasurement:
@@ -213,7 +147,7 @@ class TestNaiveMeasurement:
         amps = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
         amps /= np.linalg.norm(amps)
         assert np.linalg.svd(amps, compute_uv=False)[1] > 0.1     # entangled
-        ens = naive_nplus_ensemble(TwoModeFock(PARAMS, amps, BASIS_PM))
+        ens = naive_nplus_ensemble(TwoModeFock(PARAMS, amps))
         assert [e.label for e in ens.entries] == [f"n={n}" for n in range(4)]
         for n, entry in enumerate(ens.entries):
             norm = np.linalg.norm(amps[n])
@@ -402,12 +336,6 @@ class TestLocalMoments:
         pre = coherent_prestate(PARAMS, KickParams(p_a=0.4, p_b=-0.35, lam=0.2), 40)
         assert local_moments_b(pre).p == pytest.approx(-0.35, abs=1e-10)
 
-    def test_ab_basis_direct(self):
-        amps = np.zeros((6, 6), dtype=complex)
-        amps[0, 1] = 1.0  # one quantum in oscillator B
-        m = local_moments_b(TwoModeFock(PARAMS, amps, BASIS_AB))
-        assert m.q2 == pytest.approx(1.5, abs=1e-12)
-
     def test_error_bound_scales_with_tail(self):
         kick = KickParams(p_a=0.5, p_b=-0.3, lam=0.4)
         pre = coherent_prestate(PARAMS, kick, 30)
@@ -416,7 +344,7 @@ class TestLocalMoments:
     def test_excessive_tail_rejected(self):
         amps = np.zeros((4, 4), dtype=complex)
         amps[0, 0] = math.sqrt(1.0 - 1e-6)
-        state = TwoModeFock(PARAMS, amps, BASIS_PM, tail_bound=1e-6)
+        state = TwoModeFock(PARAMS, amps, tail_bound=1e-6)
         with pytest.raises(TruncationError):
             local_moments_b(state)
 
@@ -463,7 +391,7 @@ class TestFactorisedMoments:
         rng = np.random.default_rng(7)
         f_plus, f_minus = (rng.normal(size=d) + 1j * rng.normal(size=d) for d in (9, 12))
         f_plus, f_minus = f_plus / np.linalg.norm(f_plus), f_minus / np.linalg.norm(f_minus)
-        dense = local_moments_b(TwoModeFock(params, np.outer(f_plus, f_minus), BASIS_PM))
+        dense = local_moments_b(TwoModeFock(params, np.outer(f_plus, f_minus)))
         fast = product_moments(_amplitude_moments(params, f_plus),
                                _amplitude_moments(params, f_minus), params, 0.0)
         assert abs(dense.q) > 0.1
@@ -481,6 +409,4 @@ class TestFactorisedMoments:
         p1, p2 = momentum_matrix(dims[0], params), momentum_matrix(dims[1], params)
         dense_pm = 0.5 * (norm(q1 @ q1) + 2 * norm(q1) * norm(q2) + norm(q2 @ q2)
                           + norm(p1 @ p1) + 2 * norm(p1) * norm(p2) + norm(p2 @ p2))
-        assert _bound_scale(*dims, params, BASIS_PM) == pytest.approx(dense_pm, rel=1e-13)
-        assert _bound_scale(*dims, params, BASIS_AB) == pytest.approx(
-            norm(q2 @ q2) + norm(p2 @ p2), rel=1e-13)
+        assert _bound_scale(*dims, params) == pytest.approx(dense_pm, rel=1e-13)

@@ -254,18 +254,20 @@ def mode_lattices(draw):
 @given(spec=mode_lattices(), data=st.data())
 def test_mode_set_matches_reference_enumeration(spec, data):
     """The array-built mode set against a per-mode enumeration: row-major
-    wavenumbers, -k pairing as an involution with 2^d fixed points, equal
-    frequencies across each pair, and mode_index blind to dual-lattice shifts."""
+    wavenumbers (mode_index of the i-th is i), -k pairing as an involution
+    with 2^d fixed points, equal frequencies across each pair, and
+    mode_index blind to dual-lattice shifts."""
     n, dim = spec.n_sites, spec.dim
     modes = build_modes(spec)
     reference = list(itertools.product(range(-n // 2 + 1, n // 2 + 1), repeat=dim))
-    assert modes.wavenumbers.tolist() == [list(w) for w in reference]
+    assert reference_modes(spec)["wavenumbers"].tolist() == [list(w) for w in reference]
+    assert [modes.mode_index(w) for w in reference] == list(range(modes.n_modes))
     conj = modes.conjugate_index
     every = np.arange(modes.n_modes)
     assert np.array_equal(conj[conj], every)
     assert int(np.sum(conj == every)) == 2**dim
     for i, w in enumerate(reference):
-        assert tuple(modes.wavenumbers[conj[i]]) == _folded([-c for c in w], n)
+        assert reference[conj[i]] == _folded([-c for c in w], n)
     assert np.array_equal(modes.omega[conj], modes.omega)
     shifts = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
     for i in data.draw(st.lists(st.integers(0, modes.n_modes - 1), min_size=1, max_size=8)):
@@ -290,12 +292,16 @@ def reference_lattices(draw):
 @given(spec=reference_lattices())
 def test_axis_built_mode_set_is_the_meshgrid_build_byte_for_byte(spec):
     """build_modes, built axis by axis, equals the meshgrid build in
-    ``reference_modes`` by dtype, shape and bytes."""
+    ``reference_modes`` by dtype, shape and bytes, and puts the reference's
+    i-th wavenumber at mode_index i."""
     modes = build_modes(spec)
-    for name, want in reference_modes(spec).items():
-        got = getattr(modes, name)
+    reference = reference_modes(spec)
+    for name in ("k", "omega", "conjugate_index"):
+        got, want = getattr(modes, name), reference[name]
         assert (got.dtype, got.shape) == (want.dtype, want.shape), name
         assert got.tobytes() == want.tobytes(), name
+    assert [modes.mode_index(w) for w in reference["wavenumbers"].tolist()] \
+        == list(range(modes.n_modes))
 
 
 def _fresh_sum(modes, weights, x, y) -> str:

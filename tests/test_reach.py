@@ -1,0 +1,76 @@
+"""Reach guard: every public function and method of ``src/`` is called by
+a shipped command or demo, or is named in ``ALLOWED`` with why it stays.
+
+The trace runs, under ``sys.setprofile``, every command of the golden
+corpus, ``validate`` on the shipped scenarios and the three demos.  The
+unreached set must equal ``ALLOWED``: new dead code fails, and so does an
+entry that something now reaches.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import runpy
+import sys
+from pathlib import Path
+
+from causalprobe import cli
+from conftest import public_callables
+from test_golden import COMMANDS
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_TEST_REFERENCE = "the tests' dense reference route"
+_TRACER = "an entry point of perfbench/tracing.py"
+_PACKETS = "wave-packet verification, ROADMAP item 7"
+_LIBRARY = "library API"
+_FLAG = "reported under a flag no shipped command sets"
+ALLOWED = {
+    "causalprobe.oscillators.phase_state": _TEST_REFERENCE,
+    "causalprobe.oscillators.phase_scheme_nplus": _TEST_REFERENCE,
+    "causalprobe.fieldtheory.qndsv_wavepacket_phi_y": _TRACER,
+    "causalprobe.fieldtheory.prestate_expectations": _TRACER,
+    "causalprobe.fieldtheory.WavePacket.validate": _PACKETS,
+    "causalprobe.fieldtheory.packet_kernel": _PACKETS,
+    "causalprobe.fieldtheory.signal_kernel": _PACKETS,
+    "causalprobe.fieldtheory.sorkin_derivative": _PACKETS,
+    "causalprobe.core.StateVector.normalized": _LIBRARY,
+    "causalprobe.core.StateVector.overlap": _LIBRARY,
+    "causalprobe.core.StateVector.same_up_to_phase": _LIBRARY,
+    "causalprobe.core.Operator.expectation": _LIBRARY,
+    "causalprobe.core.OutcomeEnsemble.probability": _LIBRARY,
+    "causalprobe.spins.plus": _LIBRARY,
+    "causalprobe.spins.minus": _LIBRARY,
+    "causalprobe.fieldtheory.prestate_pi_y": _FLAG + " (field none --obs pi_y)",
+    "causalprobe.fieldtheory.prestate_pi2_y": _FLAG + " (field none --obs pi2_y)",
+    "causalprobe.spins.sz_total": _FLAG + " (spin --obs Sz)",
+}
+
+
+def _traced_codes(out: Path) -> set:
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    scenarios = [str(p) for p in sorted((ROOT / "scenarios").glob("*.json"))]
+    with contextlib.redirect_stdout(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            for name, argv in COMMANDS.items():
+                assert cli.main([*argv, "--out", str(out / name)]) == 0, name
+            assert cli.main(["validate", *scenarios]) == 0
+            for demo in sorted((ROOT / "demos").glob("*.py")):
+                runpy.run_path(str(demo), run_name="__main__")
+        finally:
+            sys.setprofile(None)
+    return called
+
+
+def test_unreached_public_functions_are_the_allowed_ones(tmp_path):
+    called = _traced_codes(tmp_path)
+    unreached = {name for name, fn in public_callables() if fn.__code__ not in called}
+    assert sorted(unreached - ALLOWED.keys()) == [], "unreached and not allowed"
+    assert sorted(ALLOWED.keys() - unreached) == [], "allowed but now reached or gone"
