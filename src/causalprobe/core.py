@@ -10,20 +10,18 @@ post-measurement ensemble average
 which equals the probability-weighted average over renormalized branches
 because each branch's normalization cancels its Born weight.
 
-Every outcome's ``apply`` gives P|psi> without building P.  A frame
-outcome projects onto the span of orthonormal columns F, P = F F^dag, or
-onto its implicit complement: complete measurements, Lueders projections
-and the verification of one state share that one type.  A level outcome
-fixes the Fock levels of some subsystems, identity on the rest: the Lueders
-rule of a number measurement.  Observables are dense ``Operator``s or
-matrix-free ``ModeSumOperator``s, one term per subsystem.
+Every outcome's ``apply`` gives P|psi> without building P: it projects
+onto the span of orthonormal columns F, P = F F^dag, or onto its implicit
+complement.  Complete measurements, Lueders projections and the
+verification of one state share that one type; observables are dense
+``Operator``s.  A reference that forms its branches P_i|psi> by other means
+(the oscillators' number collapse keeps rows of an amplitude matrix) hands
+them to ``branch_ensemble``, which applies the same Born rule.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -122,52 +120,6 @@ class Operator:
 
 
 @dataclass(frozen=True)
-class ModeSumOperator:
-    """(sum_i T_i)^power with T_i a hermitian term on subsystem i alone.
-
-    Never materialized: ``apply`` runs each term along its own tensor axis.
-    Provides the ``dims``/``hermitian``/``apply`` interface the generic
-    machinery uses for dense operators.
-    """
-
-    dims: tuple[int, ...]
-    terms: tuple[np.ndarray, ...]
-    power: int = 1
-    hermitian = True
-
-    def __post_init__(self):
-        for i, term in enumerate(self.terms):
-            dev = float(np.max(np.abs(term - term.conj().T)))
-            if dev > DEFAULT_POLICY.exact_tol:
-                raise ValueError(f"term {i} deviates from hermitian by {dev:.3e}")
-
-    def squared(self) -> "ModeSumOperator":
-        # a copy skips __post_init__: the terms were checked when self was made
-        out = copy.copy(self)
-        object.__setattr__(out, "power", 2 * self.power)
-        return out
-
-    def _apply_once(self, amplitudes: np.ndarray) -> np.ndarray:
-        out = np.zeros(amplitudes.size, dtype=complex)
-        pre = 1
-        for d, term in zip(self.dims, self.terms):
-            # (pre, d, post) view: the term acts on the middle axis
-            out += (term @ amplitudes.reshape(pre, d, -1)).reshape(-1)
-            pre *= d
-        return out
-
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        for _ in range(self.power):
-            amplitudes = self._apply_once(amplitudes)
-        return amplitudes
-
-    def expectation(self, state: StateVector) -> float:
-        if state.dims != self.dims:
-            raise ValueError(f"dims mismatch: {state.dims} vs {self.dims}")
-        return float(np.real(np.vdot(state.amplitudes, self.apply(state.amplitudes))))
-
-
-@dataclass(frozen=True)
 class SchemeOutcome:
     """One labeled outcome: P = F F^dag, F the orthonormal (dim, rank)
     columns of ``frame``, or P = 1 - F F^dag when ``complement`` is set.
@@ -198,33 +150,11 @@ class SchemeOutcome:
 
 
 @dataclass(frozen=True)
-class LevelOutcome:
-    """P = |levels><levels| on subsystems ``slots``, identity on the rest.
-
-    Stores no dim-sized array: ``apply`` copies the one slice of the
-    amplitude tensor that P keeps into a zero vector.
-    """
-
-    label: str
-    dims: tuple[int, ...]
-    slots: tuple[int, ...]
-    levels: tuple[int, ...]
-
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        index = [slice(None)] * len(self.dims)
-        for slot, level in zip(self.slots, self.levels):
-            index[slot] = level
-        out = np.zeros_like(amplitudes)
-        out.reshape(self.dims)[tuple(index)] = amplitudes.reshape(self.dims)[tuple(index)]
-        return out
-
-
-@dataclass(frozen=True)
 class MeasurementScheme:
     """Ordered, labeled projector family describing a projective measurement."""
 
     dims: tuple[int, ...]
-    outcomes: tuple[SchemeOutcome | LevelOutcome, ...]
+    outcomes: tuple[SchemeOutcome, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "dims", _as_dims(self.dims))
@@ -330,42 +260,38 @@ def qndsv_scheme(target: StateVector) -> MeasurementScheme:
         SchemeOutcome("yes", frame), SchemeOutcome("no", frame, complement=True)))
 
 
-def level_scheme(dims, slots) -> MeasurementScheme:
-    """Number measurement of subsystems ``slots``: one ``LevelOutcome`` per
-    joint level, labeled "n=<levels>", the last slot's level fastest."""
-    dims = _as_dims(dims)
-    slots = tuple(int(s) for s in slots)
-    if not slots or len(set(slots)) != len(slots) or not all(0 <= s < len(dims) for s in slots):
-        raise ValueError(f"slots {slots} must be distinct subsystems of dims {dims}")
-    return MeasurementScheme(dims, tuple(
-        LevelOutcome("n=" + ",".join(map(str, levels)), dims, slots, levels)
-        for levels in product(*(range(dims[s]) for s in slots))))
-
-
 def born_ensemble(scheme: MeasurementScheme, state: StateVector,
                   tail_bound: float = 0.0) -> OutcomeEnsemble:
-    """Born probabilities and renormalized post-measurement branches.
-
-    Only branches with probability at or above
-    ``DEFAULT_POLICY.zero_probability`` are divided by their norm; the rest
-    are retained with ``zero_branch=True`` and no post state.
-    """
+    """Born probabilities and renormalized post-measurement branches of
+    ``scheme``'s outcomes, in order (``branch_ensemble``)."""
     if state.dims != scheme.dims:
         raise ValueError(f"state dims {state.dims} do not match scheme dims {scheme.dims}")
+    return branch_ensemble(state, ((out.label, out.apply(state.amplitudes))
+                                   for out in scheme.outcomes), tail_bound)
+
+
+def branch_ensemble(state: StateVector, labeled_branches,
+                    tail_bound: float = 0.0) -> OutcomeEnsemble:
+    """Outcome table of the branches P_i|psi>, given as (label, amplitudes)
+    pairs: Born weight <psi|P_i|psi>, and P_i|psi> renormalized.
+
+    The state's norm must be 1 up to ``tail_bound``.  Only branches with
+    probability at or above ``DEFAULT_POLICY.zero_probability`` are divided
+    by their norm; the rest are retained with ``zero_branch=True`` and no
+    post state.
+    """
     nsq = state.norm**2
     slack = DEFAULT_POLICY.structural_tol
     if nsq > 1.0 + slack or nsq < 1.0 - tail_bound - slack:
         raise ValueError(f"state norm {state.norm!r} inconsistent with tail bound {tail_bound!r}")
     entries = []
-    for out in scheme.outcomes:
-        branch = out.apply(state.amplitudes)
-        prob = float(np.real(np.vdot(state.amplitudes, branch)))
-        prob = max(prob, 0.0)
+    for label, branch in labeled_branches:
+        prob = max(float(np.real(np.vdot(state.amplitudes, branch))), 0.0)
         if prob < DEFAULT_POLICY.zero_probability:
-            entries.append(OutcomeEntry(out.label, prob, None, zero_branch=True))
+            entries.append(OutcomeEntry(label, prob, None, zero_branch=True))
         else:
-            post = StateVector(scheme.dims, branch / np.sqrt(prob))
-            entries.append(OutcomeEntry(out.label, prob, post))
+            post = StateVector(state.dims, branch / np.sqrt(prob))
+            entries.append(OutcomeEntry(label, prob, post))
     return OutcomeEnsemble(tuple(entries), tail_bound=tail_bound)
 
 
@@ -374,9 +300,7 @@ def post_measurement_expectation(state: StateVector, scheme: MeasurementScheme,
     """Ensemble average of obs right after the measurement.
 
     Evaluates sum_i <psi|P_i O P_i|psi> directly; zero-probability branches
-    contribute nothing because P_i|psi> already vanishes on them.  ``obs``
-    may be any operator with ``dims``, ``hermitian`` and ``apply``, so
-    matrix-free operators run through the same path as dense ones.
+    contribute nothing because P_i|psi> already vanishes on them.
     """
     return post_measurement_expectations(state, scheme, (obs,))[0]
 
@@ -405,7 +329,7 @@ def post_measurement_expectations(state: StateVector, scheme: MeasurementScheme,
 
 def validate_scheme(scheme: MeasurementScheme) -> SchemeDiagnostics:
     """Max deviations from idempotence, orthogonality and completeness of a
-    frame scheme; a ``level_scheme`` is exact by construction.
+    scheme's frames.
 
     Diagnostics only; never raises.  Over the stacked frame columns V of all
     outcomes, the Gram matrix V^dag V - 1 gives idempotence in its

@@ -57,12 +57,14 @@ class LatticeSpec:
             raise ValueError(f"spatial dimension must be 1, 2 or 3, got {self.dim}")
         if self.n_sites < 2 or self.n_sites % 2 != 0:
             raise ValueError(f"n_sites must be even and >= 2, got {self.n_sites}")
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
-        if self.mass < 0:
-            raise ValueError("mass must be nonnegative")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        positive = {"spacing": self.spacing, "hbar": self.hbar}
+        if self.zero_mode_mass is not None:
+            positive["zero_mode_mass"] = self.zero_mode_mass
+        for name, value in positive.items():
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not (math.isfinite(self.mass) and self.mass >= 0):
+            raise ValueError(f"mass must be nonnegative and finite, got {self.mass!r}")
         if self.dispersion not in DISPERSIONS:
             raise ValueError(f"dispersion must be one of {DISPERSIONS}")
         if self.mass == 0.0 and self.zero_mode_mass is None:

@@ -19,10 +19,10 @@ mode at a time (``product_moments``): <Q_B> = (<Q_+> - <Q_->)/sqrt(2) and
 <Q_B^2> = (<Q_+^2> - 2 <Q_+><Q_-> + <Q_-^2>)/2, likewise for P; over + number
 states <n|Q_+|n> = 0 kills the cross term.  A mode's moments are O(levels)
 sums of its number weights and coherences <a>, <a^2> (``mode_moments``).
-The reference route measures through ``core`` on the joint amplitudes: the
-naive collapse is ``core.level_scheme`` on the + mode, the Lueders rule on
-any +- prestate, and ``local_moments_b`` reads Q_B and P_B as
-``core.ModeSumOperator``s.
+The reference route works on the joint amplitude matrix A[n_+, n_-] of
+any +- prestate, entangled or not: the naive collapse keeps row n of A for
+outcome n (the Lueders rule of a number measurement of the + mode), and
+``local_moments_b`` applies X_B A = (X_+ A - A X_-^T)/sqrt(2), X = Q or P.
 Every scheme takes f_+, f_- and the tail check from ``_kicked_factors``.
 Level m of the phase state |b, theta_s> (Pegg & Barnett 1989) carries
 e^{i m theta_s}, theta_s = 2 pi s/(s_cut+1): the length-(2 s_cut+2) DFT
@@ -32,19 +32,13 @@ kernel at index 2s, so one FFT per parity gives every <b, theta_s|f_->.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    MeasurementScheme,
-    ModeSumOperator,
-    OutcomeEnsemble,
-    StateVector,
-    born_ensemble,
-    level_scheme,
-)
+from .core import MeasurementScheme, OutcomeEnsemble, StateVector, branch_ensemble
 from .policy import DEFAULT_POLICY, TruncationError, checked_tail
 
 
@@ -57,8 +51,10 @@ class OscParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if min(self.mass, self.frequency, self.hbar) <= 0:
-            raise ValueError("mass, frequency and hbar must be positive")
+        for name, value in (("mass", self.mass), ("frequency", self.frequency),
+                            ("hbar", self.hbar)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     @property
     def kappa(self) -> float:
@@ -107,10 +103,6 @@ class TwoModeFock:
             raise ValueError(
                 f"|amps|^2 + tail_bound = {total!r}, must be 1 within structural tolerance")
 
-    @property
-    def trunc(self) -> tuple[int, int]:
-        return self.amps.shape
-
     def as_state(self) -> StateVector:
         return StateVector(self.amps.shape, self.amps.reshape(-1))
 
@@ -142,11 +134,19 @@ def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     return np.cumprod(steps)
 
 
+def _index(name: str, value) -> int:
+    """An integer cutoff; a bool, float or string is refused by name."""
+    try:
+        if type(value) is bool:
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _normalize_trunc(trunc) -> tuple[int, int]:
-    if np.isscalar(trunc):
-        return int(trunc), int(trunc)
-    a, b = trunc
-    return int(a), int(b)
+    a, b = (trunc, trunc) if np.isscalar(trunc) else trunc
+    return _index("trunc", a), _index("trunc", b)
 
 
 def _kicked_factors(params: OscParams, kick: KickParams,
@@ -175,17 +175,19 @@ def coherent_prestate(params: OscParams, kick: KickParams, trunc) -> TwoModeFock
 def naive_nplus_ensemble(prestate: TwoModeFock) -> OutcomeEnsemble:
     """Collapse only the center-of-mass mode onto its number states.
 
-    The Lueders rule of ``core.level_scheme`` on the + mode, for any
-    prestate: outcome n keeps row n of the amplitudes, with its squared
-    norm as Born weight.  On a product f_+ (x) f_- that weight is
-    |<n|f_+>|^2 and the relative-mode factor is left untouched.
+    The Lueders rule for any prestate: outcome "n=<n>" keeps row n of the
+    amplitudes, and ``core.branch_ensemble`` takes its squared norm as Born
+    weight.  On a product f_+ (x) f_- that weight is |<n|f_+>|^2 and the
+    relative-mode factor is left untouched.
     """
-    return born_ensemble(level_scheme(prestate.trunc, (0,)), prestate.as_state(),
-                         tail_bound=prestate.tail_bound)
+    amps = prestate.amps
+    rows = ((f"n={n}", np.where(np.arange(len(amps))[:, None] == n, amps, 0).reshape(-1))
+            for n in range(len(amps)))
+    return branch_ensemble(prestate.as_state(), rows, tail_bound=prestate.tail_bound)
 
 
 def _check_s_cut(s_cut: int) -> None:
-    if s_cut < 0 or s_cut % 2 != 0:
+    if _index("s_cut", s_cut) < 0 or s_cut % 2 != 0:
         raise ValueError(f"s_cut must be even and nonnegative, got {s_cut}")
 
 
@@ -243,7 +245,8 @@ def _phase_overlaps(params: OscParams, kick: KickParams, s_cut: int,
     o[b, s] = <b, theta_s|f_-> of its - factor on 2*s_cut+2 levels with the
     phase states, and the tail; see the module docstring."""
     _check_s_cut(s_cut)
-    f_plus, f_minus, tail = _kicked_factors(params, kick, (n_max, 2 * s_cut + 2))
+    f_plus, f_minus, tail = _kicked_factors(params, kick,
+                                            (_index("n_max", n_max), 2 * s_cut + 2))
     by_parity = np.where(np.arange(2 * s_cut + 2) % 2 == np.array([[0], [1]]), f_minus, 0)
     return f_plus, np.fft.fft(by_parity, axis=1)[:, ::2] / math.sqrt(s_cut + 1), tail
 
@@ -291,31 +294,35 @@ def local_moments_b(obj, params: OscParams | None = None) -> LocalMoments:
     """Moments of oscillator B for a TwoModeFock state or an OutcomeEnsemble.
 
     Ensembles (whose entries are joint StateVectors of the +- modes) need
-    explicit params.  Q_B and P_B are read as mode sums, Q_B = (Q_+ - Q_-)/sqrt(2)
-    and likewise for P.  The reported error_bound is tail * (an infinity-norm
-    bound on the quadratic observables over the truncated box).
+    explicit params.  Each state is read as its amplitude matrix A, on which
+    X_B A = (X_+ A - A X_-^T)/sqrt(2) for X = Q, P; then <X_B> = <A, X_B A>
+    and <X_B^2> = |X_B A|^2.  The reported error_bound is tail * (an
+    infinity-norm bound on the quadratic observables over the truncated box).
     """
     if isinstance(obj, TwoModeFock):
-        params, weighted = obj.params, [(1.0, obj.as_state())]
+        params, weighted = obj.params, [(1.0, obj.amps)]
     elif isinstance(obj, OutcomeEnsemble):
         if params is None:
             raise ValueError("params are required for ensemble moments")
-        weighted = [(e.probability, e.post_state) for e in obj.entries if not e.zero_branch]
+        weighted = [(e.probability, e.post_state.amplitudes.reshape(e.post_state.dims))
+                    for e in obj.entries if not e.zero_branch]
     else:
         raise TypeError(f"unsupported input {type(obj).__name__}")
     if obj.tail_bound > DEFAULT_POLICY.tail_tol:
         raise TruncationError(f"tail {obj.tail_bound:.3e} above policy tolerance")
     if not weighted:
         raise ValueError("ensemble has no nonzero branches")
-    dims = weighted[0][1].dims
-    weights = (1 / math.sqrt(2), -1 / math.sqrt(2))
-    q_b, p_b = (ModeSumOperator(dims, tuple(w * matrix(d, params) for w, d in zip(weights, dims)))
-                for matrix in (position_matrix, momentum_matrix))
-    q, p, q2, p2 = (sum(w * op.expectation(state) for w, state in weighted)
-                    for op in (q_b, p_b, q_b.squared(), p_b.squared()))
+    d_plus, d_minus = weighted[0][1].shape
+    half, moments = 1 / math.sqrt(2), []
+    for matrix in (position_matrix, momentum_matrix):
+        plus, minus = half * matrix(d_plus, params), -half * matrix(d_minus, params)
+        moved = [(w, a, plus @ a + a @ minus.T) for w, a in weighted]      # X_B A
+        moments += [sum(w * float(np.real(np.vdot(a, xa))) for w, a, xa in moved),
+                    sum(w * float(np.real(np.vdot(xa, xa))) for w, a, xa in moved)]
+    q, q2, p, p2 = moments
     energy = p2 / (2.0 * params.mass) + 0.5 * params.mass * params.frequency**2 * q2
     return LocalMoments(q, p, q2, p2, energy,
-                        error_bound=obj.tail_bound * _bound_scale(*dims, params))
+                        error_bound=obj.tail_bound * _bound_scale(d_plus, d_minus, params))
 
 
 # one mode's sums tr(rho X) for X = 1, Q, P, Q^2, P^2; rho need not be normalized

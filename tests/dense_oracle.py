@@ -1,13 +1,14 @@
 """Dense truncated-Fock reference for the field oracle.
 
 Holds the kicked vacuum as one trunc^M amplitude vector, the kron product of
-the per-mode coherent vectors, and measures it through ``core``: the
-verification is ``core.qndsv_scheme``, the naive pair collapse
-``core.level_scheme`` on the +-p modes.  phi_y and pi_y are
-``core.ModeSumOperator``s over the term stacks of ``field_oracle``, each term
-applied along its own axis of the (trunc,)*M amplitude tensor.  Tests use it
-to check the factorised ``field_oracle.numeric_oracle_qndsv``, and it carries
-the wave-packet verification, which no command reaches.
+the per-mode coherent vectors, and measures it on that vector.  phi_y and
+pi_y are the term stacks of ``field_oracle``, one trunc x trunc term per
+mode; ``apply_mode_sum`` runs each term along its own axis of the
+(trunc,)*M amplitude tensor.  The verification's branches are
+yes = t <t|psi> and no = psi - yes, the naive pair collapse a number
+measurement of the +-p modes.  Tests use it to check the factorised
+``field_oracle.numeric_oracle_qndsv``, and it carries the wave-packet
+verification, which no command reaches.
 
 A full number measurement needs no branches for a mode sum O = sum_k T_k.
 Its level projectors P_i on slots S commute with every term off S, so
@@ -19,20 +20,16 @@ with D the sum whose measured terms T_k (k in S) keep only their diagonal.
 Hence <O> = <psi|D psi> and <O^2> = |D psi|^2 + sum_{k in S} sum_n
 p_k(n) sum_{m != n} |T_k[m, n]|^2, p_k the level marginal of slot k: one
 apply of D on the prestate instead of one branch per joint level
-(``post_measurement_expectations`` below).
+(``dephased_expectation`` below).
 """
 
 from __future__ import annotations
 
-import copy
 import math
-from itertools import product
 
 import numpy as np
 
-from causalprobe import core
-from causalprobe.core import (LevelOutcome, MeasurementScheme, ModeSumOperator, StateVector,
-                              level_scheme, qndsv_scheme)
+from causalprobe.core import StateVector
 from causalprobe.field_oracle import OracleReport, field_operator, momentum_operator
 from causalprobe.fieldtheory import KickSpec, kick_displacements
 from causalprobe.lattice import ModeSet
@@ -62,9 +59,18 @@ def oracle_prestate(modes: ModeSet, kick: KickSpec, trunc: int) -> tuple[StateVe
                                                 f"per-mode truncation {trunc}")
 
 
-def mode_sum(terms: np.ndarray) -> ModeSumOperator:
-    """The ModeSumOperator of an (M, trunc, trunc) term stack."""
-    return ModeSumOperator((terms.shape[1],) * len(terms), tuple(terms))
+def apply_mode_sum(terms, amplitudes: np.ndarray, power: int = 1) -> np.ndarray:
+    """(sum_k T_k)^power |psi>, with T_k one square term per subsystem k,
+    each applied along its own axis of the amplitude tensor."""
+    for _ in range(power):
+        out = np.zeros(amplitudes.size, dtype=complex)
+        pre = 1
+        for term in terms:
+            # (pre, d, post) view: the term acts on the middle axis
+            out += (term @ amplitudes.reshape(pre, len(term), -1)).reshape(-1)
+            pre *= len(term)
+        amplitudes = out
+    return amplitudes
 
 
 def one_particle_state(modes: ModeSet, p_index: int, trunc: int) -> StateVector:
@@ -93,77 +99,59 @@ def _one_particle(modes: ModeSet, weights: np.ndarray, trunc: int) -> StateVecto
     return StateVector(dims, amp)
 
 
-def level_slots(scheme: MeasurementScheme) -> tuple[int, ...]:
-    """The slots of a full number measurement, one ``LevelOutcome`` per
-    joint level of the same distinct slots; () for any other scheme."""
-    outs = scheme.outcomes
-    slots = outs[0].slots if isinstance(outs[0], LevelOutcome) else ()
-    if len(set(slots)) != len(slots) or not all(
-            isinstance(o, LevelOutcome) and o.slots == slots and o.dims == scheme.dims
-            for o in outs):
-        return ()
-    every = list(product(*(range(scheme.dims[s]) for s in slots)))
-    return slots if sorted(o.levels for o in outs) == every else ()
-
-
-def dephased_expectation(amplitudes: np.ndarray, obs: ModeSumOperator, slots) -> float:
-    """sum_i <psi|P_i O P_i|psi> over the level projectors on ``slots``:
-    <psi|D psi> for power 1, |D psi|^2 plus the jump term for power 2."""
+def dephased_expectation(amplitudes: np.ndarray, terms, power: int, slots) -> float:
+    """sum_i <psi|P_i O P_i|psi> for O = (sum_k T_k)^power over the level
+    projectors on ``slots``: <psi|D psi> for power 1, |D psi|^2 plus the
+    jump term for power 2 (module docstring)."""
+    dims = tuple(len(term) for term in terms)
     jumps = 0.0
-    for k in slots if obs.power == 2 else ():
-        weights = np.abs(obs.terms[k]) ** 2
+    for k in slots if power == 2 else ():
+        weights = np.abs(terms[k]) ** 2
         np.fill_diagonal(weights, 0.0)
-        others = tuple(a for a in range(len(obs.dims)) if a != k)
-        marginal = (np.abs(amplitudes.reshape(obs.dims)) ** 2).sum(axis=others)
+        others = tuple(a for a in range(len(dims)) if a != k)
+        marginal = (np.abs(amplitudes.reshape(dims)) ** 2).sum(axis=others)
         jumps += float(marginal @ weights.sum(axis=0))
-    dephased = copy.copy(obs)   # diagonals of checked hermitian terms: no recheck
-    object.__setattr__(dephased, "power", 1)
-    object.__setattr__(dephased, "terms", tuple(
-        np.diag(np.diag(t)) if k in slots else t for k, t in enumerate(obs.terms)))
-    moved = dephased.apply(amplitudes)
-    if obs.power == 1:
+    moved = apply_mode_sum([np.diag(np.diag(t)) if k in slots else t
+                            for k, t in enumerate(terms)], amplitudes)
+    if power == 1:
         return float(np.real(np.vdot(amplitudes, moved)))
     return float(np.real(np.vdot(moved, moved))) + jumps
 
 
-def post_measurement_expectations(state: StateVector, scheme: MeasurementScheme,
-                                  observables) -> list[float]:
-    """``core.post_measurement_expectations``, except that under a full
-    number measurement a mode sum of power 1 or 2 is read from the prestate
-    with one apply of its dephased sum (module docstring)."""
-    observables = tuple(observables)
-    slots = level_slots(scheme)
-    direct = [i for i, obs in enumerate(observables)
-              if slots and isinstance(obs, ModeSumOperator) and obs.power in (1, 2)]
-    looped = [i for i in range(len(observables)) if i not in direct]
-    totals = dict(zip(looped, core.post_measurement_expectations(
-        state, scheme, [observables[i] for i in looped]) if looped else ()))
-    for i in direct:
-        totals[i] = dephased_expectation(state.amplitudes, observables[i], slots)
-    return [totals[i] for i in range(len(observables))]
+def _expectation(amplitudes: np.ndarray, terms, power: int) -> float:
+    """<psi|(sum_k T_k)^power|psi> for an unnormalized branch psi."""
+    return float(np.real(np.vdot(amplitudes, apply_mode_sum(terms, amplitudes, power))))
+
+
+def _verification_branches(target: StateVector, amplitudes: np.ndarray) -> tuple:
+    """The branches yes = t <t|psi> and no = psi - yes of verifying t."""
+    yes = target.amplitudes * np.vdot(target.amplitudes, amplitudes)
+    return yes, amplitudes - yes
 
 
 def dense_oracle(modes: ModeSet, kick: KickSpec, y, p_index: int, trunc: int,
                  scheme_kind: str = "qndsv",
                  observables=("phi_y", "pi_y", "phi2_y", "pi2_y")) -> OracleReport:
     """``field_oracle.numeric_oracle_qndsv`` on the joint amplitude vector:
-    the verification's two branches are built once for all observables, the
-    naive averages are read from the prestate."""
+    the verification's two branches, the naive averages read from the
+    prestate."""
     if not modes.is_paired(p_index):
         raise ValueError(f"mode {p_index} is self-conjugate")
     state, tail = oracle_prestate(modes, kick, trunc)
-    phi, pi = (mode_sum(build(modes, y, trunc)) for build in (field_operator, momentum_operator))
-    known = {"phi_y": phi, "pi_y": pi, "phi2_y": phi.squared(), "pi2_y": pi.squared()}
+    psi = state.amplitudes
+    phi, pi = (build(modes, y, trunc) for build in (field_operator, momentum_operator))
+    known = {"phi_y": (phi, 1), "pi_y": (pi, 1), "phi2_y": (phi, 2), "pi2_y": (pi, 2)}
     ops = {name: known[name] for name in observables}
-    pre = {name: float(op.expectation(state)) for name, op in ops.items()}
+    pre = {name: _expectation(psi, *op) for name, op in ops.items()}
     p_yes = None
     if scheme_kind == "qndsv":
         target = one_particle_state(modes, p_index, trunc)
-        scheme = qndsv_scheme(target)
         p_yes = float(abs(target.overlap(state)) ** 2)
+        branches = _verification_branches(target, psi)
+        post = {name: sum(_expectation(b, *op) for b in branches) for name, op in ops.items()}
     else:
-        scheme = level_scheme(state.dims, (p_index, int(modes.conjugate_index[p_index])))
-    post = dict(zip(ops, post_measurement_expectations(state, scheme, ops.values())))
+        slots = (p_index, int(modes.conjugate_index[p_index]))
+        post = {name: dephased_expectation(psi, *op, slots) for name, op in ops.items()}
     return OracleReport(scheme_kind=scheme_kind, values=post, prestate_values=pre,
                         tail_bound=tail, p_yes=p_yes)
 
@@ -173,6 +161,6 @@ def oracle_qndsv_packet_phi_y(modes: ModeSet, kick: KickSpec, y, packet,
     """<phi_y> after verifying the one-particle state of a wave packet,
     exact on the truncated joint space."""
     state, _ = oracle_prestate(modes, kick, trunc)
-    scheme = qndsv_scheme(one_particle_packet_state(modes, packet, t1, trunc))
-    return core.post_measurement_expectation(state, scheme,
-                                             mode_sum(field_operator(modes, y, trunc)))
+    target = one_particle_packet_state(modes, packet, t1, trunc)
+    terms = field_operator(modes, y, trunc)
+    return sum(_expectation(b, terms, 1) for b in _verification_branches(target, state.amplitudes))

@@ -337,6 +337,20 @@ class TestExitCodes:
         assert "hbar must be positive" in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    def test_zero_regulator_is_validation_error(self, tmp_path, capsys):
+        """A massless lattice with a zero regulator has a zero-frequency mode,
+        whose phi2_y is infinite: refused, not written as inf."""
+        raw = json.loads((SCENARIOS / "field_naive.json").read_text())
+        raw["system_params"].update(mass=0.0, zero_mode_mass=0.0)
+        path = tmp_path / "massless.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert run(["field", "--scenario", str(path), "--obs", "phi_y,phi2_y",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "zero_mode_mass must be positive" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("scenario, axis, values", [
         ("ho_phase.json", "s_cut", "0,2,4"),
         ("field_volume_sweep.json", "spacing", "1,0.5,-0.25"),

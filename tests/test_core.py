@@ -17,7 +17,6 @@ from causalprobe.core import (
     StateVector,
     born_ensemble,
     embed_local,
-    level_scheme,
     post_measurement_expectation,
     qndsv_scheme,
     reduced_projector,
@@ -214,17 +213,6 @@ class TestQndsvScheme:
     def test_zero_target_rejected(self):
         with pytest.raises(ValueError):
             qndsv_scheme(StateVector((2,), [0, 0]))
-
-
-class TestLevelScheme:
-    def test_one_outcome_per_joint_level(self):
-        scheme = level_scheme((2, 3, 2), (2, 0))
-        assert [out.label for out in scheme.outcomes] == ["n=0,0", "n=0,1", "n=1,0", "n=1,1"]
-
-    @pytest.mark.parametrize("slots", [(), (0, 0), (3,), (-1,)])
-    def test_slots_must_be_distinct_subsystems(self, slots):
-        with pytest.raises(ValueError, match="distinct subsystems"):
-            level_scheme((2, 3, 2), slots)
 
 
 def unchecked_scheme(dims, labeled) -> MeasurementScheme:

@@ -27,9 +27,8 @@ from causalprobe.fieldtheory import (
     suppression_factor,
 )
 from causalprobe import field_oracle
-from causalprobe.core import (LevelOutcome, ModeSumOperator, Operator, SchemeOutcome,
-                             embed_local, level_scheme, post_measurement_expectation,
-                             qndsv_scheme)
+from causalprobe.core import (MeasurementScheme, Operator, embed_local,
+                             post_measurement_expectations, qndsv_scheme)
 from causalprobe.field_oracle import (
     _LIVE_STACKS,
     _ORACLE_BYTE_BUDGET,
@@ -42,7 +41,7 @@ from causalprobe.lattice import LatticeSpec, build_modes, kernel_ginv
 from causalprobe.oscillators import ladder
 from causalprobe.policy import TruncationError
 from conftest import naive_outcome_probabilities, single_mode_packet
-from dense_oracle import (dense_oracle, mode_sum, one_particle_state,
+from dense_oracle import (apply_mode_sum, dense_oracle, one_particle_state,
                           oracle_prestate, oracle_qndsv_packet_phi_y)
 
 LAT = LatticeSpec(dim=1, n_sites=4, spacing=1.0, mass=1.0)
@@ -70,6 +69,29 @@ def dense_field_operator(modes, y, trunc, momentum=False) -> Operator:
             term = w * (phase * a + np.conj(phase) * a.conj().T)
         total += embed_local(Operator((trunc,), term, hermitian=True), i, dims).matrix
     return Operator(dims, total, hermitian=True)
+
+
+def pair_level_frames(dims) -> MeasurementScheme:
+    """The naive pair collapse as core frames: one frame of number states
+    per joint level (m, n) of the +-p modes."""
+    q = int(MODES.conjugate_index[P])
+    digits = np.indices(dims).reshape(len(dims), -1)
+    basis = np.eye(digits.shape[1])
+    return MeasurementScheme.from_basis(dims, [
+        (f"{m},{n}", basis[(digits[P] == m) & (digits[q] == n)])
+        for m in range(dims[P]) for n in range(dims[q])])
+
+
+def branch_loop(trunc, scheme_of) -> dict:
+    """The four averages at y = 1 by core's branch loop under the scheme
+    ``scheme_of(prestate)``, with dense phi_y, pi_y and their dense squares."""
+    state, _ = oracle_prestate(MODES, KICK, trunc)
+    phi, pi = (dense_field_operator(MODES, 1, trunc, momentum).matrix
+               for momentum in (False, True))
+    dense = {name: Operator(state.dims, m, hermitian=True) for name, m in (
+        ("phi_y", phi), ("pi_y", pi), ("phi2_y", phi @ phi), ("pi2_y", pi @ pi))}
+    return dict(zip(dense, post_measurement_expectations(state, scheme_of(state),
+                                                         dense.values())))
 
 
 class TestKickDisplacements:
@@ -450,23 +472,8 @@ class TestOracleGuards:
         the prestate, equals the core's Lueders family of frames, one frame
         of number states per joint outcome (m, n), with dense observables
         and their dense squares, on a tiny truncation."""
-        from causalprobe.core import MeasurementScheme, post_measurement_expectations
-
-        trunc = 4
-        state, _ = oracle_prestate(MODES, KICK, trunc)
-        dims = state.dims
-        phi, pi = (dense_field_operator(MODES, 1, trunc, momentum).matrix
-                   for momentum in (False, True))
-        dense = {name: Operator(dims, m, hermitian=True) for name, m in (
-            ("phi_y", phi), ("pi_y", pi), ("phi2_y", phi @ phi), ("pi2_y", pi @ pi))}
-        q = int(MODES.conjugate_index[P])
-        digits = np.indices(dims).reshape(len(dims), -1)
-        basis = np.eye(digits.shape[1])
-        labeled = [(f"{m},{n}", basis[(digits[P] == m) & (digits[q] == n)])
-                   for m in range(trunc) for n in range(trunc)]
-        scheme = MeasurementScheme.from_basis(dims, labeled)
-        want = dict(zip(dense, post_measurement_expectations(state, scheme, dense.values())))
-        rep = numeric_oracle_qndsv(MODES, KICK, 1, P, trunc, scheme_kind="naive")
+        want = branch_loop(4, lambda state: pair_level_frames(state.dims))
+        rep = numeric_oracle_qndsv(MODES, KICK, 1, P, 4, scheme_kind="naive")
         for name, value in want.items():
             assert rep.values[name] == pytest.approx(value, abs=1e-12), name
 
@@ -477,21 +484,16 @@ class TestMatrixFreeOracle:
     def test_apply_matches_dense_matvec(self, trunc, momentum):
         """The term stacks, applied as mode sums, against the dense joint
         matrix built independently from the ladder."""
-        build = momentum_operator if momentum else field_operator
-        op = mode_sum(build(MODES, 1, trunc))
+        terms = (momentum_operator if momentum else field_operator)(MODES, 1, trunc)
         dense = dense_field_operator(MODES, 1, trunc, momentum).matrix
         rng = np.random.default_rng(trunc)
         v = rng.normal(size=trunc**4) + 1j * rng.normal(size=trunc**4)
-        assert np.allclose(op.apply(v), dense @ v, rtol=0, atol=1e-12)
-        assert np.allclose(op.squared().apply(v), dense @ (dense @ v),
+        assert np.allclose(apply_mode_sum(terms, v), dense @ v, rtol=0, atol=1e-12)
+        assert np.allclose(apply_mode_sum(terms, v, 2), dense @ (dense @ v),
                            rtol=0, atol=1e-12)
 
     def test_non_hermitian_term_refused(self, monkeypatch):
-        """By the mode sum, and by the factorised oracle for either field."""
-        op = mode_sum(field_operator(MODES, 1, 3))
-        bad = op.terms[:-1] + (ladder(3),)
-        with pytest.raises(ValueError, match="hermitian"):
-            ModeSumOperator(op.dims, bad)
+        """By the factorised oracle, for either field."""
         for name, build in (("field_operator", field_operator),
                             ("momentum_operator", momentum_operator)):
             with monkeypatch.context() as patch:
@@ -500,53 +502,20 @@ class TestMatrixFreeOracle:
                 with pytest.raises(ValueError, match="hermitian"):
                     numeric_oracle_qndsv(MODES, KICK, 1, P, TRUNC)
 
-    def test_squared_does_not_recheck_terms(self, monkeypatch):
-        op = mode_sum(field_operator(MODES, 1, 3))
-
-        def refuse(self):
-            raise AssertionError("terms checked again")
-
-        monkeypatch.setattr(ModeSumOperator, "__post_init__", refuse)
-        square = op.squared().squared()
-        assert (op.power, square.power) == (1, 4)
-        assert square.terms is op.terms and square.dims == op.dims
-
-    def test_verification_branches_computed_once(self, monkeypatch):
-        """The dense reference applies both outcomes once for all four
-        observables, and its values equal the one-observable route's."""
-        state, _ = oracle_prestate(MODES, KICK, 4)
-        scheme = qndsv_scheme(one_particle_state(MODES, P, 4))
-        phi, pi = (mode_sum(build(MODES, 1, 4)) for build in (field_operator, momentum_operator))
-        ops = {"phi_y": phi, "pi_y": pi, "phi2_y": phi.squared(), "pi2_y": pi.squared()}
-        want = {name: post_measurement_expectation(state, scheme, op)
-                for name, op in ops.items()}
-        calls = []
-        apply = SchemeOutcome.apply
-        monkeypatch.setattr(SchemeOutcome, "apply",
-                            lambda self, amps: calls.append(1) or apply(self, amps))
+    def test_verification_branches_match_core(self):
+        """The dense reference's two verification branches, yes = t<t|psi>
+        and no = psi - yes, give core's averages over ``qndsv_scheme``."""
+        want = branch_loop(4, lambda state: qndsv_scheme(one_particle_state(MODES, P, 4)))
         rep = dense_oracle(MODES, KICK, 1, P, 4)
-        assert len(calls) == 2
-        assert rep.values == want
+        for name, value in want.items():
+            assert rep.values[name] == pytest.approx(value, abs=1e-12), name
 
-    def test_naive_collapse_applies_no_branch(self, monkeypatch):
-        """The dense reference reads the level scheme's four mode sums from
-        the prestate, with no outcome applied, and they equal the branch
-        loop's values, which a dense copy of each operator still takes."""
-        state, _ = oracle_prestate(MODES, KICK, 4)
-        scheme = level_scheme(state.dims, (P, int(MODES.conjugate_index[P])))
-        phi, pi = (mode_sum(build(MODES, 1, 4)) for build in (field_operator, momentum_operator))
-        ops = {"phi_y": phi, "pi_y": pi, "phi2_y": phi.squared(), "pi2_y": pi.squared()}
-        eye = np.eye(math.prod(state.dims))
-        want = {name: post_measurement_expectation(state, scheme, Operator(
-                    state.dims, np.stack([op.apply(col) for col in eye], axis=1),
-                    hermitian=True))
-                for name, op in ops.items()}
-        calls = []
-        apply = LevelOutcome.apply
-        monkeypatch.setattr(LevelOutcome, "apply",
-                            lambda self, amps: calls.append(1) or apply(self, amps))
+    def test_naive_collapse_matches_branch_loop(self):
+        """The dense reference reads the pair collapse's averages from the
+        prestate, with no branch, and they equal the branch loop over the
+        frames of the +-p joint levels."""
+        want = branch_loop(4, lambda state: pair_level_frames(state.dims))
         rep = dense_oracle(MODES, KICK, 1, P, 4, scheme_kind="naive")
-        assert calls == []
         for name, value in want.items():
             assert rep.values[name] == pytest.approx(value, abs=1e-12), name
 

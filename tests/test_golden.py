@@ -1,9 +1,13 @@
-"""Golden values: the CSVs of the shipped commands, recorded in tests/golden/.
+"""Golden values: the CSVs of the shipped commands and the printed output
+of the demos, recorded in tests/golden/.
 
 Each command is rerun and every cell compared with its recorded value:
 text exactly, numbers within 1e-13 relative, which allows for BLAS and SIMD
-differences between hosts (on the recording host the bytes match too).  A
-change that means to move a number rerecords the files with
+differences between hosts (on the recording host the bytes match too).
+Each demo is rerun and its output compared token by token: text exactly,
+numbers within 1e-10, since the demos also print differences of order
+1e-13 between routes.  A change that means to move a number rerecords the
+files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -12,7 +16,11 @@ and says in its own diff which numbers moved and why.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
+import re
+import runpy
 import shutil
 import sys
 from pathlib import Path
@@ -23,7 +31,10 @@ from causalprobe import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 REL_TOL = 1e-13
+DEMO_TOL = 1e-10
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
 def _scenario(stem: str) -> list:
@@ -45,6 +56,10 @@ COMMANDS = {
                       "--measure", "amplitude", "--values", "1,0.5,0.25,0.125"],
     "sweep_s_cut": ["sweep", *_scenario("ho_phase"), "--axis", "s_cut",
                     "--values", "8,10,12"],
+    # y = x: the contact term makes pi_y read +-lambda
+    "field_none_pi": ["field", "none", *_scenario("field_naive"), "--y", "0",
+                      "--obs", "pi_y,pi2_y"],
+    "spin_s2_sz": ["spin", *_scenario("spin_s2_ambiguity"), "--obs", "Sz,S2,sBz"],
     "compare_spin": ["compare", *_scenario("spin_s2_ambiguity"), "--schemes",
                      "s2-standard,s2-bell,s2-luders,sz-standard,sz-bell,sz-luders,none"],
     "compare_ho": ["compare", *_scenario("ho_naive"), "--schemes", "naive-nplus,none"],
@@ -83,14 +98,41 @@ def test_command_reproduces_its_golden_csvs(name, tmp_path):
                 f"{name}/{csv} line {row + 1}: {','.join(g)} != {','.join(w)}"
 
 
+def _demo_output(demo: Path) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(demo), run_name="__main__")
+    return out.getvalue()
+
+
+def _same_demo_token(got: str, want: str) -> bool:
+    if NUMBER.fullmatch(got) and NUMBER.fullmatch(want):
+        return abs(float(got) - float(want)) <= DEMO_TOL
+    return got == want
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_reproduces_its_golden_output(demo):
+    got = _demo_output(demo).splitlines()
+    want = (GOLDEN / "demos" / f"{demo.stem}.txt").read_text().splitlines()
+    assert len(got) == len(want), demo.name
+    for row, (g, w) in enumerate(zip(got, want)):
+        g, w = NUMBER.split(g), NUMBER.split(w)
+        assert len(g) == len(w) and all(map(_same_demo_token, g, w)), \
+            f"{demo.name} line {row + 1}: {''.join(g)!r} != {''.join(w)!r}"
+
+
 def record() -> None:
-    """Rewrite tests/golden/ from the commands as they run now."""
+    """Rewrite tests/golden/ from the commands and demos as they run now."""
     for name in COMMANDS:
         target = GOLDEN / name
         shutil.rmtree(target, ignore_errors=True)
         _run(name, target)
         for manifest in target.glob("*.manifest.json"):
             manifest.unlink()     # holds a wall-clock time, so never golden
+    (GOLDEN / "demos").mkdir(exist_ok=True)
+    for demo in DEMOS:
+        (GOLDEN / "demos" / f"{demo.stem}.txt").write_text(_demo_output(demo))
 
 
 if __name__ == "__main__":

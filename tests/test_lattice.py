@@ -55,6 +55,17 @@ class TestBuildModes:
                              zero_mode_mass=0.05)
         assert build_modes(custom).omega[zero] == pytest.approx(0.05, abs=1e-15)
 
+    @pytest.mark.parametrize("name, value", [
+        ("spacing", math.nan), ("spacing", math.inf), ("spacing", 0.0),
+        ("hbar", math.nan), ("hbar", -math.inf), ("hbar", 0.0),
+        ("mass", math.nan), ("mass", math.inf), ("mass", -1.0),
+        ("zero_mode_mass", math.nan), ("zero_mode_mass", math.inf),
+        ("zero_mode_mass", 0.0), ("zero_mode_mass", -0.1)])
+    def test_non_finite_or_out_of_range_parameter_refused(self, name, value):
+        params = dict(dim=1, n_sites=4, spacing=1.0, mass=0.0, hbar=1.0)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            LatticeSpec(**{**params, name: value})
+
     def test_pairing_partition(self):
         for dim, n in ((1, 6), (2, 4), (3, 2)):
             lat = LatticeSpec(dim=dim, n_sites=n, spacing=1.0, mass=1.0)

@@ -63,6 +63,12 @@ class TestParams:
         with pytest.raises(ValueError):
             OscParams(mass=-1.0)
 
+    @pytest.mark.parametrize("name", ["mass", "frequency", "hbar"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_non_finite_or_zero_parameter_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            OscParams(**{name: value})
+
 
 class TestCoherentPrestate:
     def test_zero_kick_is_ground_state(self):
@@ -371,6 +377,24 @@ class TestFactorisedMoments:
     def test_insufficient_truncation_rejected(self, collapse):
         with pytest.raises(TruncationError):
             kicked_moments(PARAMS, KickParams(lam=4.0), 4, collapse=collapse)
+
+    @pytest.mark.parametrize("trunc", [40.9, 40.0, "40", True, (40, 30.0)])
+    def test_non_integer_trunc_refused_by_name(self, trunc):
+        with pytest.raises(ValueError, match="^trunc must be an integer"):
+            kicked_moments(PARAMS, KickParams(p_a=0.3), trunc, collapse=True)
+
+    @pytest.mark.parametrize("s_cut, n_max, name", [
+        (4.0, 20, "s_cut"), ("4", 20, "s_cut"), (True, 20, "s_cut"), (4, 20.0, "n_max")])
+    def test_non_integer_phase_cutoff_refused_by_name(self, s_cut, n_max, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            phase_ensemble_moments(PARAMS, KickParams(p_a=0.3), s_cut, n_max)
+
+    def test_numpy_integer_cutoffs_accepted(self):
+        kick = KickParams(p_a=0.3, lam=0.2)
+        assert kicked_moments(PARAMS, kick, np.int64(40), collapse=True) \
+            == kicked_moments(PARAMS, kick, 40, collapse=True)
+        assert phase_ensemble_moments(PARAMS, kick, np.int64(4), np.int64(20)) \
+            == phase_ensemble_moments(PARAMS, kick, 4, 20)
 
     def test_naive_momentum_pin(self):
         for lam in (-1.0, -0.3, 0.0, 0.5, 1.0):

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalprobe import field_oracle, fieldtheory, oscillators, spins
-from causalprobe.core import (MeasurementScheme, ModeSumOperator, Operator, SchemeOutcome,
-                              StateVector, born_ensemble, level_scheme,
+from causalprobe.core import (MeasurementScheme, Operator, SchemeOutcome, StateVector,
+                              born_ensemble, embed_local,
                               post_measurement_expectation, post_measurement_expectations,
                               tensor_state, validate_scheme)
 from causalprobe.harness import SPIN
@@ -126,45 +126,40 @@ def _hermitian(n: int, rng) -> np.ndarray:
 @st.composite
 def level_cases(draw):
     """2-4 subsystems of 2-4 levels, distinct slots in a random order, a
-    random state, and a mode sum at powers 1, 2 and 3, sometimes with a
-    dense observable among them.  The dense oracle reads powers 1 and 2 from
-    the prestate; power 3 and the dense one take the branch loop."""
+    random state and one random hermitian term per subsystem."""
     dims = tuple(draw(st.lists(st.integers(2, 4), min_size=2, max_size=4)))
     order = draw(st.permutations(range(len(dims))))
     slots = tuple(order[:draw(st.integers(1, len(dims)))])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = math.prod(dims)
-    mode_sum = ModeSumOperator(dims, tuple(_hermitian(d, rng) for d in dims))
-    observables = [mode_sum, mode_sum.squared(), replace(mode_sum, power=3)]
-    if draw(st.booleans()):
-        observables.insert(draw(st.integers(0, len(observables))),
-                           Operator(dims, _hermitian(dim, rng), hermitian=True))
+    terms = [_hermitian(d, rng) for d in dims]
     amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return dims, slots, StateVector(dims, amp / np.linalg.norm(amp)), observables
+    return dims, slots, StateVector(dims, amp / np.linalg.norm(amp)), terms
 
 
 @SEEDED
 @given(case=level_cases())
-def test_level_scheme_matches_unit_vector_frames(case):
-    """A level scheme gives the Born weights and post-measurement averages
-    of the frame scheme whose outcome (levels) holds every basis vector with
-    those levels on the slots, by the branch loop and by the dense oracle's
-    dephased route alike."""
-    dims, slots, state, observables = case
-    levels = level_scheme(dims, slots)
+def test_dephased_route_matches_unit_vector_frames(case):
+    """The dense reference's mode sum, applied axis by axis, equals the
+    dense sum of embedded terms, and its dephased route gives at powers 1
+    and 2 the branch loop's averages over the frame scheme whose outcome
+    (levels) holds every basis vector with those levels on the slots."""
+    dims, slots, state, terms = case
+    dense = sum(embed_local(Operator((len(t),), t, hermitian=True), k, dims).matrix
+                for k, t in enumerate(terms))
+    assert np.allclose(dense_oracle.apply_mode_sum(terms, state.amplitudes),
+                       dense @ state.amplitudes, rtol=0, atol=1e-12)
     digits = np.indices(dims).reshape(len(dims), -1)
     basis = np.eye(digits.shape[1])
     frames = MeasurementScheme.from_basis(dims, [
         (f"n={','.join(map(str, lv))}",
          basis[np.all(digits[list(slots)] == np.array(lv)[:, None], axis=0)])
         for lv in itertools.product(*(range(dims[s]) for s in slots))])
-    got, want = (born_ensemble(scheme, state).entries for scheme in (levels, frames))
-    assert [e.label for e in got] == [e.label for e in want]
-    assert np.allclose([e.probability for e in got], [e.probability for e in want],
-                       rtol=0, atol=1e-12)
-    averages = post_measurement_expectations(state, frames, observables)
-    for route in (post_measurement_expectations, dense_oracle.post_measurement_expectations):
-        assert np.allclose(route(state, levels, observables), averages, rtol=0, atol=1e-12)
+    want = post_measurement_expectations(state, frames, [
+        Operator(dims, dense, hermitian=True), Operator(dims, dense @ dense, hermitian=True)])
+    got = [dense_oracle.dephased_expectation(state.amplitudes, terms, power, slots)
+           for power in (1, 2)]
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 @st.composite

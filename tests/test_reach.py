@@ -25,7 +25,6 @@ _TEST_REFERENCE = "the tests' dense reference route"
 _TRACER = "an entry point of perfbench/tracing.py"
 _PACKETS = "wave-packet verification, ROADMAP item 7"
 _LIBRARY = "library API"
-_FLAG = "reported under a flag no shipped command sets"
 ALLOWED = {
     "causalprobe.oscillators.phase_state": _TEST_REFERENCE,
     "causalprobe.oscillators.phase_scheme_nplus": _TEST_REFERENCE,
@@ -42,9 +41,6 @@ ALLOWED = {
     "causalprobe.core.OutcomeEnsemble.probability": _LIBRARY,
     "causalprobe.spins.plus": _LIBRARY,
     "causalprobe.spins.minus": _LIBRARY,
-    "causalprobe.fieldtheory.prestate_pi_y": _FLAG + " (field none --obs pi_y)",
-    "causalprobe.fieldtheory.prestate_pi2_y": _FLAG + " (field none --obs pi2_y)",
-    "causalprobe.spins.sz_total": _FLAG + " (spin --obs Sz)",
 }
 
 
