@@ -188,8 +188,10 @@ def _skeleton(system: str, sid) -> dict:
             "observables": list(spec.defaults(scheme.get("id"))), "lambda_grid": [0.0]}
 
 
-def _scenario(args, system: str | None = None) -> tuple[dict, Scenario]:
-    """The raw and validated scenario of every subcommand but validate.
+def _scenario(args, system: str | None = None) -> tuple[dict, Scenario, str]:
+    """The raw and validated scenario of every subcommand but validate, and
+    its output stem: the file's name, plus ``_<id>`` if a positional id
+    replaces the file's, or ``<command>_<id>`` without a file.
 
     The --scenario file is read as written; a system subcommand refuses
     another system's file, and without a file starts from ``_skeleton``.
@@ -197,19 +199,24 @@ def _scenario(args, system: str | None = None) -> tuple[dict, Scenario]:
     """
     if args.scenario is not None:
         raw = _load_scenario_file(args.scenario)
+        stem = Path(args.scenario).stem
         if system and raw.get("system", system) != system:
             raise ScenarioError(f"{args.scenario} holds a {raw['system']!r} scenario; "
                                 f"{args.command} runs only {system!r} scenarios")
     elif system:
         raw = _skeleton(system, args.scheme_id)
+        stem = f"{args.command}_{raw['scheme'].get('id')}"
     else:
         raise ScenarioError(f"{args.command} needs --scenario")
     overrides = [("system_params", "hbar", args.hbar)]
     if system:
         spec = harness.SYSTEMS[system]
         if args.scheme_id is not None:
+            given = raw.get("scheme", {}).get("id")
             # replacing the id drops extras the new prescription does not accept
             raw["scheme"] = spec.scheme_for_id(args.scheme_id, raw.get("scheme", {}))
+            if raw["scheme"]["id"] != given:      # runs of two ids keep apart
+                stem += f"_{raw['scheme']['id']}"
         overrides += [(sec, key, getattr(args, key)) for sec, key, _ in _flag_params(spec)]
     if args.obs is not None:
         raw["observables"] = args.obs.split(",")
@@ -221,16 +228,14 @@ def _scenario(args, system: str | None = None) -> tuple[dict, Scenario]:
         axis, angle = _parse_alice(args.alice)
         raw["alice"] = {"kind": spec.alice, "axis": list(axis)}
         raw["lambda_grid"], raw["lambda_ref"] = [angle], angle
-    return raw, Scenario.from_dict(raw)
+    return raw, Scenario.from_dict(raw), stem
 
 
 def _run_system(args, system: str) -> int:
     started = time.monotonic()
-    raw, scenario = _scenario(args, system)
+    raw, scenario, stem = _scenario(args, system)
     report = run_scenario(scenario)
     names = scenario.observables
-    stem = Path(args.scenario).stem if args.scenario else \
-        f"{args.command}_{scenario.scheme['id']}"
     return _emit(args, stem, raw, started, [
         ("", ("observable", "lambda", "value"),
          [(obs, _fmt(lam), _fmt(value)) for obs in names for lam, value in report.tables[obs]]),
@@ -249,13 +254,13 @@ def _run_sweep(args) -> int:
     if args.measure == "amplitude" and unread:
         raise ScenarioError(f"--measure amplitude reads no observables and no lambda grid; "
                             f"{' and '.join(unread)} would be ignored")
-    raw, scenario = _scenario(args)
+    raw, scenario, stem = _scenario(args)
     try:
         values = [float(v) for v in args.values.split(",")]
     except ValueError:
         raise ScenarioError(f"cannot parse --values {args.values!r}") from None
     report = cutoff_sweep(scenario, args.axis, values, measure=args.measure)
-    return _emit(args, f"{Path(args.scenario).stem}_sweep_{args.axis}", raw, started, [
+    return _emit(args, f"{stem}_sweep_{args.axis}", raw, started, [
         ("", ("observable", "cutoff", "measure"),
          [(name, _fmt(v), _fmt(m))
           for name in report.rows for v, m in zip(report.values, report.rows[name])]),
@@ -273,7 +278,7 @@ def _scheme_flags() -> dict:
 
 def _run_compare(args) -> int:
     started = time.monotonic()
-    raw, scenario = _scenario(args)
+    raw, scenario, stem = _scenario(args)
     scheme_ids = args.schemes.split(",")
     flags = _scheme_flags()
     extras = {key: getattr(args, key) for key in flags if getattr(args, key) is not None}
@@ -287,7 +292,7 @@ def _run_compare(args) -> int:
     if extras:
         # the digest records what ran: the file, its overrides and these extras
         raw = {**raw, "compare_extras": extras}
-    return _emit(args, f"{Path(args.scenario).stem}_compare", raw, started, [
+    return _emit(args, f"{stem}_compare", raw, started, [
         ("", ("scheme", "observable", "before", "after", "derivative"),
          [(r.scheme_id, r.observable, _fmt(r.before), _fmt(r.after), _fmt(r.derivative))
           for r in rows]),

@@ -123,7 +123,7 @@ def numeric_oracle_qndsv(modes: ModeSet, kick: KickSpec, y, p_index: int,
     if scheme_kind not in ("qndsv", "naive"):
         raise ValueError(f"unknown scheme kind {scheme_kind!r}")
     _check_budget(modes.n_modes, trunc)
-    u = np.array([coherent_amplitudes(a, trunc) for a in kick_displacements(modes, kick)])
+    u = coherent_amplitudes(kick_displacements(modes, kick), trunc)     # one row per mode
     weights = np.abs(u) ** 2
     tail = checked_tail(float(np.prod(weights.sum(axis=1))), f"per-mode truncation {trunc}")
     modes_at = np.arange(modes.n_modes)

@@ -23,11 +23,13 @@ and read by name through ``closed_forms``, so a report sums only the
 kernels that its observables read.  Before a measurement and after the
 naive one, <phi_y> and <pi_y> read none, <phi_y^2> reads ginv_yy and
 <pi_y^2> g_yy; after the verification, <phi_y> reads ginv_xx and <phi_y^2>
-ginv_xx, ginv_xy and ginv_yy.
+ginv_xx, ginv_xy and ginv_yy.  Given an array of kick strengths, a form reads
+its phases and kernels once: one value per kick, or one for all if no lam.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,6 +66,15 @@ class WavePacket:
             raise ValueError(f"wave packet norm {total!r} != 1")
 
 
+def _each(fn, values):
+    """fn of each element of values as a Python float, shaped like values:
+    libm's exp and pow, which numpy's vector loops do not always match."""
+    return np.reshape([fn(v) for v in np.ravel(values).tolist()], np.shape(values))[()]
+
+
+_square = functools.partial(_each, lambda v: v**2)
+
+
 def kick_displacements(modes: ModeSet, kick: KickSpec) -> np.ndarray:
     """Per-mode coherent amplitudes of the kicked vacuum."""
     lat = modes.lattice
@@ -74,8 +85,8 @@ def kick_displacements(modes: ModeSet, kick: KickSpec) -> np.ndarray:
 def suppression_factor(modes: ModeSet, kick: KickSpec) -> float:
     """exp(-lam^2 ginv(x,x) / 2 hbar), the UV-controlled damping of every
     verification signal."""
-    gxx = kernel_ginv(modes, kick.site, kick.site)
-    return math.exp(-kick.strength**2 * gxx / (2.0 * modes.lattice.hbar))
+    gxx, hbar = kernel_ginv(modes, kick.site, kick.site), modes.lattice.hbar
+    return _each(lambda lam: math.exp(-lam**2 * gxx / (2.0 * hbar)), kick.strength)
 
 
 def _require_paired(modes: ModeSet, p_index: int) -> None:
@@ -96,7 +107,7 @@ def qndsv_phi_y(modes: ModeSet, kick: KickSpec, y, p_index: int) -> float:
     phase = modes.phase_at(p_index, y) - modes.phase_at(p_index, kick.site)
     # a zero of lam's sign turns -0.0 at lam = 0.0 into 0.0 and changes no other value
     return (kick.strength * suppression_factor(modes, kick) * (modes.eps / modes.omega[p_index])
-            * math.sin(phase) + math.copysign(0.0, kick.strength))
+            * math.sin(phase) + np.copysign(0.0, kick.strength))
 
 
 def packet_kernel(modes: ModeSet, packet: WavePacket, t: float, z) -> complex:
@@ -140,14 +151,14 @@ def qndsv_phi2_y(modes: ModeSet, kick: KickSpec, y, p_index: int) -> float:
     truncated-Fock oracle in ``field_oracle`` to rounding.
     """
     _require_paired(modes, p_index)
-    lam, hbar = kick.strength, modes.lattice.hbar
+    lam2, hbar = _square(kick.strength), modes.lattice.hbar
     wp = modes.omega[p_index]
     gxy = kernel_ginv(modes, kick.site, y)
     phase = modes.phase_at(p_index, kick.site) - modes.phase_at(p_index, y)
-    bracket = (0.25 * lam**2 * gxy**2 - hbar * gxy * math.cos(phase)
+    bracket = (0.25 * lam2 * gxy**2 - hbar * gxy * math.cos(phase)
                + hbar * modes.eps / wp)
     return (_vacuum_phi2(modes, y) + suppression_factor(modes, kick)
-            * (lam**2 * modes.eps / (hbar * wp)) * bracket)
+            * (lam2 * modes.eps / (hbar * wp)) * bracket)
 
 
 OBSERVABLES = ("phi_y", "pi_y", "phi2_y", "pi2_y")
@@ -217,7 +228,7 @@ def prestate_phi2_y(modes: ModeSet, kick: KickSpec, y, p_index=None) -> float:
 
 def prestate_pi2_y(modes: ModeSet, kick: KickSpec, y, p_index=None) -> float:
     """<pi_y^2> = <pi_y>^2 + (hbar/2) g_yy."""
-    return prestate_pi_y(modes, kick, y) ** 2 + _vacuum_pi2(modes, y)
+    return _square(prestate_pi_y(modes, kick, y)) + _vacuum_pi2(modes, y)
 
 
 def prestate_expectations(modes: ModeSet, kick: KickSpec, y) -> FieldExpectations:
@@ -239,20 +250,20 @@ def naive_np_pi_y(modes: ModeSet, kick: KickSpec, y, p_index: int) -> float:
     lam = kick.strength
     phase = modes.phase_at(p_index, kick.site) - modes.phase_at(p_index, y)
     return (lam * (_contact(modes, kick, y) - 2.0 * modes.eps * math.cos(phase))
-            + math.copysign(0.0, lam))  # see qndsv_phi_y
+            + np.copysign(0.0, lam))  # see qndsv_phi_y
 
 
 def naive_np_phi2_y(modes: ModeSet, kick: KickSpec, y, p_index: int) -> float:
     """<phi_y^2> = (hbar/2) ginv_yy + lam^2 eps^2 / omega_p^2."""
     _require_paired(modes, p_index)
     _sites(modes, kick, y)
-    return _vacuum_phi2(modes, y) + kick.strength**2 * modes.eps**2 / modes.omega[p_index]**2
+    return _vacuum_phi2(modes, y) + _square(kick.strength) * modes.eps**2 / modes.omega[p_index]**2
 
 
 def naive_np_pi2_y(modes: ModeSet, kick: KickSpec, y, p_index: int) -> float:
     """<pi_y^2> = <pi_y>^2 + (hbar/2) g_yy + lam^2 eps^2."""
-    return (naive_np_pi_y(modes, kick, y, p_index) ** 2 + _vacuum_pi2(modes, y)
-            + kick.strength**2 * modes.eps**2)
+    return (_square(naive_np_pi_y(modes, kick, y, p_index)) + _vacuum_pi2(modes, y)
+            + _square(kick.strength) * modes.eps**2)
 
 
 def naive_np_expectations(modes: ModeSet, kick: KickSpec, y,

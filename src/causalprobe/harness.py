@@ -5,8 +5,9 @@ system is one declarative table in ``SYSTEMS``, read by validation, the
 evaluators and the CLI, so a new prescription is one table entry.
 
 Everything downstream is a pure function of the scenario, so reports are
-reproducible bit for bit.  Each distinct lam is evaluated once, for every
-observable, in one thread.
+reproducible bit for bit.  Each report hands its evaluator every lam it
+will read, and the system evaluates the distinct ones in one array call,
+for every observable, in one thread.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ class System:
     alice: str                    # Alice's operation kind
     schemes: dict                 # id -> Scheme
     observables: tuple | dict     # names (the oscillator's map to moment fields)
-    evaluator: Callable           # (Scenario, Typed, built) -> values(lam) -> {obs: value}
+    evaluator: Callable           # (Scenario, Typed, built) -> values(lams) -> {obs: array}
     default_observables: tuple = ()                   # empty: all observables
     alice_params: dict = field(default_factory=dict)
     aliases: dict = field(default_factory=dict)       # CLI name -> scheme id
@@ -239,7 +240,8 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# evaluators: lam -> {observable: expectation value}, every observable in one call
+# evaluators: a 1-d array of lams -> {observable: one value per lam}, every
+# observable in one call
 
 def _spin_evaluator(sc: Scenario, typed: Typed, built: dict):
     scheme = spins.spin_scheme(sc.scheme["id"], **typed.extras)
@@ -247,10 +249,11 @@ def _spin_evaluator(sc: Scenario, typed: Typed, built: dict):
                for name in sc.observables}
     prestate = spins.spin_state(*typed.params["initial"])
 
-    def values(lam: float) -> dict:
-        state = spins.alice_rotate(prestate, typed.alice["axis"], lam)
-        return dict(zip(obs_ops, post_measurement_expectations(state, scheme,
-                                                               obs_ops.values())))
+    def values(lams: np.ndarray) -> dict:
+        rows = [post_measurement_expectations(
+            spins.alice_rotate(prestate, typed.alice["axis"], lam), scheme, obs_ops.values())
+            for lam in lams.tolist()]
+        return dict(zip(obs_ops, np.transpose(rows)))
 
     return values
 
@@ -259,24 +262,16 @@ def _oscillator_evaluator(sc: Scenario, typed: Typed, built: dict):
     sp = typed.params
     params = oscillators.OscParams(**{f.name: sp[f.name] for f in fields(oscillators.OscParams)})
 
-    def values(lam: float) -> dict:
-        kick = oscillators.KickParams(p_a=sp["p_a"], p_b=sp["p_b"], lam=lam)
-        moments = typed.scheme.compute(params, kick, sp["trunc"], typed.extras)
+    def values(lams: np.ndarray) -> dict:
+        kick = oscillators.KickParams(p_a=sp["p_a"], p_b=sp["p_b"], lam=lams)
+        moments = typed.scheme.compute(params, kick, sp["trunc"], **typed.extras)
         return {obs: getattr(moments, OSCILLATOR.observables[obs]) for obs in sc.observables}
 
     return values
 
 
-def _osc_naive(params, kick, trunc, extras) -> oscillators.LocalMoments:
-    return oscillators.kicked_moments(params, kick, trunc, collapse=True)
-
-
-def _osc_phase(params, kick, trunc, extras) -> oscillators.LocalMoments:
-    return oscillators.phase_ensemble_moments(params, kick, extras["s_cut"], trunc)
-
-
-def _osc_prestate(params, kick, trunc, extras) -> oscillators.LocalMoments:
-    return oscillators.kicked_moments(params, kick, trunc)
+def _osc_phase(params, kick, trunc, s_cut) -> oscillators.LocalMoments:
+    return oscillators.phase_ensemble_moments(params, kick, s_cut, trunc)
 
 
 def _lattice(params: dict) -> LatticeSpec:
@@ -294,9 +289,11 @@ def _field_evaluator(sc: Scenario, typed: Typed, built: dict):
     if not modes.is_paired(p_index):
         raise ScenarioError(f"wavenumber {sp['p']!r} is self-conjugate, pick a paired mode")
 
-    def values(lam: float) -> dict:
-        kick = fieldtheory.KickSpec(site=sp["x"], strength=lam)
-        return typed.scheme.compute(modes, kick, sp["y"], p_index, sc.observables)
+    def values(lams: np.ndarray) -> dict:
+        kick = fieldtheory.KickSpec(site=sp["x"], strength=lams)
+        forms = typed.scheme.compute(modes, kick, sp["y"], p_index, sc.observables)
+        # a form that does not read lam returns one value for every kick
+        return {obs: np.broadcast_to(value, lams.shape) for obs, value in forms.items()}
 
     return values
 
@@ -379,9 +376,10 @@ OSCILLATOR = System(
     },
     alice="kick",
     schemes={
-        "naive-nplus": Scheme(compute=_osc_naive),
+        "naive-nplus": Scheme(compute=functools.partial(oscillators.kicked_moments,
+                                                        collapse=True)),
         "phase-nplus": Scheme({"s_cut": Param("int", flag="--s-cut")}, compute=_osc_phase),
-        NO_MEASUREMENT: Scheme(compute=_osc_prestate),
+        NO_MEASUREMENT: Scheme(compute=oscillators.kicked_moments),
     },
     observables={"QB": "q", "PB": "p", "QB2": "q2", "PB2": "p2", "EB": "energy"},
     default_observables=("QB", "PB", "QB2", "PB2"),
@@ -423,8 +421,9 @@ SYSTEMS = {"spin": SPIN, "oscillator": OSCILLATOR, "field": FIELD}
 SWEEP_AXES = tuple(axis for spec in SYSTEMS.values() for axis in spec.sweep_axes)
 
 
-def make_evaluator(sc: Scenario, *, built: dict | None = None):
-    """evaluate(obs, lam); the system's values(lam) runs once per distinct lam.
+def make_evaluator(sc: Scenario, *, built: dict | None = None, points=()):
+    """evaluate(obs, lam), read from one values(lams) call of the system on
+    the distinct lams of ``points``; a lam outside them is evaluated alone.
 
     Evaluators given one ``built`` dict share what they build from equal
     system params: the field's mode set, and with it its kernel memo.
@@ -432,23 +431,35 @@ def make_evaluator(sc: Scenario, *, built: dict | None = None):
     values = SYSTEMS[sc.system].evaluator(sc, sc.validate(), {} if built is None else built)
     memo = {}
 
+    def fetch(keys) -> None:
+        keys = list(dict.fromkeys(keys))
+        table = values(np.array([lam for lam, _ in keys], dtype=float))
+        memo.update((k, {obs: float(column[i]) for obs, column in table.items()})
+                    for i, k in enumerate(keys))
+
+    if points:      # -0.0 and 0.0 may print differently, so each is its own point
+        fetch((lam, math.copysign(1.0, lam)) for lam in points)
+
     def evaluate(obs: str, lam: float) -> float:
-        key = (lam, math.copysign(1.0, lam))    # -0.0 and 0.0 may print differently
+        key = (lam, math.copysign(1.0, lam))
         if key not in memo:
-            memo[key] = values(lam)
+            fetch((key,))
         return memo[key][obs]
 
     return evaluate
 
 
+def derivative_points(at: float, scale: float) -> tuple:
+    """at +- h/2 and at +- h, h = 1e-3 * scale: the lams central_derivative reads."""
+    h = 1e-3 * scale
+    return at + h / 2.0, at - h / 2.0, at + h, at - h
+
+
 def central_derivative(fn, at: float, scale: float) -> float:
     """Central difference with one Richardson refinement, h = 1e-3 * scale."""
     h = 1e-3 * scale
-
-    def diff(step: float) -> float:
-        return (fn(at + step) - fn(at - step)) / (2.0 * step)
-
-    return (4.0 * diff(h / 2.0) - diff(h)) / 3.0
+    up_half, down_half, up, down = map(fn, derivative_points(at, scale))
+    return (4.0 * ((up_half - down_half) / (2.0 * (h / 2.0))) - (up - down) / (2.0 * h)) / 3.0
 
 
 @dataclass(frozen=True)
@@ -463,9 +474,9 @@ class SignalingReport:
 
 
 def run_scenario(sc: Scenario) -> SignalingReport:
-    evaluate = make_evaluator(sc)
     names = sc.observables
     scale = max((abs(v) for v in sc.lambda_grid), default=1.0) or 1.0
+    evaluate = make_evaluator(sc, points=(*sc.lambda_grid, 0.0, *derivative_points(0.0, scale)))
     tables = {obs: tuple((lam, evaluate(obs, lam)) for lam in sc.lambda_grid) for obs in names}
     baseline = {obs: evaluate(obs, 0.0) for obs in names}
     return SignalingReport(
@@ -543,7 +554,8 @@ def cutoff_sweep(sc: Scenario, axis: str, values, measure: str = "deviation") ->
         sub = scenario_at(sc, value)
         if measure == "amplitude":
             return {"suppression_amplitude": spec.amplitude(sub.validate().params)}
-        evaluate = make_evaluator(sub)
+        reads = (sub.lambda_ref,) if measure == "after_value" else (*sub.lambda_grid, 0.0)
+        evaluate = make_evaluator(sub, points=reads)
         if measure == "after_value":
             return {obs: evaluate(obs, sub.lambda_ref) for obs in sub.observables}
         return {obs: max(abs(evaluate(obs, lam) - evaluate(obs, 0.0)) for lam in sub.lambda_grid)
@@ -580,13 +592,16 @@ def compare_schemes(sc: Scenario, scheme_ids, extras=None) -> tuple[CompareRow, 
         raise ScenarioError("compare_schemes needs at least two scheme ids")
     rows = []
     scale = max((abs(v) for v in sc.lambda_grid), default=1.0) or 1.0
-    built = {}      # one mode set for every compared field scheme
-    before_eval = make_evaluator(sc.with_scheme({"id": NO_MEASUREMENT}), built=built)
+    reads = (sc.lambda_ref, *derivative_points(0.0, scale))
     given = {**sc.scheme, **(extras or {})}
-    for sid in scheme_ids:
-        sub = sc.with_scheme(SYSTEMS[sc.system].scheme_for_id(sid, given))
+    subs = [sc.with_scheme(SYSTEMS[sc.system].scheme_for_id(sid, given)) for sid in scheme_ids]
+    unmeasured = any(sub.scheme["id"] == NO_MEASUREMENT for sub in subs)  # before_eval serves it
+    built = {}      # one mode set for every compared field scheme
+    before_eval = make_evaluator(sc.with_scheme({"id": NO_MEASUREMENT}), built=built,
+                                 points=reads if unmeasured else reads[:1])
+    for sub in subs:
         evaluate = before_eval if sub.scheme["id"] == NO_MEASUREMENT \
-            else make_evaluator(sub, built=built)
+            else make_evaluator(sub, built=built, points=reads)
         for obs in sub.observables:
             rows.append(CompareRow(
                 scheme_id=sub.scheme["id"],

@@ -18,7 +18,8 @@ scheme (|n>_+ (x) |b, theta_s>_-) are products, so B's moments follow one
 mode at a time (``product_moments``): <Q_B> = (<Q_+> - <Q_->)/sqrt(2) and
 <Q_B^2> = (<Q_+^2> - 2 <Q_+><Q_-> + <Q_-^2>)/2, likewise for P; over + number
 states <n|Q_+|n> = 0 kills the cross term.  A mode's moments are O(levels)
-sums of its number weights and coherences <a>, <a^2> (``mode_moments``).
+sums of its number weights and coherences <a>, <a^2> (``mode_moments``), and
+a 1-d array of kicks lam is one batch: a row per kick, all in one call.
 The reference route works on the joint amplitude matrix A[n_+, n_-] of
 any +- prestate, entangled or not: the naive collapse keeps row n of A for
 outcome n (the Lueders rule of a number measurement of the + mode), and
@@ -63,7 +64,8 @@ class OscParams:
 
 @dataclass(frozen=True)
 class KickParams:
-    """Initial momenta p_a, p_b plus the freely chosen kick lam on A."""
+    """Initial momenta p_a, p_b plus the freely chosen kick lam on A; lam
+    may be a 1-d array, one kick per element."""
 
     p_a: float = 0.0
     p_b: float = 0.0
@@ -124,14 +126,16 @@ def momentum_matrix(dim: int, params: OscParams) -> np.ndarray:
     return 1j * scale * (a.conj().T - a)
 
 
-def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
-    """Truncated coherent state, physical (unrenormalized) amplitudes, by the
-    ladder recurrence <n|alpha> = (alpha/sqrt(n)) <n-1|alpha> from
-    <0|alpha> = exp(-|alpha|^2/2); the running product never overflows."""
-    steps = np.full(dim, complex(alpha))
-    steps[:1] = math.exp(-0.5 * abs(alpha) * abs(alpha))
-    steps[1:] /= np.sqrt(np.arange(1, dim))
-    return np.cumprod(steps)
+def coherent_amplitudes(alpha, dim: int) -> np.ndarray:
+    """Truncated coherent states, one row of physical (unrenormalized)
+    amplitudes per alpha, by the ladder recurrence <n|alpha> = (alpha/sqrt(n))
+    <n-1|alpha> from <0|alpha> = exp(-|alpha|^2/2); never overflows."""
+    alpha = np.asarray(alpha, dtype=complex)
+    steps = np.repeat(alpha[..., None], dim, axis=-1)
+    ground = [math.exp(-0.5 * abs(a) * abs(a)) for a in alpha.ravel().tolist()]  # libm's exp
+    steps[..., :1] = np.reshape(ground, alpha.shape + (1,))
+    steps[..., 1:] /= np.sqrt(np.arange(1, dim))
+    return np.cumprod(steps, axis=-1)
 
 
 def _index(name: str, value) -> int:
@@ -151,14 +155,16 @@ def _normalize_trunc(trunc) -> tuple[int, int]:
 
 def _kicked_factors(params: OscParams, kick: KickParams,
                     trunc) -> tuple[np.ndarray, np.ndarray, float]:
-    """The + and - coherent factors of the kicked prestate and its tail."""
+    """The + and - coherent factors of the kicked prestate and its tail, one
+    row and tail per kick; the tails are checked in the order of the kicks."""
     d_plus, d_minus = _normalize_trunc(trunc)
     if min(d_plus, d_minus) < 1:
         raise ValueError(f"trunc must be at least 1 level per mode, got {d_plus}x{d_minus}")
     f_plus = coherent_amplitudes(1j * kick.big_lambda_plus(params), d_plus)
     f_minus = coherent_amplitudes(1j * kick.big_lambda_minus(params), d_minus)
-    norm = float(np.sum(np.abs(f_plus) ** 2)) * float(np.sum(np.abs(f_minus) ** 2))
-    return f_plus, f_minus, checked_tail(norm, f"truncation {d_plus}x{d_minus}")
+    norm = np.sum(np.abs(f_plus) ** 2, axis=-1) * np.sum(np.abs(f_minus) ** 2, axis=-1)
+    tails = [checked_tail(n, f"truncation {d_plus}x{d_minus}") for n in np.ravel(norm).tolist()]
+    return f_plus, f_minus, np.reshape(tails, np.shape(norm))[()]
 
 
 def coherent_prestate(params: OscParams, kick: KickParams, trunc) -> TwoModeFock:
@@ -242,13 +248,13 @@ def phase_scheme_nplus(s_cut: int, n_plus_dim: int,
 def _phase_overlaps(params: OscParams, kick: KickParams, s_cut: int,
                     n_max: int) -> tuple[np.ndarray, np.ndarray, float]:
     """The + factor of the kicked prestate on n_max levels, the overlaps
-    o[b, s] = <b, theta_s|f_-> of its - factor on 2*s_cut+2 levels with the
-    phase states, and the tail; see the module docstring."""
+    o[..., b, s] = <b, theta_s|f_-> of its - factor on 2*s_cut+2 levels with
+    the phase states, and the tail, per kick; see the module docstring."""
     _check_s_cut(s_cut)
     f_plus, f_minus, tail = _kicked_factors(params, kick,
                                             (_index("n_max", n_max), 2 * s_cut + 2))
-    by_parity = np.where(np.arange(2 * s_cut + 2) % 2 == np.array([[0], [1]]), f_minus, 0)
-    return f_plus, np.fft.fft(by_parity, axis=1)[:, ::2] / math.sqrt(s_cut + 1), tail
+    by_parity = np.where(np.arange(2 * s_cut + 2) % 2 == [[0], [1]], f_minus[..., None, :], 0)
+    return f_plus, np.fft.fft(by_parity, axis=-1)[..., ::2] / math.sqrt(s_cut + 1), tail
 
 
 def phase_coefficients(params: OscParams, kick: KickParams, s_cut: int,
@@ -335,24 +341,26 @@ def mode_moments(params: OscParams, weights: np.ndarray, a: complex = 0j,
     coherences <a>, <a^2> (zero for a mixture of number states), with Q and P
     as in position_matrix and momentum_matrix.  <a a^dag> counts level n only
     when n + 1 < box, as the dense matrices on box levels do (default: as
-    many levels as weights)."""
+    many levels as weights).  Rows of weights, a and a2 are mode states."""
     weights = np.asarray(weights, dtype=float)
-    n = np.arange(len(weights))
-    box = len(weights) if box is None else box
-    number = float(np.sum(n * weights))                            # <a^dag a>
-    number += float(np.sum(((n + 1) * weights)[n + 1 < box]))      # + <a a^dag>
+    n = np.arange(weights.shape[-1])
+    box = len(n) if box is None else box
+    # slices, not masks: a masked copy of 2-d rows sums in another order
+    number = np.sum(n * weights, axis=-1)                                  # <a^dag a>
+    number += np.sum(((n + 1) * weights)[..., :max(box - 1, 0)], axis=-1)  # + <a a^dag>
     scale_q = params.hbar / (2.0 * params.mass * params.frequency)
     scale_p = params.hbar * params.mass * params.frequency / 2.0
-    return ModeMoments(float(np.sum(weights)), 2.0 * math.sqrt(scale_q) * a.real,
+    return ModeMoments(np.sum(weights, axis=-1), 2.0 * math.sqrt(scale_q) * a.real,
                        2.0 * math.sqrt(scale_p) * a.imag,
                        scale_q * (number + 2.0 * a2.real), scale_p * (number - 2.0 * a2.real))
 
 
 def _amplitude_moments(params: OscParams, f: np.ndarray) -> ModeMoments:
-    """mode_moments of the pure state with Fock amplitudes f."""
-    root = np.sqrt(np.arange(1, len(f)))                           # <n-1|a|n>
-    a = complex(np.vdot(f[:-1], root * f[1:]))
-    a2 = complex(np.vdot(f[:-2], root[:-1] * root[1:] * f[2:]))
+    """mode_moments of the pure states with Fock amplitudes f, one per row."""
+    root = np.sqrt(np.arange(1, f.shape[-1]))                      # <n-1|a|n>
+    rows = f.reshape(-1, f.shape[-1])
+    a, a2 = (np.reshape([np.vdot(g[:-k], weight * g[k:]) for g in rows], f.shape[:-1])
+             for k, weight in ((1, root), (2, root[:-1] * root[1:])))
     return mode_moments(params, np.abs(f) ** 2, a, a2)
 
 
@@ -390,13 +398,14 @@ def phase_ensemble_moments(params: OscParams, kick: KickParams, s_cut: int,
     a_b = np.array([np.sum(np.sqrt((2 * j + b) * (2 * j + b - 1.0))) for b in (0, 1)]) \
         / (s_cut + 1)
     thetas = 2.0 * math.pi * np.arange(s_cut + 1) / (s_cut + 1)
-    a2 = complex(np.sum(a_b[:, None] * w_bs * np.exp(2j * thetas)))
-    levels = np.tile(np.sum(w_bs, axis=1) / (s_cut + 1), s_cut + 1)
+    terms = a_b[:, None] * w_bs * np.exp(2j * thetas)      # [..., b, s], summed per kick
+    a2 = np.sum(terms.reshape(*terms.shape[:-2], -1), axis=-1)
+    levels = np.tile(np.sum(w_bs, axis=-1) / (s_cut + 1), s_cut + 1)
     # closed forms, exact on every populated level: no truncated top
     plus = mode_moments(params, np.abs(f_plus) ** 2, box=n_max + 1)
-    minus = mode_moments(params, levels, a2=a2, box=len(levels) + 1)
+    minus = mode_moments(params, levels, a2=a2, box=levels.shape[-1] + 1)
     return product_moments(plus, minus, params,
-                           tail * _bound_scale(n_max, len(levels), params))
+                           tail * _bound_scale(n_max, levels.shape[-1], params))
 
 
 def kicked_moments(params: OscParams, kick: KickParams, trunc,
@@ -409,10 +418,10 @@ def kicked_moments(params: OscParams, kick: KickParams, trunc,
     f_plus, f_minus, tail = _kicked_factors(params, kick, trunc)
     if collapse:
         w_plus = np.abs(f_plus) ** 2
-        prob = w_plus * float(np.sum(np.abs(f_minus) ** 2))
+        prob = w_plus * np.sum(np.abs(f_minus) ** 2, axis=-1)[..., None]
         plus = mode_moments(params,
                             np.where(prob < DEFAULT_POLICY.zero_probability, 0.0, w_plus))
     else:
         plus = _amplitude_moments(params, f_plus)
     return product_moments(plus, _amplitude_moments(params, f_minus), params,
-                           tail * _bound_scale(len(f_plus), len(f_minus), params))
+                           tail * _bound_scale(f_plus.shape[-1], f_minus.shape[-1], params))

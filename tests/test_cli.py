@@ -44,8 +44,27 @@ class TestSpinCommand:
         code = run(["spin", "s2-bell", "--scenario",
                     str(SCENARIOS / "spin_qndsv.json"), "--out", str(tmp_path)])
         assert code == 0
-        rows = read_rows(tmp_path / "spin_qndsv.csv")
+        rows = read_rows(tmp_path / "spin_qndsv_s2-bell.csv")
         assert all(abs(float(r["value"])) < 1e-10 for r in rows)
+
+    @pytest.mark.parametrize("command, stem, given, written", [
+        ("field", "field_naive", "none", "field_naive_none"),
+        ("field", "field_naive", "naive", "field_naive"),       # the file's id, by alias
+        ("ho", "ho_naive", "naive-nplus", "ho_naive"),
+        ("spin", "spin_qndsv", "s2-bell", "spin_qndsv_s2-bell"),
+    ])
+    def test_positional_id_names_its_outputs(self, tmp_path, command, stem, given, written):
+        """A positional id other than the file's adds _<id> to the output
+        names, so runs of two schemes on one file into one directory keep
+        both; the file's own id, or its alias, keeps the file's name."""
+        path = str(SCENARIOS / f"{stem}.json")
+        assert run([command, "--scenario", path, "--out", str(tmp_path)]) == 0
+        first = {p.name: p.read_bytes() for p in tmp_path.iterdir()
+                 if not p.name.endswith(".manifest.json")}
+        assert run([command, given, "--scenario", path, "--out", str(tmp_path)]) == 0
+        names = {f"{written}.csv", f"{written}_summary.csv", f"{written}.manifest.json"}
+        assert names <= {p.name for p in tmp_path.iterdir()}
+        assert {name: (tmp_path / name).read_bytes() for name in first} == first
 
 
 class TestFieldCommand:
@@ -314,6 +333,15 @@ class TestExitCodes:
         assert run(["ho", "naive-nplus", "--trunc", "6", "--lambda", "6.0",
                     "--out", str(tmp_path)]) == 3
 
+    def test_truncation_violation_inside_a_batch_writes_nothing(self, tmp_path, capsys):
+        """All eight grid points are evaluated in one batch; the kicks from
+        lam = 2 on lose too much norm at trunc 10, so the run exits 3 with
+        no table, naming the first such kick's tail."""
+        assert run(["ho", "naive-nplus", "--trunc", "10", "--grid=-1:6:8",
+                    "--out", str(tmp_path)]) == 3
+        assert "truncation 10x10 leaves tail 2.229e-07" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv, name", [
         (["naive-nplus", "--trunc", "0"], "trunc"),
         (["none", "--trunc", "0"], "trunc"),
@@ -516,8 +544,10 @@ class TestCompareCommand:
                     "--out", str(tmp_path / "cmp")]) == 0
         assert run([command, scheme, "--scenario", path, *flags,
                     "--out", str(tmp_path / "sys")]) == 0
-        ref = cli._fmt(json.loads(Path(path).read_text())["lambda_ref"])
-        want = {r["observable"]: r["value"] for r in read_rows(tmp_path / "sys" / f"{stem}.csv")
+        raw = json.loads(Path(path).read_text())
+        ref = cli._fmt(raw["lambda_ref"])
+        written = stem if raw["scheme"]["id"] == scheme else f"{stem}_{scheme}"
+        want = {r["observable"]: r["value"] for r in read_rows(tmp_path / "sys" / f"{written}.csv")
                 if r["lambda"] == ref}
         got = {r["observable"]: r["after"]
                for r in read_rows(tmp_path / "cmp" / f"{stem}_compare.csv")

@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from causalprobe import fieldtheory, harness, spins
+from causalprobe import harness, spins
 from causalprobe.core import SchemeOutcome
 from causalprobe.harness import (
     Scenario,
@@ -202,6 +203,29 @@ class TestRegistry:
             assert observables == want, name
 
 
+def _keys(*lams) -> list:
+    """The distinct (lam, sign) points of lams, sorted."""
+    return sorted({(lam, math.copysign(1.0, lam)) for lam in lams})
+
+
+def _count_system_calls(monkeypatch, system: str) -> list:
+    """Record the (lam, sign) points of every values(lams) call of a system."""
+    spec = harness.SYSTEMS[system]
+    calls = []
+
+    def evaluator(*args):
+        values = spec.evaluator(*args)
+
+        def counted(lams):
+            calls.append(sorted((lam, math.copysign(1.0, lam)) for lam in lams.tolist()))
+            return values(lams)
+
+        return counted
+
+    monkeypatch.setitem(harness.SYSTEMS, system, replace(spec, evaluator=evaluator))
+    return calls
+
+
 class TestRunScenario:
     def test_spin_qndsv_signaling_table(self):
         rep = run_scenario(spin_scenario())
@@ -230,32 +254,42 @@ class TestRunScenario:
         assert a.tables == b.tables
         assert a.derivative_at_zero == b.derivative_at_zero
 
-    @pytest.mark.parametrize("module, name, make, lam_of", [
-        (spins, "alice_rotate",
-         lambda: spin_scenario(observables=["sBx", "sBy", "sBz", "S2"]),
-         lambda state, axis, angle: angle),
-        # phi_y's form runs once per values(lam); pi_y's also runs inside pi2_y's
-        (fieldtheory, "naive_np_phi_y",
-         lambda: field_scenario(observables=["phi_y", "pi_y", "phi2_y", "pi2_y"]),
-         lambda modes, kick, y, p_index: kick.strength),
-    ], ids=["spin", "field"])
-    def test_each_distinct_lambda_is_evaluated_once(self, monkeypatch, module, name,
-                                                    make, lam_of):
-        """One evaluation per distinct lam of the grid, the baseline and the
-        Richardson points, whatever the number of observables."""
+    @pytest.mark.parametrize("make", [
+        lambda: spin_scenario(observables=["sBx", "sBy", "sBz", "S2"]),
+        lambda: field_scenario(observables=["phi_y", "pi_y", "phi2_y", "pi2_y"],
+                               lambda_grid=[-0.3, -0.0, 0.3]),
+        lambda: oscillator_scenario(observables=["QB", "PB", "QB2", "PB2", "EB"],
+                                    lambda_grid=[-0.2, -0.0, 0.1, 0.2]),
+    ], ids=["spin", "field", "oscillator"])
+    def test_each_distinct_lambda_is_evaluated_once(self, monkeypatch, make):
+        """One system call per report, on exactly the distinct (lam, sign)
+        points of the grid, the baseline and the Richardson points, whatever
+        the number of observables; a grid's -0.0 stays apart from 0.0."""
         sc = make()
-        seen = []
-        original = getattr(module, name)
-
-        def counted(*args):
-            seen.append(lam_of(*args))
-            return original(*args)
-
-        monkeypatch.setattr(module, name, counted)
+        calls = _count_system_calls(monkeypatch, sc.system)
         run_scenario(sc)
         h = 1e-3 * max(abs(v) for v in sc.lambda_grid)
-        want = set(sc.lambda_grid) | {0.0, h, -h, h / 2, -h / 2}
-        assert sorted(seen) == sorted(want)
+        assert calls == [_keys(*sc.lambda_grid, 0.0, h / 2, -h / 2, h, -h)]
+
+    def test_compare_calls_each_scheme_once(self, monkeypatch):
+        """compare_schemes reads lambda_ref and the Richardson points, each
+        compared scheme in one call; "none" also serves every 'before'."""
+        sc = oscillator_scenario(observables=["PB"])
+        calls = _count_system_calls(monkeypatch, sc.system)
+        compare_schemes(sc, ["naive-nplus", "none"])
+        h = 1e-3 * max(abs(v) for v in sc.lambda_grid)
+        assert calls == [_keys(sc.lambda_ref, h / 2, -h / 2, h, -h)] * 2
+        calls.clear()
+        compare_schemes(sc, ["naive-nplus", "phase-nplus"])
+        assert calls == [_keys(sc.lambda_ref)] + [_keys(sc.lambda_ref, h / 2, -h / 2, h, -h)] * 2
+
+    @pytest.mark.parametrize("measure", ["deviation", "after_value"])
+    def test_sweep_calls_once_per_cutoff(self, monkeypatch, measure):
+        sc = oscillator_scenario(observables=["QB2"])
+        calls = _count_system_calls(monkeypatch, sc.system)
+        cutoff_sweep(sc, "s_cut", [2, 4, 8], measure=measure)
+        reads = (*sc.lambda_grid, 0.0) if measure == "deviation" else (sc.lambda_ref,)
+        assert calls == [_keys(*reads)] * 3
 
     def test_spin_branches_are_shared_by_observables(self, monkeypatch):
         """Each outcome projector is applied once per distinct lam, not once

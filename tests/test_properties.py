@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalprobe import field_oracle, fieldtheory, oscillators, spins
+from causalprobe import field_oracle, fieldtheory, harness, oscillators, spins
 from causalprobe.core import (MeasurementScheme, Operator, SchemeOutcome, StateVector,
                               born_ensemble, embed_local,
                               post_measurement_expectation, post_measurement_expectations,
@@ -410,3 +410,50 @@ def test_coherent_amplitudes_are_poisson_amplitudes(r, theta, dim):
     assert np.max(np.abs(np.abs(amps) ** 2 - poisson)) <= 1e-13
     if dim >= mag * mag + 10.0 * mag + 20.0:
         assert abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# a report's kicks go to each system as one array: every value must be the
+# one that kick gives alone, bit for bit
+
+_BATCH_SYSTEMS = {
+    "spin": ({"initial": ["up", "right"]}, {"kind": "rotate", "axis": [0.6, 0.0, 0.8]}),
+    "oscillator": ({"p_a": 0.3, "p_b": -0.2, "trunc": 24}, {"kind": "kick"}),
+    "field": ({"dim": 1, "n_sites": 6, "mass": 1.0, "x": 0, "y": 2, "p": 1}, {"kind": "kick"}),
+}
+_BATCH_SCHEMES = [
+    *(("spin", {"id": sid, **({"target": ["up", "right"]} if sid == "qndsv" else {})})
+      for sid in sorted(SPIN.schemes)),
+    ("oscillator", {"id": "naive-nplus"}), ("oscillator", {"id": "phase-nplus", "s_cut": 4}),
+    ("oscillator", {"id": "none"}),
+    ("field", {"id": "naive-np"}), ("field", {"id": "qndsv-1p"}), ("field", {"id": "none"}),
+]
+
+
+@st.composite
+def kick_batches(draw) -> list:
+    """Kicks in random order, with -0.0, 0.0 and repeated values among them."""
+    lams = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6))
+    lams += [0.0, -0.0, *draw(st.lists(st.sampled_from(lams), max_size=3))]
+    return draw(st.permutations(lams))
+
+
+@pytest.mark.parametrize("system, scheme", _BATCH_SCHEMES,
+                         ids=[f"{system}-{scheme['id']}" for system, scheme in _BATCH_SCHEMES])
+@settings(SEEDED, max_examples=30)
+@given(lams=kick_batches())
+def test_batched_values_equal_each_kick_alone(system, scheme, lams):
+    params, alice = _BATCH_SYSTEMS[system]
+    spec = harness.SYSTEMS[system]
+    sc = harness.Scenario.from_dict({
+        "version": 1, "system": system, "system_params": params, "alice": alice,
+        "scheme": scheme, "observables": list(spec.schemes[scheme["id"]].observables
+                                              or spec.observables),
+        "lambda_grid": [0.0]})
+    values = spec.evaluator(sc, sc.validate(), {})
+    batch = values(np.array(lams))
+    for i, lam in enumerate(lams):
+        alone = values(np.array([lam]))
+        for obs in sc.observables:
+            assert len(batch[obs]) == len(lams)
+            assert batch[obs][i].tobytes() == alone[obs][0].tobytes(), (obs, lam)
