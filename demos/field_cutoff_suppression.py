@@ -41,7 +41,7 @@ def qndsv_phi2_y_candidate(modes, kick, y, p_index):
     use ``fieldtheory.qndsv_phi2_y``, which matches the oracle.
     """
     lam, hbar = kick.strength, modes.lattice.hbar
-    wp = modes.omega[p_index]
+    wp = modes.frequency(p_index)
     gyy = kernel_ginv(modes, y, y)
     gxy = kernel_ginv(modes, kick.site, y)
     phase = modes.phase_at(p_index, kick.site) - modes.phase_at(p_index, y)

@@ -106,7 +106,7 @@ def qndsv_phi_y(modes: ModeSet, kick: KickSpec, y, p_index: int) -> float:
     _require_paired(modes, p_index)
     phase = modes.phase_at(p_index, y) - modes.phase_at(p_index, kick.site)
     # a zero of lam's sign turns -0.0 at lam = 0.0 into 0.0 and changes no other value
-    return (kick.strength * suppression_factor(modes, kick) * (modes.eps / modes.omega[p_index])
+    return (kick.strength * suppression_factor(modes, kick) * (modes.eps / modes.frequency(p_index))
             * math.sin(phase) + np.copysign(0.0, kick.strength))
 
 
@@ -152,7 +152,7 @@ def qndsv_phi2_y(modes: ModeSet, kick: KickSpec, y, p_index: int) -> float:
     """
     _require_paired(modes, p_index)
     lam2, hbar = _square(kick.strength), modes.lattice.hbar
-    wp = modes.omega[p_index]
+    wp = modes.frequency(p_index)
     gxy = kernel_ginv(modes, kick.site, y)
     phase = modes.phase_at(p_index, kick.site) - modes.phase_at(p_index, y)
     bracket = (0.25 * lam2 * gxy**2 - hbar * gxy * math.cos(phase)
@@ -257,7 +257,8 @@ def naive_np_phi2_y(modes: ModeSet, kick: KickSpec, y, p_index: int) -> float:
     """<phi_y^2> = (hbar/2) ginv_yy + lam^2 eps^2 / omega_p^2."""
     _require_paired(modes, p_index)
     _sites(modes, kick, y)
-    return _vacuum_phi2(modes, y) + _square(kick.strength) * modes.eps**2 / modes.omega[p_index]**2
+    return (_vacuum_phi2(modes, y)
+            + _square(kick.strength) * modes.eps**2 / modes.frequency(p_index)**2)
 
 
 def naive_np_pi2_y(modes: ModeSet, kick: KickSpec, y, p_index: int) -> float:

@@ -137,7 +137,7 @@ class System:
     default_observables: tuple = ()                   # empty: all observables
     alice_params: dict = field(default_factory=dict)
     aliases: dict = field(default_factory=dict)       # CLI name -> scheme id
-    sweep_axes: dict = field(default_factory=dict)    # axis -> (sc, value) -> sc
+    sweep_axes: dict = field(default_factory=dict)    # axis -> (sc, params, value) -> sc
     amplitude: Callable | None = None   # typed params -> observable-free sweep measure
 
     def scheme_for_id(self, sid: str, current: dict) -> dict:
@@ -304,7 +304,8 @@ def _field_amplitude(params: dict) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sweep axes: (scenario, cutoff value) -> the scenario at that cutoff
+# sweep axes: (scenario, its typed params, cutoff value) -> the scenario at
+# that cutoff, not yet validated: cutoff_sweep validates each point once
 
 def _on_lattice(coords, ratio: float, error: str):
     """An int or list of ints times ratio, refused unless still integral."""
@@ -315,31 +316,30 @@ def _on_lattice(coords, ratio: float, error: str):
     return out[0] if np.isscalar(coords) else out
 
 
-def _rescaled_for_volume(sc: Scenario, value) -> Scenario:
+def _rescaled_for_volume(sc: Scenario, sp: dict, value) -> Scenario:
     n_sites = _integral("sweep axis 'volume'", value)
-    sp = sc.validate().params
     p = _on_lattice(sp["p"], n_sites / sp["n_sites"], f"wavenumber {sp['p']!r} cannot "
                     f"be held fixed in physical units at N={n_sites}")
-    return sc.with_updates(system_params={"n_sites": n_sites, "p": p})
+    return replace(sc, system_params={**sc.system_params, "n_sites": n_sites, "p": p})
 
 
-def _rescaled_for_spacing(sc: Scenario, value) -> Scenario:
+def _rescaled_for_spacing(sc: Scenario, sp: dict, value) -> Scenario:
     spacing = _real("sweep axis 'spacing'", value)
-    sp = sc.validate().params
     n_new = sp["n_sites"] * sp["spacing"] / spacing
     if abs(n_new - round(n_new)) > 1e-9 or int(round(n_new)) % 2 != 0:
         raise ScenarioError(f"spacing {spacing!r} does not preserve the box: N={n_new}")
     ratio = sp["spacing"] / spacing
-    return sc.with_updates(system_params={
-        "n_sites": int(round(n_new)), "spacing": spacing,
+    return replace(sc, system_params={
+        **sc.system_params, "n_sites": int(round(n_new)), "spacing": spacing,
         **{key: _on_lattice(sp[key], ratio, f"site {sp[key]!r} is not on the lattice "
                             f"at spacing {spacing!r}") for key in ("x", "y")},
     })
 
 
-def _set_integer(section: str, key: str, sc: Scenario, value) -> Scenario:
+def _set_integer(section: str, key: str, sc: Scenario, sp: dict, value) -> Scenario:
     """Sweep axis (bound with partial) setting one integer of a section."""
-    return sc.with_updates(**{section: {key: _integral(f"sweep axis {key!r}", value)}})
+    value = _integral(f"sweep axis {key!r}", value)
+    return replace(sc, **{section: {**getattr(sc, section), key: value}})
 
 
 # ---------------------------------------------------------------------------
@@ -421,14 +421,16 @@ SYSTEMS = {"spin": SPIN, "oscillator": OSCILLATOR, "field": FIELD}
 SWEEP_AXES = tuple(axis for spec in SYSTEMS.values() for axis in spec.sweep_axes)
 
 
-def make_evaluator(sc: Scenario, *, built: dict | None = None, points=()):
+def make_evaluator(sc: Scenario, *, built: dict | None = None, points=(), typed=None):
     """evaluate(obs, lam), read from one values(lams) call of the system on
     the distinct lams of ``points``; a lam outside them is evaluated alone.
 
     Evaluators given one ``built`` dict share what they build from equal
     system params: the field's mode set, and with it its kernel memo.
+    ``typed`` is what ``sc.validate()`` returned, if the caller has it.
     """
-    values = SYSTEMS[sc.system].evaluator(sc, sc.validate(), {} if built is None else built)
+    values = SYSTEMS[sc.system].evaluator(sc, typed or sc.validate(),
+                                          {} if built is None else built)
     memo = {}
 
     def fetch(keys) -> None:
@@ -549,13 +551,15 @@ def cutoff_sweep(sc: Scenario, axis: str, values, measure: str = "deviation") ->
     refused = [v for v in values if _real(f"sweep axis {axis!r}", v) <= 0]
     if refused:
         raise ScenarioError(f"sweep axis {axis!r} needs positive cutoffs, got {refused}")
+    base = sc.validate().params
 
     def measures_at(value) -> dict:
-        sub = scenario_at(sc, value)
+        sub = scenario_at(sc, base, value)
+        typed = sub.validate()
         if measure == "amplitude":
-            return {"suppression_amplitude": spec.amplitude(sub.validate().params)}
+            return {"suppression_amplitude": spec.amplitude(typed.params)}
         reads = (sub.lambda_ref,) if measure == "after_value" else (*sub.lambda_grid, 0.0)
-        evaluate = make_evaluator(sub, points=reads)
+        evaluate = make_evaluator(sub, points=reads, typed=typed)
         if measure == "after_value":
             return {obs: evaluate(obs, sub.lambda_ref) for obs in sub.observables}
         return {obs: max(abs(evaluate(obs, lam) - evaluate(obs, 0.0)) for lam in sub.lambda_grid)

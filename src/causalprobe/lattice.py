@@ -13,8 +13,8 @@ Dual-lattice wave vectors are k = 2 pi n / (N a) with integer components in
 component 0 or the Nyquist value); the rest come in +-k pairs coupled by
 the reality of the field.
 
-The mode set is built axis by axis: every per-mode array is a broadcast of
-N-entry arrays of one axis, so a build takes d N sines, not M d.  The
+A mode set reads a mode index as base-N digits, so omega_p and the phases
+of p need no per-mode array; its arrays are built on first read.  The
 kernels g and g^-1 are sums over every mode; each is computed once per mode
 set, weight and site displacement, and kept on the mode set, and only when
 an observable reads it (see ``fieldtheory``).
@@ -25,6 +25,7 @@ string is refused with a ValueError, never truncated.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -93,33 +94,73 @@ class LatticeSpec:
 
 @dataclass(frozen=True, eq=False)
 class ModeSet:
-    """Dual-lattice modes: wave vectors, frequencies, and the +-k pairing in
-    conjugate_index.  Compared and hashed by identity: each build owns its
-    kernel memo."""
+    """Dual-lattice modes in row-major ("ij") wavenumber order, from one axis's
+    arrays.  Compared and hashed by identity: each build owns its kernel memo."""
 
     lattice: LatticeSpec
-    k: np.ndarray                # physical wave vectors, shape (M, d)
-    omega: np.ndarray            # shape (M,)
-    conjugate_index: np.ndarray  # index of -k for every mode; i itself if self-conjugate
+    k_axis: np.ndarray      # physical wave numbers of one axis, shape (N,)
     # _mode_sum's values by (weight, displacement): floats only, gone with the mode set
     _kernels: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self):
-        for arr in (self.k, self.omega, self.conjugate_index):
-            arr.setflags(write=False)
-
     @property
     def n_modes(self) -> int:
-        return self.omega.size
+        return self.lattice.n_sites ** self.lattice.dim
 
     @property
     def eps(self) -> float:
         return 1.0 / self.lattice.volume
 
-    def is_paired(self, index: int) -> bool:
+    def _digits(self, index) -> tuple:
         if not 0 <= index < self.n_modes:
             raise ValueError(f"mode index {index} out of range")
-        return bool(self.conjugate_index[index] != index)
+        return np.unravel_index(index, (self.lattice.n_sites,) * self.lattice.dim)
+
+    @functools.cached_property
+    def ksq_axis(self) -> np.ndarray:
+        """One axis's dispersion term: (2/a)^2 sin^2(ka/2), or k^2 for the continuum."""
+        k, a = self.k_axis, self.lattice.spacing
+        lattice = self.lattice.dispersion == "lattice"
+        return _frozen((2.0 / a) ** 2 * np.sin(k * a / 2.0) ** 2 if lattice else k**2)
+
+    @functools.cached_property
+    def omega(self) -> np.ndarray:
+        """Frequencies, shape (M,): the axes' terms added in axis order, then m^2."""
+        lat, n = self.lattice, self.lattice.n_sites
+        omega_sq = self.ksq_axis.copy()
+        for _ in range(lat.dim - 1):    # only the last step is M-sized
+            omega_sq = omega_sq[..., None] + self.ksq_axis
+        omega_sq += lat.mass**2
+        if lat.mass == 0.0:
+            omega_sq[(n // 2 - 1,) * lat.dim] += lat.zero_mode_mass**2
+        return _frozen(np.sqrt(omega_sq, out=omega_sq).reshape(-1))
+
+    def frequency(self, index) -> float:
+        """omega[index] to the bit: the same additions in the same order."""
+        lat, digits = self.lattice, list(self._digits(index))
+        omega_sq = functools.reduce(operator.add, self.ksq_axis[digits]) + lat.mass**2
+        if lat.mass == 0.0 and index == self.mode_index((0,) * lat.dim):
+            omega_sq = omega_sq + lat.zero_mode_mass**2
+        return np.sqrt(omega_sq)
+
+    @functools.cached_property
+    def k(self) -> np.ndarray:
+        """Physical wave vectors, shape (M, d)."""
+        grids = np.meshgrid(*[self.k_axis] * self.lattice.dim, indexing="ij", copy=False)
+        return _frozen(np.stack(grids, axis=-1).reshape(-1, self.lattice.dim))
+
+    @functools.cached_property
+    def conjugate_index(self) -> np.ndarray:
+        """Index of -k for every mode (i if self-conjugate), whose digits are
+        the positions (N - 2 - j) mod N of -k on each axis."""
+        n = self.lattice.n_sites
+        conj = conj_axis = (n - 2 - np.arange(n)) % n
+        for _ in range(self.lattice.dim - 1):
+            conj = conj[..., None] * n + conj_axis
+        return _frozen(conj.reshape(-1))
+
+    def is_paired(self, index: int) -> bool:
+        n = self.lattice.n_sites
+        return any((n - 2 - d) % n != d for d in self._digits(index))
 
     def mode_index(self, wavenumber) -> int:
         """Index of the mode with the given integer wave-number vector."""
@@ -132,46 +173,25 @@ class ModeSet:
     def phase_at(self, index: int, site) -> float:
         """k . x in radians for a lattice site."""
         x = np.asarray(self.lattice.site(site), dtype=float) * self.lattice.spacing
-        return float(np.dot(self.k[index], x))
+        return float(np.dot(self.k_axis[list(self._digits(index))], x))
 
     def phases(self, site) -> np.ndarray:
-        """phase_at of every mode, to the bit: numpy forms (1, d) @ (d,) as np.dot."""
+        """phase_at of every mode, to the bit but for a zero's sign: (1, d) @ (d,) as np.dot."""
         x = np.asarray(self.lattice.site(site), dtype=float) * self.lattice.spacing
         return (self.k[:, None, :] @ x)[:, 0]
 
 
-def build_modes(lattice: LatticeSpec) -> ModeSet:
-    """Enumerate dual-lattice modes with Kronecker normalization, in row-major
-    ("ij") order of the wavenumbers.
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
-    Each axis contributes N-entry arrays: its k, dispersion term and the
-    position (N - 2 - j) mod N of -k for position j.  They are broadcast
-    into the mode set's arrays, each written once: omega^2 adds the axes'
-    terms in axis order, and the conjugate index reads the positions as
-    base-N digits.  Massless lattices get the configured regulator mass on
-    the zero mode so every retained mode has omega > 0.
-    """
-    n, dim, a = lattice.n_sites, lattice.dim, lattice.spacing
-    axis = np.arange(-n // 2 + 1, n // 2 + 1)
-    k_axis = 2.0 * math.pi * axis / (n * a)
-    if lattice.dispersion == "lattice":
-        ksq_axis = (2.0 / a) ** 2 * np.sin(k_axis * a / 2.0) ** 2
-    else:
-        ksq_axis = k_axis**2
-    conj_axis = (n - 2 - np.arange(n)) % n
-    omega_sq, conj = ksq_axis, conj_axis
-    for _ in range(dim - 1):    # only the last step is M-sized
-        omega_sq = omega_sq[..., None] + ksq_axis
-        conj = conj[..., None] * n + conj_axis
-    omega_sq += lattice.mass**2
-    if lattice.mass == 0.0:
-        omega_sq[(n // 2 - 1,) * dim] += lattice.zero_mode_mass**2
-    omega = np.sqrt(omega_sq, out=omega_sq)
-    k = np.empty((n,) * dim + (dim,))
-    for j in range(dim):
-        k[..., j] = k_axis.reshape((n,) + (1,) * (dim - 1 - j))    # along grid axis j
-    return ModeSet(lattice=lattice, k=k.reshape(-1, dim), omega=omega.reshape(-1),
-                   conjugate_index=conj.reshape(-1))
+
+def build_modes(lattice: LatticeSpec) -> ModeSet:
+    """The dual-lattice modes of a lattice, with Kronecker normalization:
+    one axis's k = 2 pi n / (N a), n in (-N/2, N/2]."""
+    n, a = lattice.n_sites, lattice.spacing
+    k_axis = 2.0 * math.pi * np.arange(-n // 2 + 1, n // 2 + 1) / (n * a)
+    return ModeSet(lattice=lattice, k_axis=_frozen(k_axis))
 
 
 def _mode_sum(modes: ModeSet, inverse: bool, x, y) -> float:
@@ -180,15 +200,16 @@ def _mode_sum(modes: ModeSet, inverse: bool, x, y) -> float:
 
     Computed once per mode set, weight and integer displacement
     site(x) - site(y), the only input of k.(x - y), so ginv_xx and ginv_yy
-    are one sum.
+    are one sum.  At a zero displacement every cos is 1: the weights alone.
     """
     lat = modes.lattice
     key = (inverse, tuple(a - b for a, b in zip(lat.site(x), lat.site(y))))
     if key not in modes._kernels:
-        dx = np.asarray(key[1], dtype=float) * lat.spacing
-        terms = modes.k @ dx
-        np.cos(terms, out=terms)     # at most two M-sized temporaries: these and 1/omega
-        terms *= 1.0 / modes.omega if inverse else modes.omega
+        weights = terms = 1.0 / modes.omega if inverse else modes.omega
+        if any(key[1]):
+            terms = modes.k @ (np.asarray(key[1], dtype=float) * lat.spacing)
+            np.cos(terms, out=terms)     # at most two M-sized temporaries: these and 1/omega
+            terms *= weights
         modes._kernels[key] = float(np.sum(terms) / lat.volume)
     return modes._kernels[key]
 

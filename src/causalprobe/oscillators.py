@@ -174,6 +174,8 @@ def coherent_prestate(params: OscParams, kick: KickParams, trunc) -> TwoModeFock
     than silently truncating when the norm outside the box exceeds the
     policy tail tolerance.
     """
+    if np.ndim(kick.lam):
+        raise ValueError(f"coherent_prestate takes one kick, got lam={kick.lam!r}")
     f_plus, f_minus, tail = _kicked_factors(params, kick, trunc)
     return TwoModeFock(params=params, amps=np.outer(f_plus, f_minus), tail_bound=tail)
 
@@ -261,6 +263,8 @@ def phase_coefficients(params: OscParams, kick: KickParams, s_cut: int,
                        n_max: int) -> np.ndarray:
     """Expansion coefficients c[n, parity, s] = <n|f_+> <parity, theta_s|f_->
     of the kicked prestate over the number-times-phase-state basis."""
+    if np.ndim(kick.lam):
+        raise ValueError(f"phase_coefficients takes one kick, got lam={kick.lam!r}")
     f_plus, overlaps, _ = _phase_overlaps(params, kick, s_cut, n_max)
     return f_plus[:, None, None] * overlaps
 

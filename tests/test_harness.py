@@ -382,6 +382,31 @@ class TestCutoffSweep:
         with pytest.raises(ScenarioError, match="held fixed"):
             cutoff_sweep(field_scenario(), "volume", [4, 8, 6])
 
+    @pytest.mark.parametrize("axis, values, message", [
+        ("volume", [4, 8, 6], "wavenumber 1 cannot be held fixed in physical units at N=6"),
+        ("spacing", [1.0, 0.3, 0.25],
+         "spacing 0.3 does not preserve the box: N=13.333333333333334"),
+    ])
+    def test_refused_cutoff_keeps_its_message(self, axis, values, message):
+        with pytest.raises(ScenarioError) as err:
+            cutoff_sweep(field_scenario(), axis, values)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("make, axis, values, measure", [
+        (field_scenario, "volume", [4, 8, 16], "deviation"),
+        (field_scenario, "spacing", [1.0, 0.5, 0.25], "amplitude"),
+        (oscillator_scenario, "s_cut", [2, 4, 6], "after_value"),
+    ])
+    def test_each_point_is_validated_once(self, monkeypatch, make, axis, values, measure):
+        """The base scenario once, then each point once, its typed values
+        handed on to the evaluator or the amplitude."""
+        sc, validated = make(), []
+        validate = Scenario.validate
+        monkeypatch.setattr(Scenario, "validate",
+                            lambda self: validated.append(self) or validate(self))
+        cutoff_sweep(sc, axis, values, measure=measure)
+        assert validated[0] is sc and len(validated) == 1 + len(values)
+
     @pytest.mark.parametrize("make, axis, values, refused", [
         (oscillator_scenario, "s_cut", [0, 2, 4], "[0]"),
         (oscillator_scenario, "trunc", [20, -30, 40], "[-30]"),
@@ -392,9 +417,9 @@ class TestCutoffSweep:
                                                            values, refused):
         """A zero or negative cutoff is named, not fed to log() or a lattice."""
         sc = make()
-        monkeypatch.setattr(harness, "make_evaluator", lambda sub: pytest.fail("evaluated"))
+        monkeypatch.setattr(harness, "make_evaluator", lambda sub, **kw: pytest.fail("evaluated"))
         monkeypatch.setitem(harness.SYSTEMS[sc.system].sweep_axes, axis,
-                            lambda sub, value: pytest.fail("rescaled"))
+                            lambda sub, params, value: pytest.fail("rescaled"))
         with pytest.raises(ScenarioError) as err:
             cutoff_sweep(sc, axis, values)
         assert str(err.value) == f"sweep axis {axis!r} needs positive cutoffs, got {refused}"

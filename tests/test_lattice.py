@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causalprobe import cli, fieldtheory, lattice
+from causalprobe import cli, fieldtheory, harness, lattice
 from causalprobe.fieldtheory import KickSpec
 from causalprobe.harness import Scenario, make_evaluator
 from causalprobe.lattice import LatticeSpec, build_modes, kernel_g, kernel_ginv
@@ -217,8 +217,9 @@ class TestKernels:
                     kernel_ginv(modes, y, x), abs=1e-14)
 
 
-class _CosCounter:
-    """numpy as ``lattice`` sees it, counting np.cos calls: one per kernel sum."""
+class _SumCounter:
+    """numpy as ``lattice`` sees it, counting np.sum calls: one per kernel sum,
+    with or without cosines."""
 
     def __init__(self):
         self.calls = 0
@@ -226,14 +227,14 @@ class _CosCounter:
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def cos(self, *args, **kwargs):
+    def sum(self, *args, **kwargs):
         self.calls += 1
-        return np.cos(*args, **kwargs)
+        return np.sum(*args, **kwargs)
 
 
 @pytest.fixture
 def kernel_sums(monkeypatch):
-    counter = _CosCounter()
+    counter = _SumCounter()
     monkeypatch.setattr(lattice, "np", counter)
     return counter
 
@@ -257,6 +258,21 @@ class TestKernelMemo:
                          "--axis", "volume", "--values", "4,8,16,32",
                          "--out", str(tmp_path)]) == 0
         assert kernel_sums.calls == 0
+
+    def test_pi_y_volume_sweep_builds_no_mode_array(self, monkeypatch, tmp_path):
+        """<pi_y> reads the phases of p from its digits: no point of a
+        pi_y-only sweep builds omega, k, the conjugate index or even the
+        axis's dispersion term."""
+        built = []
+        monkeypatch.setattr(harness, "build_modes",
+                            lambda lat: built.append(build_modes(lat)) or built[-1])
+        values = [4 << i for i in range(10)]
+        assert cli.main(["sweep", "--scenario", str(SCENARIOS / "field_volume_sweep.json"),
+                         "--axis", "volume", "--values", ",".join(map(str, values)),
+                         "--out", str(tmp_path)]) == 0
+        assert [modes.lattice.n_sites for modes in built] == values
+        unbuilt = {"omega", "k", "conjugate_index", "ksq_axis"}
+        assert all(not unbuilt & set(vars(modes)) for modes in built)
 
     def test_compare_shares_one_memo(self, kernel_sums, tmp_path):
         """none, naive and qndsv rows of phi_y and phi2_y read one mode set:

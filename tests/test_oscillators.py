@@ -117,6 +117,16 @@ class TestCoherentPrestate:
         with np.errstate(invalid="ignore"), pytest.raises(TruncationError):
             kicked_moments(PARAMS, KickParams(lam=math.inf), 10)
 
+    @pytest.mark.parametrize("routine, args", [(coherent_prestate, (10,)),
+                                               (phase_coefficients, (4, 10))])
+    def test_batch_of_kicks_refused_by_name(self, routine, args):
+        """Both build the state of one kick: an array lam is refused by name,
+        formerly with numpy's truth-value or broadcast error."""
+        kick = KickParams(lam=np.array([0.1, 0.2]))
+        with pytest.raises(ValueError) as err:
+            routine(PARAMS, kick, *args)
+        assert str(err.value) == f"{routine.__name__} takes one kick, got lam=array([0.1, 0.2])"
+
     def test_norm_invariant_enforced(self):
         amps = np.zeros((3, 3), dtype=complex)
         amps[0, 0] = 0.5

@@ -331,6 +331,29 @@ def test_memoised_kernels_equal_fresh_sums_bit_for_bit(spec, data):
     assert twin._kernels == {} and twin != modes and len({modes, twin, modes}) == 2
 
 
+@SEEDED
+@given(spec=st.builds(LatticeSpec, dim=st.sampled_from((1, 2, 3)),
+                      n_sites=st.sampled_from((2, 4, 6, 8)), spacing=st.floats(0.25, 2.0),
+                      mass=st.just(0.0) | st.floats(0.1, 3.0),
+                      dispersion=st.sampled_from(("lattice", "continuum")),
+                      zero_mode_mass=st.none() | st.floats(1e-4, 2.0)),
+       data=st.data())
+def test_digit_reads_equal_the_per_mode_arrays(spec, data):
+    """frequency, is_paired and phase_at read an index's base-N digits and
+    build no per-mode array; each equals the array read, frequency to the
+    bit (phase_at's np.dot may give -0.0 where the matmul gives 0.0)."""
+    site = data.draw(st.lists(st.integers(-spec.n_sites, 2 * spec.n_sites),
+                              min_size=spec.dim, max_size=spec.dim))
+    modes = build_modes(spec)
+    every = range(modes.n_modes)
+    scalar = [(modes.frequency(i).hex(), modes.is_paired(i), modes.phase_at(i, site))
+              for i in every]
+    assert not {"omega", "k", "conjugate_index"} & set(vars(modes))
+    phases = modes.phases(site)
+    assert scalar == [(modes.omega[i].hex(), modes.conjugate_index[i] != i, phases[i])
+                      for i in every]
+
+
 # -- factorised oscillator moments against the generic Born route ------------
 
 def _moments_close(fast, generic) -> None:
