@@ -421,16 +421,14 @@ SYSTEMS = {"spin": SPIN, "oscillator": OSCILLATOR, "field": FIELD}
 SWEEP_AXES = tuple(axis for spec in SYSTEMS.values() for axis in spec.sweep_axes)
 
 
-def make_evaluator(sc: Scenario, *, built: dict | None = None, points=(), typed=None):
+def make_evaluator(sc: Scenario, *, built: dict | None = None, points=()):
     """evaluate(obs, lam), read from one values(lams) call of the system on
     the distinct lams of ``points``; a lam outside them is evaluated alone.
 
     Evaluators given one ``built`` dict share what they build from equal
     system params: the field's mode set, and with it its kernel memo.
-    ``typed`` is what ``sc.validate()`` returned, if the caller has it.
     """
-    values = SYSTEMS[sc.system].evaluator(sc, typed or sc.validate(),
-                                          {} if built is None else built)
+    values = SYSTEMS[sc.system].evaluator(sc, sc.validate(), {} if built is None else built)
     memo = {}
 
     def fetch(keys) -> None:
@@ -555,11 +553,10 @@ def cutoff_sweep(sc: Scenario, axis: str, values, measure: str = "deviation") ->
 
     def measures_at(value) -> dict:
         sub = scenario_at(sc, base, value)
-        typed = sub.validate()
         if measure == "amplitude":
-            return {"suppression_amplitude": spec.amplitude(typed.params)}
+            return {"suppression_amplitude": spec.amplitude(sub.validate().params)}
         reads = (sub.lambda_ref,) if measure == "after_value" else (*sub.lambda_grid, 0.0)
-        evaluate = make_evaluator(sub, points=reads, typed=typed)
+        evaluate = make_evaluator(sub, points=reads)
         if measure == "after_value":
             return {obs: evaluate(obs, sub.lambda_ref) for obs in sub.observables}
         return {obs: max(abs(evaluate(obs, lam) - evaluate(obs, 0.0)) for lam in sub.lambda_grid)

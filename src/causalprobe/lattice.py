@@ -138,7 +138,7 @@ class ModeSet:
         """omega[index] to the bit: the same additions in the same order."""
         lat, digits = self.lattice, list(self._digits(index))
         omega_sq = functools.reduce(operator.add, self.ksq_axis[digits]) + lat.mass**2
-        if lat.mass == 0.0 and index == self.mode_index((0,) * lat.dim):
+        if lat.mass == 0.0 and digits == [lat.n_sites // 2 - 1] * lat.dim:
             omega_sq = omega_sq + lat.zero_mode_mass**2
         return np.sqrt(omega_sq)
 

@@ -252,17 +252,10 @@ class TestKernelMemo:
         assert cli.main(["field", scheme, *self.D3, "--out", str(tmp_path)]) == 0
         assert kernel_sums.calls == 2
 
-    def test_pi_y_volume_sweep_sums_no_kernel(self, kernel_sums, tmp_path):
-        """<pi_y> reads no kernel: a pi_y-only sweep sums none at any volume."""
-        assert cli.main(["sweep", "--scenario", str(SCENARIOS / "field_volume_sweep.json"),
-                         "--axis", "volume", "--values", "4,8,16,32",
-                         "--out", str(tmp_path)]) == 0
-        assert kernel_sums.calls == 0
-
-    def test_pi_y_volume_sweep_builds_no_mode_array(self, monkeypatch, tmp_path):
-        """<pi_y> reads the phases of p from its digits: no point of a
-        pi_y-only sweep builds omega, k, the conjugate index or even the
-        axis's dispersion term."""
+    def test_pi_y_volume_sweep_sums_no_kernel(self, kernel_sums, monkeypatch, tmp_path):
+        """<pi_y> reads no kernel and the phases of p from its digits: no
+        point of a pi_y-only sweep sums a kernel or builds omega, k, the
+        conjugate index or even the axis's dispersion term."""
         built = []
         monkeypatch.setattr(harness, "build_modes",
                             lambda lat: built.append(build_modes(lat)) or built[-1])
@@ -270,6 +263,7 @@ class TestKernelMemo:
         assert cli.main(["sweep", "--scenario", str(SCENARIOS / "field_volume_sweep.json"),
                          "--axis", "volume", "--values", ",".join(map(str, values)),
                          "--out", str(tmp_path)]) == 0
+        assert kernel_sums.calls == 0
         assert [modes.lattice.n_sites for modes in built] == values
         unbuilt = {"omega", "k", "conjugate_index", "ksq_axis"}
         assert all(not unbuilt & set(vars(modes)) for modes in built)
