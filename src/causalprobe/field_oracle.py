@@ -155,7 +155,7 @@ def numeric_oracle_qndsv(modes: ModeSet, kick: KickSpec, y, p_index: int,
             0.5 * (rows * moved).sum(axis=-1))                      # <t| . |psi>
         put(2, 1.0, rows[:, modes_at, levels], 0.5 * (np.abs(rows) ** 2).sum(axis=-1))
     else:
-        pair = [p_index, int(modes.conjugate_index[p_index])]
+        pair = [p_index, modes.conjugate(p_index)]
         measured = terms[:, pair]
         factors[:, 1] = factors[:, 0]                               # +-p dephased
         factors[1, 1][:, pair] = (weights[pair] * np.diagonal(measured, axis1=-2, axis2=-1)

@@ -4,6 +4,10 @@ the lam grid, differentiates at lam = 0, and fits cutoff scalings.  Each
 system is one declarative table in ``SYSTEMS``, read by validation, the
 evaluators and the CLI, so a new prescription is one table entry.
 
+A scenario is checked once, when it is made (``dataclasses.replace``
+included), and keeps its typed values as ``Scenario.typed``: every
+``Scenario`` that exists is valid.
+
 Everything downstream is a pure function of the scenario, so reports are
 reproducible bit for bit.  Each report hands its evaluator every lam it
 will read, and the system evaluates the distinct ones in one array call,
@@ -133,12 +137,12 @@ class System:
     alice: str                    # Alice's operation kind
     schemes: dict                 # id -> Scheme
     observables: tuple | dict     # names (the oscillator's map to moment fields)
-    evaluator: Callable           # (Scenario, Typed, built) -> values(lams) -> {obs: array}
+    evaluator: Callable           # (Scenario, built) -> values(lams) -> {obs: array}
     default_observables: tuple = ()                   # empty: all observables
     alice_params: dict = field(default_factory=dict)
     aliases: dict = field(default_factory=dict)       # CLI name -> scheme id
-    sweep_axes: dict = field(default_factory=dict)    # axis -> (sc, params, value) -> sc
-    amplitude: Callable | None = None   # typed params -> observable-free sweep measure
+    sweep_axes: dict = field(default_factory=dict)    # axis -> (sc, value) -> sc
+    amplitude: Callable | None = None   # Scenario -> observable-free sweep measure
 
     def scheme_for_id(self, sid: str, current: dict) -> dict:
         """Scheme dict for a command-line id, alias resolved (field: naive ->
@@ -154,7 +158,7 @@ class System:
             or tuple(self.observables)
 
 
-# a validated scenario's typed values, defaults filled in
+# a scenario's typed values, defaults filled in
 Typed = namedtuple("Typed", "params alice scheme extras")
 
 
@@ -186,7 +190,7 @@ class Scenario:
                           "observables", "lambda_grid"), ("lambda_ref",), "scenario")
         if _integral("version", raw["version"]) != 1:
             raise ScenarioError(f"unsupported scenario version {raw['version']!r}")
-        sc = cls(
+        return cls(
             system=raw["system"],
             system_params=dict(raw["system_params"]),
             alice=dict(raw["alice"]),
@@ -195,18 +199,14 @@ class Scenario:
             lambda_grid=tuple(_real("lambda_grid", v) for v in raw["lambda_grid"]),
             lambda_ref=_real("lambda_ref", raw.get("lambda_ref", 0.0)),
         )
-        sc.validate()
-        return sc
 
-    def with_updates(self, *, system_params=None, scheme=None) -> "Scenario":
-        out = replace(self, system_params={**self.system_params, **(system_params or {})},
-                      alice=dict(self.alice), scheme={**self.scheme, **(scheme or {})})
-        out.validate()
-        return out
+    def __post_init__(self):
+        self.typed      # a scenario that exists is valid
 
-    def with_scheme(self, scheme: dict) -> "Scenario":
-        """Replace (not merge) the measurement prescription."""
-        return replace(self, scheme={}).with_updates(scheme=scheme)
+    @functools.cached_property
+    def typed(self) -> Typed:
+        """The typed values, checked once, when the scenario is made."""
+        return self.validate()
 
     # -- validation ------------------------------------------------------
     def validate(self) -> Typed:
@@ -243,7 +243,8 @@ class Scenario:
 # evaluators: a 1-d array of lams -> {observable: one value per lam}, every
 # observable in one call
 
-def _spin_evaluator(sc: Scenario, typed: Typed, built: dict):
+def _spin_evaluator(sc: Scenario, built: dict):
+    typed = sc.typed
     scheme = spins.spin_scheme(sc.scheme["id"], **typed.extras)
     obs_ops = {name: spins.spin_observable(name, typed.params["hbar"])
                for name in sc.observables}
@@ -258,7 +259,8 @@ def _spin_evaluator(sc: Scenario, typed: Typed, built: dict):
     return values
 
 
-def _oscillator_evaluator(sc: Scenario, typed: Typed, built: dict):
+def _oscillator_evaluator(sc: Scenario, built: dict):
+    typed = sc.typed
     sp = typed.params
     params = oscillators.OscParams(**{f.name: sp[f.name] for f in fields(oscillators.OscParams)})
 
@@ -279,8 +281,8 @@ def _lattice(params: dict) -> LatticeSpec:
     return LatticeSpec(**{f.name: params[f.name] for f in fields(LatticeSpec)})
 
 
-def _field_evaluator(sc: Scenario, typed: Typed, built: dict):
-    sp = typed.params
+def _field_evaluator(sc: Scenario, built: dict):
+    sp = sc.typed.params
     lattice = _lattice(sp)
     if lattice not in built:
         built[lattice] = build_modes(lattice)
@@ -291,21 +293,21 @@ def _field_evaluator(sc: Scenario, typed: Typed, built: dict):
 
     def values(lams: np.ndarray) -> dict:
         kick = fieldtheory.KickSpec(site=sp["x"], strength=lams)
-        forms = typed.scheme.compute(modes, kick, sp["y"], p_index, sc.observables)
+        forms = sc.typed.scheme.compute(modes, kick, sp["y"], p_index, sc.observables)
         # a form that does not read lam returns one value for every kick
         return {obs: np.broadcast_to(value, lams.shape) for obs, value in forms.items()}
 
     return values
 
 
-def _field_amplitude(params: dict) -> float:
+def _field_amplitude(sc: Scenario) -> float:
     """The suppression amplitude max_lam lam e^{-lam^2 ginv_xx/2hbar}."""
+    params = sc.typed.params
     return fieldtheory.max_signaling(build_modes(_lattice(params)), params["x"]).amplitude
 
 
 # ---------------------------------------------------------------------------
-# sweep axes: (scenario, its typed params, cutoff value) -> the scenario at
-# that cutoff, not yet validated: cutoff_sweep validates each point once
+# sweep axes: (scenario, cutoff value) -> the scenario at that cutoff
 
 def _on_lattice(coords, ratio: float, error: str):
     """An int or list of ints times ratio, refused unless still integral."""
@@ -316,14 +318,16 @@ def _on_lattice(coords, ratio: float, error: str):
     return out[0] if np.isscalar(coords) else out
 
 
-def _rescaled_for_volume(sc: Scenario, sp: dict, value) -> Scenario:
+def _rescaled_for_volume(sc: Scenario, value) -> Scenario:
+    sp = sc.typed.params
     n_sites = _integral("sweep axis 'volume'", value)
     p = _on_lattice(sp["p"], n_sites / sp["n_sites"], f"wavenumber {sp['p']!r} cannot "
                     f"be held fixed in physical units at N={n_sites}")
     return replace(sc, system_params={**sc.system_params, "n_sites": n_sites, "p": p})
 
 
-def _rescaled_for_spacing(sc: Scenario, sp: dict, value) -> Scenario:
+def _rescaled_for_spacing(sc: Scenario, value) -> Scenario:
+    sp = sc.typed.params
     spacing = _real("sweep axis 'spacing'", value)
     n_new = sp["n_sites"] * sp["spacing"] / spacing
     if abs(n_new - round(n_new)) > 1e-9 or int(round(n_new)) % 2 != 0:
@@ -336,7 +340,7 @@ def _rescaled_for_spacing(sc: Scenario, sp: dict, value) -> Scenario:
     })
 
 
-def _set_integer(section: str, key: str, sc: Scenario, sp: dict, value) -> Scenario:
+def _set_integer(section: str, key: str, sc: Scenario, value) -> Scenario:
     """Sweep axis (bound with partial) setting one integer of a section."""
     value = _integral(f"sweep axis {key!r}", value)
     return replace(sc, **{section: {**getattr(sc, section), key: value}})
@@ -421,32 +425,29 @@ SYSTEMS = {"spin": SPIN, "oscillator": OSCILLATOR, "field": FIELD}
 SWEEP_AXES = tuple(axis for spec in SYSTEMS.values() for axis in spec.sweep_axes)
 
 
-def make_evaluator(sc: Scenario, *, built: dict | None = None, points=()):
-    """evaluate(obs, lam), read from one values(lams) call of the system on
-    the distinct lams of ``points``; a lam outside them is evaluated alone.
+def make_evaluator(sc: Scenario, points, *, built: dict | None = None):
+    """evaluate(obs, lam) for the lams of ``points``, read from one
+    values(lams) call of the system on their distinct values.
 
     Evaluators given one ``built`` dict share what they build from equal
     system params: the field's mode set, and with it its kernel memo.
     """
-    values = SYSTEMS[sc.system].evaluator(sc, sc.validate(), {} if built is None else built)
-    memo = {}
-
-    def fetch(keys) -> None:
-        keys = list(dict.fromkeys(keys))
-        table = values(np.array([lam for lam, _ in keys], dtype=float))
-        memo.update((k, {obs: float(column[i]) for obs, column in table.items()})
-                    for i, k in enumerate(keys))
-
-    if points:      # -0.0 and 0.0 may print differently, so each is its own point
-        fetch((lam, math.copysign(1.0, lam)) for lam in points)
+    # -0.0 and 0.0 may print differently, so each is its own point
+    keys = list(dict.fromkeys((lam, math.copysign(1.0, lam)) for lam in points))
+    table = SYSTEMS[sc.system].evaluator(sc, {} if built is None else built)(
+        np.array([lam for lam, _ in keys], dtype=float))
+    memo = {k: {obs: float(column[i]) for obs, column in table.items()}
+            for i, k in enumerate(keys)}
 
     def evaluate(obs: str, lam: float) -> float:
-        key = (lam, math.copysign(1.0, lam))
-        if key not in memo:
-            fetch((key,))
-        return memo[key][obs]
+        return memo[lam, math.copysign(1.0, lam)][obs]
 
     return evaluate
+
+
+def derivative_scale(grid) -> float:
+    """The Richardson step's scale: the grid's largest |lam|, or 1 if that is 0."""
+    return max(abs(v) for v in grid) or 1.0
 
 
 def derivative_points(at: float, scale: float) -> tuple:
@@ -475,8 +476,8 @@ class SignalingReport:
 
 def run_scenario(sc: Scenario) -> SignalingReport:
     names = sc.observables
-    scale = max((abs(v) for v in sc.lambda_grid), default=1.0) or 1.0
-    evaluate = make_evaluator(sc, points=(*sc.lambda_grid, 0.0, *derivative_points(0.0, scale)))
+    scale = derivative_scale(sc.lambda_grid)
+    evaluate = make_evaluator(sc, (*sc.lambda_grid, 0.0, *derivative_points(0.0, scale)))
     tables = {obs: tuple((lam, evaluate(obs, lam)) for lam in sc.lambda_grid) for obs in names}
     baseline = {obs: evaluate(obs, 0.0) for obs in names}
     return SignalingReport(
@@ -549,14 +550,13 @@ def cutoff_sweep(sc: Scenario, axis: str, values, measure: str = "deviation") ->
     refused = [v for v in values if _real(f"sweep axis {axis!r}", v) <= 0]
     if refused:
         raise ScenarioError(f"sweep axis {axis!r} needs positive cutoffs, got {refused}")
-    base = sc.validate().params
 
     def measures_at(value) -> dict:
-        sub = scenario_at(sc, base, value)
+        sub = scenario_at(sc, value)
         if measure == "amplitude":
-            return {"suppression_amplitude": spec.amplitude(sub.validate().params)}
+            return {"suppression_amplitude": spec.amplitude(sub)}
         reads = (sub.lambda_ref,) if measure == "after_value" else (*sub.lambda_grid, 0.0)
-        evaluate = make_evaluator(sub, points=reads)
+        evaluate = make_evaluator(sub, reads)
         if measure == "after_value":
             return {obs: evaluate(obs, sub.lambda_ref) for obs in sub.observables}
         return {obs: max(abs(evaluate(obs, lam) - evaluate(obs, 0.0)) for lam in sub.lambda_grid)
@@ -592,17 +592,18 @@ def compare_schemes(sc: Scenario, scheme_ids, extras=None) -> tuple[CompareRow, 
     if len(scheme_ids) < 2:
         raise ScenarioError("compare_schemes needs at least two scheme ids")
     rows = []
-    scale = max((abs(v) for v in sc.lambda_grid), default=1.0) or 1.0
+    scale = derivative_scale(sc.lambda_grid)
     reads = (sc.lambda_ref, *derivative_points(0.0, scale))
     given = {**sc.scheme, **(extras or {})}
-    subs = [sc.with_scheme(SYSTEMS[sc.system].scheme_for_id(sid, given)) for sid in scheme_ids]
+    subs = [replace(sc, scheme=SYSTEMS[sc.system].scheme_for_id(sid, given))
+            for sid in scheme_ids]
     unmeasured = any(sub.scheme["id"] == NO_MEASUREMENT for sub in subs)  # before_eval serves it
     built = {}      # one mode set for every compared field scheme
-    before_eval = make_evaluator(sc.with_scheme({"id": NO_MEASUREMENT}), built=built,
-                                 points=reads if unmeasured else reads[:1])
+    before_eval = make_evaluator(replace(sc, scheme={"id": NO_MEASUREMENT}),
+                                 reads if unmeasured else reads[:1], built=built)
     for sub in subs:
         evaluate = before_eval if sub.scheme["id"] == NO_MEASUREMENT \
-            else make_evaluator(sub, built=built, points=reads)
+            else make_evaluator(sub, reads, built=built)
         for obs in sub.observables:
             rows.append(CompareRow(
                 scheme_id=sub.scheme["id"],

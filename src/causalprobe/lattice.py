@@ -148,19 +148,16 @@ class ModeSet:
         grids = np.meshgrid(*[self.k_axis] * self.lattice.dim, indexing="ij", copy=False)
         return _frozen(np.stack(grids, axis=-1).reshape(-1, self.lattice.dim))
 
-    @functools.cached_property
-    def conjugate_index(self) -> np.ndarray:
-        """Index of -k for every mode (i if self-conjugate), whose digits are
-        the positions (N - 2 - j) mod N of -k on each axis."""
-        n = self.lattice.n_sites
-        conj = conj_axis = (n - 2 - np.arange(n)) % n
-        for _ in range(self.lattice.dim - 1):
-            conj = conj[..., None] * n + conj_axis
-        return _frozen(conj.reshape(-1))
+    def conjugate(self, index) -> int:
+        """Index of -k (index itself if self-conjugate), whose digits are the
+        positions (N - 2 - j) mod N of -k on each axis."""
+        n, out = self.lattice.n_sites, 0
+        for d in self._digits(index):
+            out = out * n + (n - 2 - int(d)) % n
+        return out
 
     def is_paired(self, index: int) -> bool:
-        n = self.lattice.n_sites
-        return any((n - 2 - d) % n != d for d in self._digits(index))
+        return self.conjugate(index) != index
 
     def mode_index(self, wavenumber) -> int:
         """Index of the mode with the given integer wave-number vector."""

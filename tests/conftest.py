@@ -75,7 +75,7 @@ def naive_outcome_probabilities(modes, kick, p_index: int, trunc: int) -> np.nda
     """P_mn table for the naive pair measurement (Poisson products), from
     the oracle's prestate."""
     state, _ = oracle_prestate(modes, kick, trunc)
-    q_index = int(modes.conjugate_index[p_index])
+    q_index = modes.conjugate(p_index)
     tensor = np.abs(state.amplitudes.reshape(state.dims)) ** 2
     axes = tuple(i for i in range(modes.n_modes) if i not in (p_index, q_index))
     probs = tensor.sum(axis=axes)

@@ -150,7 +150,7 @@ def dense_oracle(modes: ModeSet, kick: KickSpec, y, p_index: int, trunc: int,
         branches = _verification_branches(target, psi)
         post = {name: sum(_expectation(b, *op) for b in branches) for name, op in ops.items()}
     else:
-        slots = (p_index, int(modes.conjugate_index[p_index]))
+        slots = (p_index, modes.conjugate(p_index))
         post = {name: dephased_expectation(psi, *op, slots) for name, op in ops.items()}
     return OracleReport(scheme_kind=scheme_kind, values=post, prestate_values=pre,
                         tail_bound=tail, p_yes=p_yes)

@@ -1,5 +1,6 @@
 """The meshgrid build of a lattice mode set, kept as the reference that
-``lattice.build_modes`` must match byte for byte.
+``lattice.build_modes`` must match byte for byte, and whose conjugate index
+``ModeSet.conjugate`` must match at every index.
 
 It materialises every mode's wavenumbers with ``np.meshgrid`` and works on
 (M, d) arrays throughout: M d sines for the dispersion, a sum over the axis

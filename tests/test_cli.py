@@ -519,6 +519,21 @@ class TestCompareCommand:
         assert code == 0
         assert len(builds) == 1
 
+    @pytest.mark.parametrize("argv, made", [
+        (["compare", "--scenario", str(SCENARIOS / "field_qndsv.json"),
+          "--schemes", "none,naive,qndsv"], 5),
+        (["field", "naive", "--scenario", str(SCENARIOS / "field_naive.json")], 1),
+    ])
+    def test_each_scenario_is_validated_once(self, tmp_path, monkeypatch, argv, made):
+        """One validate call per scenario a command makes: the file's, and
+        for compare the 'before' scenario's and each compared scheme's."""
+        validated = []
+        validate = harness.Scenario.validate
+        monkeypatch.setattr(harness.Scenario, "validate",
+                            lambda self: validated.append(self) or validate(self))
+        assert run([*argv, "--out", str(tmp_path)]) == 0
+        assert len(validated) == len({id(sc) for sc in validated}) == made
+
     def test_field_aliases_resolve_to_canonical_ids(self, tmp_path):
         """compare accepts the aliases that the field command accepts, and
         its rows carry the canonical scheme ids."""

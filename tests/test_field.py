@@ -74,7 +74,7 @@ def dense_field_operator(modes, y, trunc, momentum=False) -> Operator:
 def pair_level_frames(dims) -> MeasurementScheme:
     """The naive pair collapse as core frames: one frame of number states
     per joint level (m, n) of the +-p modes."""
-    q = int(MODES.conjugate_index[P])
+    q = MODES.conjugate(P)
     digits = np.indices(dims).reshape(len(dims), -1)
     basis = np.eye(digits.shape[1])
     return MeasurementScheme.from_basis(dims, [

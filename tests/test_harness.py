@@ -160,6 +160,12 @@ class TestValidation:
          "alice.axis needs finite numbers, got nan"),
         (lambda: spin_scenario(system_params={"initial": ["up", "up", "up"]}),
          "system_params.initial needs exactly two labels"),
+        # a scenario made from a valid one is checked when it is made
+        (lambda: replace(field_scenario(), system_params={
+            **field_scenario().system_params, "n_sites": 4.5}),
+         "system_params.n_sites needs integer values, got 4.5"),
+        (lambda: replace(spin_scenario(), scheme={"id": "s4-standard"}),
+         "unknown spin scheme 's4-standard'"),
     ])
     def test_values_are_never_coerced(self, make, message):
         with pytest.raises(ScenarioError, match=re.escape(message)):
@@ -398,14 +404,14 @@ class TestCutoffSweep:
         (oscillator_scenario, "s_cut", [2, 4, 6], "after_value"),
     ])
     def test_each_point_is_validated_once(self, monkeypatch, make, axis, values, measure):
-        """The base scenario once, then each point once, its typed values
-        handed on to the evaluator or the amplitude."""
+        """The base scenario was checked when it was made; the sweep checks
+        each point once, when it makes it, and none again."""
         sc, validated = make(), []
         validate = Scenario.validate
         monkeypatch.setattr(Scenario, "validate",
                             lambda self: validated.append(self) or validate(self))
         cutoff_sweep(sc, axis, values, measure=measure)
-        assert validated[0] is sc and len(validated) == 1 + len(values)
+        assert len(validated) == len(values) and not any(sub is sc for sub in validated)
 
     @pytest.mark.parametrize("make, axis, values, refused", [
         (oscillator_scenario, "s_cut", [0, 2, 4], "[0]"),
@@ -417,9 +423,10 @@ class TestCutoffSweep:
                                                            values, refused):
         """A zero or negative cutoff is named, not fed to log() or a lattice."""
         sc = make()
-        monkeypatch.setattr(harness, "make_evaluator", lambda sub, **kw: pytest.fail("evaluated"))
+        monkeypatch.setattr(harness, "make_evaluator",
+                            lambda sub, points, **kw: pytest.fail("evaluated"))
         monkeypatch.setitem(harness.SYSTEMS[sc.system].sweep_axes, axis,
-                            lambda sub, params, value: pytest.fail("rescaled"))
+                            lambda sub, value: pytest.fail("rescaled"))
         with pytest.raises(ScenarioError) as err:
             cutoff_sweep(sc, axis, values)
         assert str(err.value) == f"sweep axis {axis!r} needs positive cutoffs, got {refused}"

@@ -257,8 +257,8 @@ def test_mode_set_matches_reference_enumeration(spec, data):
     reference = list(itertools.product(range(-n // 2 + 1, n // 2 + 1), repeat=dim))
     assert reference_modes(spec)["wavenumbers"].tolist() == [list(w) for w in reference]
     assert [modes.mode_index(w) for w in reference] == list(range(modes.n_modes))
-    conj = modes.conjugate_index
     every = np.arange(modes.n_modes)
+    conj = np.array([modes.conjugate(i) for i in every])
     assert np.array_equal(conj[conj], every)
     assert int(np.sum(conj == every)) == 2**dim
     for i, w in enumerate(reference):
@@ -291,7 +291,7 @@ def test_axis_built_mode_set_is_the_meshgrid_build_byte_for_byte(spec):
     i-th wavenumber at mode_index i."""
     modes = build_modes(spec)
     reference = reference_modes(spec)
-    for name in ("k", "omega", "conjugate_index"):
+    for name in ("k", "omega"):
         got, want = getattr(modes, name), reference[name]
         assert (got.dtype, got.shape) == (want.dtype, want.shape), name
         assert got.tobytes() == want.tobytes(), name
@@ -339,18 +339,19 @@ def test_memoised_kernels_equal_fresh_sums_bit_for_bit(spec, data):
                       zero_mode_mass=st.none() | st.floats(1e-4, 2.0)),
        data=st.data())
 def test_digit_reads_equal_the_per_mode_arrays(spec, data):
-    """frequency, is_paired and phase_at read an index's base-N digits and
-    build no per-mode array; each equals the array read, frequency to the
-    bit (phase_at's np.dot may give -0.0 where the matmul gives 0.0)."""
+    """frequency, conjugate, is_paired and phase_at read an index's base-N
+    digits and build no per-mode array; each equals the array read (conjugate
+    the reference build's -k index), frequency to the bit (phase_at's np.dot
+    may give -0.0 where the matmul gives 0.0)."""
     site = data.draw(st.lists(st.integers(-spec.n_sites, 2 * spec.n_sites),
                               min_size=spec.dim, max_size=spec.dim))
     modes = build_modes(spec)
     every = range(modes.n_modes)
-    scalar = [(modes.frequency(i).hex(), modes.is_paired(i), modes.phase_at(i, site))
-              for i in every]
-    assert not {"omega", "k", "conjugate_index"} & set(vars(modes))
-    phases = modes.phases(site)
-    assert scalar == [(modes.omega[i].hex(), modes.conjugate_index[i] != i, phases[i])
+    scalar = [(modes.frequency(i).hex(), modes.conjugate(i), modes.is_paired(i),
+               modes.phase_at(i, site)) for i in every]
+    assert not {"omega", "k"} & set(vars(modes))
+    phases, conj = modes.phases(site), reference_modes(spec)["conjugate_index"]
+    assert scalar == [(modes.omega[i].hex(), conj[i], conj[i] != i, phases[i])
                       for i in every]
 
 
@@ -473,7 +474,7 @@ def test_batched_values_equal_each_kick_alone(system, scheme, lams):
         "scheme": scheme, "observables": list(spec.schemes[scheme["id"]].observables
                                               or spec.observables),
         "lambda_grid": [0.0]})
-    values = spec.evaluator(sc, sc.validate(), {})
+    values = spec.evaluator(sc, {})
     batch = values(np.array(lams))
     for i, lam in enumerate(lams):
         alone = values(np.array([lam]))
