@@ -109,8 +109,8 @@ class Operator:
                 raise ValueError(f"operator flagged hermitian deviates by {dev:.3e}")
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """O |psi> on a flat amplitude vector."""
-        return self.matrix @ amplitudes
+        """O |psi> for each row of a (..., dim) stack, one stacked matmul."""
+        return (self.matrix @ amplitudes[..., None])[..., 0]
 
     def expectation(self, state: StateVector):
         if state.dims != self.dims:
@@ -143,9 +143,9 @@ class SchemeOutcome:
         return np.eye(len(proj)) - proj if self.complement else proj
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """P |psi> = F (F^dag psi), one vdot per column: no conjugate copy of F."""
-        coeffs = np.array([np.vdot(col, amplitudes) for col in self.frame.T])
-        comp = self.frame @ coeffs
+        """P |psi> = F (F^dag psi) for each row of a (..., dim) stack."""
+        coeffs = _vdots(self.frame.T, amplitudes[..., None, :])
+        comp = (self.frame @ coeffs[..., None])[..., 0]
         return amplitudes - comp if self.complement else comp
 
 
@@ -302,29 +302,36 @@ def post_measurement_expectation(state: StateVector, scheme: MeasurementScheme,
     Evaluates sum_i <psi|P_i O P_i|psi> directly; zero-probability branches
     contribute nothing because P_i|psi> already vanishes on them.
     """
-    return post_measurement_expectations(state, scheme, (obs,))[0]
+    return float(post_measurement_expectations(state, scheme, (obs,))[0])
 
 
-def post_measurement_expectations(state: StateVector, scheme: MeasurementScheme,
-                                  observables) -> list[float]:
-    """post_measurement_expectation of each observable, in order.
-
-    The outcomes are taken one at a time: each branch P_i|psi> is computed
-    once, serves every observable, and is replaced by the next.
+def post_measurement_expectations(state, scheme: MeasurementScheme,
+                                  observables) -> np.ndarray:
+    """post_measurement_expectation of each observable, in order, for a
+    StateVector, shape (len(observables),), or for each row of an (L, dim)
+    stack of amplitudes, shape (len(observables), L).  Each outcome's
+    branches P_i|psi> are computed once, for every row and observable.
     """
+    amplitudes = getattr(state, "amplitudes", state)
     observables = tuple(observables)
     for obs in observables:
-        if state.dims != scheme.dims or obs.dims != scheme.dims:
-            raise ValueError(
-                f"dims mismatch: state {state.dims}, scheme {scheme.dims}, obs {obs.dims}")
+        if getattr(state, "dims", scheme.dims) != scheme.dims \
+                or amplitudes.shape[-1] != scheme.dim or obs.dims != scheme.dims:
+            raise ValueError(f"dims mismatch: state {getattr(state, 'dims', amplitudes.shape)}, "
+                             f"scheme {scheme.dims}, obs {obs.dims}")
         if not obs.hermitian:
             raise ValueError("observable must be flagged (and be) hermitian")
-    totals = [0.0] * len(observables)
+    totals = np.zeros((len(observables),) + amplitudes.shape[:-1])
     for out in scheme.outcomes:
-        branch = out.apply(state.amplitudes)
+        branches = out.apply(amplitudes)
         for i, obs in enumerate(observables):
-            totals[i] += float(np.real(np.vdot(branch, obs.apply(branch))))
+            totals[i] += _vdots(branches, obs.apply(branches)).real
     return totals
+
+
+def _vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.vdot of each pair of rows of two (..., n) stacks, as (1, n) @ (n, 1) products."""
+    return (np.conj(a)[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def validate_scheme(scheme: MeasurementScheme) -> SchemeDiagnostics:

@@ -20,9 +20,11 @@ import functools
 import math
 import numbers
 from collections import namedtuple
+from collections.abc import Mapping
 # unused here: perfbench/tracing.py:231 rebinds it; the next benchmark change removes it
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field, fields, replace
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -36,8 +38,8 @@ class ScenarioError(ValueError):
     """A scenario fails structural validation."""
 
 
-def _check_keys(obj: dict, required, optional, where: str) -> None:
-    if not isinstance(obj, dict):
+def _check_keys(obj: Mapping, required, optional, where: str) -> None:
+    if not isinstance(obj, Mapping):
         raise ScenarioError(f"{where} must be an object, got {type(obj).__name__}")
     keys = set(obj)
     missing = set(required) - keys
@@ -103,11 +105,17 @@ class Param:
     flag: str | None = None
     help: str | None = None
     choices: tuple | None = None
+    check: Callable = lambda value: None    # its consumer's refusal (a ValueError)
 
     def read(self, what: str, value):
         if value is None and self.default is None:
             return None
-        return _KINDS[self.kind](what, value)
+        typed = _KINDS[self.kind](what, value)
+        try:
+            self.check(typed)
+        except ValueError as err:
+            raise ScenarioError(f"{what}: {err}") from None
+        return typed
 
 
 def _resolve(section: dict, spec: dict, where: str, head: tuple = ()) -> dict:
@@ -176,9 +184,9 @@ def check_shape(raw) -> None:
 @dataclass(frozen=True)
 class Scenario:
     system: str
-    system_params: dict
-    alice: dict
-    scheme: dict
+    system_params: Mapping      # the sections are read-only once checked
+    alice: Mapping
+    scheme: Mapping
     observables: tuple[str, ...]
     lambda_grid: tuple[float, ...]
     lambda_ref: float = 0.0
@@ -192,16 +200,18 @@ class Scenario:
             raise ScenarioError(f"unsupported scenario version {raw['version']!r}")
         return cls(
             system=raw["system"],
-            system_params=dict(raw["system_params"]),
-            alice=dict(raw["alice"]),
-            scheme=dict(raw["scheme"]),
+            system_params=raw["system_params"],
+            alice=raw["alice"],
+            scheme=raw["scheme"],
             observables=tuple(raw["observables"]),
             lambda_grid=tuple(_real("lambda_grid", v) for v in raw["lambda_grid"]),
             lambda_ref=_real("lambda_ref", raw.get("lambda_ref", 0.0)),
         )
 
     def __post_init__(self):
-        self.typed      # a scenario that exists is valid
+        self.typed      # a scenario that exists is valid, and stays as it was checked:
+        for key in ("system_params", "alice", "scheme"):
+            object.__setattr__(self, key, MappingProxyType(dict(getattr(self, key))))
 
     @functools.cached_property
     def typed(self) -> Typed:
@@ -246,15 +256,16 @@ class Scenario:
 def _spin_evaluator(sc: Scenario, built: dict):
     typed = sc.typed
     scheme = spins.spin_scheme(sc.scheme["id"], **typed.extras)
-    obs_ops = {name: spins.spin_observable(name, typed.params["hbar"])
-               for name in sc.observables}
-    prestate = spins.spin_state(*typed.params["initial"])
+    hbar, initial = typed.params["hbar"], typed.params["initial"]
+    key = (sc.observables, hbar, initial)
+    if key not in built:
+        built[key] = ([spins.spin_observable(name, hbar) for name in sc.observables],
+                      spins.spin_state(*initial))
+    operators, prestate = built[key]
 
     def values(lams: np.ndarray) -> dict:
-        rows = [post_measurement_expectations(
-            spins.alice_rotate(prestate, typed.alice["axis"], lam), scheme, obs_ops.values())
-            for lam in lams.tolist()]
-        return dict(zip(obs_ops, np.transpose(rows)))
+        rows = spins.alice_rotations(prestate, typed.alice["axis"], lams.tolist())
+        return dict(zip(sc.observables, post_measurement_expectations(rows, scheme, operators)))
 
     return values
 
@@ -354,14 +365,16 @@ NO_MEASUREMENT = "none"     # every system's scheme id for the unmeasured state
 SPIN = System(
     params={
         "initial": Param("labels", ("up", "up"), flag="--initial",
-                         help="initial product state labels, e.g. up,up"),
+                         help="initial product state labels, e.g. up,up",
+                         check=lambda pair: [spins.ket(label) for label in pair]),
         "hbar": Param("float", 1.0),
     },
     alice="rotate",
-    alice_params={"axis": Param("vector", (0.0, 1.0, 0.0))},
+    alice_params={"axis": Param("vector", (0.0, 1.0, 0.0), check=spins.axis_sigma)},
     schemes={
         "qndsv": Scheme({"target": Param("labels", flag="--target",
-                                         help="qndsv target labels, e.g. up,right")}),
+                                         help="qndsv target labels, e.g. up,right",
+                                         check=lambda pair: [spins.ket(label) for label in pair])}),
         **{sid: Scheme() for sid in spins.SCHEMES},
     },
     observables=spins.OBSERVABLES,
@@ -430,7 +443,7 @@ def make_evaluator(sc: Scenario, points, *, built: dict | None = None):
     values(lams) call of the system on their distinct values.
 
     Evaluators given one ``built`` dict share what they build from equal
-    system params: the field's mode set, and with it its kernel memo.
+    system params: a field mode set with its kernel memo, spin operators.
     """
     # -0.0 and 0.0 may print differently, so each is its own point
     keys = list(dict.fromkeys((lam, math.copysign(1.0, lam)) for lam in points))
@@ -598,7 +611,7 @@ def compare_schemes(sc: Scenario, scheme_ids, extras=None) -> tuple[CompareRow, 
     subs = [replace(sc, scheme=SYSTEMS[sc.system].scheme_for_id(sid, given))
             for sid in scheme_ids]
     unmeasured = any(sub.scheme["id"] == NO_MEASUREMENT for sub in subs)  # before_eval serves it
-    built = {}      # one mode set for every compared field scheme
+    built = {}      # one mode set, or one set of spin operators, for every compared scheme
     before_eval = make_evaluator(replace(sc, scheme={"id": NO_MEASUREMENT}),
                                  reads if unmeasured else reads[:1], built=built)
     for sub in subs:

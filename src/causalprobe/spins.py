@@ -45,7 +45,7 @@ for _named_ket in _NAMED.values():
     _named_ket.setflags(write=False)
 
 
-def _axis_sigma(axis) -> np.ndarray:
+def axis_sigma(axis) -> np.ndarray:
     """axis . sigma, for a unit 3-vector axis."""
     ax = np.asarray(axis, dtype=float)
     if ax.shape != (3,):
@@ -58,7 +58,7 @@ def _axis_sigma(axis) -> np.ndarray:
 
 def _axis_ket(axis, pick) -> np.ndarray:
     """The eigenket of axis . sigma that ``pick`` selects, largest component real positive."""
-    vals, vecs = np.linalg.eigh(_axis_sigma(axis))
+    vals, vecs = np.linalg.eigh(axis_sigma(axis))
     v = vecs[:, int(pick(vals))]
     pivot = v[np.argmax(np.abs(v))]
     return v * (np.conj(pivot) / abs(pivot))
@@ -74,7 +74,8 @@ def minus(axis) -> np.ndarray:
     return _axis_ket(axis, np.argmin)
 
 
-def _ket(label) -> np.ndarray:
+def ket(label) -> np.ndarray:
+    """The single-spin ket a label names in ``_NAMED``; a ket is returned as is."""
     if not isinstance(label, str):
         return label                 # a ket, from plus or minus
     if label not in _NAMED:
@@ -86,21 +87,25 @@ def _ket(label) -> np.ndarray:
 def spin_state(a, b) -> StateVector:
     """Normalized 4-dim product state |a_A b_B>; each label is a name in
     ``_NAMED`` or a ket from ``plus``/``minus``."""
-    return tensor_state([StateVector((2,), _ket(a)), StateVector((2,), _ket(b))])
-
-
-def rotation_unitary(axis, angle: float) -> np.ndarray:
-    """exp(-i angle (axis . sigma)/2)."""
-    half = angle / 2.0
-    return math.cos(half) * np.eye(2) - 1j * math.sin(half) * _axis_sigma(axis)
+    return tensor_state([StateVector((2,), ket(a)), StateVector((2,), ket(b))])
 
 
 def alice_rotate(state: StateVector, axis, angle: float) -> StateVector:
     """Rotate particle A; identity on B.  Norm preserved."""
+    return StateVector(state.dims, alice_rotations(state, axis, (angle,))[0])
+
+
+def alice_rotations(state: StateVector, axis, angles) -> np.ndarray:
+    """The amplitudes of alice_rotate(state, axis, angle) for each angle, as
+    (L, 4) rows: the stack of U = exp(-i angle (axis . sigma)/2), kron(U, 1)
+    formed as np.kron forms it (the same products, then a reshape), and one
+    stacked matmul."""
     if state.dims != (2, 2):
         raise ValueError(f"expected a two-spin state, got dims {state.dims}")
-    u = np.kron(rotation_unitary(axis, angle), np.eye(2))
-    return StateVector(state.dims, u @ state.amplitudes)
+    cos = np.array([math.cos(angle / 2.0) for angle in angles])[:, None, None]
+    isin = np.array([1j * math.sin(angle / 2.0) for angle in angles])[:, None, None]
+    u = cos * np.eye(2) - isin * axis_sigma(axis)
+    return (u[:, :, None, :, None] * np.eye(2)[:, None, :]).reshape(-1, 4, 4) @ state.amplitudes
 
 
 OBSERVABLES = ("sAx", "sAy", "sAz", "sBx", "sBy", "sBz", "S2", "Sz")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import importlib
 import inspect
@@ -91,7 +92,9 @@ def single_mode_packet(modes, p_index: int) -> WavePacket:
 
 def scenario_dict(sc) -> dict:
     """The raw scenario that reads back as the validated ``sc``."""
-    return {"version": 1, **dataclasses.asdict(sc)}
+    raw = {f.name: getattr(sc, f.name) for f in dataclasses.fields(sc)}
+    sections = {key: dict(raw[key]) for key in ("system_params", "alice", "scheme")}
+    return copy.deepcopy({"version": 1, **raw, **sections})
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from causalprobe import cli, harness, oscillators
+from causalprobe import cli, harness, oscillators, spins
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 ALL_FIXTURES = sorted(SCENARIOS.glob("*.json"))
@@ -518,6 +518,20 @@ class TestCompareCommand:
                     "--schemes", schemes, "--out", str(tmp_path)])
         assert code == 0
         assert len(builds) == 1
+
+    def test_spin_operators_are_built_once(self, tmp_path, monkeypatch):
+        """A 7-scheme spin compare builds each observable's operator once:
+        the 'before' column and every compared scheme share it."""
+        built = []
+        original = spins.spin_observable
+        monkeypatch.setattr(spins, "spin_observable",
+                            lambda name, hbar=1.0: built.append(name) or original(name, hbar))
+        code = run(["compare", "--scenario", str(SCENARIOS / "spin_s2_ambiguity.json"),
+                    "--schemes", "s2-standard,s2-bell,s2-luders,sz-standard,sz-bell,sz-luders,none",
+                    "--out", str(tmp_path)])
+        assert code == 0
+        assert len(read_rows(tmp_path / "spin_s2_ambiguity_compare.csv")) == 7 * 2
+        assert sorted(built) == ["S2", "sBz"]
 
     @pytest.mark.parametrize("argv, made", [
         (["compare", "--scenario", str(SCENARIOS / "field_qndsv.json"),

@@ -175,6 +175,36 @@ class TestValidation:
         sc = oscillator_scenario(system_params={"trunc": 24.0})
         assert sc.validate().params["trunc"] == 24
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"system_params": {"initial": ["upp", "up"], "hbar": 1.0}},
+         "system_params.initial: unknown spin label 'upp'"),
+        ({"scheme": {"id": "qndsv", "target": ["up", "sideways"]}},
+         "scheme.target: unknown spin label 'sideways'"),
+        ({"alice": {"kind": "rotate", "axis": [0, 2, 0]}},
+         "alice.axis: axis must be unit length, |axis|=2.0"),
+    ], ids=["initial", "target", "axis"])
+    def test_spin_fields_are_refused_when_made(self, overrides, message):
+        """A spin label that names no ket and a non-unit axis are refused
+        as a ScenarioError when the scenario is made, not when evaluated."""
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            spin_scenario(**overrides)
+
+    def test_sections_are_read_only(self):
+        """A scenario's sections cannot drift from the typed values checked
+        when it was made: neither by writing to them, nor through the dicts
+        it was made from."""
+        raw = json.loads((SCENARIOS / "field_naive.json").read_text())
+        sc = Scenario.from_dict(raw)
+        with pytest.raises(TypeError):
+            sc.system_params["n_sites"] = 4.5
+        with pytest.raises(TypeError):
+            sc.alice["kind"] = "rotate"
+        with pytest.raises(TypeError):
+            sc.scheme["id"] = "none"
+        raw["system_params"]["n_sites"] = 4.5
+        assert sc.system_params["n_sites"] == sc.typed.params["n_sites"] == 8
+        assert replace(sc, scheme={"id": "none"}).system_params == sc.system_params
+
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -298,20 +328,20 @@ class TestRunScenario:
         assert calls == [_keys(*reads)] * 3
 
     def test_spin_branches_are_shared_by_observables(self, monkeypatch):
-        """Each outcome projector is applied once per distinct lam, not once
-        per observable."""
+        """Each outcome projector is applied once per values call, to the
+        stack of every distinct lam, not once per lam or per observable."""
         sc = Scenario.from_dict(json.loads((SCENARIOS / "spin_s2_ambiguity.json").read_text()))
         assert len(sc.observables) == 2
         applies = []
         original = SchemeOutcome.apply
         monkeypatch.setattr(SchemeOutcome, "apply",
-                            lambda self, amplitudes: applies.append(self.label)
+                            lambda self, amplitudes: applies.append(amplitudes.shape)
                             or original(self, amplitudes))
         run_scenario(sc)
         h = 1e-3 * max(abs(v) for v in sc.lambda_grid)
         distinct = set(sc.lambda_grid) | {0.0, h, -h, h / 2, -h / 2}
         outcomes = len(spins.spin_scheme(sc.scheme["id"]).outcomes)
-        assert len(applies) == outcomes * len(distinct) == 28
+        assert applies == [(len(distinct), 4)] * outcomes == [(7, 4)] * 4
 
     def test_negative_zero_is_not_merged_with_zero(self):
         """A grid point at -0.0 keeps its own value next to the baseline at

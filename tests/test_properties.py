@@ -481,3 +481,55 @@ def test_batched_values_equal_each_kick_alone(system, scheme, lams):
         for obs in sc.observables:
             assert len(batch[obs]) == len(lams)
             assert batch[obs][i].tobytes() == alone[obs][0].tobytes(), (obs, lam)
+
+
+# ---------------------------------------------------------------------------
+# the spin evaluator takes every lam as one stack: each value must be the one
+# the per-state route gives, bit for bit
+
+def _per_state_arithmetic(prestate, axis, angle, scheme, operators) -> list:
+    """One rotated state at a time, in the arithmetic the stacked route
+    replaced: one scalar unitary and its np.kron, one np.vdot per frame
+    column and per observable, sums in Python floats."""
+    half = angle / 2.0
+    sigma = axis[0] * spins.SIGMA_X + axis[1] * spins.SIGMA_Y + axis[2] * spins.SIGMA_Z
+    u = math.cos(half) * np.eye(2) - 1j * math.sin(half) * sigma
+    psi = np.kron(u, np.eye(2)) @ prestate.amplitudes
+    totals = [0.0] * len(operators)
+    for out in scheme.outcomes:
+        comp = out.frame @ np.array([np.vdot(col, psi) for col in out.frame.T])
+        branch = psi - comp if out.complement else comp
+        for i, op in enumerate(operators):
+            totals[i] += float(np.real(np.vdot(branch, op.matrix @ branch)))
+    return totals
+
+
+_NAMED_PAIRS = list(itertools.product(["up", "down", "right", "left"], repeat=2))
+
+
+@pytest.mark.parametrize("sid", sorted(SPIN.schemes))
+@settings(SEEDED, max_examples=8)
+@given(axis=unit_axes, target=st.sampled_from(_NAMED_PAIRS),
+       lams=st.lists(st.one_of(angles, st.sampled_from([0.0, -0.0])), min_size=1, max_size=8))
+def test_stacked_spin_route_is_the_per_state_route_bit_for_bit(sid, axis, target, lams):
+    """For every named initial state, each value of one values(lams) call
+    equals post_measurement_expectations(alice_rotate(...)) and the
+    per-state arithmetic, sign bits of zeros included."""
+    scheme_dict = {"id": sid, **({"target": list(target)} if sid == "qndsv" else {})}
+    scheme = spins.spin_scheme(sid, target=target if sid == "qndsv" else None)
+    operators = [spins.spin_observable(name) for name in spins.OBSERVABLES]
+    for initial in _NAMED_PAIRS:
+        sc = harness.Scenario.from_dict({
+            "version": 1, "system": "spin", "system_params": {"initial": list(initial)},
+            "alice": {"kind": "rotate", "axis": list(axis)}, "scheme": scheme_dict,
+            "observables": list(spins.OBSERVABLES), "lambda_grid": [0.0]})
+        stacked = SPIN.evaluator(sc, {})(np.array(lams))
+        prestate = spins.spin_state(*initial)
+        for i, lam in enumerate(lams):
+            per_state = post_measurement_expectations(
+                spins.alice_rotate(prestate, axis, lam), scheme, operators)
+            reference = _per_state_arithmetic(prestate, axis, lam, scheme, operators)
+            for k, obs in enumerate(spins.OBSERVABLES):
+                want = np.float64(reference[k]).tobytes()
+                assert stacked[obs][i].tobytes() == per_state[k].tobytes() == want, \
+                    (initial, obs, lam)
