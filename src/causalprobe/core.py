@@ -10,13 +10,16 @@ post-measurement ensemble average
 which equals the probability-weighted average over renormalized branches
 because each branch's normalization cancels its Born weight.
 
-Every outcome's ``apply`` gives P|psi> without building P: it projects
-onto the span of orthonormal columns F, P = F F^dag, or onto its implicit
-complement.  Complete measurements, Lueders projections and the
-verification of one state share that one type; observables are dense
-``Operator``s.  A reference that forms its branches P_i|psi> by other means
-(the oscillators' number collapse keeps rows of an amplitude matrix) hands
-them to ``branch_ensemble``, which applies the same Born rule.
+Every outcome projects onto the span of orthonormal columns F, P = F F^dag,
+or onto its implicit complement; complete measurements, Lueders projections
+and the verification of one state share that one type.  Observables are
+dense ``Operator``s, read in the Heisenberg picture: ``post_measurement_operator``
+forms M_O = sum_i P_i O P_i from the frames, and the average above is the
+quadratic form <psi|M_O|psi>.  Alice's local operations can move Bob's <O>
+exactly when his M_O is not 1_A (x) M_B.  ``born_ensemble`` and
+``branch_ensemble`` give the branches P_i|psi> themselves, the latter for a
+reference that forms them by other means (the oscillators' number collapse
+keeps rows of an amplitude matrix).
 """
 
 from __future__ import annotations
@@ -108,16 +111,6 @@ class Operator:
             if dev > DEFAULT_POLICY.exact_tol:
                 raise ValueError(f"operator flagged hermitian deviates by {dev:.3e}")
 
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """O |psi> for each row of a (..., dim) stack, one stacked matmul."""
-        return (self.matrix @ amplitudes[..., None])[..., 0]
-
-    def expectation(self, state: StateVector):
-        if state.dims != self.dims:
-            raise ValueError(f"dims mismatch: {state.dims} vs {self.dims}")
-        val = complex(np.vdot(state.amplitudes, self.apply(state.amplitudes)))
-        return float(val.real) if self.hermitian else val
-
 
 @dataclass(frozen=True)
 class SchemeOutcome:
@@ -143,9 +136,8 @@ class SchemeOutcome:
         return np.eye(len(proj)) - proj if self.complement else proj
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """P |psi> = F (F^dag psi) for each row of a (..., dim) stack."""
-        coeffs = _vdots(self.frame.T, amplitudes[..., None, :])
-        comp = (self.frame @ coeffs[..., None])[..., 0]
+        """P |psi> = F (F^dag psi), one vdot per column: no conjugate copy of F."""
+        comp = self.frame @ np.array([np.vdot(col, amplitudes) for col in self.frame.T])
         return amplitudes - comp if self.complement else comp
 
 
@@ -297,11 +289,7 @@ def branch_ensemble(state: StateVector, labeled_branches,
 
 def post_measurement_expectation(state: StateVector, scheme: MeasurementScheme,
                                  obs: Operator) -> float:
-    """Ensemble average of obs right after the measurement.
-
-    Evaluates sum_i <psi|P_i O P_i|psi> directly; zero-probability branches
-    contribute nothing because P_i|psi> already vanishes on them.
-    """
+    """Ensemble average of obs right after the measurement, <psi|M_O|psi>."""
     return float(post_measurement_expectations(state, scheme, (obs,))[0])
 
 
@@ -309,29 +297,31 @@ def post_measurement_expectations(state, scheme: MeasurementScheme,
                                   observables) -> np.ndarray:
     """post_measurement_expectation of each observable, in order, for a
     StateVector, shape (len(observables),), or for each row of an (L, dim)
-    stack of amplitudes, shape (len(observables), L).  Each outcome's
-    branches P_i|psi> are computed once, for every row and observable.
+    stack of amplitudes, shape (len(observables), L); one M_O per observable.
     """
     amplitudes = getattr(state, "amplitudes", state)
-    observables = tuple(observables)
-    for obs in observables:
-        if getattr(state, "dims", scheme.dims) != scheme.dims \
-                or amplitudes.shape[-1] != scheme.dim or obs.dims != scheme.dims:
-            raise ValueError(f"dims mismatch: state {getattr(state, 'dims', amplitudes.shape)}, "
-                             f"scheme {scheme.dims}, obs {obs.dims}")
-        if not obs.hermitian:
-            raise ValueError("observable must be flagged (and be) hermitian")
-    totals = np.zeros((len(observables),) + amplitudes.shape[:-1])
+    if getattr(state, "dims", scheme.dims) != scheme.dims or amplitudes.shape[-1] != scheme.dim:
+        raise ValueError(f"state {getattr(state, 'dims', amplitudes.shape)} not on {scheme.dims}")
+    return np.array([np.einsum("...i,ij,...j->...", amplitudes.conj(),
+                               post_measurement_operator(scheme, obs), amplitudes).real
+                     for obs in observables])
+
+
+def post_measurement_operator(scheme: MeasurementScheme, obs: Operator) -> np.ndarray:
+    """M_O = sum_i P_i O P_i, summed from each outcome's frame F as
+    F (F^dag O F) F^dag, or O - F F^dag O - O F F^dag + F (F^dag O F) F^dag for
+    a complement: O(dim^2 rank) work, and no dim x dim projector is built.
+    """
+    if obs.dims != scheme.dims or not obs.hermitian:
+        raise ValueError(f"obs on {obs.dims} must be flagged hermitian on {scheme.dims}")
+    o, total = obs.matrix, np.zeros_like(obs.matrix)
     for out in scheme.outcomes:
-        branches = out.apply(amplitudes)
-        for i, obs in enumerate(observables):
-            totals[i] += _vdots(branches, obs.apply(branches)).real
-    return totals
-
-
-def _vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.vdot of each pair of rows of two (..., n) stacks, as (1, n) @ (n, 1) products."""
-    return (np.conj(a)[..., None, :] @ b[..., :, None])[..., 0, 0]
+        f, g = out.frame, out.frame.conj().T
+        go = g @ o
+        total += f @ (go @ f) @ g
+        if out.complement:
+            total += o - f @ go - (o @ f) @ g
+    return total
 
 
 def validate_scheme(scheme: MeasurementScheme) -> SchemeDiagnostics:

@@ -77,9 +77,9 @@ def _labels(what: str, value) -> tuple:
 
 
 def _site(what: str, value):
-    """A lattice site or integer wavenumber: an int (d = 1) or a list."""
+    """A lattice site or integer wavenumber: an int (d = 1) or a tuple."""
     if isinstance(value, (list, tuple)):
-        return [_integral(what, v) for v in value]
+        return tuple(_integral(what, v) for v in value)
     return _integral(what, value)
 
 
@@ -184,7 +184,7 @@ def check_shape(raw) -> None:
 @dataclass(frozen=True)
 class Scenario:
     system: str
-    system_params: Mapping      # the sections are read-only once checked
+    system_params: Mapping      # read-only once checked, every list copied to a tuple
     alice: Mapping
     scheme: Mapping
     observables: tuple[str, ...]
@@ -210,8 +210,10 @@ class Scenario:
 
     def __post_init__(self):
         self.typed      # a scenario that exists is valid, and stays as it was checked:
-        for key in ("system_params", "alice", "scheme"):
-            object.__setattr__(self, key, MappingProxyType(dict(getattr(self, key))))
+        for key in ("system_params", "alice", "scheme"):    # a checked list holds no list
+            section = {name: tuple(v) if isinstance(v, list) else v
+                       for name, v in getattr(self, key).items()}
+            object.__setattr__(self, key, MappingProxyType(section))
 
     @functools.cached_property
     def typed(self) -> Typed:

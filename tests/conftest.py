@@ -22,6 +22,11 @@ def random_state(dims, rng) -> StateVector:
     return StateVector(dims, amp / np.linalg.norm(amp))
 
 
+def expectation(op, state: StateVector) -> float:
+    """<psi|O|psi> of a hermitian operator in a state."""
+    return float(np.vdot(state.amplitudes, op.matrix @ state.amplitudes).real)
+
+
 def random_unitary(n: int, rng) -> np.ndarray:
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)

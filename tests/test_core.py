@@ -25,7 +25,7 @@ from causalprobe.core import (
 )
 from causalprobe.spins import SIGMA_X, SIGMA_Z, spin_observable, spin_scheme, spin_state
 
-from conftest import public_callables, random_state, random_unitary
+from conftest import expectation, public_callables, random_state, random_unitary
 
 UP = StateVector((2,), [1, 0])
 DOWN = StateVector((2,), [0, 1])
@@ -172,7 +172,7 @@ class TestPostMeasurementExpectation:
             psi = random_state(dims, rng)
             for scheme in (complete, lueders):
                 direct = post_measurement_expectation(psi, scheme, obs)
-                averaged = sum(e.probability * obs.expectation(e.post_state)
+                averaged = sum(e.probability * expectation(obs, e.post_state)
                                for e in born_ensemble(scheme, psi).entries if not e.zero_branch)
                 assert direct == pytest.approx(averaged, abs=1e-10)
 

@@ -83,7 +83,7 @@ def pair_level_frames(dims) -> MeasurementScheme:
 
 
 def branch_loop(trunc, scheme_of) -> dict:
-    """The four averages at y = 1 by core's branch loop under the scheme
+    """The four averages at y = 1 by core, <psi|M_O|psi> under the scheme
     ``scheme_of(prestate)``, with dense phi_y, pi_y and their dense squares."""
     state, _ = oracle_prestate(MODES, KICK, trunc)
     phi, pi = (dense_field_operator(MODES, 1, trunc, momentum).matrix

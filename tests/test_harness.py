@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from causalprobe import harness, spins
-from causalprobe.core import SchemeOutcome
+from causalprobe import core, harness, spins
 from causalprobe.harness import (
     Scenario,
     ScenarioError,
@@ -205,6 +206,40 @@ class TestValidation:
         assert sc.system_params["n_sites"] == sc.typed.params["n_sites"] == 8
         assert replace(sc, scheme={"id": "none"}).system_params == sc.system_params
 
+    def test_system_params_lists_are_tuples(self):
+        """A d = 2 field's sites are tuples in the section and in the typed values."""
+        sc = field_scenario(system_params={"dim": 2, "n_sites": 4, "mass": 1.0,
+                                           "x": [0, 0], "y": [1, 2], "p": [1, 0]})
+        with pytest.raises(TypeError):
+            sc.system_params["y"][0] = 3
+        assert sc.system_params["y"] == sc.typed.params["y"] == (1, 2)
+        assert all(isinstance(sc.typed.params[key], tuple) for key in ("x", "y", "p"))
+
+    def test_alice_lists_are_tuples(self):
+        sc = spin_scenario()
+        with pytest.raises(TypeError):
+            sc.alice["axis"][1] = 2.0
+        assert sc.alice["axis"] == sc.typed.alice["axis"] == (0.0, 1.0, 0.0)
+
+    def test_scheme_lists_are_tuples(self):
+        sc = spin_scenario()
+        with pytest.raises(TypeError):
+            sc.scheme["target"][0] = "down"
+        assert sc.scheme["target"] == sc.typed.extras["target"] == ("up", "right")
+
+    def test_raw_lists_are_copied_not_frozen(self):
+        """Making a scenario leaves the caller's dict as it was, lists
+        included, and a later write to that dict does not reach the scenario."""
+        raw = {"version": 1, "system": "field", "alice": {"kind": "kick"},
+               "system_params": {"dim": 2, "n_sites": 4, "mass": 1.0,
+                                 "x": [0, 0], "y": [1, 2], "p": [1, 0]},
+               "scheme": {"id": "naive-np"}, "observables": ["pi_y"], "lambda_grid": [0.3]}
+        before = copy.deepcopy(raw)
+        sc = Scenario.from_dict(raw)
+        assert raw == before and type(raw["system_params"]["y"]) is list
+        raw["system_params"]["y"][0] = 3
+        assert sc.system_params["y"] == sc.typed.params["y"] == (1, 2)
+
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -328,20 +363,22 @@ class TestRunScenario:
         assert calls == [_keys(*reads)] * 3
 
     def test_spin_branches_are_shared_by_observables(self, monkeypatch):
-        """Each outcome projector is applied once per values call, to the
-        stack of every distinct lam, not once per lam or per observable."""
+        """Each observable's M_O = sum_i P_i O P_i is formed once per values
+        call and serves the stack of every distinct lam, not once per lam."""
         sc = Scenario.from_dict(json.loads((SCENARIOS / "spin_s2_ambiguity.json").read_text()))
         assert len(sc.observables) == 2
-        applies = []
-        original = SchemeOutcome.apply
-        monkeypatch.setattr(SchemeOutcome, "apply",
-                            lambda self, amplitudes: applies.append(amplitudes.shape)
-                            or original(self, amplitudes))
+        calls = _count_system_calls(monkeypatch, sc.system)
+        formed = []
+        original = core.post_measurement_operator
+        monkeypatch.setattr(core, "post_measurement_operator",
+                            lambda scheme, obs: formed.append(obs.matrix) or original(scheme, obs))
         run_scenario(sc)
         h = 1e-3 * max(abs(v) for v in sc.lambda_grid)
         distinct = set(sc.lambda_grid) | {0.0, h, -h, h / 2, -h / 2}
-        outcomes = len(spins.spin_scheme(sc.scheme["id"]).outcomes)
-        assert applies == [(len(distinct), 4)] * outcomes == [(7, 4)] * 4
+        assert [len(points) for points in calls] == [len(distinct)] == [7]
+        want = [spins.spin_observable(name).matrix for name in sc.observables]
+        assert len(formed) == len(want) == 2
+        assert all(np.array_equal(got, op) for got, op in zip(formed, want))
 
     def test_negative_zero_is_not_merged_with_zero(self):
         """A grid point at -0.0 keeps its own value next to the baseline at

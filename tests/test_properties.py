@@ -20,7 +20,7 @@ from causalprobe import field_oracle, fieldtheory, harness, oscillators, spins
 from causalprobe.core import (MeasurementScheme, Operator, SchemeOutcome, StateVector,
                               born_ensemble, embed_local,
                               post_measurement_expectation, post_measurement_expectations,
-                              tensor_state, validate_scheme)
+                              post_measurement_operator, tensor_state, validate_scheme)
 from causalprobe.harness import SPIN
 from causalprobe.lattice import LatticeSpec, build_modes, kernel_g, kernel_ginv
 from causalprobe.policy import TruncationError
@@ -103,14 +103,16 @@ def framed_schemes(draw):
 @SEEDED
 @given(case=framed_schemes())
 def test_frames_match_dense_projectors(case):
-    """The frames pass validate_scheme, and their post-measurement averages
-    and Born weights equal sum_i <psi|P_i O P_i|psi> and <psi|P_i|psi> from
-    dense projectors."""
+    """The frames pass validate_scheme, and their Heisenberg matrices,
+    post-measurement averages and Born weights equal sum_i P_i O P_i,
+    sum_i <psi|P_i O P_i|psi> and <psi|P_i|psi> from dense projectors."""
     scheme, projectors, observables, state = case
     assert validate_scheme(scheme).within(1e-10)
     psi = state.amplitudes
     got = post_measurement_expectations(state, scheme, observables)
     for value, obs in zip(got, observables):
+        assert np.allclose(post_measurement_operator(scheme, obs),
+                           sum(p @ obs.matrix @ p for p in projectors), rtol=0, atol=1e-12)
         want = sum(np.vdot(psi, p @ obs.matrix @ p @ psi).real for p in projectors)
         assert abs(value - want) <= 1e-12
     weights = [e.probability for e in born_ensemble(scheme, state).entries]
@@ -142,7 +144,7 @@ def level_cases(draw):
 def test_dephased_route_matches_unit_vector_frames(case):
     """The dense reference's mode sum, applied axis by axis, equals the
     dense sum of embedded terms, and its dephased route gives at powers 1
-    and 2 the branch loop's averages over the frame scheme whose outcome
+    and 2 core's averages over the frame scheme whose outcome
     (levels) holds every basis vector with those levels on the slots."""
     dims, slots, state, terms = case
     dense = sum(embed_local(Operator((len(t),), t, hermitian=True), k, dims).matrix
@@ -484,13 +486,14 @@ def test_batched_values_equal_each_kick_alone(system, scheme, lams):
 
 
 # ---------------------------------------------------------------------------
-# the spin evaluator takes every lam as one stack: each value must be the one
-# the per-state route gives, bit for bit
+# the spin evaluator takes every lam as one stack, and reads each value as a
+# quadratic form of M_O = sum_i P_i O P_i: each value must be the one the
+# per-state branch route gives, up to the rounding of a different sum order
 
 def _per_state_arithmetic(prestate, axis, angle, scheme, operators) -> list:
-    """One rotated state at a time, in the arithmetic the stacked route
-    replaced: one scalar unitary and its np.kron, one np.vdot per frame
-    column and per observable, sums in Python floats."""
+    """One rotated state at a time, branch by branch: one scalar unitary and
+    its np.kron, one np.vdot per frame column and per observable, sums in
+    Python floats."""
     half = angle / 2.0
     sigma = axis[0] * spins.SIGMA_X + axis[1] * spins.SIGMA_Y + axis[2] * spins.SIGMA_Z
     u = math.cos(half) * np.eye(2) - 1j * math.sin(half) * sigma
@@ -511,10 +514,10 @@ _NAMED_PAIRS = list(itertools.product(["up", "down", "right", "left"], repeat=2)
 @settings(SEEDED, max_examples=8)
 @given(axis=unit_axes, target=st.sampled_from(_NAMED_PAIRS),
        lams=st.lists(st.one_of(angles, st.sampled_from([0.0, -0.0])), min_size=1, max_size=8))
-def test_stacked_spin_route_is_the_per_state_route_bit_for_bit(sid, axis, target, lams):
+def test_stacked_spin_route_matches_the_per_state_route(sid, axis, target, lams):
     """For every named initial state, each value of one values(lams) call
-    equals post_measurement_expectations(alice_rotate(...)) and the
-    per-state arithmetic, sign bits of zeros included."""
+    and of post_measurement_expectations(alice_rotate(...)) is within 4e-15
+    of the per-state branch arithmetic."""
     scheme_dict = {"id": sid, **({"target": list(target)} if sid == "qndsv" else {})}
     scheme = spins.spin_scheme(sid, target=target if sid == "qndsv" else None)
     operators = [spins.spin_observable(name) for name in spins.OBSERVABLES]
@@ -530,6 +533,5 @@ def test_stacked_spin_route_is_the_per_state_route_bit_for_bit(sid, axis, target
                 spins.alice_rotate(prestate, axis, lam), scheme, operators)
             reference = _per_state_arithmetic(prestate, axis, lam, scheme, operators)
             for k, obs in enumerate(spins.OBSERVABLES):
-                want = np.float64(reference[k]).tobytes()
-                assert stacked[obs][i].tobytes() == per_state[k].tobytes() == want, \
-                    (initial, obs, lam)
+                assert abs(stacked[obs][i] - reference[k]) <= 4e-15, (initial, obs, lam)
+                assert abs(per_state[k] - reference[k]) <= 4e-15, (initial, obs, lam)

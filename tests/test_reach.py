@@ -37,7 +37,6 @@ ALLOWED = {
     "causalprobe.core.StateVector.normalized": _LIBRARY,
     "causalprobe.core.StateVector.overlap": _LIBRARY,
     "causalprobe.core.StateVector.same_up_to_phase": _LIBRARY,
-    "causalprobe.core.Operator.expectation": _LIBRARY,
     "causalprobe.core.OutcomeEnsemble.probability": _LIBRARY,
     "causalprobe.spins.plus": _LIBRARY,
     "causalprobe.spins.minus": _LIBRARY,

@@ -11,6 +11,7 @@ from causalprobe import harness
 from causalprobe.core import (
     born_ensemble,
     post_measurement_expectation,
+    post_measurement_operator,
     validate_scheme,
 )
 from causalprobe.spins import (
@@ -25,7 +26,7 @@ from causalprobe.spins import (
     spin_state,
 )
 
-from conftest import bloch_grid, random_rotations
+from conftest import bloch_grid, expectation, random_rotations
 
 SBZ = spin_observable("sBz")
 HALF_PI = math.pi / 2
@@ -115,7 +116,7 @@ class TestTotalSpinSquaredScheme:
     def test_total_spin_conserved_across_bases(self):
         s2 = s2_total()
         psi = spin_state("right", "up")
-        before = s2.expectation(psi)
+        before = expectation(s2, psi)
         assert before == pytest.approx(1.5, abs=1e-12)
         for choice in ("standard", "bell", "luders"):
             after = post_measurement_expectation(psi, spin_scheme(f"s2-{choice}"), s2)
@@ -161,13 +162,13 @@ class TestMeasuredFlag:
 
     def test_semicausal_s2_erases_local_value(self):
         psi = spin_state("up", "up")
-        assert SBZ.expectation(psi) == pytest.approx(0.5, abs=1e-12)
+        assert expectation(SBZ, psi) == pytest.approx(0.5, abs=1e-12)
         assert post_measurement_expectation(psi, spin_scheme("s2-bell"), SBZ) \
             == pytest.approx(0.0, abs=1e-12)
 
     def test_causal_sz_preserves_it(self):
         psi = spin_state("up", "up")
-        assert SBZ.expectation(psi) == pytest.approx(0.5, abs=1e-12)
+        assert expectation(SBZ, psi) == pytest.approx(0.5, abs=1e-12)
         assert post_measurement_expectation(psi, spin_scheme("sz-standard"), SBZ) \
             == pytest.approx(0.5, abs=1e-12)
 
@@ -176,7 +177,7 @@ class TestMeasuredFlag:
 
         psi = random_state((2, 2), rng)
         assert post_measurement_expectation(psi, spin_scheme("none"), SBZ) \
-            == pytest.approx(SBZ.expectation(psi), abs=1e-12)
+            == pytest.approx(expectation(SBZ, psi), abs=1e-12)
 
 
 def _invariance_deviation(scheme, rotations):
@@ -217,6 +218,33 @@ class TestNoSignalingSuite:
         assert abs(a - b) >= 0.25 - 1e-10
 
 
+def _bob_signaling(scheme) -> float:
+    """max |M_O - 1_A (x) tr_A(M_O)/2| over Bob's three spins at hbar = 1:
+    zero exactly when no Alice operation, from any initial state, moves any
+    of Bob's expectation values after the measurement."""
+    worst = 0.0
+    for name in ("sBx", "sBy", "sBz"):
+        heisenberg = post_measurement_operator(scheme, spin_observable(name))
+        bob = np.trace(heisenberg.reshape(2, 2, 2, 2), axis1=0, axis2=2) / 2
+        worst = max(worst, float(np.max(np.abs(heisenberg - np.kron(np.eye(2), bob)))))
+    return worst
+
+
+class TestHeisenbergCausality:
+    """The paper's spin claims, for every Alice operation and initial state
+    at once: a scheme signals exactly when Bob's M_O depends on Alice's spin."""
+
+    @pytest.mark.parametrize("sid", ["sz-standard", "sz-luders", "s2-bell", "none"])
+    def test_causal_schemes_keep_bobs_matrices_local(self, sid):
+        assert _bob_signaling(spin_scheme(sid)) <= 1e-15
+
+    @pytest.mark.parametrize("sid, target", [
+        ("s2-standard", None), ("s2-luders", None), ("sz-bell", None),
+        ("qndsv", ("up", "up")), ("qndsv", ("up", "right")), ("qndsv", ("right", "down"))])
+    def test_signaling_schemes_reach_alice(self, sid, target):
+        assert _bob_signaling(spin_scheme(sid, target)) >= 0.1
+
+
 class TestNoMeasurementEquivalence:
     def test_arbitrary_axis_product_basis_reproduces_plain_expectation(self, rng):
         """A complete orthogonal measurement in any {|+-_A>, |up/down_B>}
@@ -234,7 +262,7 @@ class TestNoMeasurementEquivalence:
                 (2, 2), [(f"v{i}", v) for i, v in enumerate(vecs)])
             for _ in range(5):
                 psi = random_state((2, 2), rng)
-                want = SBZ.expectation(psi)
+                want = expectation(SBZ, psi)
                 got = post_measurement_expectation(psi, scheme, SBZ)
                 assert got == pytest.approx(want, abs=1e-10)
 
