@@ -78,7 +78,7 @@ rep = numeric_oracle_qndsv(modes, kick, 1, p, 6, scheme_kind="qndsv",
 a = qndsv_phi_y(modes, kick, 1, p)
 print(f"  1   phi_y(V)   {a:+.12f}   {rep.values['phi_y']:+.12f}   "
       f"{abs(a - rep.values['phi_y']):.2e}   (verification scheme)")
-# the oracle holds one 8 x 8 term per mode, never the 8^4096 joint amplitudes
+# the oracle holds one band of 8 numbers per mode, never the 8^4096 joint amplitudes
 modes3 = build_modes(LatticeSpec(dim=3, n_sites=16, spacing=1.0, mass=1.0))
 p3, kick3, y3 = modes3.mode_index((1, 0, 0)), KickSpec(site=(0, 0, 0), strength=LAM), (2, 1, 0)
 print(f"  d=3, N=16 ({modes3.n_modes} modes), trunc 8, y = {y3}:")

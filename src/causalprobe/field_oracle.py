@@ -1,10 +1,15 @@
 """Independent truncated-Fock oracle for the lattice field results.
 
 Every lattice mode is an explicit oscillator ladder of ``trunc`` levels, and
-phi_y and pi_y are mode sums O = sum_k T_k of one hermitian trunc x trunc
-ladder term per mode (``field_operator`` and ``momentum_operator`` return
-the (M, trunc, trunc) stacks).  Nothing here reuses the closed forms in
-``fieldtheory``; agreement between the two is a test, not an assumption.
+phi_y and pi_y are mode sums O = sum_k T_k of one hermitian ladder term
+T_k = z_k b + conj(z_k) b^dag per mode, z_k = c_k e^{ik.y}.  The oracle
+keeps each term as its band z_k sqrt(n + 1), the superdiagonal whose
+conjugate is the subdiagonal, so T_k u_k, <n|T_k and the diagonal of T_k^2
+are shifted products of one (M, trunc) array, and every term is hermitian
+by construction.  ``field_operator`` and ``momentum_operator`` return the
+same terms as dense (M, trunc, trunc) stacks.  Nothing here reuses the
+closed forms in ``fieldtheory``; agreement between the two is a test, not
+an assumption.
 
 Every state the oracle measures is a product over the modes, or a short sum
 of products, so no joint trunc^M amplitude vector is ever built.  Between
@@ -23,8 +28,9 @@ The naive collapse of the +-p pair onto joint number states leaves the
 prestate with those two modes dephased, rho_k = diag(|u_k|^2): a product of
 per-mode density matrices, whose moments come from the same product with
 tr(rho_k T_k^n) in place of <u_k|T_k^n|u_k>.  Memory and time are
-O(M trunc^2); the oracle refuses a lattice whose term stacks would exceed
-``_ORACLE_BYTE_BUDGET`` (256 MiB: d=3, N=32 at trunc 8 fits).
+O(M trunc), one field at a time; the oracle refuses a lattice whose live
+rows and vectors would exceed ``_ORACLE_BYTE_BUDGET`` (256 MiB: d=3, N=64
+fits at trunc 8).
 """
 
 from __future__ import annotations
@@ -36,46 +42,89 @@ import numpy as np
 
 from .fieldtheory import KickSpec, kick_displacements
 from .lattice import ModeSet
-from .oscillators import coherent_amplitudes, ladder
-from .policy import DEFAULT_POLICY, checked_tail
+from .oscillators import coherent_amplitudes
+from .policy import checked_tail
 
 _ORACLE_BYTE_BUDGET = 256 * 2**20
-# (M, trunc, trunc) complex stacks a call may hold at once: the terms of both
-# fields, and the conjugate copy, difference and modulus made from one of
-# them to check it hermitian (4.5, traced).  Half a stack spare.
-_LIVE_STACKS = 5
+# What a call holds at once, in complex numbers per mode: _LIVE_ROWS rows of
+# trunc (the amplitudes, one field's band, its T_k u_k and one shifted
+# product: 4, traced) and _LIVE_VECTORS more (the product factors of every
+# field and their pairwise products, the kick's per-mode arrays and numpy's
+# buffers: at most 19.2, traced from 4096 modes up).  Half a row and about
+# five vectors spare.
+_LIVE_ROWS = 4.5
+_LIVE_VECTORS = 24
 # observable -> (field, power of its mode sum)
 _OBSERVABLES = {"phi_y": ("phi", 1), "pi_y": ("pi", 1),
                 "phi2_y": ("phi", 2), "pi2_y": ("pi", 2)}
 
 
-def _check_budget(n_modes: int, trunc: int) -> None:
-    need = _LIVE_STACKS * n_modes * int(trunc) ** 2 * np.dtype(complex).itemsize
+def _check_budget(n_modes: int, trunc: int, rows: float = _LIVE_ROWS) -> None:
+    need = int(n_modes * (rows * int(trunc) + _LIVE_VECTORS) * np.dtype(complex).itemsize)
     if need > _ORACLE_BYTE_BUDGET:
         raise ValueError(
             f"oracle needs {need} bytes for {n_modes} modes at trunc {trunc}, "
             f"over the byte budget {_ORACLE_BYTE_BUDGET}")
 
 
-def _mode_terms(modes: ModeSet, y, trunc: int, coefficients: np.ndarray) -> np.ndarray:
-    """The stack of X_k + X_k^dag with X_k = c_k e^{ik.y} b_k."""
-    _check_budget(modes.n_modes, trunc)
-    lowering = (coefficients * np.exp(1j * modes.phases(y)))[:, None, None] * ladder(trunc)
-    terms = lowering.conj().swapaxes(1, 2)
-    terms += lowering
+def _band(modes: ModeSet, wave: np.ndarray, trunc: int, field: str) -> np.ndarray:
+    """(M, trunc): row k holds z_k sqrt(n + 1) at n < trunc - 1 and 0 at
+    trunc - 1, the superdiagonal of T_k, where z_k = c_k wave_k, wave_k =
+    e^{ik.y} and c_k = sqrt(hbar/2 omega_k V) for phi, -i sqrt(hbar omega_k
+    / 2V) for pi."""
+    lat, omega = modes.lattice, modes.omega
+    c = (np.sqrt(lat.hbar / (2.0 * omega * lat.volume)) if field == "phi"
+         else -1j * np.sqrt(lat.hbar * omega / (2.0 * lat.volume)))
+    band = np.zeros((modes.n_modes, trunc), dtype=complex)
+    np.multiply((c * wave)[:, None], np.sqrt(np.arange(1, trunc)), out=band[:, :-1])
+    return band
+
+
+def _stack(modes: ModeSet, y, trunc: int, field: str) -> np.ndarray:
+    """The terms of ``_band`` as dense (M, trunc, trunc) matrices."""
+    _check_budget(modes.n_modes, trunc, rows=trunc + 1)
+    band = _band(modes, np.exp(1j * modes.phases(y)), trunc, field)[:, :-1]
+    n = np.arange(trunc - 1)
+    terms = np.zeros((modes.n_modes, trunc, trunc), dtype=complex)
+    terms[:, n, n + 1] = band
+    terms[:, n + 1, n] = band.conj()
     return terms
 
 
 def field_operator(modes: ModeSet, y, trunc: int) -> np.ndarray:
     """phi_y = sum_k sqrt(hbar/2 omega_k V)(e^{ik.y} b_k + h.c.), one term per mode."""
-    lat = modes.lattice
-    return _mode_terms(modes, y, trunc, np.sqrt(lat.hbar / (2.0 * modes.omega * lat.volume)))
+    return _stack(modes, y, trunc, "phi")
 
 
 def momentum_operator(modes: ModeSet, y, trunc: int) -> np.ndarray:
     """pi_y = -i sum_k sqrt(hbar omega_k / 2V)(e^{ik.y} b_k - h.c.), one term per mode."""
-    lat = modes.lattice
-    return _mode_terms(modes, y, trunc, -1j * np.sqrt(lat.hbar * modes.omega / (2.0 * lat.volume)))
+    return _stack(modes, y, trunc, "pi")
+
+
+def _apply(band: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """T_k v_k of each row: band[n] v[n+1] + conj(band[n-1]) v[n-1]."""
+    out = np.empty_like(v)
+    np.multiply(band[:, :-1], v[:, 1:], out=out[:, :-1])
+    out[:, -1] = 0.0
+    lower = np.conj(band[:, :-1])
+    lower *= v[:, :-1]
+    out[:, 1:] += lower
+    return out
+
+
+def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re sum_n conj(a_n) b_n of each row, with no temporary."""
+    return np.einsum("ij,ij->i", a.view(float), b.view(float))
+
+
+def _at_level(band: np.ndarray, u: np.ndarray, moved: np.ndarray, level: int) -> tuple:
+    """<n|u_k>, <n|T_k|u_k>, <n|T_k^2|u_k>/2 and <n|T_k^2|n>/2 of each row
+    at n = level, from row n of T_k: conj(band[n-1]) and band[n]."""
+    up, down = band[:, level], band[:, level - 1].conj()    # band[:, -1] is 0
+    above = (level + 1) % band.shape[1]
+    return (u[:, level], moved[:, level],
+            0.5 * (up * moved[:, above] + down * moved[:, level - 1]),
+            0.5 * (np.abs(up) ** 2 + np.abs(down) ** 2))
 
 
 def _product_series(factors: np.ndarray) -> np.ndarray:
@@ -88,8 +137,38 @@ def _product_series(factors: np.ndarray) -> np.ndarray:
             one[0] = 1.0
             factors = np.concatenate([factors, one], axis=-1)
         (c, a, h), (c2, a2, h2) = factors[..., ::2], factors[..., 1::2]
-        factors = np.array([c * c2, c * a2 + a * c2, c * h2 + a * a2 + h * c2])
+        out = np.empty_like(factors[..., ::2])      # c c2, c a2 + a c2, c h2 + a a2 + h c2
+        np.multiply(c, c2, out=out[0])
+        np.multiply(c, a2, out=out[1])
+        out[1] += a * c2
+        np.multiply(c, h2, out=out[2])
+        out[2] += a * a2
+        out[2] += h * c2
+        factors = out
     return factors[..., 0]
+
+
+def _field_factors(out: np.ndarray, band: np.ndarray, u: np.ndarray, norms: np.ndarray,
+                   scheme_kind: str, p_index: int, pair: list) -> float:
+    """Write out[:, i, k], mode k's (<.|.>, <.|T|.>, <.|T^2|.>/2) in product
+    i of one field's terms: <psi| . |psi>, then <t| . |psi> (qndsv) or the
+    prestate with the +-p pair dephased (naive).  Returns <t|O^2|t> (qndsv):
+    the sum of (T_k^2)[t_k, t_k], since T_k has a zero diagonal, which also
+    makes <t|O|t> = 0."""
+    moved = _apply(band, u)                                             # T_k u_k
+    out[:, 0] = norms, _real_dot(u, moved), 0.5 * _real_dot(moved, moved)
+    if scheme_kind == "naive":
+        out[:, 1] = out[:, 0]
+        square = np.abs(band[pair]) ** 2                                # diag T_k^2 = this
+        square[:, 1:] += square[:, :-1]                                 # + the row below
+        out[1, 1, pair] = 0.0
+        out[2, 1, pair] = 0.5 * (np.abs(u[pair]) ** 2 * square).sum(axis=-1)
+        return 0.0
+    half_diagonal = np.empty(len(u))
+    for k, level in ((slice(None), 0), (slice(p_index, p_index + 1), 1)):   # t_k: |0>, p: |1>
+        *t_psi, half_diagonal[k] = _at_level(band[k], u[k], moved[k], level)
+        out[:, 1, k] = t_psi
+    return 2.0 * float(half_diagonal.sum())
 
 
 @dataclass(frozen=True)
@@ -124,48 +203,24 @@ def numeric_oracle_qndsv(modes: ModeSet, kick: KickSpec, y, p_index: int,
         raise ValueError(f"unknown scheme kind {scheme_kind!r}")
     _check_budget(modes.n_modes, trunc)
     u = coherent_amplitudes(kick_displacements(modes, kick), trunc)     # one row per mode
-    weights = np.abs(u) ** 2
-    tail = checked_tail(float(np.prod(weights.sum(axis=1))), f"per-mode truncation {trunc}")
-    modes_at = np.arange(modes.n_modes)
-    levels = np.zeros(modes.n_modes, dtype=int)     # the target's level of each mode
-    levels[p_index] = 1
-    overlap = complex(np.prod(u[modes_at, levels]))  # <t|psi>
-
-    build = {"phi": field_operator, "pi": momentum_operator}
+    norms = _real_dot(u, u)
+    tail = checked_tail(float(np.prod(norms)), f"per-mode truncation {trunc}")
+    levels = u[:, 0].copy()                         # <t_k|u_k>: level 0, and level 1 at p
+    levels[p_index] = u[p_index, 1]
+    overlap = complex(np.prod(levels))                                   # <t|psi>
+    del levels
     fields = list(dict.fromkeys(_OBSERVABLES[name][0] for name in observables))
-    terms = np.empty((len(fields), modes.n_modes, trunc, trunc), dtype=complex)
-    for i, field in enumerate(fields):
-        terms[i] = build[field](modes, y, trunc)
-        dev = float(np.abs(terms[i] - terms[i].conj().swapaxes(1, 2)).max())
-        if dev > DEFAULT_POLICY.exact_tol:
-            raise ValueError(f"a {field} mode term deviates from hermitian by {dev:.3e}")
-    moved = (terms @ u[..., None])[..., 0]                           # T_k u_k
-    # factors[:, i, f, k]: mode k's (<.|.>, <.|T|.>, <.|T^2|.>/2) in product i of field f
-    factors = np.empty((3, 3 if scheme_kind == "qndsv" else 2) + moved.shape[:2], dtype=complex)
-
-    def put(i, *coefficients):
-        for j, value in enumerate(coefficients):
-            factors[j, i] = value
-
-    put(0, weights.sum(axis=1), (u.conj() * moved).sum(axis=-1),
-        0.5 * (np.abs(moved) ** 2).sum(axis=-1))                   # <psi| . |psi>
-    if scheme_kind == "qndsv":
-        rows = terms[:, modes_at, levels]                           # <t_k| T_k
-        put(1, u[modes_at, levels], moved[:, modes_at, levels],
-            0.5 * (rows * moved).sum(axis=-1))                      # <t| . |psi>
-        put(2, 1.0, rows[:, modes_at, levels], 0.5 * (np.abs(rows) ** 2).sum(axis=-1))
-    else:
-        pair = [p_index, modes.conjugate(p_index)]
-        measured = terms[:, pair]
-        factors[:, 1] = factors[:, 0]                               # +-p dephased
-        factors[1, 1][:, pair] = (weights[pair] * np.diagonal(measured, axis1=-2, axis2=-1)
-                                  ).sum(axis=-1)
-        factors[2, 1][:, pair] = 0.5 * (weights[pair] * (np.abs(measured) ** 2).sum(axis=-2)
-                                        ).sum(axis=-1)
+    pair = [p_index, modes.conjugate(p_index)]
+    factors = np.empty((3, 2, len(fields), modes.n_modes), dtype=complex)
+    t_t = np.zeros((2, len(fields)))                                # <t|O^power|t>
+    wave = np.exp(1j * modes.phases(y))
+    for f, field in enumerate(fields):          # one field's rows at a time
+        t_t[1, f] = _field_factors(factors[:, :, f], _band(modes, wave, trunc, field), u, norms,
+                                   scheme_kind, p_index, pair)
     series = _product_series(factors)                               # [coefficient, i, f]
     moments = np.array([series[1], 2.0 * series[2]])                # [power - 1, i, f]
     if scheme_kind == "qndsv":
-        psi, t_psi, t_t = np.moveaxis(moments, 1, 0)
+        psi, t_psi = np.moveaxis(moments, 1, 0)
         after = psi - 2.0 * (np.conj(overlap) * t_psi).real + 2.0 * abs(overlap) ** 2 * t_t
     else:
         after = moments[:, 1]

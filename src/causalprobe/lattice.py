@@ -13,14 +13,18 @@ Dual-lattice wave vectors are k = 2 pi n / (N a) with integer components in
 component 0 or the Nyquist value); the rest come in +-k pairs coupled by
 the reality of the field.
 
-A mode set reads a mode index as base-N digits, so omega_p and the phases
-of p need no per-mode array; its arrays are built on first read.  The
-kernels g and g^-1 are sums over every mode; each is computed once per mode
-set, weight and site displacement, and kept on the mode set, and only when
-an observable reads it (see ``fieldtheory``).
+A mode set holds only its lattice.  It reads a mode index as base-N digits
+and forms k at those digits with the expression that builds one axis's N
+wave numbers, so omega_p and the phases of p need no array of any size;
+every array, even the axis's, is built on first read.  The kernels g and
+g^-1 are sums over every mode; each is computed once per mode set, weight
+and site displacement, and kept on the mode set, and only when an
+observable reads it (see ``fieldtheory``).  At a nonzero displacement r,
+cos k.r = Re prod_i e^{i k_i r_i} contracts the (N,)*d weights with one
+length-N plane wave per axis, so no (M, d) array of k and no M cosines.
 
-Sites, wavenumbers, ``dim`` and ``n_sites`` are integers: a bool, float or
-string is refused with a ValueError, never truncated.
+Sites, wavenumbers, mode indices, ``dim`` and ``n_sites`` are integers: a
+bool, float or string is refused with a ValueError, never truncated.
 """
 
 from __future__ import annotations
@@ -33,6 +37,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DISPERSIONS = ("lattice", "continuum")
+
+
+def _integer(value) -> int:
+    """value as a plain int; a bool, float or string raises TypeError."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -49,9 +60,7 @@ class LatticeSpec:
         for name in ("dim", "n_sites"):
             value = getattr(self, name)
             try:
-                if type(value) is bool:
-                    raise TypeError
-                object.__setattr__(self, name, operator.index(value))
+                object.__setattr__(self, name, _integer(value))
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.dim not in (1, 2, 3):
@@ -83,22 +92,19 @@ class LatticeSpec:
         coords = tuple(x) if isinstance(x, (tuple, list, np.ndarray)) else (x,)
         if len(coords) != self.dim:
             raise ValueError(f"{what} {x!r} does not match dimension {self.dim}")
-        if bool not in map(type, coords):
-            try:
-                n = self.n_sites
-                return tuple([operator.index(c) % n for c in coords])
-            except TypeError:
-                pass
-        raise ValueError(f"{what} needs integer coordinates, got {x!r}")
+        try:
+            return tuple([_integer(c) % self.n_sites for c in coords])
+        except TypeError:
+            raise ValueError(f"{what} needs integer coordinates, got {x!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
 class ModeSet:
     """Dual-lattice modes in row-major ("ij") wavenumber order, from one axis's
-    arrays.  Compared and hashed by identity: each build owns its kernel memo."""
+    arrays, each built on first read.  Compared and hashed by identity: each
+    build owns its kernel memo."""
 
     lattice: LatticeSpec
-    k_axis: np.ndarray      # physical wave numbers of one axis, shape (N,)
     # _mode_sum's values by (weight, displacement): floats only, gone with the mode set
     _kernels: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -111,16 +117,36 @@ class ModeSet:
         return 1.0 / self.lattice.volume
 
     def _digits(self, index) -> tuple:
+        try:
+            index = _integer(index)
+        except TypeError:
+            raise ValueError(f"mode index must be an integer, got {index!r}") from None
         if not 0 <= index < self.n_modes:
             raise ValueError(f"mode index {index} out of range")
         return np.unravel_index(index, (self.lattice.n_sites,) * self.lattice.dim)
 
+    def _k(self, digits) -> np.ndarray:
+        """Physical wave numbers 2 pi n / (N a) at axis positions digits,
+        n = digit - N/2 + 1 in (-N/2, N/2]."""
+        n = self.lattice.n_sites
+        return 2.0 * math.pi * (np.asarray(digits) - (n // 2 - 1)) / (n * self.lattice.spacing)
+
+    def _ksq(self, k: np.ndarray) -> np.ndarray:
+        """The dispersion term of each k: (2/a)^2 sin^2(ka/2), or k^2 for the continuum."""
+        if self.lattice.dispersion == "continuum":
+            return k**2
+        a = self.lattice.spacing
+        return (2.0 / a) ** 2 * np.sin(k * a / 2.0) ** 2
+
+    @functools.cached_property
+    def k_axis(self) -> np.ndarray:
+        """Physical wave numbers of one axis, shape (N,)."""
+        return _frozen(self._k(np.arange(self.lattice.n_sites)))
+
     @functools.cached_property
     def ksq_axis(self) -> np.ndarray:
-        """One axis's dispersion term: (2/a)^2 sin^2(ka/2), or k^2 for the continuum."""
-        k, a = self.k_axis, self.lattice.spacing
-        lattice = self.lattice.dispersion == "lattice"
-        return _frozen((2.0 / a) ** 2 * np.sin(k * a / 2.0) ** 2 if lattice else k**2)
+        """One axis's dispersion term, shape (N,)."""
+        return _frozen(self._ksq(self.k_axis))
 
     @functools.cached_property
     def omega(self) -> np.ndarray:
@@ -135,10 +161,10 @@ class ModeSet:
         return _frozen(np.sqrt(omega_sq, out=omega_sq).reshape(-1))
 
     def frequency(self, index) -> float:
-        """omega[index] to the bit: the same additions in the same order."""
-        lat, digits = self.lattice, list(self._digits(index))
-        omega_sq = functools.reduce(operator.add, self.ksq_axis[digits]) + lat.mass**2
-        if lat.mass == 0.0 and digits == [lat.n_sites // 2 - 1] * lat.dim:
+        """omega[index] to the bit: the same terms, added in the same order."""
+        lat, digits = self.lattice, self._digits(index)
+        omega_sq = functools.reduce(operator.add, self._ksq(self._k(digits))) + lat.mass**2
+        if lat.mass == 0.0 and digits == (lat.n_sites // 2 - 1,) * lat.dim:
             omega_sq = omega_sq + lat.zero_mode_mass**2
         return np.sqrt(omega_sq)
 
@@ -170,7 +196,7 @@ class ModeSet:
     def phase_at(self, index: int, site) -> float:
         """k . x in radians for a lattice site."""
         x = np.asarray(self.lattice.site(site), dtype=float) * self.lattice.spacing
-        return float(np.dot(self.k_axis[list(self._digits(index))], x))
+        return float(np.dot(self._k(self._digits(index)), x))
 
     def phases(self, site) -> np.ndarray:
         """phase_at of every mode, to the bit but for a zero's sign: (1, d) @ (d,) as np.dot."""
@@ -184,11 +210,9 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def build_modes(lattice: LatticeSpec) -> ModeSet:
-    """The dual-lattice modes of a lattice, with Kronecker normalization:
-    one axis's k = 2 pi n / (N a), n in (-N/2, N/2]."""
-    n, a = lattice.n_sites, lattice.spacing
-    k_axis = 2.0 * math.pi * np.arange(-n // 2 + 1, n // 2 + 1) / (n * a)
-    return ModeSet(lattice=lattice, k_axis=_frozen(k_axis))
+    """The dual-lattice modes of a lattice, with Kronecker normalization;
+    nothing is computed until it is read."""
+    return ModeSet(lattice=lattice)
 
 
 def _mode_sum(modes: ModeSet, inverse: bool, x, y) -> float:
@@ -198,15 +222,21 @@ def _mode_sum(modes: ModeSet, inverse: bool, x, y) -> float:
     Computed once per mode set, weight and integer displacement
     site(x) - site(y), the only input of k.(x - y), so ginv_xx and ginv_yy
     are one sum.  At a zero displacement every cos is 1: the weights alone.
+    Otherwise cos k.r = Re prod_i e^{i k_i r_i}: the (N,)*d weights are
+    contracted with one length-N plane wave per axis, last axis first.
     """
     lat = modes.lattice
     key = (inverse, tuple(a - b for a, b in zip(lat.site(x), lat.site(y))))
     if key not in modes._kernels:
-        weights = terms = 1.0 / modes.omega if inverse else modes.omega
+        terms = 1.0 / modes.omega if inverse else modes.omega
         if any(key[1]):
-            terms = modes.k @ (np.asarray(key[1], dtype=float) * lat.spacing)
-            np.cos(terms, out=terms)     # at most two M-sized temporaries: these and 1/omega
-            terms *= weights
+            *steps, last = [modes.k_axis * (step * lat.spacing) for step in key[1]]
+            # the real weights meet the last axis's cos and sin in one real product
+            total = terms.reshape(-1, lat.n_sites) @ np.stack([np.cos(last), np.sin(last)], axis=1)
+            total = total[:, 0] + 1j * total[:, 1]
+            for phase in reversed(steps):
+                total = total.reshape(-1, lat.n_sites) @ np.exp(1j * phase)
+            terms = total.real          # one entry: every axis contracted
         modes._kernels[key] = float(np.sum(terms) / lat.volume)
     return modes._kernels[key]
 

@@ -30,7 +30,8 @@ from causalprobe import field_oracle
 from causalprobe.core import (MeasurementScheme, Operator, embed_local,
                              post_measurement_expectations, qndsv_scheme)
 from causalprobe.field_oracle import (
-    _LIVE_STACKS,
+    _LIVE_ROWS,
+    _LIVE_VECTORS,
     _ORACLE_BYTE_BUDGET,
     field_operator,
     momentum_operator,
@@ -436,7 +437,7 @@ class TestOracleGuards:
     def test_three_dimensions_accepted(self):
         """d=3, N=4 holds 6^64 joint amplitudes, which the dense reference
         refuses in exact integers (int64 would wrap to 0); the factorised
-        oracle holds 64 terms of 6 x 6 and matches the closed forms."""
+        oracle holds 64 bands of 6 per field and matches the closed forms."""
         big = build_modes(LatticeSpec(dim=3, n_sites=4, spacing=1.0, mass=1.0))
         p = big.mode_index((1, 0, 0))
         with pytest.raises(ValueError, match="exceed the dense reference"):
@@ -447,21 +448,27 @@ class TestOracleGuards:
             assert rep.values[name] == pytest.approx(value, abs=1e-10 + rep.tail_bound), name
 
     def test_byte_budget_boundary(self):
-        """The budget charges _LIVE_STACKS term stacks of M x trunc x trunc
-        complex numbers: d=3, N=32 is admitted at trunc 8 and refused at the
-        first truncation whose stacks exceed the budget, before any array
-        is made."""
-        modes = build_modes(LatticeSpec(dim=3, n_sites=32, spacing=1.0, mass=1.0))
-        assert _LIVE_STACKS * modes.n_modes * 8**2 * 16 <= _ORACLE_BYTE_BUDGET
+        """The budget charges _LIVE_ROWS rows of M x trunc complex numbers
+        and _LIVE_VECTORS of M: d=3, N=64 is admitted at trunc 8 and refused
+        at the first truncation whose charge exceeds the budget, before any
+        array is made.  A dense stack of field_operator is charged as
+        trunc + 1 rows, so it is refused there at trunc 8."""
+        modes = build_modes(LatticeSpec(dim=3, n_sites=64, spacing=1.0, mass=1.0))
+
+        def charge(trunc):
+            return modes.n_modes * (_LIVE_ROWS * trunc + _LIVE_VECTORS) * 16
+
+        assert charge(8) <= _ORACLE_BYTE_BUDGET
         trunc = 8
-        while _LIVE_STACKS * modes.n_modes * (trunc + 1) ** 2 * 16 <= _ORACLE_BYTE_BUDGET:
+        while charge(trunc + 1) <= _ORACLE_BYTE_BUDGET:
             trunc += 1
         field_oracle._check_budget(modes.n_modes, trunc)
-        for call in (lambda: field_operator(modes, (0, 0, 0), trunc + 1),
+        for call in (lambda: field_operator(modes, (0, 0, 0), 8),
                      lambda: numeric_oracle_qndsv(modes, KICK3, (0, 0, 0),
                                                   modes.mode_index((1, 0, 0)), trunc + 1)):
             with pytest.raises(ValueError, match="over the byte budget"):
                 call()
+        assert not {"omega", "k", "k_axis"} & set(vars(modes))
 
     def test_one_particle_state_is_normalized(self):
         target = one_particle_state(MODES, P, TRUNC)
@@ -492,15 +499,30 @@ class TestMatrixFreeOracle:
         assert np.allclose(apply_mode_sum(terms, v, 2), dense @ (dense @ v),
                            rtol=0, atol=1e-12)
 
-    def test_non_hermitian_term_refused(self, monkeypatch):
-        """By the factorised oracle, for either field."""
-        for name, build in (("field_operator", field_operator),
-                            ("momentum_operator", momentum_operator)):
-            with monkeypatch.context() as patch:
-                patch.setattr(field_oracle, name, lambda modes, y, trunc, build=build:
-                              np.concatenate([build(modes, y, trunc)[:-1], ladder(trunc)[None]]))
-                with pytest.raises(ValueError, match="hermitian"):
-                    numeric_oracle_qndsv(MODES, KICK, 1, P, TRUNC)
+    @pytest.mark.parametrize("trunc", range(2, 9))
+    @pytest.mark.parametrize("dim, n, y", [(1, 4, 1), (2, 4, (1, 3)), (3, 2, (1, 0, 1))])
+    @pytest.mark.parametrize("field", ["phi", "pi"])
+    def test_band_action_matches_dense_stacks(self, field, dim, n, y, trunc):
+        """The oracle's shifted products of a band, T_k v_k and at every
+        level n <n|v_k>, <n|T_k|v_k>, <n|T_k^2|v_k>/2 and <n|T_k^2|n>/2,
+        equal the field_operator / momentum_operator stacks applied as
+        dense matrices; each stack is hermitian."""
+        modes = build_modes(LatticeSpec(dim=dim, n_sites=n, spacing=0.7, mass=0.5))
+        stack = {"phi": field_operator, "pi": momentum_operator}[field](modes, y, trunc)
+        band = field_oracle._band(modes, np.exp(1j * modes.phases(y)), trunc, field)
+        rng = np.random.default_rng(trunc)
+        v = rng.normal(size=(modes.n_modes, trunc)) + 1j * rng.normal(size=(modes.n_modes, trunc))
+        moved = field_oracle._apply(band, v)
+        want = (stack @ v[..., None])[..., 0]
+        twice = (stack @ want[..., None])[..., 0]
+        assert np.array_equal(stack, stack.conj().swapaxes(1, 2))
+        assert np.allclose(moved, want, rtol=0, atol=1e-14)
+        for level in range(trunc):
+            got = field_oracle._at_level(band, v, moved, level)
+            assert np.array_equal(got[0], v[:, level])
+            assert np.allclose(got[1:], [want[:, level], 0.5 * twice[:, level],
+                                         0.5 * (stack @ stack)[:, level, level]],
+                               rtol=0, atol=1e-14), level
 
     def test_verification_branches_match_core(self):
         """The dense reference's two verification branches, yes = t<t|psi>
@@ -579,20 +601,21 @@ class TestOracleLattices:
         ("naive", ("phi_y", "pi_y", "phi2_y", "pi2_y")),
     ])
     def test_peak_memory_within_live_stacks(self, kind, observables):
-        """A call's traced peak stays within the _LIVE_STACKS term stacks of
-        M x trunc x trunc complex numbers the byte budget charges for, plus
-        256 KiB for the per-mode vectors, at d=2, N=32 (1024 modes, 1 MiB
-        per stack at trunc 8)."""
-        modes = build_modes(LatticeSpec(dim=2, n_sites=32, spacing=1.0, mass=1.0))
+        """A call's traced peak stays within what the byte budget charges,
+        _LIVE_ROWS rows of M x trunc complex numbers and _LIVE_VECTORS of
+        M, at d=2, N=64 (4096 modes, 512 KiB per row at trunc 8), at trunc 8
+        and at trunc 3, where the M-sized vectors weigh most."""
+        modes = build_modes(LatticeSpec(dim=2, n_sites=64, spacing=1.0, mass=1.0))
         p = modes.mode_index((1, 0))
-        tracemalloc.start()
-        try:
-            numeric_oracle_qndsv(modes, KickSpec((0, 0), 0.3), (2, 1), p, 8,
-                                 scheme_kind=kind, observables=observables)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= _LIVE_STACKS * modes.n_modes * 8**2 * 16 + 2**18
+        for trunc, lam in ((8, 0.3), (3, 0.05)):
+            tracemalloc.start()
+            try:
+                numeric_oracle_qndsv(modes, KickSpec((0, 0), lam), (2, 1), p, trunc,
+                                     scheme_kind=kind, observables=observables)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= modes.n_modes * (_LIVE_ROWS * trunc + _LIVE_VECTORS) * 16, trunc
 
 
 class TestFactorisedOracle:

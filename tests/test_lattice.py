@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from causalprobe import cli, fieldtheory, harness, lattice
+from causalprobe import cli, field_oracle, fieldtheory, harness
 from causalprobe.fieldtheory import KickSpec
 from causalprobe.harness import Scenario, make_evaluator
 from causalprobe.lattice import LatticeSpec, build_modes, kernel_g, kernel_ginv
@@ -140,6 +142,24 @@ class TestIntegralInputs:
         with pytest.raises(ValueError, match="wavenumber"):
             build_modes(small_chain()).mode_index(wavenumber)
 
+    @pytest.mark.parametrize("index", [True, False, np.True_, 2.0, np.float64(1.0), 1.5, "1", None])
+    def test_mode_reads_refuse_non_integer_indices(self, index):
+        """Formerly frequency(True) read mode 1 and frequency(2.0) raised
+        numpy's "only int indices permitted", naming no argument."""
+        modes = build_modes(small_chain(n=8))
+        kick = KickSpec(site=0, strength=0.3)
+        message = re.escape(f"mode index must be an integer, got {index!r}")
+        for read in (modes.frequency, lambda i: modes.phase_at(i, 2), modes.is_paired,
+                     lambda i: fieldtheory.qndsv_phi_y(modes, kick, 2, i),
+                     lambda i: field_oracle.numeric_oracle_qndsv(modes, kick, 2, i, 4)):
+            with pytest.raises(ValueError, match=message):
+                read(index)
+
+    def test_mode_reads_take_any_integer_type(self):
+        modes = build_modes(small_chain(n=8))
+        for read in (modes.frequency, lambda i: modes.phase_at(i, 2), modes.is_paired):
+            assert read(np.int64(1)) == read(np.int32(1)) == read(1)
+
     @pytest.mark.parametrize("field, value", [("dim", True), ("dim", 1.0), ("dim", "1"),
                                               ("n_sites", 8.0), ("n_sites", True),
                                               ("n_sites", (8,))])
@@ -217,25 +237,33 @@ class TestKernels:
                     kernel_ginv(modes, y, x), abs=1e-14)
 
 
-class _SumCounter:
-    """numpy as ``lattice`` sees it, counting np.sum calls: one per kernel sum,
-    with or without cosines."""
+class _FillCounter(dict):
+    """A kernel memo that counts its fills: one per kernel sum, at any
+    displacement, on every mode set that shares the counter."""
 
-    def __init__(self):
-        self.calls = 0
+    def __init__(self, counter):
+        super().__init__()
+        self.counter = counter
 
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def sum(self, *args, **kwargs):
-        self.calls += 1
-        return np.sum(*args, **kwargs)
+    def __setitem__(self, key, value):
+        self.counter.calls += 1
+        super().__setitem__(key, value)
 
 
 @pytest.fixture
 def kernel_sums(monkeypatch):
-    counter = _SumCounter()
-    monkeypatch.setattr(lattice, "np", counter)
+    """``build`` makes a mode set whose memo counts its fills in ``calls``;
+    the harness builds through it, and ``built`` lists what it made."""
+    counter = SimpleNamespace(calls=0, built=[])
+
+    def build(lat):
+        modes = build_modes(lat)
+        object.__setattr__(modes, "_kernels", _FillCounter(counter))
+        counter.built.append(modes)
+        return modes
+
+    counter.build = build
+    monkeypatch.setattr(harness, "build_modes", build)
     return counter
 
 
@@ -252,20 +280,18 @@ class TestKernelMemo:
         assert cli.main(["field", scheme, *self.D3, "--out", str(tmp_path)]) == 0
         assert kernel_sums.calls == 2
 
-    def test_pi_y_volume_sweep_sums_no_kernel(self, kernel_sums, monkeypatch, tmp_path):
+    def test_pi_y_volume_sweep_sums_no_kernel(self, kernel_sums, tmp_path):
         """<pi_y> reads no kernel and the phases of p from its digits: no
         point of a pi_y-only sweep sums a kernel or builds omega, k, the
-        conjugate index or even the axis's dispersion term."""
-        built = []
-        monkeypatch.setattr(harness, "build_modes",
-                            lambda lat: built.append(build_modes(lat)) or built[-1])
+        conjugate index or even one axis's wave numbers."""
+        built = kernel_sums.built
         values = [4 << i for i in range(10)]
         assert cli.main(["sweep", "--scenario", str(SCENARIOS / "field_volume_sweep.json"),
                          "--axis", "volume", "--values", ",".join(map(str, values)),
                          "--out", str(tmp_path)]) == 0
         assert kernel_sums.calls == 0
         assert [modes.lattice.n_sites for modes in built] == values
-        unbuilt = {"omega", "k", "ksq_axis"}
+        unbuilt = {"omega", "k", "ksq_axis", "k_axis"}
         assert all(not unbuilt & set(vars(modes)) for modes in built)
 
     def test_compare_shares_one_memo(self, kernel_sums, tmp_path):
@@ -296,8 +322,16 @@ class TestKernelMemo:
         assert kernels_after("phi2_y") == [True]
         assert kernels_after("pi2_y") == [False, True]
 
+    def test_d3_qndsv_report_builds_no_wave_vectors(self, kernel_sums, tmp_path):
+        """g^-1_xy contracts one axis's plane waves: the report's mode set
+        never builds the (M, d) array k."""
+        assert cli.main(["field", "qndsv", *self.D3, "--out", str(tmp_path)]) == 0
+        (modes,) = kernel_sums.built
+        assert any(disp != (0, 0, 0) for _, disp in modes._kernels)
+        assert "k" not in vars(modes)
+
     def test_diagonal_is_one_sum_per_weight(self, kernel_sums):
-        modes = build_modes(LatticeSpec(dim=2, n_sites=6, spacing=0.5, mass=0.3))
+        modes = kernel_sums.build(LatticeSpec(dim=2, n_sites=6, spacing=0.5, mass=0.3))
         for x in [(0, 0), (1, 4), (5, 5), (-1, 7)]:
             kernel_g(modes, x, x)
             kernel_ginv(modes, x, x)

@@ -301,21 +301,25 @@ def test_axis_built_mode_set_is_the_meshgrid_build_byte_for_byte(spec):
         == list(range(modes.n_modes))
 
 
-def _fresh_sum(modes, weights, x, y) -> str:
-    """The kernel sum as an expression of its own, evaluated afresh, in hex."""
-    lat = modes.lattice
+def _cosine_sum(lat, inverse, x, y) -> tuple[float, float]:
+    """(1/V) sum_k w_k cos(k.(x - y)) over the reference build's (M, d) k,
+    and the scale (1/V) sum_k |w_k| of its rounding."""
+    reference = reference_modes(lat)
+    weights = 1.0 / reference["omega"] if inverse else reference["omega"]
     dx = (np.asarray(lat.site(x), dtype=float)
           - np.asarray(lat.site(y), dtype=float)) * lat.spacing
-    return float(np.sum(weights * np.cos(modes.k @ dx)) / lat.volume).hex()
+    terms = weights * np.cos(reference["k"] @ dx)
+    return float(np.sum(terms) / lat.volume), float(np.sum(np.abs(weights)) / lat.volume)
 
 
 @SEEDED
 @given(spec=mode_lattices(), data=st.data())
 def test_memoised_kernels_equal_fresh_sums_bit_for_bit(spec, data):
-    """kernel_g and kernel_ginv, read through the mode set's memo, equal a
-    fresh sum to the bit in either site order and on the diagonal; a mode
-    set of another lattice shares no entry; a copy is another mode set with
-    an empty memo."""
+    """kernel_g and kernel_ginv, read through the mode set's memo, equal the
+    same sum on a fresh mode set to the bit, in either site order and on the
+    diagonal, and the cosine sum over the reference's k within 16 eps of
+    (1/V) sum_k |w_k|; a mode set of another lattice shares no entry; a copy
+    is another mode set with an empty memo."""
     sites = st.lists(st.integers(-2 * spec.n_sites, 2 * spec.n_sites),
                      min_size=spec.dim, max_size=spec.dim)
     x, y = data.draw(sites), data.draw(sites)
@@ -325,8 +329,10 @@ def test_memoised_kernels_equal_fresh_sums_bit_for_bit(spec, data):
     for kernel, inverse in ((kernel_g, False), (kernel_ginv, True)):
         for a, b in ((x, y), (y, x), (x, x), (y, y)):
             for ms in (modes, other):
-                weights = 1.0 / ms.omega if inverse else ms.omega
-                assert kernel(ms, a, b).hex() == _fresh_sum(ms, weights, a, b)
+                got = kernel(ms, a, b)
+                assert got.hex() == kernel(build_modes(ms.lattice), a, b).hex()
+                want, scale = _cosine_sum(ms.lattice, inverse, a, b)
+                assert abs(got - want) <= 16 * np.finfo(float).eps * scale
     assert modes._kernels is not other._kernels
     assert all(type(v) is float for v in modes._kernels.values())
     twin = replace(modes)
@@ -351,10 +357,34 @@ def test_digit_reads_equal_the_per_mode_arrays(spec, data):
     every = range(modes.n_modes)
     scalar = [(modes.frequency(i).hex(), modes.conjugate(i), modes.is_paired(i),
                modes.phase_at(i, site)) for i in every]
-    assert not {"omega", "k"} & set(vars(modes))
+    assert not {"omega", "k", "k_axis", "ksq_axis"} & set(vars(modes))
     phases, conj = modes.phases(site), reference_modes(spec)["conjugate_index"]
     assert scalar == [(modes.omega[i].hex(), conj[i], conj[i] != i, phases[i])
                       for i in every]
+
+
+@SEEDED
+@given(spec=st.builds(LatticeSpec, dim=st.sampled_from((1, 2, 3)),
+                      n_sites=st.integers(1, 32).map(lambda h: 2 * h),
+                      spacing=st.sampled_from((0.1, 0.37, 1.0, 2.5)),
+                      mass=st.just(0.0) | st.floats(0.1, 3.0),
+                      dispersion=st.sampled_from(("lattice", "continuum"))),
+       data=st.data())
+def test_digit_reads_do_not_depend_on_the_axis_arrays(spec, data):
+    """frequency and phase_at form k at an index's own digits: the same
+    bits before and after k_axis and ksq_axis are built."""
+    modes = build_modes(spec)
+    site = data.draw(st.lists(st.integers(0, spec.n_sites - 1),
+                              min_size=spec.dim, max_size=spec.dim))
+    indices = data.draw(st.lists(st.integers(0, modes.n_modes - 1), min_size=1, max_size=16))
+
+    def reads():
+        return [(modes.frequency(i).hex(), modes.phase_at(i, site).hex()) for i in indices]
+
+    before = reads()
+    assert not {"k_axis", "ksq_axis"} & set(vars(modes))
+    assert modes.k_axis.shape == modes.ksq_axis.shape == (spec.n_sites,)
+    assert reads() == before
 
 
 # -- factorised oscillator moments against the generic Born route ------------

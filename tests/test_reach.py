@@ -30,6 +30,8 @@ ALLOWED = {
     "causalprobe.oscillators.phase_scheme_nplus": _TEST_REFERENCE,
     "causalprobe.fieldtheory.qndsv_wavepacket_phi_y": _TRACER,
     "causalprobe.fieldtheory.prestate_expectations": _TRACER,
+    "causalprobe.field_oracle.field_operator": f"{_TRACER} and {_TEST_REFERENCE}",
+    "causalprobe.field_oracle.momentum_operator": f"{_TRACER} and {_TEST_REFERENCE}",
     "causalprobe.fieldtheory.WavePacket.validate": _PACKETS,
     "causalprobe.fieldtheory.packet_kernel": _PACKETS,
     "causalprobe.fieldtheory.signal_kernel": _PACKETS,
