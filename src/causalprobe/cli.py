@@ -176,16 +176,16 @@ def _flag_params(spec) -> list:
             for key, param in table.items() if param.flag]
 
 
-def _skeleton(system: str, sid) -> dict:
+def _skeleton(system: str, sid: str) -> dict:
     """The scenario a run without --scenario starts from: the table
-    defaults, the scheme the positional id names and lam = 0."""
+    defaults, the observables of the scheme the positional id names and
+    lam = 0.  Its scheme is empty: ``_scenario`` sets the id as on a file."""
     spec = harness.SYSTEMS[system]
-    scheme = spec.scheme_for_id(sid, {}) if sid is not None else {}
     # spin writes its initial state out, so that the manifest's digest records it
     params = {"initial": list(spec.params["initial"].default)} if system == "spin" else {}
     return {"version": 1, "system": system, "alice": {"kind": spec.alice},
-            "system_params": params, "scheme": scheme,
-            "observables": list(spec.defaults(scheme.get("id"))), "lambda_grid": [0.0]}
+            "system_params": params, "scheme": {},
+            "observables": list(spec.defaults(spec.aliases.get(sid, sid))), "lambda_grid": [0.0]}
 
 
 def _scenario(args, system: str | None = None) -> tuple[dict, Scenario, str]:
@@ -203,11 +203,11 @@ def _scenario(args, system: str | None = None) -> tuple[dict, Scenario, str]:
         if system and raw.get("system", system) != system:
             raise ScenarioError(f"{args.scenario} holds a {raw['system']!r} scenario; "
                                 f"{args.command} runs only {system!r} scenarios")
-    elif system:
-        raw = _skeleton(system, args.scheme_id)
-        stem = f"{args.command}_{raw['scheme'].get('id')}"
+    elif system and args.scheme_id is not None:
+        raw, stem = _skeleton(system, args.scheme_id), args.command
     else:
-        raise ScenarioError(f"{args.command} needs --scenario")
+        ids = f"a scheme id ({' | '.join(harness.SYSTEMS[system].schemes)}) or " if system else ""
+        raise ScenarioError(f"{args.command} needs {ids}--scenario")
     overrides = [("system_params", "hbar", args.hbar)]
     if system:
         spec = harness.SYSTEMS[system]

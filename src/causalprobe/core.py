@@ -35,10 +35,6 @@ class SchemeError(ValueError):
     """A measurement scheme fails its structural requirements."""
 
 
-class ZeroProbabilityBranch(ValueError):
-    """Renormalization requested for a branch of (numerically) zero weight."""
-
-
 def _as_dims(dims) -> tuple[int, ...]:
     out = tuple(int(d) for d in dims)
     if not out or any(d <= 0 for d in out):
@@ -77,19 +73,6 @@ class StateVector:
 
     def is_normalized(self) -> bool:
         return abs(self.norm - 1.0) <= DEFAULT_POLICY.exact_tol
-
-    def normalized(self) -> "StateVector":
-        if self.norm == 0.0:
-            raise ZeroProbabilityBranch("cannot normalize a zero vector")
-        return StateVector(self.dims, self.amplitudes / self.norm)
-
-    def overlap(self, other: "StateVector") -> complex:
-        if self.dims != other.dims:
-            raise ValueError(f"dims mismatch: {self.dims} vs {other.dims}")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def same_up_to_phase(self, other: "StateVector") -> bool:
-        return abs(abs(self.overlap(other)) - 1.0) <= DEFAULT_POLICY.structural_tol
 
 
 @dataclass(frozen=True)
@@ -201,12 +184,6 @@ class OutcomeEnsemble:
             raise ValueError(
                 f"outcome probabilities sum to {total!r}, outside 1 +/- {slack:.3e}"
             )
-
-    def probability(self, label: str) -> float:
-        for e in self.entries:
-            if e.label == label:
-                return e.probability
-        raise KeyError(label)
 
 
 # ---------------------------------------------------------------------------

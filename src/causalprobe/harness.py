@@ -69,6 +69,13 @@ def _real(what: str, value) -> float:
     return float(value)
 
 
+def _refuse_repeats(what: str, values: list | tuple) -> None:
+    """Refuse values that occur more than once, naming each once, in order."""
+    repeated = list(dict.fromkeys(v for v in values if values.count(v) > 1))
+    if repeated:
+        raise ScenarioError(f"{what} repeat {repeated}")
+
+
 def _labels(what: str, value) -> tuple:
     if not isinstance(value, (list, tuple)) or len(value) != 2 \
             or not all(isinstance(v, str) for v in value):
@@ -161,7 +168,7 @@ class System:
 
     def defaults(self, sid) -> tuple:
         """The observables reported when none are asked for."""
-        scheme = self.schemes.get(sid) if isinstance(sid, str) else None
+        scheme = self.schemes.get(sid)
         return (scheme and scheme.observables) or self.default_observables \
             or tuple(self.observables)
 
@@ -244,6 +251,7 @@ class Scenario:
         bad = [o for o in self.observables if not (isinstance(o, str) and o in spec.observables)]
         if bad:
             raise ScenarioError(f"unknown {self.system} observables {sorted(set(map(str, bad)))}")
+        _refuse_repeats("observables", self.observables)
         unsupported = set(self.observables) - set(scheme.observables or self.observables)
         if unsupported:
             raise ScenarioError(f"{sid} only reports {'/'.join(scheme.observables)}, "
@@ -565,6 +573,7 @@ def cutoff_sweep(sc: Scenario, axis: str, values, measure: str = "deviation") ->
     refused = [v for v in values if _real(f"sweep axis {axis!r}", v) <= 0]
     if refused:
         raise ScenarioError(f"sweep axis {axis!r} needs positive cutoffs, got {refused}")
+    _refuse_repeats(f"sweep axis {axis!r} cutoffs", [float(v) for v in values])
 
     def measures_at(value) -> dict:
         sub = scenario_at(sc, value)
@@ -612,6 +621,7 @@ def compare_schemes(sc: Scenario, scheme_ids, extras=None) -> tuple[CompareRow, 
     given = {**sc.scheme, **(extras or {})}
     subs = [replace(sc, scheme=SYSTEMS[sc.system].scheme_for_id(sid, given))
             for sid in scheme_ids]
+    _refuse_repeats(f"scheme ids {','.join(scheme_ids)}", [sub.scheme["id"] for sub in subs])
     unmeasured = any(sub.scheme["id"] == NO_MEASUREMENT for sub in subs)  # before_eval serves it
     built = {}      # one mode set, or one set of spin operators, for every compared scheme
     before_eval = make_evaluator(replace(sc, scheme={"id": NO_MEASUREMENT}),

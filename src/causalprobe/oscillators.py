@@ -28,6 +28,8 @@ Every scheme takes f_+, f_- and the tail check from ``_kicked_factors``.
 Level m of the phase state |b, theta_s> (Pegg & Barnett 1989) carries
 e^{i m theta_s}, theta_s = 2 pi s/(s_cut+1): the length-(2 s_cut+2) DFT
 kernel at index 2s, so one FFT per parity gives every <b, theta_s|f_->.
+The dense phase states and their scheme, which check these overlaps, live
+in the tests (``tests/phase_reference.py``).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MeasurementScheme, OutcomeEnsemble, StateVector, branch_ensemble
+from .core import OutcomeEnsemble, StateVector, branch_ensemble
 from .policy import DEFAULT_POLICY, TruncationError, checked_tail
 
 
@@ -197,54 +199,6 @@ def naive_nplus_ensemble(prestate: TwoModeFock) -> OutcomeEnsemble:
 def _check_s_cut(s_cut: int) -> None:
     if _index("s_cut", s_cut) < 0 or s_cut % 2 != 0:
         raise ValueError(f"s_cut must be even and nonnegative, got {s_cut}")
-
-
-def phase_state(parity: int, s: int, s_cut: int) -> np.ndarray:
-    """Finite fixed-parity phase state on 2*s_cut+2 Fock levels.
-
-    (s_cut+1)^(-1/2) sum_{n=0}^{s_cut} e^{i(2n+parity) theta_s} |2n+parity>,
-    theta_s = 2 pi s/(s_cut+1).  Exactly orthonormal across (parity, s)
-    because s_cut+1 is odd, which is why odd s_cut is rejected.
-    """
-    if parity not in (0, 1):
-        raise ValueError("parity bit must be 0 or 1")
-    _check_s_cut(s_cut)
-    if not 0 <= s <= s_cut:
-        raise ValueError(f"s must lie in 0..{s_cut}, got {s}")
-    theta = 2.0 * math.pi * s / (s_cut + 1)
-    levels = 2 * np.arange(s_cut + 1) + parity
-    vec = np.zeros(2 * s_cut + 2, dtype=complex)
-    vec[levels] = np.exp(1j * levels * theta) / math.sqrt(s_cut + 1)
-    return vec
-
-
-def phase_scheme_nplus(s_cut: int, n_plus_dim: int,
-                       n_minus_dim: int | None = None) -> MeasurementScheme:
-    """Complete scheme: number states on the + mode, phase states on the - mode.
-
-    The phase family spans relative-mode levels 0..2*s_cut+1 exactly; the
-    minus-mode truncation must therefore be at least 2*s_cut+2.  Any levels
-    above that are covered by plain number-state outcomes (labeled
-    "overflow") so the scheme stays complete on the truncated space.
-    """
-    span = 2 * s_cut + 2
-    if n_minus_dim is None:
-        n_minus_dim = span
-    if n_minus_dim < span:
-        raise TruncationError(
-            f"minus-mode truncation {n_minus_dim} too small for phase states (need {span})")
-    eye_p = np.eye(n_plus_dim, dtype=complex)
-    eye_m = np.eye(n_minus_dim, dtype=complex)
-    labeled = []
-    for n in range(n_plus_dim):
-        for b in (0, 1):
-            for s in range(s_cut + 1):
-                chi = np.zeros(n_minus_dim, dtype=complex)
-                chi[:span] = phase_state(b, s, s_cut)
-                labeled.append((f"n={n} b={b} s={s}", np.kron(eye_p[n], chi)))
-        for m in range(span, n_minus_dim):
-            labeled.append((f"n={n} overflow m={m}", np.kron(eye_p[n], eye_m[m])))
-    return MeasurementScheme.from_basis((n_plus_dim, n_minus_dim), labeled)
 
 
 def _phase_overlaps(params: OscParams, kick: KickParams, s_cut: int,

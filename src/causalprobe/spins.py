@@ -56,28 +56,10 @@ def axis_sigma(axis) -> np.ndarray:
     return ax[0] * SIGMA_X + ax[1] * SIGMA_Y + ax[2] * SIGMA_Z
 
 
-def _axis_ket(axis, pick) -> np.ndarray:
-    """The eigenket of axis . sigma that ``pick`` selects, largest component real positive."""
-    vals, vecs = np.linalg.eigh(axis_sigma(axis))
-    v = vecs[:, int(pick(vals))]
-    pivot = v[np.argmax(np.abs(v))]
-    return v * (np.conj(pivot) / abs(pivot))
-
-
-def plus(axis) -> np.ndarray:
-    """The +1 eigenket of axis . sigma, for a unit axis."""
-    return _axis_ket(axis, np.argmax)
-
-
-def minus(axis) -> np.ndarray:
-    """The -1 eigenket of axis . sigma, for a unit axis."""
-    return _axis_ket(axis, np.argmin)
-
-
 def ket(label) -> np.ndarray:
     """The single-spin ket a label names in ``_NAMED``; a ket is returned as is."""
     if not isinstance(label, str):
-        return label                 # a ket, from plus or minus
+        return label
     if label not in _NAMED:
         raise ValueError(f"unknown spin label {label!r}; "
                          f"the named labels are {', '.join(_NAMED)}")
@@ -86,7 +68,7 @@ def ket(label) -> np.ndarray:
 
 def spin_state(a, b) -> StateVector:
     """Normalized 4-dim product state |a_A b_B>; each label is a name in
-    ``_NAMED`` or a ket from ``plus``/``minus``."""
+    ``_NAMED`` or a normalized single-spin ket."""
     return tensor_state([StateVector((2,), ket(a)), StateVector((2,), ket(b))])
 
 

@@ -14,6 +14,8 @@ import causalprobe
 from causalprobe.core import StateVector
 from dense_oracle import oracle_prestate
 from causalprobe.fieldtheory import WavePacket
+from causalprobe.policy import DEFAULT_POLICY
+from causalprobe.spins import axis_sigma
 
 
 def random_state(dims, rng) -> StateVector:
@@ -25,6 +27,36 @@ def random_state(dims, rng) -> StateVector:
 def expectation(op, state: StateVector) -> float:
     """<psi|O|psi> of a hermitian operator in a state."""
     return float(np.vdot(state.amplitudes, op.matrix @ state.amplitudes).real)
+
+
+def same_up_to_phase(a: StateVector, b: StateVector) -> bool:
+    """|<a|b>| = 1 within the structural tolerance, on the same dims."""
+    assert a.dims == b.dims, f"dims mismatch: {a.dims} vs {b.dims}"
+    return abs(abs(np.vdot(a.amplitudes, b.amplitudes)) - 1.0) <= DEFAULT_POLICY.structural_tol
+
+
+def probability(ensemble, label: str) -> float:
+    """Born weight of the outcome labeled ``label``."""
+    (weight,) = [e.probability for e in ensemble.entries if e.label == label]
+    return weight
+
+
+def _axis_ket(axis, pick) -> np.ndarray:
+    """The eigenket of axis . sigma that ``pick`` selects, largest component real positive."""
+    vals, vecs = np.linalg.eigh(axis_sigma(axis))
+    v = vecs[:, int(pick(vals))]
+    pivot = v[np.argmax(np.abs(v))]
+    return v * (np.conj(pivot) / abs(pivot))
+
+
+def plus(axis) -> np.ndarray:
+    """The +1 eigenket of axis . sigma, for a unit axis."""
+    return _axis_ket(axis, np.argmax)
+
+
+def minus(axis) -> np.ndarray:
+    """The -1 eigenket of axis . sigma, for a unit axis."""
+    return _axis_ket(axis, np.argmin)
 
 
 def random_unitary(n: int, rng) -> np.ndarray:

@@ -146,7 +146,7 @@ def dense_oracle(modes: ModeSet, kick: KickSpec, y, p_index: int, trunc: int,
     p_yes = None
     if scheme_kind == "qndsv":
         target = one_particle_state(modes, p_index, trunc)
-        p_yes = float(abs(target.overlap(state)) ** 2)
+        p_yes = float(abs(np.vdot(target.amplitudes, psi)) ** 2)
         branches = _verification_branches(target, psi)
         post = {name: sum(_expectation(b, *op) for b in branches) for name, op in ops.items()}
     else:

@@ -43,7 +43,6 @@ from causalprobe.oscillators import (
     naive_nplus_ensemble,
     phase_coefficients,
     phase_ensemble_moments,
-    phase_scheme_nplus,
 )
 from causalprobe.spins import (
     alice_rotate,
@@ -52,7 +51,9 @@ from causalprobe.spins import (
     spin_state,
 )
 
-from conftest import naive_outcome_probabilities, random_rotations, single_mode_packet
+from conftest import (naive_outcome_probabilities, probability, random_rotations,
+                      single_mode_packet)
+from phase_reference import phase_scheme_nplus
 from test_cli import ALL_FIXTURES, _run_fixture
 
 SBZ = spin_observable("sBz")
@@ -78,14 +79,14 @@ def test_criterion_01_spin_qndsv_signaling():
 
 def test_criterion_02_total_spin_flip_example():
     ens = born_ensemble(spin_scheme("s2-standard"), spin_state("up", "up"))
-    assert ens.probability("S=1 up-up") == pytest.approx(1.0, abs=1e-12)
+    assert probability(ens, "S=1 up-up") == pytest.approx(1.0, abs=1e-12)
     assert post_measurement_expectation(
         spin_state("up", "up"), spin_scheme("s2-standard"), SBZ) \
         == pytest.approx(0.5, abs=1e-12)
     flipped = spin_state("down", "up")
     ens2 = born_ensemble(spin_scheme("s2-standard"), flipped)
-    assert ens2.probability("S=0 singlet") == pytest.approx(0.5, abs=1e-12)
-    assert ens2.probability("S=1 m=0 sym") == pytest.approx(0.5, abs=1e-12)
+    assert probability(ens2, "S=0 singlet") == pytest.approx(0.5, abs=1e-12)
+    assert probability(ens2, "S=1 m=0 sym") == pytest.approx(0.5, abs=1e-12)
     assert post_measurement_expectation(flipped, spin_scheme("s2-standard"), SBZ) \
         == pytest.approx(0.0, abs=1e-12)
     _report(2, "flip example: certainty without the flip, 1/2-1/2 and "
@@ -97,7 +98,7 @@ def test_criterion_03_post_basis_ambiguity():
     std = born_ensemble(spin_scheme("s2-standard"), psi)
     for label, want in (("S=0 singlet", 0.25), ("S=1 m=0 sym", 0.25),
                         ("S=1 up-up", 0.5), ("S=1 down-down", 0.0)):
-        assert std.probability(label) == pytest.approx(want, abs=1e-12)
+        assert probability(std, label) == pytest.approx(want, abs=1e-12)
     assert post_measurement_expectation(psi, spin_scheme("s2-standard"), SBZ) \
         == pytest.approx(0.25, abs=1e-12)
     bell = born_ensemble(spin_scheme("s2-bell"), psi)

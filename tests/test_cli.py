@@ -412,6 +412,35 @@ class TestExitCodes:
         assert "the named labels are up, down, right, left" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, message", [
+        (["field", "naive", "--N", "4", "--mass", "1", "--x", "0", "--y", "1",
+          "--p-index", "1", "--obs", "phi_y,phi_y"], "observables repeat ['phi_y']"),
+        (["compare", "--scenario", str(SCENARIOS / "ho_naive.json"),
+          "--schemes", "none,none,naive-nplus"],
+         "scheme ids none,none,naive-nplus repeat ['none']"),
+        (["sweep", "--scenario", str(SCENARIOS / "field_volume_sweep.json"),
+          "--axis", "volume", "--values", "4,4,8"],
+         "sweep axis 'volume' cutoffs repeat [4.0]"),
+    ])
+    def test_repeated_input_is_validation_error(self, tmp_path, capsys, argv, message):
+        """A repeat is named, not written as a duplicate row."""
+        assert run([*argv, "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.strip() == f"causal-probe: {message}"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, ids", [
+        ("spin", "qndsv | s2-standard | s2-bell | s2-luders | sz-standard | sz-bell | "
+                 "sz-luders | none"),
+        ("ho", "naive-nplus | phase-nplus | none"),
+        ("field", "naive-np | qndsv-1p | none"),
+    ])
+    def test_missing_scheme_id_is_validation_error(self, tmp_path, capsys, command, ids):
+        """Without a positional id or a file there is no scheme to run."""
+        assert run([command, "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.strip() == \
+            f"causal-probe: {command} needs a scheme id ({ids}) or --scenario"
+        assert not list(tmp_path.iterdir())
+
     def test_validate_ok_on_shipped_corpus(self):
         assert ALL_FIXTURES, "fixture corpus missing"
         assert run(["validate"] + [str(p) for p in ALL_FIXTURES]) == 0

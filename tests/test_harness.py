@@ -115,6 +115,10 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="observables"):
             spin_scenario(observables=["sCz"])
 
+    def test_repeated_observable_refused(self):
+        with pytest.raises(ScenarioError, match=r"observables repeat \['phi_y'\]"):
+            field_scenario(observables=["phi_y", "pi_y", "phi_y"])
+
     def test_field_verification_observables_restricted(self):
         with pytest.raises(ScenarioError, match="qndsv-1p"):
             field_scenario(scheme={"id": "qndsv-1p"}, observables=["pi_y"])
@@ -498,6 +502,17 @@ class TestCutoffSweep:
             cutoff_sweep(sc, axis, values)
         assert str(err.value) == f"sweep axis {axis!r} needs positive cutoffs, got {refused}"
 
+    @pytest.mark.parametrize("values, repeated", [
+        ([4, 4, 8], "[4.0]"), ([4, 4.0, 8], "[4.0]"), ([4, 8, 16, 8], "[8.0]"),
+    ])
+    def test_repeated_cutoff_refused(self, monkeypatch, values, repeated):
+        """A repeated cutoff would write a duplicate row and weigh the fit twice."""
+        monkeypatch.setattr(harness, "make_evaluator",
+                            lambda sub, points, **kw: pytest.fail("evaluated"))
+        with pytest.raises(ScenarioError) as err:
+            cutoff_sweep(field_scenario(), "volume", values)
+        assert str(err.value) == f"sweep axis 'volume' cutoffs repeat {repeated}"
+
     def test_amplitude_needs_a_system_amplitude(self):
         with pytest.raises(ScenarioError, match="'amplitude' is not meaningful"):
             cutoff_sweep(oscillator_scenario(), "trunc", [20, 30, 40], measure="amplitude")
@@ -578,3 +593,15 @@ class TestCompareSchemes:
     def test_needs_two_schemes(self):
         with pytest.raises(ScenarioError):
             compare_schemes(spin_scenario(), ["qndsv"])
+
+    @pytest.mark.parametrize("make, scheme_ids, repeated", [
+        (oscillator_scenario, ["none", "none", "naive-nplus"], "['none']"),
+        (field_scenario, ["naive", "naive-np"], "['naive-np']"),
+        (oscillator_scenario, ["phase-nplus", "none", "phase-nplus", "none"],
+         "['phase-nplus', 'none']"),
+    ])
+    def test_repeated_scheme_id_refused(self, make, scheme_ids, repeated):
+        """Ids repeat after alias resolution: naive and naive-np are one scheme."""
+        with pytest.raises(ScenarioError) as err:
+            compare_schemes(make(), scheme_ids)
+        assert str(err.value) == f"scheme ids {','.join(scheme_ids)} repeat {repeated}"

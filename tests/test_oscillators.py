@@ -31,12 +31,11 @@ from causalprobe.oscillators import (
     naive_nplus_ensemble,
     phase_coefficients,
     phase_ensemble_moments,
-    phase_scheme_nplus,
-    phase_state,
     position_matrix,
     product_moments,
 )
 from causalprobe.policy import TruncationError
+from phase_reference import phase_scheme_nplus, phase_state
 
 PARAMS = OscParams()
 

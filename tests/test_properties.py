@@ -26,7 +26,8 @@ from causalprobe.lattice import LatticeSpec, build_modes, kernel_g, kernel_ginv
 from causalprobe.policy import TruncationError
 
 import dense_oracle
-from conftest import random_unitary
+from conftest import minus, plus, random_unitary
+from phase_reference import phase_scheme_nplus
 from reference_modes import reference_modes
 
 SEEDED = settings(derandomize=True, deadline=None)
@@ -52,7 +53,7 @@ def spin_kets(draw) -> StateVector:
 
 product_states = st.builds(lambda a, b: tensor_state([a, b]), spin_kets(), spin_kets())
 labels = st.one_of(st.sampled_from(["up", "down", "right", "left"]),
-                   st.builds(spins.plus, unit_axes), st.builds(spins.minus, unit_axes))
+                   st.builds(plus, unit_axes), st.builds(minus, unit_axes))
 
 
 @SEEDED
@@ -430,7 +431,7 @@ def test_factorised_phase_moments_match_generic_route(p_a, p_b, lam, n_max, s_cu
     params, kick = oscillators.OscParams(), oscillators.KickParams(p_a=p_a, p_b=p_b, lam=lam)
     pad = 2 * s_cut + 4             # squares of Q_- exact on every phase-state level
     pre = oscillators.coherent_prestate(params, kick, (n_max, pad))
-    scheme = oscillators.phase_scheme_nplus(s_cut, n_max, n_minus_dim=pad)
+    scheme = phase_scheme_nplus(s_cut, n_max, n_minus_dim=pad)
     ensemble = born_ensemble(scheme, pre.as_state(), tail_bound=pre.tail_bound)
     _moments_close(oscillators.phase_ensemble_moments(params, kick, s_cut, n_max),
                    oscillators.local_moments_b(ensemble, params))

@@ -9,6 +9,7 @@ entry that something now reaches.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import runpy
@@ -24,10 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 _TEST_REFERENCE = "the tests' dense reference route"
 _TRACER = "an entry point of perfbench/tracing.py"
 _PACKETS = "wave-packet verification, ROADMAP item 7"
-_LIBRARY = "library API"
 ALLOWED = {
-    "causalprobe.oscillators.phase_state": _TEST_REFERENCE,
-    "causalprobe.oscillators.phase_scheme_nplus": _TEST_REFERENCE,
     "causalprobe.fieldtheory.qndsv_wavepacket_phi_y": _TRACER,
     "causalprobe.fieldtheory.prestate_expectations": _TRACER,
     "causalprobe.field_oracle.field_operator": f"{_TRACER} and {_TEST_REFERENCE}",
@@ -36,12 +34,6 @@ ALLOWED = {
     "causalprobe.fieldtheory.packet_kernel": _PACKETS,
     "causalprobe.fieldtheory.signal_kernel": _PACKETS,
     "causalprobe.fieldtheory.sorkin_derivative": _PACKETS,
-    "causalprobe.core.StateVector.normalized": _LIBRARY,
-    "causalprobe.core.StateVector.overlap": _LIBRARY,
-    "causalprobe.core.StateVector.same_up_to_phase": _LIBRARY,
-    "causalprobe.core.OutcomeEnsemble.probability": _LIBRARY,
-    "causalprobe.spins.plus": _LIBRARY,
-    "causalprobe.spins.minus": _LIBRARY,
 }
 
 
@@ -71,3 +63,18 @@ def test_unreached_public_functions_are_the_allowed_ones(tmp_path):
     unreached = {name for name, fn in public_callables() if fn.__code__ not in called}
     assert sorted(unreached - ALLOWED.keys()) == [], "unreached and not allowed"
     assert sorted(ALLOWED.keys() - unreached) == [], "allowed but now reached or gone"
+
+
+def _tracer_entry_points() -> set:
+    """``perfbench/tracing.py:ENTRY_POINTS``, read from the source without
+    importing the tracer."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "ENTRY_POINTS" for t in node.targets)]
+    return {f"causalprobe.{mod}.{fn}" for mod, fn in ast.literal_eval(value)}
+
+
+def test_tracer_reasons_name_tracer_entry_points():
+    traced = {name for name, reason in ALLOWED.items() if _TRACER in reason}
+    assert traced, "no allow-list entry names the tracer"
+    assert sorted(traced - _tracer_entry_points()) == [], "not an entry point of the tracer"
