@@ -68,7 +68,7 @@ for label, pre2 in (("no flip", spin_state("up", "up")),
 
 banner("3. Why the entangled triplet basis is safe: reduced projectors")
 for out in spin_scheme("s2-bell").outcomes:
-    proj = Operator((2, 2), out.projector_matrix(), hermitian=True)
+    proj = Operator((2, 2), out.projector_matrix())
     red = reduced_projector(proj, keep=1)
     print(f"  {out.label:14s} -> Tr_A P = {np.real(np.diag(red.matrix))} (always 1/2)")
 print("  Every outcome looks maximally mixed from Bob's side, so no local")

@@ -10,10 +10,11 @@ post-measurement ensemble average
 which equals the probability-weighted average over renormalized branches
 because each branch's normalization cancels its Born weight.
 
-Every outcome projects onto the span of orthonormal columns F, P = F F^dag,
-or onto its implicit complement; complete measurements, Lueders projections
-and the verification of one state share that one type.  Observables are
-dense ``Operator``s, read in the Heisenberg picture: ``post_measurement_operator``
+Every outcome projects onto the span of orthonormal columns F, P = F F^dag;
+complete measurements, Lueders projections and the verification of one
+state (its "no" frame an orthonormal basis of the target's complement) share
+that one type.  Every ``Operator`` is a dense hermitian observable, checked
+when it is made and read in the Heisenberg picture: ``post_measurement_operator``
 forms M_O = sum_i P_i O P_i from the frames, and the average above is the
 quadratic form <psi|M_O|psi>.  Alice's local operations can move Bob's <O>
 exactly when his M_O is not 1_A (x) M_B.  ``born_ensemble`` and
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policy import DEFAULT_POLICY
+from .policy import DEFAULT_POLICY, integer
 
 
 class SchemeError(ValueError):
@@ -36,7 +37,7 @@ class SchemeError(ValueError):
 
 
 def _as_dims(dims) -> tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
+    out = tuple(integer(d, "a subsystem dimension") for d in dims)
     if not out or any(d <= 0 for d in out):
         raise ValueError(f"subsystem dimensions must be positive, got {dims!r}")
     return out
@@ -77,36 +78,29 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense operator on a composite space; checked hermitian when flagged."""
+    """Dense observable on a composite space, refused when it is made unless
+    hermitian within ``exact_tol``."""
 
     dims: tuple[int, ...]
     matrix: np.ndarray
-    hermitian: bool = False
 
-    def __init__(self, dims, matrix, hermitian=False):
+    def __init__(self, dims, matrix):
         object.__setattr__(self, "dims", _as_dims(dims))
         total = int(np.prod(self.dims))
         mat = _frozen_array(matrix, shape=(total, total))
+        dev = float(np.max(np.abs(mat - mat.conj().T)))
+        if not dev <= DEFAULT_POLICY.exact_tol:     # false for NaN too
+            raise ValueError(f"an observable must be hermitian, deviates by {dev:.3e}")
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "hermitian", bool(hermitian))
-        if self.hermitian:
-            dev = float(np.max(np.abs(mat - mat.conj().T)))
-            if dev > DEFAULT_POLICY.exact_tol:
-                raise ValueError(f"operator flagged hermitian deviates by {dev:.3e}")
 
 
 @dataclass(frozen=True)
 class SchemeOutcome:
     """One labeled outcome: P = F F^dag, F the orthonormal (dim, rank)
-    columns of ``frame``, or P = 1 - F F^dag when ``complement`` is set.
-
-    The complement stays implicit, so verifying one state of a large space
-    never builds a dim x dim matrix.
-    """
+    columns of ``frame``; a complement, too, is given by its own frame."""
 
     label: str
     frame: np.ndarray
-    complement: bool = False
 
     def __post_init__(self):
         frame = _frozen_array(self.frame)
@@ -115,13 +109,11 @@ class SchemeOutcome:
         object.__setattr__(self, "frame", frame)
 
     def projector_matrix(self) -> np.ndarray:
-        proj = self.frame @ self.frame.conj().T
-        return np.eye(len(proj)) - proj if self.complement else proj
+        return self.frame @ self.frame.conj().T
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         """P |psi> = F (F^dag psi), one vdot per column: no conjugate copy of F."""
-        comp = self.frame @ np.array([np.vdot(col, amplitudes) for col in self.frame.T])
-        return amplitudes - comp if self.complement else comp
+        return self.frame @ np.array([np.vdot(col, amplitudes) for col in self.frame.T])
 
 
 @dataclass(frozen=True)
@@ -180,7 +172,7 @@ class OutcomeEnsemble:
     def __post_init__(self):
         total = sum(e.probability for e in self.entries)
         slack = DEFAULT_POLICY.structural_tol + self.tail_bound
-        if abs(total - 1.0) > slack:
+        if not abs(total - 1.0) <= slack:
             raise ValueError(
                 f"outcome probabilities sum to {total!r}, outside 1 +/- {slack:.3e}"
             )
@@ -215,7 +207,7 @@ def embed_local(op: Operator, slot: int, dims) -> Operator:
     mat = np.eye(1, dtype=complex)
     for i, d in enumerate(dims):
         mat = np.kron(mat, op.matrix if i == slot else np.eye(d))
-    return Operator(dims, mat, hermitian=op.hermitian)
+    return Operator(dims, mat)
 
 
 def qndsv_scheme(target: StateVector) -> MeasurementScheme:
@@ -224,9 +216,11 @@ def qndsv_scheme(target: StateVector) -> MeasurementScheme:
         raise ValueError("verification target must be a nonzero state")
     if not target.is_normalized():
         raise ValueError(f"verification target is not normalized (norm={target.norm!r})")
-    frame = target.amplitudes[:, None]     # both outcomes share the read-only target
+    frame = target.amplitudes[:, None]
+    # span(t)^perp from a complete QR: orthonormal by construction, so not re-validated
+    rest = np.linalg.qr(frame, mode="complete")[0][:, 1:]
     return MeasurementScheme(dims=target.dims, outcomes=(
-        SchemeOutcome("yes", frame), SchemeOutcome("no", frame, complement=True)))
+        SchemeOutcome("yes", frame), SchemeOutcome("no", rest)))
 
 
 def born_ensemble(scheme: MeasurementScheme, state: StateVector,
@@ -251,7 +245,7 @@ def branch_ensemble(state: StateVector, labeled_branches,
     """
     nsq = state.norm**2
     slack = DEFAULT_POLICY.structural_tol
-    if nsq > 1.0 + slack or nsq < 1.0 - tail_bound - slack:
+    if not 1.0 - tail_bound - slack <= nsq <= 1.0 + slack:      # false for NaN too
         raise ValueError(f"state norm {state.norm!r} inconsistent with tail bound {tail_bound!r}")
     entries = []
     for label, branch in labeled_branches:
@@ -267,18 +261,18 @@ def branch_ensemble(state: StateVector, labeled_branches,
 def post_measurement_expectation(state: StateVector, scheme: MeasurementScheme,
                                  obs: Operator) -> float:
     """Ensemble average of obs right after the measurement, <psi|M_O|psi>."""
-    return float(post_measurement_expectations(state, scheme, (obs,))[0])
+    if state.dims != scheme.dims:
+        raise ValueError(f"state dims {state.dims} do not match scheme dims {scheme.dims}")
+    return float(post_measurement_expectations(state.amplitudes, scheme, (obs,))[0])
 
 
-def post_measurement_expectations(state, scheme: MeasurementScheme,
+def post_measurement_expectations(amplitudes: np.ndarray, scheme: MeasurementScheme,
                                   observables) -> np.ndarray:
-    """post_measurement_expectation of each observable, in order, for a
-    StateVector, shape (len(observables),), or for each row of an (L, dim)
-    stack of amplitudes, shape (len(observables), L); one M_O per observable.
-    """
-    amplitudes = getattr(state, "amplitudes", state)
-    if getattr(state, "dims", scheme.dims) != scheme.dims or amplitudes.shape[-1] != scheme.dim:
-        raise ValueError(f"state {getattr(state, 'dims', amplitudes.shape)} not on {scheme.dims}")
+    """post_measurement_expectation of each observable, in order, for each
+    (..., dim) row of amplitudes, shape (len(observables), ...); one M_O per
+    observable."""
+    if amplitudes.shape[-1] != scheme.dim:
+        raise ValueError(f"amplitudes of shape {amplitudes.shape} not on {scheme.dims}")
     return np.array([np.einsum("...i,ij,...j->...", amplitudes.conj(),
                                post_measurement_operator(scheme, obs), amplitudes).real
                      for obs in observables])
@@ -286,18 +280,13 @@ def post_measurement_expectations(state, scheme: MeasurementScheme,
 
 def post_measurement_operator(scheme: MeasurementScheme, obs: Operator) -> np.ndarray:
     """M_O = sum_i P_i O P_i, summed from each outcome's frame F as
-    F (F^dag O F) F^dag, or O - F F^dag O - O F F^dag + F (F^dag O F) F^dag for
-    a complement: O(dim^2 rank) work, and no dim x dim projector is built.
-    """
-    if obs.dims != scheme.dims or not obs.hermitian:
-        raise ValueError(f"obs on {obs.dims} must be flagged hermitian on {scheme.dims}")
+    F (F^dag O F) F^dag: O(dim^2 rank) work, and no projector is built."""
+    if obs.dims != scheme.dims:
+        raise ValueError(f"obs dims {obs.dims} do not match scheme dims {scheme.dims}")
     o, total = obs.matrix, np.zeros_like(obs.matrix)
     for out in scheme.outcomes:
         f, g = out.frame, out.frame.conj().T
-        go = g @ o
-        total += f @ (go @ f) @ g
-        if out.complement:
-            total += o - f @ go - (o @ f) @ g
+        total += f @ ((g @ o) @ f) @ g
     return total
 
 
@@ -308,21 +297,14 @@ def validate_scheme(scheme: MeasurementScheme) -> SchemeDiagnostics:
     Diagnostics only; never raises.  Over the stacked frame columns V of all
     outcomes, the Gram matrix V^dag V - 1 gives idempotence in its
     within-outcome blocks and orthogonality in the rest, and V V^dag - 1
-    gives completeness.  A complement outcome enters as an orthonormal basis
-    of its range, span(F)^perp, and adds F^dag F - 1 to idempotence.
+    gives completeness.
     """
-    frames, idem = [], 0.0
-    for out in scheme.outcomes:
-        frame, rank = out.frame, out.frame.shape[1]
-        if out.complement:
-            idem = max(idem, _max_abs(frame.conj().T @ frame - np.eye(rank)))
-            frame = np.linalg.qr(frame, mode="complete")[0][:, rank:]
-        frames.append(frame)
+    frames = [out.frame for out in scheme.outcomes]
     stacked = np.hstack(frames)
     gram = stacked.conj().T @ stacked - np.eye(stacked.shape[1])
     owner = np.repeat(np.arange(len(frames)), [f.shape[1] for f in frames])
     same = owner[:, None] == owner
-    return SchemeDiagnostics(max(idem, _max_abs(gram[same])), _max_abs(gram[~same]),
+    return SchemeDiagnostics(_max_abs(gram[same]), _max_abs(gram[~same]),
                              _max_abs(stacked @ stacked.conj().T - np.eye(scheme.dim)))
 
 
@@ -352,4 +334,4 @@ def reduced_projector(proj: Operator, keep: int) -> Operator:
     for slot in reversed([i for i in range(n) if i != keep]):
         k = tensor.ndim // 2
         tensor = np.trace(tensor, axis1=slot, axis2=slot + k)
-    return Operator((dims[keep],), tensor, hermitian=proj.hermitian)
+    return Operator((dims[keep],), tensor)

@@ -62,7 +62,7 @@ class WavePacket:
         if self.spectral.shape != (modes.n_modes,):
             raise ValueError("spectral amplitudes do not match the mode set")
         total = float(np.sum(np.abs(self.spectral) ** 2)) / modes.lattice.volume
-        if abs(total - 1.0) > DEFAULT_POLICY.structural_tol:
+        if not abs(total - 1.0) <= DEFAULT_POLICY.structural_tol:
             raise ValueError(f"wave packet norm {total!r} != 1")
 
 

@@ -36,14 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .policy import integer
+
 DISPERSIONS = ("lattice", "continuum")
-
-
-def _integer(value) -> int:
-    """value as a plain int; a bool, float or string raises TypeError."""
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError
-    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -58,11 +53,7 @@ class LatticeSpec:
 
     def __post_init__(self):
         for name in ("dim", "n_sites"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, _integer(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.dim not in (1, 2, 3):
             raise ValueError(f"spatial dimension must be 1, 2 or 3, got {self.dim}")
         if self.n_sites < 2 or self.n_sites % 2 != 0:
@@ -93,8 +84,8 @@ class LatticeSpec:
         if len(coords) != self.dim:
             raise ValueError(f"{what} {x!r} does not match dimension {self.dim}")
         try:
-            return tuple([_integer(c) % self.n_sites for c in coords])
-        except TypeError:
+            return tuple([integer(c, what) % self.n_sites for c in coords])
+        except ValueError:
             raise ValueError(f"{what} needs integer coordinates, got {x!r}") from None
 
 
@@ -117,10 +108,7 @@ class ModeSet:
         return 1.0 / self.lattice.volume
 
     def _digits(self, index) -> tuple:
-        try:
-            index = _integer(index)
-        except TypeError:
-            raise ValueError(f"mode index must be an integer, got {index!r}") from None
+        index = integer(index, "mode index")
         if not 0 <= index < self.n_modes:
             raise ValueError(f"mode index {index} out of range")
         return np.unravel_index(index, (self.lattice.n_sites,) * self.lattice.dim)

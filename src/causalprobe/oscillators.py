@@ -35,14 +35,13 @@ in the tests (``tests/phase_reference.py``).
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import OutcomeEnsemble, StateVector, branch_ensemble
-from .policy import DEFAULT_POLICY, TruncationError, checked_tail
+from .policy import DEFAULT_POLICY, TruncationError, checked_tail, integer
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,7 @@ class TwoModeFock:
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
         total = float(np.sum(np.abs(amps) ** 2)) + self.tail_bound
-        if abs(total - 1.0) > DEFAULT_POLICY.structural_tol:
+        if not abs(total - 1.0) <= DEFAULT_POLICY.structural_tol:
             raise ValueError(
                 f"|amps|^2 + tail_bound = {total!r}, must be 1 within structural tolerance")
 
@@ -140,19 +139,9 @@ def coherent_amplitudes(alpha, dim: int) -> np.ndarray:
     return np.cumprod(steps, axis=-1)
 
 
-def _index(name: str, value) -> int:
-    """An integer cutoff; a bool, float or string is refused by name."""
-    try:
-        if type(value) is bool:
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _normalize_trunc(trunc) -> tuple[int, int]:
     a, b = (trunc, trunc) if np.isscalar(trunc) else trunc
-    return _index("trunc", a), _index("trunc", b)
+    return integer(a, "trunc"), integer(b, "trunc")
 
 
 def _kicked_factors(params: OscParams, kick: KickParams,
@@ -197,7 +186,7 @@ def naive_nplus_ensemble(prestate: TwoModeFock) -> OutcomeEnsemble:
 
 
 def _check_s_cut(s_cut: int) -> None:
-    if _index("s_cut", s_cut) < 0 or s_cut % 2 != 0:
+    if integer(s_cut, "s_cut") < 0 or s_cut % 2 != 0:
         raise ValueError(f"s_cut must be even and nonnegative, got {s_cut}")
 
 
@@ -208,7 +197,7 @@ def _phase_overlaps(params: OscParams, kick: KickParams, s_cut: int,
     the phase states, and the tail, per kick; see the module docstring."""
     _check_s_cut(s_cut)
     f_plus, f_minus, tail = _kicked_factors(params, kick,
-                                            (_index("n_max", n_max), 2 * s_cut + 2))
+                                            (integer(n_max, "n_max"), 2 * s_cut + 2))
     by_parity = np.where(np.arange(2 * s_cut + 2) % 2 == [[0], [1]], f_minus[..., None, :], 0)
     return f_plus, np.fft.fft(by_parity, axis=-1)[..., ::2] / math.sqrt(s_cut + 1), tail
 
@@ -272,7 +261,7 @@ def local_moments_b(obj, params: OscParams | None = None) -> LocalMoments:
                     for e in obj.entries if not e.zero_branch]
     else:
         raise TypeError(f"unsupported input {type(obj).__name__}")
-    if obj.tail_bound > DEFAULT_POLICY.tail_tol:
+    if not obj.tail_bound <= DEFAULT_POLICY.tail_tol:
         raise TruncationError(f"tail {obj.tail_bound:.3e} above policy tolerance")
     if not weighted:
         raise ValueError("ensemble has no nonzero branches")

@@ -4,12 +4,16 @@ Structural checks (projector algebra, completeness, scheme validation) are
 held to ``structural_tol``; quantities that are exact in real arithmetic
 (basis-state overlaps, closed-form rational values) to ``exact_tol``.
 Truncated-basis constructions must keep the norm outside the truncation
-below ``tail_tol`` or refuse to proceed (``checked_tail``).
+below ``tail_tol`` or refuse to proceed (``checked_tail``).  Sizes, cutoffs
+and indices pass one integer rule (``integer``).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, asdict
+
+import numpy as np
 
 
 class TruncationError(RuntimeError):
@@ -28,6 +32,17 @@ class NumericPolicy:
 
 
 DEFAULT_POLICY = NumericPolicy()
+
+
+def integer(value, what: str) -> int:
+    """value as a plain int: the rule for every size, cutoff and index.  A
+    bool, float or string is refused with a ValueError naming ``what``."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def checked_tail(norm: float, what: str) -> float:

@@ -51,7 +51,7 @@ def axis_sigma(axis) -> np.ndarray:
     if ax.shape != (3,):
         raise ValueError(f"axis must be a 3-vector, got shape {ax.shape}")
     n = float(np.linalg.norm(ax))
-    if abs(n - 1.0) > DEFAULT_POLICY.exact_tol:
+    if not abs(n - 1.0) <= DEFAULT_POLICY.exact_tol:
         raise ValueError(f"axis must be unit length, |axis|={n!r}")
     return ax[0] * SIGMA_X + ax[1] * SIGMA_Y + ax[2] * SIGMA_Z
 
@@ -98,19 +98,19 @@ def spin_observable(name: str, hbar: float = 1.0) -> Operator:
     the totals "S2" and "Sz"."""
     if name not in OBSERVABLES:
         raise ValueError(f"unknown spin observable {name!r}")
-    if not hbar > 0:
-        raise ValueError("hbar must be positive")
+    if not (math.isfinite(hbar) and hbar > 0):
+        raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
     if name == "S2":
         return s2_total(hbar)
     if name == "Sz":
         return sz_total(hbar)
-    single = Operator((2,), (hbar / 2.0) * _PAULI[name[2]], hermitian=True)
+    single = Operator((2,), (hbar / 2.0) * _PAULI[name[2]])
     return embed_local(single, "AB".index(name[1]), (2, 2))
 
 
 def sz_total(hbar: float = 1.0) -> Operator:
     mat = (hbar / 2.0) * (np.kron(SIGMA_Z, np.eye(2)) + np.kron(np.eye(2), SIGMA_Z))
-    return Operator((2, 2), mat, hermitian=True)
+    return Operator((2, 2), mat)
 
 
 def s2_total(hbar: float = 1.0) -> Operator:
@@ -119,7 +119,7 @@ def s2_total(hbar: float = 1.0) -> Operator:
     for p in (SIGMA_X, SIGMA_Y, SIGMA_Z):
         tot = (hbar / 2.0) * (np.kron(p, np.eye(2)) + np.kron(np.eye(2), p))
         mat += tot @ tot
-    return Operator((2, 2), mat, hermitian=True)
+    return Operator((2, 2), mat)
 
 
 # two-spin product kets in the (A major, B minor) ordering

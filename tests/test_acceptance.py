@@ -117,7 +117,7 @@ def test_criterion_03_post_basis_ambiguity():
 def test_criterion_04_semicausality():
     for out in spin_scheme("s2-bell").outcomes:
         red = reduced_projector(
-            Operator((2, 2), out.projector_matrix(), hermitian=True), keep=1)
+            Operator((2, 2), out.projector_matrix()), keep=1)
         assert np.max(np.abs(red.matrix - np.eye(2) / 2)) <= 1e-12
     psi = spin_state("up", "up")
     worst = 0.0

@@ -68,8 +68,8 @@ def dense_field_operator(modes, y, trunc, momentum=False) -> Operator:
         else:
             w = math.sqrt(lat.hbar / (2.0 * modes.omega[i] * lat.volume))
             term = w * (phase * a + np.conj(phase) * a.conj().T)
-        total += embed_local(Operator((trunc,), term, hermitian=True), i, dims).matrix
-    return Operator(dims, total, hermitian=True)
+        total += embed_local(Operator((trunc,), term), i, dims).matrix
+    return Operator(dims, total)
 
 
 def pair_level_frames(dims) -> MeasurementScheme:
@@ -89,10 +89,10 @@ def branch_loop(trunc, scheme_of) -> dict:
     state, _ = oracle_prestate(MODES, KICK, trunc)
     phi, pi = (dense_field_operator(MODES, 1, trunc, momentum).matrix
                for momentum in (False, True))
-    dense = {name: Operator(state.dims, m, hermitian=True) for name, m in (
+    dense = {name: Operator(state.dims, m) for name, m in (
         ("phi_y", phi), ("pi_y", pi), ("phi2_y", phi @ phi), ("pi2_y", pi @ pi))}
-    return dict(zip(dense, post_measurement_expectations(state, scheme_of(state),
-                                                         dense.values())))
+    return dict(zip(dense, post_measurement_expectations(
+        state.amplitudes, scheme_of(state), dense.values())))
 
 
 class TestKickDisplacements:
@@ -240,6 +240,11 @@ class TestWavePackets:
     def test_packet_normalization_enforced(self):
         with pytest.raises(ValueError):
             packet_kernel(MODES, WavePacket(2.0 * np.ones(MODES.n_modes)), 0.0, 0)
+
+    def test_nan_packet_rejected(self):
+        spec = np.full(MODES.n_modes, math.nan, dtype=complex)
+        with pytest.raises(ValueError, match="wave packet norm"):
+            WavePacket(spec).validate(MODES)
 
 
 class TestSorkinDerivative:

@@ -132,6 +132,13 @@ class TestCoherentPrestate:
         with pytest.raises(ValueError):
             TwoModeFock(PARAMS, amps, tail_bound=0.0)
 
+    @pytest.mark.parametrize("amp, tail", [(math.nan, 0.0), (1.0, math.nan)])
+    def test_nan_norm_or_tail_refused(self, amp, tail):
+        amps = np.zeros((3, 3), dtype=complex)
+        amps[0, 0] = amp
+        with pytest.raises(ValueError, match="must be 1 within structural tolerance"):
+            TwoModeFock(PARAMS, amps, tail_bound=tail)
+
 
 class TestNaiveMeasurement:
     def test_probabilities_are_poisson_in_the_plus_displacement(self):
@@ -360,6 +367,14 @@ class TestLocalMoments:
         amps = np.zeros((4, 4), dtype=complex)
         amps[0, 0] = math.sqrt(1.0 - 1e-6)
         state = TwoModeFock(PARAMS, amps, tail_bound=1e-6)
+        with pytest.raises(TruncationError):
+            local_moments_b(state)
+
+    def test_nan_tail_rejected(self):
+        """A NaN tail, set past the constructor's own check, is refused
+        rather than read as within the policy's tail tolerance."""
+        state = coherent_prestate(PARAMS, KickParams(), 8)
+        object.__setattr__(state, "tail_bound", math.nan)
         with pytest.raises(TruncationError):
             local_moments_b(state)
 

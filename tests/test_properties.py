@@ -20,13 +20,14 @@ from causalprobe import field_oracle, fieldtheory, harness, oscillators, spins
 from causalprobe.core import (MeasurementScheme, Operator, SchemeOutcome, StateVector,
                               born_ensemble, embed_local,
                               post_measurement_expectation, post_measurement_expectations,
-                              post_measurement_operator, tensor_state, validate_scheme)
+                              post_measurement_operator, qndsv_scheme, tensor_state,
+                              validate_scheme)
 from causalprobe.harness import SPIN
 from causalprobe.lattice import LatticeSpec, build_modes, kernel_g, kernel_ginv
 from causalprobe.policy import TruncationError
 
 import dense_oracle
-from conftest import minus, plus, random_unitary
+from conftest import minus, plus, random_state, random_unitary
 from phase_reference import phase_scheme_nplus
 from reference_modes import reference_modes
 
@@ -80,8 +81,9 @@ def test_semicausal_schemes_show_no_signal(sid, state, axis, angle):
 @st.composite
 def framed_schemes(draw):
     """A random unitary on dim <= 16 split into frames of random ranks, the
-    last outcome optionally given as the complement of the others' span;
-    with each outcome's dense projector, summed from np.outer here."""
+    last outcome optionally given the frame of the others' complement that a
+    complete QR of their columns gives; with each outcome's dense projector,
+    summed from np.outer here."""
     dim = draw(st.integers(1, 16))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     u = random_unitary(dim, rng)
@@ -89,13 +91,12 @@ def framed_schemes(draw):
     blocks = np.split(u, cuts, axis=1)
     outcomes = [SchemeOutcome(f"o{i}", b) for i, b in enumerate(blocks)]
     if len(blocks) > 1 and draw(st.booleans()):
-        outcomes[-1] = SchemeOutcome("rest", np.hstack(blocks[:-1]), complement=True)
-    projectors = []
-    for out in outcomes:
-        proj = sum(np.outer(col, col.conj()) for col in out.frame.T)
-        projectors.append(np.eye(dim) - proj if out.complement else proj)
+        others = np.hstack(blocks[:-1])
+        rest = np.linalg.qr(others, mode="complete")[0][:, others.shape[1]:]
+        outcomes[-1] = SchemeOutcome("rest", rest)
+    projectors = [sum(np.outer(col, col.conj()) for col in out.frame.T) for out in outcomes]
     herm = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2)]
-    observables = [Operator((dim,), (h + h.conj().T) / 2, hermitian=True) for h in herm]
+    observables = [Operator((dim,), (h + h.conj().T) / 2) for h in herm]
     amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     state = StateVector((dim,), amp / np.linalg.norm(amp))
     return MeasurementScheme((dim,), tuple(outcomes)), projectors, observables, state
@@ -110,7 +111,7 @@ def test_frames_match_dense_projectors(case):
     scheme, projectors, observables, state = case
     assert validate_scheme(scheme).within(1e-10)
     psi = state.amplitudes
-    got = post_measurement_expectations(state, scheme, observables)
+    got = post_measurement_expectations(state.amplitudes, scheme, observables)
     for value, obs in zip(got, observables):
         assert np.allclose(post_measurement_operator(scheme, obs),
                            sum(p @ obs.matrix @ p for p in projectors), rtol=0, atol=1e-12)
@@ -148,7 +149,7 @@ def test_dephased_route_matches_unit_vector_frames(case):
     and 2 core's averages over the frame scheme whose outcome
     (levels) holds every basis vector with those levels on the slots."""
     dims, slots, state, terms = case
-    dense = sum(embed_local(Operator((len(t),), t, hermitian=True), k, dims).matrix
+    dense = sum(embed_local(Operator((len(t),), t), k, dims).matrix
                 for k, t in enumerate(terms))
     assert np.allclose(dense_oracle.apply_mode_sum(terms, state.amplitudes),
                        dense @ state.amplitudes, rtol=0, atol=1e-12)
@@ -158,11 +159,36 @@ def test_dephased_route_matches_unit_vector_frames(case):
         (f"n={','.join(map(str, lv))}",
          basis[np.all(digits[list(slots)] == np.array(lv)[:, None], axis=0)])
         for lv in itertools.product(*(range(dims[s]) for s in slots))])
-    want = post_measurement_expectations(state, frames, [
-        Operator(dims, dense, hermitian=True), Operator(dims, dense @ dense, hermitian=True)])
+    want = post_measurement_expectations(state.amplitudes, frames, [
+        Operator(dims, dense), Operator(dims, dense @ dense)])
     got = [dense_oracle.dephased_expectation(state.amplitudes, terms, power, slots)
            for power in (1, 2)]
     assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+@st.composite
+def verified_targets(draw):
+    """A random normalized target on (2, 2), (3, 2) or (2, 3, 2), and a
+    random observable there."""
+    dims = draw(st.sampled_from([(2, 2), (3, 2), (2, 3, 2)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_state(dims, rng), Operator(dims, _hermitian(math.prod(dims), rng))
+
+
+@SEEDED
+@given(case=verified_targets())
+def test_qndsv_frames_project_on_the_target_and_its_complement(case):
+    """qndsv_scheme's yes and no frames give the projectors |t><t| and
+    1 - |t><t|, pass validate_scheme, and give the dense sum_i P_i O P_i."""
+    target, obs = case
+    yes = np.outer(target.amplitudes, target.amplitudes.conj())
+    dense = (yes, np.eye(len(yes)) - yes)
+    scheme = qndsv_scheme(target)
+    for out, proj in zip(scheme.outcomes, dense, strict=True):
+        assert np.allclose(out.projector_matrix(), proj, rtol=0, atol=1e-12)
+    assert validate_scheme(scheme).within(1e-12)
+    assert np.allclose(post_measurement_operator(scheme, obs),
+                       sum(p @ obs.matrix @ p for p in dense), rtol=0, atol=1e-12)
 
 
 @st.composite
@@ -531,8 +557,7 @@ def _per_state_arithmetic(prestate, axis, angle, scheme, operators) -> list:
     psi = np.kron(u, np.eye(2)) @ prestate.amplitudes
     totals = [0.0] * len(operators)
     for out in scheme.outcomes:
-        comp = out.frame @ np.array([np.vdot(col, psi) for col in out.frame.T])
-        branch = psi - comp if out.complement else comp
+        branch = out.frame @ np.array([np.vdot(col, psi) for col in out.frame.T])
         for i, op in enumerate(operators):
             totals[i] += float(np.real(np.vdot(branch, op.matrix @ branch)))
     return totals
@@ -561,7 +586,7 @@ def test_stacked_spin_route_matches_the_per_state_route(sid, axis, target, lams)
         prestate = spins.spin_state(*initial)
         for i, lam in enumerate(lams):
             per_state = post_measurement_expectations(
-                spins.alice_rotate(prestate, axis, lam), scheme, operators)
+                spins.alice_rotate(prestate, axis, lam).amplitudes, scheme, operators)
             reference = _per_state_arithmetic(prestate, axis, lam, scheme, operators)
             for k, obs in enumerate(spins.OBSERVABLES):
                 assert abs(stacked[obs][i] - reference[k]) <= 4e-15, (initial, obs, lam)

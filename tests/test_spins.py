@@ -18,6 +18,7 @@ from causalprobe.spins import (
     OBSERVABLES,
     SCHEMES,
     alice_rotate,
+    axis_sigma,
     s2_total,
     spin_observable,
     spin_scheme,
@@ -54,6 +55,19 @@ class TestStates:
     def test_non_unit_axis_rejected(self):
         with pytest.raises(ValueError):
             spin_state(plus((1, 1, 0)), "up")
+
+    @pytest.mark.parametrize("axis", [(math.nan, 0, 0), (0, math.nan, 1), (math.inf, 0, 0)])
+    def test_non_finite_axis_rejected(self, axis):
+        """Formerly axis_sigma((nan, 0, 0)) returned a NaN matrix."""
+        with pytest.raises(ValueError, match="unit length"):
+            axis_sigma(axis)
+
+    @pytest.mark.parametrize("hbar", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_non_finite_or_non_positive_hbar_rejected(self, hbar):
+        """Formerly spin_observable("sBz", inf) returned an all-NaN operator."""
+        for name in OBSERVABLES:
+            with pytest.raises(ValueError, match="hbar must be positive and finite"):
+                spin_observable(name, hbar)
 
 
 class TestRotations:
