@@ -273,20 +273,26 @@ def post_measurement_expectations(amplitudes: np.ndarray, scheme: MeasurementSch
     observable."""
     if amplitudes.shape[-1] != scheme.dim:
         raise ValueError(f"amplitudes of shape {amplitudes.shape} not on {scheme.dims}")
-    return np.array([np.einsum("...i,ij,...j->...", amplitudes.conj(),
-                               post_measurement_operator(scheme, obs), amplitudes).real
-                     for obs in observables])
+    return quadratic_forms(amplitudes, [post_measurement_operator(scheme, obs)
+                                        for obs in observables])
+
+
+def quadratic_forms(amplitudes: np.ndarray, matrices) -> np.ndarray:
+    """Re <psi|M|psi> of each matrix M for each (..., dim) row, shape (len(matrices), ...)."""
+    return np.array([np.einsum("...i,ij,...j->...", amplitudes.conj(), m, amplitudes).real
+                     for m in matrices])
 
 
 def post_measurement_operator(scheme: MeasurementScheme, obs: Operator) -> np.ndarray:
-    """M_O = sum_i P_i O P_i, summed from each outcome's frame F as
-    F (F^dag O F) F^dag: O(dim^2 rank) work, and no projector is built."""
+    """M_O = sum_i P_i O P_i (read-only), summed from each outcome's frame F
+    as F (F^dag O F) F^dag: O(dim^2 rank) work, and no projector is built."""
     if obs.dims != scheme.dims:
         raise ValueError(f"obs dims {obs.dims} do not match scheme dims {scheme.dims}")
     o, total = obs.matrix, np.zeros_like(obs.matrix)
     for out in scheme.outcomes:
         f, g = out.frame, out.frame.conj().T
         total += f @ ((g @ o) @ f) @ g
+    total.setflags(write=False)
     return total
 
 

@@ -11,7 +11,7 @@ included), and keeps its typed values as ``Scenario.typed``: every
 Everything downstream is a pure function of the scenario, so reports are
 reproducible bit for bit.  Each report hands its evaluator every lam it
 will read, and the system evaluates the distinct ones in one array call,
-for every observable, in one thread.
+for every observable, in one thread; spin values read M_O from ``spins``' table.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import fieldtheory, oscillators, spins
-from .core import post_measurement_expectations
+from .core import quadratic_forms
 from .lattice import DISPERSIONS, LatticeSpec, build_modes
 
 
@@ -264,18 +264,16 @@ class Scenario:
 # observable in one call
 
 def _spin_evaluator(sc: Scenario, built: dict):
+    """Values hbar^k <psi(lam)|M_O|psi(lam)>, M_O at hbar = 1: k = 2 for S2, else 1."""
     typed = sc.typed
-    scheme = spins.spin_scheme(sc.scheme["id"], **typed.extras)
-    hbar, initial = typed.params["hbar"], typed.params["initial"]
-    key = (sc.observables, hbar, initial)
-    if key not in built:
-        built[key] = ([spins.spin_observable(name, hbar) for name in sc.observables],
-                      spins.spin_state(*initial))
-    operators, prestate = built[key]
+    prestate, matrices = spins.fixed_matrices(typed.params["initial"], sc.scheme["id"],
+                                              typed.extras.get("target"), sc.observables)
+    scales = np.array([[typed.params["hbar"] ** (2 if name == "S2" else 1)]
+                       for name in sc.observables])
 
     def values(lams: np.ndarray) -> dict:
         rows = spins.alice_rotations(prestate, typed.alice["axis"], lams.tolist())
-        return dict(zip(sc.observables, post_measurement_expectations(rows, scheme, operators)))
+        return dict(zip(sc.observables, scales * quadratic_forms(rows, matrices)))
 
     return values
 
@@ -377,7 +375,7 @@ SPIN = System(
         "initial": Param("labels", ("up", "up"), flag="--initial",
                          help="initial product state labels, e.g. up,up",
                          check=lambda pair: [spins.ket(label) for label in pair]),
-        "hbar": Param("float", 1.0),
+        "hbar": Param("float", 1.0, check=spins.check_hbar),
     },
     alice="rotate",
     alice_params={"axis": Param("vector", (0.0, 1.0, 0.0), check=spins.axis_sigma)},
@@ -453,7 +451,7 @@ def make_evaluator(sc: Scenario, points, *, built: dict | None = None):
     values(lams) call of the system on their distinct values.
 
     Evaluators given one ``built`` dict share what they build from equal
-    system params: a field mode set with its kernel memo, spin operators.
+    system params: a field mode set with its kernel memo (spins have a table).
     """
     # -0.0 and 0.0 may print differently, so each is its own point
     keys = list(dict.fromkeys((lam, math.copysign(1.0, lam)) for lam in points))
@@ -623,7 +621,7 @@ def compare_schemes(sc: Scenario, scheme_ids, extras=None) -> tuple[CompareRow, 
             for sid in scheme_ids]
     _refuse_repeats(f"scheme ids {','.join(scheme_ids)}", [sub.scheme["id"] for sub in subs])
     unmeasured = any(sub.scheme["id"] == NO_MEASUREMENT for sub in subs)  # before_eval serves it
-    built = {}      # one mode set, or one set of spin operators, for every compared scheme
+    built = {}      # one field mode set for every compared scheme
     before_eval = make_evaluator(replace(sc, scheme={"id": NO_MEASUREMENT}),
                                  reads if unmeasured else reads[:1], built=built)
     for sub in subs:

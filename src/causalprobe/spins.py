@@ -24,8 +24,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import (MeasurementScheme, Operator, StateVector, embed_local, qndsv_scheme,
-                   tensor_state)
+from .core import (MeasurementScheme, Operator, StateVector, embed_local,
+                   post_measurement_operator, qndsv_scheme, tensor_state)
 from .policy import DEFAULT_POLICY
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -95,38 +95,26 @@ OBSERVABLES = ("sAx", "sAy", "sAz", "sBx", "sBy", "sBz", "S2", "Sz")
 
 def spin_observable(name: str, hbar: float = 1.0) -> Operator:
     """An entry of OBSERVABLES: s{A,B}{x,y,z} single-spin (hbar/2 sigma), or
-    the totals "S2" and "Sz"."""
+    the totals "S2" (eigenvalues hbar^2 S(S+1), S in {0, 1}) and "Sz"."""
     if name not in OBSERVABLES:
         raise ValueError(f"unknown spin observable {name!r}")
-    if not (math.isfinite(hbar) and hbar > 0):
-        raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
-    if name == "S2":
-        return s2_total(hbar)
-    if name == "Sz":
-        return sz_total(hbar)
+    check_hbar(hbar)
+    if name in ("S2", "Sz"):
+        totals = [(hbar / 2.0) * (np.kron(p, np.eye(2)) + np.kron(np.eye(2), p))
+                  for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
+        return Operator((2, 2), totals[2] if name == "Sz" else sum(t @ t for t in totals))
     single = Operator((2,), (hbar / 2.0) * _PAULI[name[2]])
     return embed_local(single, "AB".index(name[1]), (2, 2))
 
 
-def sz_total(hbar: float = 1.0) -> Operator:
-    mat = (hbar / 2.0) * (np.kron(SIGMA_Z, np.eye(2)) + np.kron(np.eye(2), SIGMA_Z))
-    return Operator((2, 2), mat)
-
-
-def s2_total(hbar: float = 1.0) -> Operator:
-    """(s_A + s_B)^2 with eigenvalues hbar^2 S(S+1), S in {0, 1}."""
-    mat = np.zeros((4, 4), dtype=complex)
-    for p in (SIGMA_X, SIGMA_Y, SIGMA_Z):
-        tot = (hbar / 2.0) * (np.kron(p, np.eye(2)) + np.kron(np.eye(2), p))
-        mat += tot @ tot
-    return Operator((2, 2), mat)
+def check_hbar(hbar: float) -> None:
+    """Refuse an hbar that is not positive and finite: it flips or zeroes each value."""
+    if not (math.isfinite(hbar) and hbar > 0):
+        raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
 
 
 # two-spin product kets in the (A major, B minor) ordering
-_UU = np.array([1, 0, 0, 0], dtype=complex)
-_UD = np.array([0, 1, 0, 0], dtype=complex)
-_DU = np.array([0, 0, 1, 0], dtype=complex)
-_DD = np.array([0, 0, 0, 1], dtype=complex)
+_UU, _UD, _DU, _DD = np.eye(4, dtype=complex)
 SINGLET = (_UD - _DU) / math.sqrt(2)
 TRIPLET_SYM = (_UD + _DU) / math.sqrt(2)
 BELL_PHI_PLUS = (_UU + _DD) / math.sqrt(2)
@@ -157,3 +145,23 @@ def spin_scheme(scheme_id: str, target=None) -> MeasurementScheme:
     if scheme_id not in SCHEMES:
         raise ValueError(f"unknown spin scheme {scheme_id!r}")
     return MeasurementScheme.from_basis((2, 2), SCHEMES[scheme_id])
+
+
+# The read-only matrices of spin reports at hbar = 1, each built on first read (not at
+# import) and kept: only named labels key it, so its keys are finite and none is evicted.
+_TABLE: dict = {}
+
+
+def _entry(key, build):
+    """The entry of key, built on its first read; setdefault keeps one build of a race."""
+    return _TABLE[key] if key in _TABLE else _TABLE.setdefault(key, build())
+
+
+def fixed_matrices(initial: tuple, scheme_id: str, target, names) -> tuple:
+    """spin_state(*initial), and M_O = sum_i P_i O P_i at hbar = 1 of each
+    observable name under spin_scheme(scheme_id, target); every label is named."""
+    scheme = _entry(("scheme", scheme_id, target), lambda: spin_scheme(scheme_id, target))
+    return (_entry(("state", initial), lambda: spin_state(*initial)),
+            [_entry(("M", scheme_id, target, name), lambda: post_measurement_operator(
+                scheme, _entry(("observable", name), lambda: spin_observable(name))))
+             for name in names])

@@ -15,6 +15,7 @@ from causalprobe.core import StateVector
 from dense_oracle import oracle_prestate
 from causalprobe.fieldtheory import WavePacket
 from causalprobe.policy import DEFAULT_POLICY
+from causalprobe import spins
 from causalprobe.spins import axis_sigma
 
 
@@ -137,3 +138,11 @@ def scenario_dict(sc) -> dict:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20231202)
+
+
+@pytest.fixture
+def cold_spin_table():
+    """The spins table emptied, as in a fresh process; emptied again after."""
+    spins._TABLE.clear()
+    yield spins._TABLE
+    spins._TABLE.clear()

@@ -548,19 +548,22 @@ class TestCompareCommand:
         assert code == 0
         assert len(builds) == 1
 
-    def test_spin_operators_are_built_once(self, tmp_path, monkeypatch):
-        """A 7-scheme spin compare builds each observable's operator once:
-        the 'before' column and every compared scheme share it."""
+    def test_spin_operators_are_built_once(self, tmp_path, monkeypatch, cold_spin_table):
+        """A 7-scheme spin compare from an empty spins table builds each
+        observable's operator once: the 'before' column and every compared
+        scheme share it.  A second compare in the process builds none."""
         built = []
         original = spins.spin_observable
         monkeypatch.setattr(spins, "spin_observable",
                             lambda name, hbar=1.0: built.append(name) or original(name, hbar))
-        code = run(["compare", "--scenario", str(SCENARIOS / "spin_s2_ambiguity.json"),
-                    "--schemes", "s2-standard,s2-bell,s2-luders,sz-standard,sz-bell,sz-luders,none",
-                    "--out", str(tmp_path)])
-        assert code == 0
-        assert len(read_rows(tmp_path / "spin_s2_ambiguity_compare.csv")) == 7 * 2
+        argv = ["compare", "--scenario", str(SCENARIOS / "spin_s2_ambiguity.json"),
+                "--schemes", "s2-standard,s2-bell,s2-luders,sz-standard,sz-bell,sz-luders,none"]
+        assert run([*argv, "--out", str(tmp_path / "cold")]) == 0
+        assert len(read_rows(tmp_path / "cold" / "spin_s2_ambiguity_compare.csv")) == 7 * 2
         assert sorted(built) == ["S2", "sBz"]
+        built.clear()
+        assert run([*argv, "--out", str(tmp_path / "warm")]) == 0
+        assert built == []
 
     @pytest.mark.parametrize("argv, made", [
         (["compare", "--scenario", str(SCENARIOS / "field_qndsv.json"),

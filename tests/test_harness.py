@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causalprobe import core, harness, spins
+from causalprobe import harness, spins
 from causalprobe.harness import (
     Scenario,
     ScenarioError,
@@ -366,15 +366,16 @@ class TestRunScenario:
         reads = (*sc.lambda_grid, 0.0) if measure == "deviation" else (sc.lambda_ref,)
         assert calls == [_keys(*reads)] * 3
 
-    def test_spin_branches_are_shared_by_observables(self, monkeypatch):
-        """Each observable's M_O = sum_i P_i O P_i is formed once per values
-        call and serves the stack of every distinct lam, not once per lam."""
+    def test_spin_branches_are_shared_by_observables(self, monkeypatch, cold_spin_table):
+        """From an empty spins table, each observable's M_O = sum_i P_i O P_i
+        is formed once and serves the stack of every distinct lam, not once
+        per lam; a second report in the process forms none."""
         sc = Scenario.from_dict(json.loads((SCENARIOS / "spin_s2_ambiguity.json").read_text()))
         assert len(sc.observables) == 2
         calls = _count_system_calls(monkeypatch, sc.system)
         formed = []
-        original = core.post_measurement_operator
-        monkeypatch.setattr(core, "post_measurement_operator",
+        original = spins.post_measurement_operator
+        monkeypatch.setattr(spins, "post_measurement_operator",
                             lambda scheme, obs: formed.append(obs.matrix) or original(scheme, obs))
         run_scenario(sc)
         h = 1e-3 * max(abs(v) for v in sc.lambda_grid)
@@ -383,6 +384,9 @@ class TestRunScenario:
         want = [spins.spin_observable(name).matrix for name in sc.observables]
         assert len(formed) == len(want) == 2
         assert all(np.array_equal(got, op) for got, op in zip(formed, want))
+        formed.clear()
+        run_scenario(sc)
+        assert formed == []
 
     def test_negative_zero_is_not_merged_with_zero(self):
         """A grid point at -0.0 keeps its own value next to the baseline at

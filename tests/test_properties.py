@@ -591,3 +591,65 @@ def test_stacked_spin_route_matches_the_per_state_route(sid, axis, target, lams)
             for k, obs in enumerate(spins.OBSERVABLES):
                 assert abs(stacked[obs][i] - reference[k]) <= 4e-15, (initial, obs, lam)
                 assert abs(per_state[k] - reference[k]) <= 4e-15, (initial, obs, lam)
+
+
+# ---------------------------------------------------------------------------
+# hbar pinned by closed forms, each value read without the spins table
+
+hbars = st.floats(0.01, 50.0)
+
+
+@SEEDED
+@given(hbar=hbars)
+def test_spin_values_scale_with_hbar(hbar):
+    """Unmeasured |up up>: <s_Bz> = hbar/2 and <S2> = 2 hbar^2; verifying
+    |up right> after Alice's quarter turn about y: <s_Bz> = hbar/4."""
+    up_up = spins.spin_state("up", "up")
+    sbz, s2 = (spins.spin_observable(name, hbar) for name in ("sBz", "S2"))
+    none = spins.spin_scheme("none")
+    verified = post_measurement_expectation(spins.alice_rotate(up_up, (0, 1, 0), math.pi / 2),
+                                            spins.spin_scheme("qndsv", ("up", "right")), sbz)
+    for got, want in ((post_measurement_expectation(up_up, none, sbz), hbar / 2),
+                      (post_measurement_expectation(up_up, none, s2), 2 * hbar**2),
+                      (verified, hbar / 4)):
+        assert abs(got - want) <= 1e-12 * want
+
+
+@SEEDED
+@given(hbar=hbars, dim=st.sampled_from((1, 2)), half=st.integers(2, 6),
+       mass=st.floats(0.1, 3.0), data=st.data())
+def test_field_vacuum_phi2_is_half_hbar_ginv(hbar, dim, half, mass, data):
+    """field none at lam = 0: <phi_y^2> = (hbar/2) ginv_yy, ginv_yy the
+    reference build's (1/V) sum_k 1/omega_k."""
+    n = 2 * half
+    site = st.lists(st.integers(0, n - 1), min_size=dim, max_size=dim)
+    x, y = data.draw(site), data.draw(site)
+    sc = harness.Scenario.from_dict({
+        "version": 1, "system": "field",
+        "system_params": {"dim": dim, "n_sites": n, "mass": mass, "x": x, "y": y,
+                          "p": [1] + [0] * (dim - 1), "hbar": hbar},
+        "alice": {"kind": "kick"}, "scheme": {"id": "none"},
+        "observables": ["phi2_y"], "lambda_grid": [0.0]})
+    lattice = LatticeSpec(dim=dim, n_sites=n, spacing=1.0, mass=mass)
+    ginv_yy = float(np.sum(1.0 / reference_modes(lattice)["omega"])) / lattice.volume
+    got = harness.make_evaluator(sc, (0.0,))("phi2_y", 0.0)
+    assert abs(got - hbar / 2 * ginv_yy) <= 1e-12 * hbar * ginv_yy
+
+
+@SEEDED
+@given(params=osc_params, p_a=momenta, p_b=momenta, lam=momenta)
+def test_unmeasured_oscillator_moments_are_closed_forms(params, p_a, p_b, lam):
+    """oscillator none: Alice's kick leaves Bob's <P_B> = p_b, <Q_B> = 0,
+    <P_B^2> = p_b^2 + hbar m Omega/2 and <Q_B^2> = hbar/(2 m Omega)."""
+    m, omega, hbar = params.mass, params.frequency, params.hbar
+    sc = harness.Scenario.from_dict({
+        "version": 1, "system": "oscillator",
+        "system_params": {"mass": m, "frequency": omega, "hbar": hbar,
+                          "p_a": p_a, "p_b": p_b, "trunc": 80},
+        "alice": {"kind": "kick"}, "scheme": {"id": "none"},
+        "observables": ["PB", "QB", "PB2", "QB2"], "lambda_grid": [lam]})
+    evaluate = harness.make_evaluator(sc, (lam,))
+    want = {"PB": p_b, "QB": 0.0, "PB2": p_b**2 + hbar * m * omega / 2,
+            "QB2": hbar / (2 * m * omega)}
+    for name, value in want.items():
+        assert abs(evaluate(name, lam) - value) <= 1e-12, name

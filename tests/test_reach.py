@@ -16,7 +16,7 @@ import runpy
 import sys
 from pathlib import Path
 
-from causalprobe import cli
+from causalprobe import cli, spins
 from conftest import public_callables
 from test_golden import COMMANDS
 
@@ -44,6 +44,8 @@ def _traced_codes(out: Path) -> set:
         if event == "call":
             called.add(frame.f_code)
 
+    # a command starts from an empty spins table; a warm one would hide its builders
+    spins._TABLE.clear()
     scenarios = [str(p) for p in sorted((ROOT / "scenarios").glob("*.json"))]
     with contextlib.redirect_stdout(io.StringIO()):
         sys.setprofile(profile)

@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+import filecmp
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from causalprobe import harness
+from causalprobe import cli, harness, spins
 from causalprobe.core import (
+    StateVector,
     born_ensemble,
     post_measurement_expectation,
+    post_measurement_expectations,
     post_measurement_operator,
     validate_scheme,
 )
@@ -19,7 +29,6 @@ from causalprobe.spins import (
     SCHEMES,
     alice_rotate,
     axis_sigma,
-    s2_total,
     spin_observable,
     spin_scheme,
     spin_state,
@@ -27,6 +36,7 @@ from causalprobe.spins import (
 
 from conftest import (bloch_grid, expectation, minus, plus, probability, random_rotations,
                       same_up_to_phase)
+from test_golden import COMMANDS
 
 SBZ = spin_observable("sBz")
 HALF_PI = math.pi / 2
@@ -127,7 +137,7 @@ class TestTotalSpinSquaredScheme:
             == pytest.approx(0.0, abs=1e-12)
 
     def test_total_spin_conserved_across_bases(self):
-        s2 = s2_total()
+        s2 = spin_observable("S2")
         psi = spin_state("right", "up")
         before = expectation(s2, psi)
         assert before == pytest.approx(1.5, abs=1e-12)
@@ -306,3 +316,123 @@ class TestSchemeRegistry:
     def test_qndsv_needs_target(self):
         with pytest.raises(ValueError):
             spin_scheme("qndsv")
+
+
+# ---------------------------------------------------------------------------
+# the spins table: the fixed matrices every spin report reads, at hbar = 1
+
+NAMED_PAIRS = list(itertools.product(["up", "down", "right", "left"], repeat=2))
+# every scheme key of the table: the fixed ids, and qndsv on each named pair
+SCHEME_KEYS = [(sid, None) for sid in SCHEMES] + [("qndsv", t) for t in NAMED_PAIRS]
+LAMS = np.array([0.0, -0.0, 0.3, -1.1, HALF_PI, 2.5])
+AXIS = (0.6, 0.0, 0.8)
+
+
+def _table_values(key, initial, hbar) -> dict:
+    """Every observable's values at LAMS, read by the harness from the table."""
+    sid, target = key
+    sc = harness.Scenario.from_dict({
+        "version": 1, "system": "spin",
+        "system_params": {"initial": list(initial), "hbar": hbar},
+        "alice": {"kind": "rotate", "axis": list(AXIS)},
+        "scheme": {"id": sid, **({"target": list(target)} if target else {})},
+        "observables": list(OBSERVABLES), "lambda_grid": [0.0]})
+    return harness.SPIN.evaluator(sc, {})(LAMS)
+
+
+def _per_call_values(key, initial, hbar) -> np.ndarray:
+    """The same values from a scheme, operators and prestate built for the
+    call, each operator at hbar itself: shape (len(OBSERVABLES), len(LAMS))."""
+    rows = spins.alice_rotations(spin_state(*initial), AXIS, LAMS.tolist())
+    operators = [spin_observable(name, hbar) for name in OBSERVABLES]
+    return post_measurement_expectations(rows, spin_scheme(*key), operators)
+
+
+def _assert_table_matches_per_call(key, hbar) -> None:
+    """Within 1e-15 of each observable's scale, its largest |eigenvalue|."""
+    scales = [np.max(np.abs(np.linalg.eigvalsh(spin_observable(name, hbar).matrix)))
+              for name in OBSERVABLES]
+    for initial in NAMED_PAIRS:
+        table, per_call = _table_values(key, initial, hbar), _per_call_values(key, initial, hbar)
+        for name, scale, want in zip(OBSERVABLES, scales, per_call):
+            assert np.max(np.abs(table[name] - want)) <= 1e-15 * scale, (key, initial, name)
+
+
+class TestTable:
+    def test_keys_cover_every_scheme_id(self):
+        assert len(SCHEME_KEYS) == 23
+        assert {sid for sid, _ in SCHEME_KEYS} == set(harness.SPIN.schemes)
+
+    @pytest.mark.parametrize("key", SCHEME_KEYS, ids=str)
+    def test_equals_the_per_call_route_bit_for_bit_at_unit_hbar(self, key, cold_spin_table):
+        for initial in NAMED_PAIRS:
+            table, per_call = _table_values(key, initial, 1.0), _per_call_values(key, initial, 1.0)
+            for name, want in zip(OBSERVABLES, per_call):
+                assert table[name].tobytes() == want.tobytes(), (key, initial, name)
+
+    @pytest.mark.parametrize("key", SCHEME_KEYS, ids=str)
+    def test_matches_the_per_call_route_at_other_hbar(self, key):
+        _assert_table_matches_per_call(key, 0.7)
+
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(key=st.sampled_from(SCHEME_KEYS), hbar=st.floats(0.01, 50.0))
+    def test_matches_the_per_call_route_at_drawn_hbar(self, key, hbar):
+        _assert_table_matches_per_call(key, hbar)
+
+    def test_holds_read_only_arrays(self, cold_spin_table):
+        for key in SCHEME_KEYS:
+            for initial in NAMED_PAIRS[:2]:
+                _table_values(key, initial, 1.0)
+        kinds = {type(value) for value in cold_spin_table.values()}
+        assert kinds == {spins.MeasurementScheme, spins.Operator, StateVector, np.ndarray}
+        # 23 schemes, 8 observables, 2 prestates and an M_O per scheme and observable
+        assert len(cold_spin_table) == 23 + 8 + 2 + 23 * 8
+        arrays = []
+        for value in cold_spin_table.values():
+            if isinstance(value, spins.MeasurementScheme):
+                arrays += [out.frame for out in value.outcomes]
+            elif isinstance(value, spins.Operator):
+                arrays.append(value.matrix)
+            elif isinstance(value, StateVector):
+                arrays.append(value.amplitudes)
+            else:
+                arrays.append(value)
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            arrays[-1][0, 0] = 1.0
+
+    @pytest.mark.parametrize("name", ["spin_qndsv", "spin_s2_sz", "compare_spin"])
+    def test_cold_and_warm_runs_write_the_same_bytes(self, tmp_path, cold_spin_table, name):
+        assert not cold_spin_table
+        for run in ("cold", "warm"):
+            assert cli.main([*COMMANDS[name], "--out", str(tmp_path / run)]) == 0
+        csvs = sorted(p.name for p in (tmp_path / "cold").glob("*.csv"))
+        assert csvs == sorted(p.name for p in (tmp_path / "warm").glob("*.csv"))
+        match, mismatch, errors = filecmp.cmpfiles(tmp_path / "cold", tmp_path / "warm",
+                                                   csvs, shallow=False)
+        assert (mismatch, errors) == ([], []) and match
+
+    def test_is_empty_after_import_and_scenario_checks(self):
+        """Nothing fills it at import, nor when a spin scenario is made: a
+        fresh command process starts with it empty."""
+        scenarios = sorted(Path(__file__).resolve().parent.parent.glob("scenarios/spin_*.json"))
+        code = ("import json, sys\n"
+                "import causalprobe.cli\n"
+                "from causalprobe import harness, spins\n"
+                "assert spins._TABLE == {}, 'filled at import'\n"
+                "for path in sys.argv[1:]:\n"
+                "    harness.Scenario.from_dict(json.load(open(path)))\n"
+                "assert spins._TABLE == {}, 'filled by a scenario check'\n")
+        src = str(Path(spins.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", code, *map(str, scenarios)], env=env, check=True)
+        assert scenarios
+
+    @pytest.mark.parametrize("hbar", [-1.0, 0.0])
+    def test_scenario_refuses_non_positive_hbar_when_made(self, hbar):
+        with pytest.raises(harness.ScenarioError, match="hbar must be positive"):
+            harness.Scenario.from_dict({
+                "version": 1, "system": "spin", "system_params": {"hbar": hbar},
+                "alice": {"kind": "rotate"}, "scheme": {"id": "none"},
+                "observables": ["sBz"], "lambda_grid": [0.0]})
