@@ -17,7 +17,7 @@ line endings so reruns are byte-identical; a JSON run manifest records
 the scenario digest and the numeric policy next to each table.
 
 Exit codes: 0 success, 2 validation error, 3 numeric-policy violation
-(truncation tails), 64 usage.
+(truncation tails), 64 usage; any other error is a fault of the program.
 """
 
 from __future__ import annotations
@@ -321,8 +321,7 @@ def build_parser() -> _Parser:
         aliases = "".join(f"; {alias} = {sid}" for alias, sid in spec.aliases.items())
         sub.add_argument("scheme_id", nargs="?", help=" | ".join(spec.schemes) + aliases)
         for _, key, param in _flag_params(spec):
-            sub.add_argument(param.flag, dest=key, type=_ARG_TYPES.get(param.kind),
-                             choices=param.choices, help=param.help)
+            sub.add_argument(param.flag, dest=key, type=_ARG_TYPES.get(param.kind), help=param.help)
         grid = _add_common(sub)
         if system == "spin":
             grid.add_argument("--alice", help="local rotation, e.g. rotate-y:1.5707963; "
@@ -362,7 +361,7 @@ def main(argv=None) -> int:
     except TruncationError as exc:
         print(f"causal-probe: numeric policy violation: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ScenarioError, ValueError) as exc:
+    except ScenarioError as exc:
         print(f"causal-probe: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -5,8 +5,8 @@ system is one declarative table in ``SYSTEMS``, read by validation, the
 evaluators and the CLI, so a new prescription is one table entry.
 
 A scenario is checked once, when it is made (``dataclasses.replace``
-included), and keeps its typed values as ``Scenario.typed``: every
-``Scenario`` that exists is valid.
+included), by its system's own rules too, and keeps its typed values and
+domain inputs as ``Scenario.typed``: every ``Scenario`` that exists is valid.
 
 Everything downstream is a pure function of the scenario, so reports are
 reproducible bit for bit.  Each report hands its evaluator every lam it
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import fieldtheory, oscillators, spins
 from .core import quadratic_forms
-from .lattice import DISPERSIONS, LatticeSpec, build_modes
+from .lattice import LatticeSpec, ModeSet, build_modes
 
 
 class ScenarioError(ValueError):
@@ -96,22 +96,20 @@ def _vector(what: str, value) -> tuple:
     return tuple(_real(what, v) for v in value)
 
 
-# a "choice" is passed on as is: its consumer (LatticeSpec) checks membership
 _KINDS = {"int": _integral, "float": _real, "labels": _labels, "site": _site,
-          "vector": _vector, "choice": lambda what, value: value}
+          "vector": _vector}
 _REQUIRED = object()
 
 
 @dataclass(frozen=True)
 class Param:
     """A typed entry of system_params, alice or a scheme; kind is a key of
-    _KINDS, choices what the CLI offers.  A None default lets it be null."""
+    _KINDS, flag the CLI's option for it.  A None default lets it be null."""
 
     kind: str
     default: object = _REQUIRED
     flag: str | None = None
     help: str | None = None
-    choices: tuple | None = None
     check: Callable = lambda value: None    # its consumer's refusal (a ValueError)
 
     def read(self, what: str, value):
@@ -158,6 +156,7 @@ class System:
     aliases: dict = field(default_factory=dict)       # CLI name -> scheme id
     sweep_axes: dict = field(default_factory=dict)    # axis -> (sc, value) -> sc
     amplitude: Callable | None = None   # Scenario -> observable-free sweep measure
+    inputs: Callable = lambda params: None    # typed params -> domain inputs, or a ValueError
 
     def scheme_for_id(self, sid: str, current: dict) -> dict:
         """Scheme dict for a command-line id, alias resolved (field: naive ->
@@ -173,8 +172,8 @@ class System:
             or tuple(self.observables)
 
 
-# a scenario's typed values, defaults filled in
-Typed = namedtuple("Typed", "params alice scheme extras")
+# a scenario's typed values, defaults filled in, and its system's domain inputs
+Typed = namedtuple("Typed", "params alice scheme extras inputs")
 
 
 def check_shape(raw) -> None:
@@ -256,7 +255,10 @@ class Scenario:
         if unsupported:
             raise ScenarioError(f"{sid} only reports {'/'.join(scheme.observables)}, "
                                 f"not {sorted(unsupported)}")
-        return Typed(params, alice, scheme, extras)
+        try:        # the system's own refusal, in its own words
+            return Typed(params, alice, scheme, extras, spec.inputs(params))
+        except ValueError as err:
+            raise ScenarioError(str(err)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -279,36 +281,34 @@ def _spin_evaluator(sc: Scenario, built: dict):
 
 
 def _oscillator_evaluator(sc: Scenario, built: dict):
-    typed = sc.typed
-    sp = typed.params
-    params = oscillators.OscParams(**{f.name: sp[f.name] for f in fields(oscillators.OscParams)})
+    typed, sp = sc.typed, sc.typed.params
 
     def values(lams: np.ndarray) -> dict:
         kick = oscillators.KickParams(p_a=sp["p_a"], p_b=sp["p_b"], lam=lams)
-        moments = typed.scheme.compute(params, kick, sp["trunc"], **typed.extras)
+        moments = typed.scheme.compute(typed.inputs, kick, sp["trunc"], **typed.extras)
         return {obs: getattr(moments, OSCILLATOR.observables[obs]) for obs in sc.observables}
 
     return values
 
 
-def _osc_phase(params, kick, trunc, s_cut) -> oscillators.LocalMoments:
-    return oscillators.phase_ensemble_moments(params, kick, s_cut, trunc)
-
-
-def _lattice(params: dict) -> LatticeSpec:
-    """The lattice a field scenario's typed params describe."""
-    return LatticeSpec(**{f.name: params[f.name] for f in fields(LatticeSpec)})
+def _field_inputs(params: dict) -> tuple[LatticeSpec, int]:
+    """A field scenario's lattice, with x and y on it, and its paired mode p's index."""
+    lattice = LatticeSpec(**{f.name: params[f.name] for f in fields(LatticeSpec)})
+    for key in ("x", "y"):
+        lattice.site(params[key], key)
+    modes = ModeSet(lattice)        # computes nothing; the evaluators build their own
+    p_index = modes.mode_index(params["p"])
+    if not modes.is_paired(p_index):
+        raise ValueError(f"wavenumber {params['p']!r} is self-conjugate, pick a paired mode")
+    return lattice, p_index
 
 
 def _field_evaluator(sc: Scenario, built: dict):
     sp = sc.typed.params
-    lattice = _lattice(sp)
+    lattice, p_index = sc.typed.inputs
     if lattice not in built:
         built[lattice] = build_modes(lattice)
     modes = built[lattice]
-    p_index = modes.mode_index(sp["p"])
-    if not modes.is_paired(p_index):
-        raise ScenarioError(f"wavenumber {sp['p']!r} is self-conjugate, pick a paired mode")
 
     def values(lams: np.ndarray) -> dict:
         kick = fieldtheory.KickSpec(site=sp["x"], strength=lams)
@@ -321,8 +321,8 @@ def _field_evaluator(sc: Scenario, built: dict):
 
 def _field_amplitude(sc: Scenario) -> float:
     """The suppression amplitude max_lam lam e^{-lam^2 ginv_xx/2hbar}."""
-    params = sc.typed.params
-    return fieldtheory.max_signaling(build_modes(_lattice(params)), params["x"]).amplitude
+    lattice, _ = sc.typed.inputs
+    return fieldtheory.max_signaling(build_modes(lattice), sc.typed.params["x"]).amplitude
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +349,7 @@ def _rescaled_for_spacing(sc: Scenario, value) -> Scenario:
     sp = sc.typed.params
     spacing = _real("sweep axis 'spacing'", value)
     n_new = sp["n_sites"] * sp["spacing"] / spacing
-    if abs(n_new - round(n_new)) > 1e-9 or int(round(n_new)) % 2 != 0:
+    if abs(n_new - round(n_new)) > 1e-9:
         raise ScenarioError(f"spacing {spacing!r} does not preserve the box: N={n_new}")
     ratio = sp["spacing"] / spacing
     return replace(sc, system_params={
@@ -397,18 +397,23 @@ OSCILLATOR = System(
         "hbar": Param("float", 1.0),
         "p_a": Param("float", 0.0, flag="--p-a"),
         "p_b": Param("float", 0.0, flag="--p-b"),
-        "trunc": Param("int", 40, flag="--trunc"),
+        "trunc": Param("int", 40, flag="--trunc", check=oscillators._normalize_trunc),
     },
     alice="kick",
     schemes={
         "naive-nplus": Scheme(compute=functools.partial(oscillators.kicked_moments,
                                                         collapse=True)),
-        "phase-nplus": Scheme({"s_cut": Param("int", flag="--s-cut")}, compute=_osc_phase),
+        "phase-nplus": Scheme(
+            {"s_cut": Param("int", flag="--s-cut", check=oscillators._check_s_cut)},
+            compute=lambda params, kick, trunc, s_cut:
+                oscillators.phase_ensemble_moments(params, kick, s_cut, trunc)),
         NO_MEASUREMENT: Scheme(compute=oscillators.kicked_moments),
     },
     observables={"QB": "q", "PB": "p", "QB2": "q2", "PB2": "p2", "EB": "energy"},
     default_observables=("QB", "PB", "QB2", "PB2"),
     evaluator=_oscillator_evaluator,
+    inputs=lambda sp: oscillators.OscParams(**{f.name: sp[f.name]
+                                               for f in fields(oscillators.OscParams)}),
     sweep_axes={"s_cut": functools.partial(_set_integer, "scheme", "s_cut"),
                 "trunc": functools.partial(_set_integer, "system_params", "trunc")},
 )
@@ -422,7 +427,6 @@ FIELD = System(
         "x": Param("site", flag="--x", help="kick site"),
         "y": Param("site", flag="--y", help="observation site"),
         "p": Param("site", flag="--p-index", help="integer wavenumber of the measured mode"),
-        "dispersion": Param("choice", "lattice", flag="--dispersion", choices=DISPERSIONS),
         "hbar": Param("float", 1.0),
         "zero_mode_mass": Param("float", None),     # None: lattice default
     },
@@ -440,6 +444,7 @@ FIELD = System(
     aliases={"naive": "naive-np", "qndsv": "qndsv-1p"},
     sweep_axes={"volume": _rescaled_for_volume, "spacing": _rescaled_for_spacing},
     amplitude=_field_amplitude,
+    inputs=_field_inputs,
 )
 
 SYSTEMS = {"spin": SPIN, "oscillator": OSCILLATOR, "field": FIELD}
@@ -573,8 +578,7 @@ def cutoff_sweep(sc: Scenario, axis: str, values, measure: str = "deviation") ->
         raise ScenarioError(f"sweep axis {axis!r} needs positive cutoffs, got {refused}")
     _refuse_repeats(f"sweep axis {axis!r} cutoffs", [float(v) for v in values])
 
-    def measures_at(value) -> dict:
-        sub = scenario_at(sc, value)
+    def measures_at(sub: Scenario) -> dict:
         if measure == "amplitude":
             return {"suppression_amplitude": spec.amplitude(sub)}
         reads = (sub.lambda_ref,) if measure == "after_value" else (*sub.lambda_grid, 0.0)
@@ -584,7 +588,8 @@ def cutoff_sweep(sc: Scenario, axis: str, values, measure: str = "deviation") ->
         return {obs: max(abs(evaluate(obs, lam) - evaluate(obs, 0.0)) for lam in sub.lambda_grid)
                 for obs in sub.observables}
 
-    per_value = [measures_at(value) for value in values]
+    # every point's scenario is made, and so checked, before any is evaluated
+    per_value = [measures_at(sub) for sub in [scenario_at(sc, value) for value in values]]
     names = list(per_value[0])
     rows = {name: tuple(pv[name] for pv in per_value) for name in names}
     fits = {name: power_fit(values, rows[name]) for name in names}

@@ -11,7 +11,9 @@ axis, spacing a, volume V = (N a)^d):
 Dual-lattice wave vectors are k = 2 pi n / (N a) with integer components in
 (-N/2, N/2].  A mode is self-conjugate when k = -k modulo 2 pi/a (each
 component 0 or the Nyquist value); the rest come in +-k pairs coupled by
-the reality of the field.
+the reality of the field.  The one dispersion, the nearest-neighbour
+Laplacian's omega_k^2 = m^2 + sum_i (2/a)^2 sin^2(k_i a/2), has kernels that
+approach Minkowski space's as a^2.
 
 A mode set holds only its lattice.  It reads a mode index as base-N digits
 and forms k at those digits with the expression that builds one axis's N
@@ -38,8 +40,6 @@ import numpy as np
 
 from .policy import integer
 
-DISPERSIONS = ("lattice", "continuum")
-
 
 @dataclass(frozen=True)
 class LatticeSpec:
@@ -48,7 +48,6 @@ class LatticeSpec:
     spacing: float
     mass: float
     hbar: float = 1.0
-    dispersion: str = "lattice"
     zero_mode_mass: float | None = None
 
     def __post_init__(self):
@@ -66,8 +65,6 @@ class LatticeSpec:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not (math.isfinite(self.mass) and self.mass >= 0):
             raise ValueError(f"mass must be nonnegative and finite, got {self.mass!r}")
-        if self.dispersion not in DISPERSIONS:
-            raise ValueError(f"dispersion must be one of {DISPERSIONS}")
         if self.mass == 0.0 and self.zero_mode_mass is None:
             # default regulator keeps the zero mode a finite oscillator
             object.__setattr__(self, "zero_mode_mass", 1e-3 / self.spacing)
@@ -120,9 +117,7 @@ class ModeSet:
         return 2.0 * math.pi * (np.asarray(digits) - (n // 2 - 1)) / (n * self.lattice.spacing)
 
     def _ksq(self, k: np.ndarray) -> np.ndarray:
-        """The dispersion term of each k: (2/a)^2 sin^2(ka/2), or k^2 for the continuum."""
-        if self.lattice.dispersion == "continuum":
-            return k**2
+        """The dispersion term of each k: (2/a)^2 sin^2(ka/2)."""
         a = self.lattice.spacing
         return (2.0 / a) ** 2 * np.sin(k * a / 2.0) ** 2
 

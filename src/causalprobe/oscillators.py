@@ -140,8 +140,10 @@ def coherent_amplitudes(alpha, dim: int) -> np.ndarray:
 
 
 def _normalize_trunc(trunc) -> tuple[int, int]:
-    a, b = (trunc, trunc) if np.isscalar(trunc) else trunc
-    return integer(a, "trunc"), integer(b, "trunc")
+    a, b = (integer(t, "trunc") for t in ((trunc, trunc) if np.isscalar(trunc) else trunc))
+    if min(a, b) < 1:
+        raise ValueError(f"trunc must be at least 1 level per mode, got {a}x{b}")
+    return a, b
 
 
 def _kicked_factors(params: OscParams, kick: KickParams,
@@ -149,8 +151,6 @@ def _kicked_factors(params: OscParams, kick: KickParams,
     """The + and - coherent factors of the kicked prestate and its tail, one
     row and tail per kick; the tails are checked in the order of the kicks."""
     d_plus, d_minus = _normalize_trunc(trunc)
-    if min(d_plus, d_minus) < 1:
-        raise ValueError(f"trunc must be at least 1 level per mode, got {d_plus}x{d_minus}")
     f_plus = coherent_amplitudes(1j * kick.big_lambda_plus(params), d_plus)
     f_minus = coherent_amplitudes(1j * kick.big_lambda_minus(params), d_minus)
     norm = np.sum(np.abs(f_plus) ** 2, axis=-1) * np.sum(np.abs(f_minus) ** 2, axis=-1)

@@ -28,11 +28,7 @@ def reference_modes(lattice) -> dict:
     wavenumbers = np.stack(np.meshgrid(*[axis] * lattice.dim, indexing="ij"),
                            axis=-1).reshape(-1, lattice.dim)
     k = 2.0 * math.pi * wavenumbers / (n * lattice.spacing)
-    if lattice.dispersion == "lattice":
-        ksq = np.sum((2.0 / lattice.spacing) ** 2
-                     * np.sin(k * lattice.spacing / 2.0) ** 2, axis=1)
-    else:
-        ksq = np.sum(k**2, axis=1)
+    ksq = np.sum((2.0 / lattice.spacing) ** 2 * np.sin(k * lattice.spacing / 2.0) ** 2, axis=1)
     msq = np.full(ksq.shape, lattice.mass**2)
     if lattice.mass == 0.0:
         msq[np.all(wavenumbers == 0, axis=1)] = lattice.zero_mode_mass**2

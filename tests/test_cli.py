@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from causalprobe import cli, harness, oscillators, spins
+from causalprobe import cli, fieldtheory, harness, oscillators, spins
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 ALL_FIXTURES = sorted(SCENARIOS.glob("*.json"))
@@ -440,6 +440,69 @@ class TestExitCodes:
         assert capsys.readouterr().err.strip() == \
             f"causal-probe: {command} needs a scheme id ({ids}) or --scenario"
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("stem, section, key, value, message", [
+        ("field_naive", "system_params", "n_sites", 3, "n_sites must be even and >= 2, got 3"),
+        ("field_naive", "system_params", "dim", 4, "spatial dimension must be 1, 2 or 3, got 4"),
+        ("field_naive", "system_params", "spacing", -1,
+         "spacing must be positive and finite, got -1.0"),
+        ("field_naive", "system_params", "mass", -1,
+         "mass must be nonnegative and finite, got -1.0"),
+        ("field_naive", "system_params", "x", [0, 0], "x (0, 0) does not match dimension 1"),
+        ("field_naive", "system_params", "p", 0,
+         "wavenumber 0 is self-conjugate, pick a paired mode"),
+        ("ho_naive", "system_params", "mass", -1, "mass must be positive and finite, got -1.0"),
+        ("ho_naive", "system_params", "trunc", 0,
+         "system_params.trunc: trunc must be at least 1 level per mode, got 0x0"),
+        ("ho_naive", "system_params", "hbar", 0, "hbar must be positive and finite, got 0.0"),
+        ("ho_phase", "scheme", "s_cut", 3,
+         "scheme.s_cut: s_cut must be even and nonnegative, got 3"),
+    ], ids=["field-n_sites", "field-dim", "field-spacing", "field-mass", "field-x",
+            "field-p", "ho-mass", "ho-trunc", "ho-hbar", "ho-s_cut"])
+    def test_scenario_its_system_refuses_is_refused_when_made(self, tmp_path, capsys,
+                                                              monkeypatch, stem, section,
+                                                              key, value, message):
+        """A scenario is refused when it is made, with the system's own
+        message, not when it is first evaluated: validate exits 2 without a
+        traceback and writes nothing."""
+        raw = json.loads((SCENARIOS / f"{stem}.json").read_text())
+        raw[section][key] = value
+        with pytest.raises(harness.ScenarioError) as err:
+            harness.Scenario.from_dict(raw)
+        assert str(err.value) == message
+        path = tmp_path / f"{stem}.json"
+        path.write_text(json.dumps(raw))
+        monkeypatch.chdir(tmp_path)
+        assert run(["validate", str(path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.strip() == f"causal-probe: {message}"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_dispersion_is_no_longer_an_option(self, tmp_path, capsys):
+        """The field has one dispersion: a file that names one is refused by
+        the strict key check, and --dispersion is not a flag."""
+        raw = json.loads((SCENARIOS / "field_naive.json").read_text())
+        raw["system_params"]["dispersion"] = "lattice"
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(raw))
+        assert run(["validate", str(path)]) == cli.EXIT_VALIDATION
+        assert "has unknown keys ['dispersion']" in capsys.readouterr().err
+        assert run(["field", "naive", "--N", "8", "--mass", "1", "--x", "0", "--y", "3",
+                    "--p-index", "1", "--dispersion", "lattice",
+                    "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+        assert "unrecognized arguments: --dispersion lattice" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_internal_value_error_is_not_a_validation_error(self, tmp_path, monkeypatch):
+        """Only a ScenarioError is a refusal of the input (exit 2): a
+        ValueError raised inside a report is a fault of the program, and
+        leaves cli.main with its traceback."""
+        def broken(*args):
+            raise ValueError("a fault inside a closed form")
+
+        monkeypatch.setattr(fieldtheory, "naive_np_pi_y", broken)    # read by closed_forms
+        with pytest.raises(ValueError, match="a fault inside a closed form"):
+            run(["field", "--scenario", str(SCENARIOS / "field_naive.json"),
+                 "--out", str(tmp_path)])
 
     def test_validate_ok_on_shipped_corpus(self):
         assert ALL_FIXTURES, "fixture corpus missing"

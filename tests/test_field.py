@@ -367,22 +367,6 @@ class TestMaxSignaling:
 
 
 class TestOtherLattices:
-    def test_continuum_dispersion_against_oracle(self):
-        lat = LatticeSpec(dim=1, n_sites=4, spacing=1.0, mass=1.0,
-                          dispersion="continuum")
-        modes = build_modes(lat)
-        p = modes.mode_index(1)
-        kick = KickSpec(site=0, strength=0.3)
-        rep = numeric_oracle_qndsv(modes, kick, 1, p, 6, scheme_kind="qndsv",
-                                   observables=("phi_y",))
-        assert qndsv_phi_y(modes, kick, 1, p) == pytest.approx(
-            rep.values["phi_y"], abs=1e-6)
-        rep2 = numeric_oracle_qndsv(modes, kick, 1, p, 6, scheme_kind="naive",
-                                    observables=("pi_y", "phi2_y"))
-        closed = naive_np_expectations(modes, kick, 1, p).as_dict()
-        for name in ("pi_y", "phi2_y"):
-            assert closed[name] == pytest.approx(rep2.values[name], abs=1e-6)
-
     def test_two_dimensional_closed_forms(self):
         lat = LatticeSpec(dim=2, n_sites=4, spacing=0.5, mass=1.0)
         modes = build_modes(lat)

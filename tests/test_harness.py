@@ -123,12 +123,10 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="qndsv-1p"):
             field_scenario(scheme={"id": "qndsv-1p"}, observables=["pi_y"])
 
-    def test_self_conjugate_mode_rejected_at_evaluation(self):
-        sc = field_scenario(system_params={
-            "dim": 1, "n_sites": 4, "spacing": 1.0, "mass": 1.0,
-            "x": 0, "y": 2, "p": 2})
+    def test_self_conjugate_mode_rejected_when_made(self):
         with pytest.raises(ScenarioError, match="self-conjugate"):
-            run_scenario(sc)
+            field_scenario(system_params={"dim": 1, "n_sites": 4, "spacing": 1.0,
+                                          "mass": 1.0, "x": 0, "y": 2, "p": 2})
 
 
     @pytest.mark.parametrize("make, message", [
@@ -449,6 +447,34 @@ class TestCutoffSweep:
         vals = rep.rows["suppression_amplitude"]
         assert vals[0] > vals[1] > vals[2]
 
+    @staticmethod
+    def _box(dim: int, n_sites: int, spacing: float) -> Scenario:
+        """A field scenario in the box L = n_sites * spacing, mass 1."""
+        return field_scenario(system_params={
+            "dim": dim, "n_sites": n_sites, "spacing": spacing, "mass": 1.0,
+            "x": [0] * dim, "y": [0] * dim, "p": [1] + [0] * (dim - 1)})
+
+    @pytest.mark.parametrize("dim, n_sites, spacings, exponent", [
+        (3, 16, (1.0, 0.5, 0.25, 0.125), 1.0),
+        (2, 32, (0.5, 0.25, 0.125, 0.0625), 0.5),
+    ])
+    def test_uv_suppression_exponent(self, dim, n_sites, spacings, exponent):
+        """In a box L = 16, g^-1_xx grows as 1/a^(d-1), so the amplitude
+        max_lam lam e^{-lam^2 g^-1_xx/2 hbar} falls as a^((d-1)/2) over the
+        finest three spacings."""
+        rep = cutoff_sweep(self._box(dim, n_sites, spacings[0]), "spacing", spacings,
+                           measure="amplitude")
+        fit = power_fit(spacings[1:], rep.rows["suppression_amplitude"][1:])
+        assert fit.exponent == pytest.approx(exponent, abs=0.05)
+
+    def test_uv_suppression_in_one_dimension_is_logarithmic(self):
+        """In d = 1, g^-1_xx grows as ln(1/a), so amplitude^-2 is linear in it."""
+        spacings = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
+        rep = cutoff_sweep(self._box(1, 16, 1.0), "spacing", spacings, measure="amplitude")
+        log_inverse = np.log(1.0 / np.array(spacings))
+        inverse_square = np.array(rep.rows["suppression_amplitude"]) ** -2.0
+        assert np.corrcoef(log_inverse, inverse_square)[0, 1] ** 2 > 0.99
+
     def test_too_few_points_rejected(self):
         with pytest.raises(ScenarioError, match="3 points"):
             cutoff_sweep(field_scenario(), "volume", [4, 8])
@@ -472,6 +498,22 @@ class TestCutoffSweep:
         with pytest.raises(ScenarioError) as err:
             cutoff_sweep(field_scenario(), axis, values)
         assert str(err.value) == message
+
+    def test_odd_box_is_refused_by_the_lattice(self):
+        """A spacing that keeps the box but leaves an odd N is refused by the
+        lattice's own rule, in its own words."""
+        sc = field_scenario(system_params={"dim": 1, "n_sites": 4, "spacing": 1.0,
+                                           "mass": 1.0, "x": 0, "y": 0, "p": 1})
+        with pytest.raises(ScenarioError) as err:
+            cutoff_sweep(sc, "spacing", [1.0, 0.5, 0.8])
+        assert str(err.value) == "n_sites must be even and >= 2, got 5"
+
+    def test_every_point_is_checked_before_any_is_evaluated(self, monkeypatch):
+        evaluated = []
+        monkeypatch.setattr(harness, "make_evaluator", lambda *args, **kw: evaluated.append(args))
+        with pytest.raises(ScenarioError, match="cannot be held fixed"):
+            cutoff_sweep(field_scenario(), "volume", [4, 8, 6])
+        assert evaluated == []
 
     @pytest.mark.parametrize("make, axis, values, measure", [
         (field_scenario, "volume", [4, 8, 16], "deviation"),

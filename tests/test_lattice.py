@@ -21,9 +21,8 @@ from reference_modes import reference_modes
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def small_chain(n=4, mass=1.0, spacing=1.0, dispersion="lattice") -> LatticeSpec:
-    return LatticeSpec(dim=1, n_sites=n, spacing=spacing, mass=mass,
-                       dispersion=dispersion)
+def small_chain(n=4, mass=1.0, spacing=1.0) -> LatticeSpec:
+    return LatticeSpec(dim=1, n_sites=n, spacing=spacing, mass=mass)
 
 
 class TestBuildModes:
@@ -40,12 +39,6 @@ class TestBuildModes:
         for i in range(modes.n_modes):
             k = modes.k[i, 0]
             want = math.sqrt(1.0 + (2 / 0.5) ** 2 * math.sin(k * 0.5 / 2) ** 2)
-            assert modes.omega[i] == pytest.approx(want, abs=1e-12)
-
-    def test_continuum_dispersion(self):
-        modes = build_modes(small_chain(mass=0.7, dispersion="continuum"))
-        for i in range(modes.n_modes):
-            want = math.sqrt(0.7**2 + modes.k[i, 0] ** 2)
             assert modes.omega[i] == pytest.approx(want, abs=1e-12)
 
     def test_massless_zero_mode_regulated(self):

@@ -223,7 +223,7 @@ def test_closed_forms_have_definite_parity_in_lambda(form, parity, lattice, lam)
 
 @st.composite
 def field_cases(draw):
-    """A d = 1, 2 or 3 lattice with one of either dispersion, a kick site x,
+    """A d = 1, 2 or 3 lattice, a kick site x,
     an observation site y, a paired mode p and lam.  Mass >= 0.5, spacing
     >= 0.5 and |lam| <= 1 keep every |alpha_k|^2 <= 1/2, so 14 levels leave
     the top kept level below 1e-13 and the oracle's truncation error below
@@ -232,8 +232,7 @@ def field_cases(draw):
     n_sites = 2 * draw(st.integers(2, {1: 16, 2: 8, 3: 4}[dim]))
     modes = build_modes(LatticeSpec(
         dim=dim, n_sites=n_sites, spacing=draw(st.floats(0.5, 2.0)),
-        mass=draw(st.floats(0.5, 3.0)),
-        dispersion=draw(st.sampled_from(("lattice", "continuum")))))
+        mass=draw(st.floats(0.5, 3.0))))
     site = st.tuples(*[st.integers(0, n_sites - 1)] * dim)
     p = draw(st.integers(0, modes.n_modes - 1).filter(modes.is_paired))
     return (modes, fieldtheory.KickSpec(site=draw(site), strength=draw(st.floats(-1.0, 1.0))),
@@ -270,8 +269,7 @@ def mode_lattices(draw):
     dim = draw(st.sampled_from((1, 2, 3)))
     n_sites = 2 * draw(st.integers(1, {1: 16, 2: 6, 3: 3}[dim]))
     return LatticeSpec(dim=dim, n_sites=n_sites, spacing=draw(st.floats(0.25, 2.0)),
-                       mass=draw(st.sampled_from((0.0, 0.7))),
-                       dispersion=draw(st.sampled_from(("lattice", "continuum"))))
+                       mass=draw(st.sampled_from((0.0, 0.7))))
 
 
 @SEEDED
@@ -301,14 +299,13 @@ def test_mode_set_matches_reference_enumeration(spec, data):
 
 @st.composite
 def reference_lattices(draw):
-    """Lattices for the byte comparison: every dimension, dispersion and
+    """Lattices for the byte comparison: every dimension and
     zero-mode regulator, spacings off the binary grid, M up to 4096."""
     dim = draw(st.sampled_from((1, 2, 3)))
     mass = draw(st.sampled_from((0.0, 0.7, 1.0)) | st.floats(0.0, 3.0))
     return LatticeSpec(dim=dim, n_sites=2 * draw(st.integers(1, {1: 300, 2: 32, 3: 8}[dim])),
                        spacing=draw(st.floats(1e-3, 4.0)), mass=mass,
                        hbar=draw(st.sampled_from((1.0, 0.8))),
-                       dispersion=draw(st.sampled_from(("lattice", "continuum"))),
                        zero_mode_mass=draw(st.none() | st.floats(1e-4, 2.0)))
 
 
@@ -370,7 +367,6 @@ def test_memoised_kernels_equal_fresh_sums_bit_for_bit(spec, data):
 @given(spec=st.builds(LatticeSpec, dim=st.sampled_from((1, 2, 3)),
                       n_sites=st.sampled_from((2, 4, 6, 8)), spacing=st.floats(0.25, 2.0),
                       mass=st.just(0.0) | st.floats(0.1, 3.0),
-                      dispersion=st.sampled_from(("lattice", "continuum")),
                       zero_mode_mass=st.none() | st.floats(1e-4, 2.0)),
        data=st.data())
 def test_digit_reads_equal_the_per_mode_arrays(spec, data):
@@ -394,8 +390,7 @@ def test_digit_reads_equal_the_per_mode_arrays(spec, data):
 @given(spec=st.builds(LatticeSpec, dim=st.sampled_from((1, 2, 3)),
                       n_sites=st.integers(1, 32).map(lambda h: 2 * h),
                       spacing=st.sampled_from((0.1, 0.37, 1.0, 2.5)),
-                      mass=st.just(0.0) | st.floats(0.1, 3.0),
-                      dispersion=st.sampled_from(("lattice", "continuum"))),
+                      mass=st.just(0.0) | st.floats(0.1, 3.0)),
        data=st.data())
 def test_digit_reads_do_not_depend_on_the_axis_arrays(spec, data):
     """frequency and phase_at form k at an index's own digits: the same
