@@ -92,8 +92,7 @@ def _emit(args, stem: str, raw: dict, started: float, tables, lines) -> int:
     for suffix, header, rows in tables:
         outputs.append(f"{stem}{suffix}.csv")
         with open(out_dir / outputs[-1], "w", newline="\n") as fh:
-            for row in (header, *rows):
-                fh.write(",".join(row) + "\n")
+            fh.write("".join([",".join(row) + "\n" for row in (header, *rows)]))
     manifest = {
         "tool": "causal-probe",
         "version": __version__,
@@ -103,8 +102,7 @@ def _emit(args, stem: str, raw: dict, started: float, tables, lines) -> int:
         "outputs": outputs,
     }
     with open(out_dir / f"{stem}.manifest.json", "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print("\n".join(lines))
     return EXIT_OK
 

@@ -7,6 +7,9 @@ evaluators and the CLI, so a new prescription is one table entry.
 A scenario is checked once, when it is made (``dataclasses.replace``
 included), by its system's own rules too, and keeps its typed values and
 domain inputs as ``Scenario.typed``: every ``Scenario`` that exists is valid.
+Each scalar check tests the exact type first (a plain int, a finite float, a
+dict or read-only section); numpy scalars, bools and every other type take
+the general route, which alone refuses.
 
 Everything downstream is a pure function of the scenario, so reports are
 reproducible bit for bit.  Each report hands its evaluator every lam it
@@ -39,7 +42,7 @@ class ScenarioError(ValueError):
 
 
 def _check_keys(obj: Mapping, required, optional, where: str) -> None:
-    if not isinstance(obj, Mapping):
+    if type(obj) not in (dict, MappingProxyType) and not isinstance(obj, Mapping):
         raise ScenarioError(f"{where} must be an object, got {type(obj).__name__}")
     keys = set(obj)
     missing = set(required) - keys
@@ -55,6 +58,8 @@ def _check_keys(obj: Mapping, required, optional, where: str) -> None:
 
 def _integral(what: str, value) -> int:
     """An integer value; 8.0 is accepted, 4.5, NaN, True and "8" are refused."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real) \
             or not float(value).is_integer():
         raise ScenarioError(f"{what} needs integer values, got {value!r}")
@@ -63,6 +68,8 @@ def _integral(what: str, value) -> int:
 
 def _real(what: str, value) -> float:
     """A finite number; NaN, Infinity, True and "1.0" are refused."""
+    if type(value) is float and math.isfinite(value):
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real) \
             or not math.isfinite(value):
         raise ScenarioError(f"{what} needs finite numbers, got {value!r}")
@@ -291,9 +298,15 @@ def _oscillator_evaluator(sc: Scenario, built: dict):
     return values
 
 
+_LATTICE_KEYS = tuple(f.name for f in fields(LatticeSpec))
+
+
 def _field_inputs(params: dict) -> tuple[LatticeSpec, int]:
-    """A field scenario's lattice, with x and y on it, and its paired mode p's index."""
-    lattice = LatticeSpec(**{f.name: params[f.name] for f in fields(LatticeSpec)})
+    """A field scenario's lattice, with x and y on it, and its paired mode p's
+    index; a zero_mode_mass, read only at mass 0, is refused on a massive field."""
+    lattice = LatticeSpec(**{key: params[key] for key in _LATTICE_KEYS})
+    if params["zero_mode_mass"] is not None and lattice.mass > 0:
+        raise ValueError(f"zero_mode_mass is read only at mass 0, got mass {lattice.mass!r}")
     for key in ("x", "y"):
         lattice.site(params[key], key)
     modes = ModeSet(lattice)        # computes nothing; the evaluators build their own
@@ -329,12 +342,13 @@ def _field_amplitude(sc: Scenario) -> float:
 # sweep axes: (scenario, cutoff value) -> the scenario at that cutoff
 
 def _on_lattice(coords, ratio: float, error: str):
-    """An int or list of ints times ratio, refused unless still integral."""
-    scaled = [c * ratio for c in np.atleast_1d(coords)]
+    """An int or tuple of ints times ratio, refused unless still integral."""
+    scalar = not isinstance(coords, tuple)
+    scaled = [c * ratio for c in ((coords,) if scalar else coords)]
     if any(abs(w - round(w)) > 1e-9 for w in scaled):
         raise ScenarioError(error)
     out = [int(round(w)) for w in scaled]
-    return out[0] if np.isscalar(coords) else out
+    return out[0] if scalar else out
 
 
 def _rescaled_for_volume(sc: Scenario, value) -> Scenario:
@@ -462,7 +476,8 @@ def make_evaluator(sc: Scenario, points, *, built: dict | None = None):
     keys = list(dict.fromkeys((lam, math.copysign(1.0, lam)) for lam in points))
     table = SYSTEMS[sc.system].evaluator(sc, {} if built is None else built)(
         np.array([lam for lam, _ in keys], dtype=float))
-    memo = {k: {obs: float(column[i]) for obs, column in table.items()}
+    columns = {obs: column.tolist() for obs, column in table.items()}
+    memo = {k: {obs: column[i] for obs, column in columns.items()}
             for i, k in enumerate(keys)}
 
     def evaluate(obs: str, lam: float) -> float:

@@ -26,7 +26,10 @@ cos k.r = Re prod_i e^{i k_i r_i} contracts the (N,)*d weights with one
 length-N plane wave per axis, so no (M, d) array of k and no M cosines.
 
 Sites, wavenumbers, mode indices, ``dim`` and ``n_sites`` are integers: a
-bool, float or string is refused with a ValueError, never truncated.
+bool, float or string is refused with a ValueError, never truncated.  A plain
+int passes an exact-type test first; numpy scalars and every other type take
+``policy.integer``'s general route.  Mode digits are plain ints, and at d = 1
+a mode's phase is one Python product.
 """
 
 from __future__ import annotations
@@ -80,8 +83,9 @@ class LatticeSpec:
         coords = tuple(x) if isinstance(x, (tuple, list, np.ndarray)) else (x,)
         if len(coords) != self.dim:
             raise ValueError(f"{what} {x!r} does not match dimension {self.dim}")
+        n = self.n_sites
         try:
-            return tuple([integer(c, what) % self.n_sites for c in coords])
+            return tuple([(c if type(c) is int else integer(c, what)) % n for c in coords])
         except ValueError:
             raise ValueError(f"{what} needs integer coordinates, got {x!r}") from None
 
@@ -105,10 +109,15 @@ class ModeSet:
         return 1.0 / self.lattice.volume
 
     def _digits(self, index) -> tuple:
+        """The row-major base-N digits of a mode index, as plain ints."""
         index = integer(index, "mode index")
         if not 0 <= index < self.n_modes:
             raise ValueError(f"mode index {index} out of range")
-        return np.unravel_index(index, (self.lattice.n_sites,) * self.lattice.dim)
+        digits = []
+        for _ in range(self.lattice.dim):
+            index, digit = divmod(index, self.lattice.n_sites)
+            digits.append(digit)
+        return tuple(reversed(digits))
 
     def _k(self, digits) -> np.ndarray:
         """Physical wave numbers 2 pi n / (N a) at axis positions digits,
@@ -177,9 +186,15 @@ class ModeSet:
         return index
 
     def phase_at(self, index: int, site) -> float:
-        """k . x in radians for a lattice site."""
-        x = np.asarray(self.lattice.site(site), dtype=float) * self.lattice.spacing
-        return float(np.dot(self._k(self._digits(index)), x))
+        """k . x in radians for a lattice site.  At d = 1 one Python product,
+        in _k's order; from d = 2 np.dot, whose sum may round otherwise."""
+        lat, digits = self.lattice, self._digits(index)
+        if lat.dim == 1:
+            n, (x,) = lat.n_sites, lat.site(site)
+            return 2.0 * math.pi * (digits[0] - (n // 2 - 1)) / (n * lat.spacing) \
+                * (float(x) * lat.spacing)
+        x = np.asarray(lat.site(site), dtype=float) * lat.spacing
+        return float(np.dot(self._k(digits), x))
 
     def phases(self, site) -> np.ndarray:
         """phase_at of every mode, to the bit but for a zero's sign: (1, d) @ (d,) as np.dot."""

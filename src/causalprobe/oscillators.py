@@ -34,6 +34,7 @@ in the tests (``tests/phase_reference.py``).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -224,6 +225,7 @@ class LocalMoments:
     error_bound: float
 
 
+@functools.cache     # two floats per box size
 def _ladder_norms(dim: int) -> tuple[float, float]:
     """Infinity norms of a + a^dag and of its square on a dim-level ladder,
     from the closed-form row sums of the banded matrices; +-i phases and

@@ -5,7 +5,9 @@ held to ``structural_tol``; quantities that are exact in real arithmetic
 (basis-state overlaps, closed-form rational values) to ``exact_tol``.
 Truncated-basis constructions must keep the norm outside the truncation
 below ``tail_tol`` or refuse to proceed (``checked_tail``).  Sizes, cutoffs
-and indices pass one integer rule (``integer``).
+and indices pass one integer rule (``integer``): a plain int passes an
+exact-type test first; numpy scalars and every other type take the general
+route, which alone refuses.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ DEFAULT_POLICY = NumericPolicy()
 def integer(value, what: str) -> int:
     """value as a plain int: the rule for every size, cutoff and index.  A
     bool, float or string is refused with a ValueError naming ``what``."""
+    if type(value) is int:
+        return value
     if not isinstance(value, (bool, np.bool_)):
         try:
             return operator.index(value)

@@ -451,6 +451,8 @@ class TestExitCodes:
         ("field_naive", "system_params", "x", [0, 0], "x (0, 0) does not match dimension 1"),
         ("field_naive", "system_params", "p", 0,
          "wavenumber 0 is self-conjugate, pick a paired mode"),
+        ("field_naive", "system_params", "zero_mode_mass", 0.5,
+         "zero_mode_mass is read only at mass 0, got mass 1.0"),
         ("ho_naive", "system_params", "mass", -1, "mass must be positive and finite, got -1.0"),
         ("ho_naive", "system_params", "trunc", 0,
          "system_params.trunc: trunc must be at least 1 level per mode, got 0x0"),
@@ -458,7 +460,7 @@ class TestExitCodes:
         ("ho_phase", "scheme", "s_cut", 3,
          "scheme.s_cut: s_cut must be even and nonnegative, got 3"),
     ], ids=["field-n_sites", "field-dim", "field-spacing", "field-mass", "field-x",
-            "field-p", "ho-mass", "ho-trunc", "ho-hbar", "ho-s_cut"])
+            "field-p", "field-zero_mode_mass", "ho-mass", "ho-trunc", "ho-hbar", "ho-s_cut"])
     def test_scenario_its_system_refuses_is_refused_when_made(self, tmp_path, capsys,
                                                               monkeypatch, stem, section,
                                                               key, value, message):

@@ -128,6 +128,17 @@ class TestValidation:
             field_scenario(system_params={"dim": 1, "n_sites": 4, "spacing": 1.0,
                                           "mass": 1.0, "x": 0, "y": 2, "p": 2})
 
+    def test_zero_mode_mass_is_accepted_and_read_on_a_massless_field(self):
+        """At mass 0 zero_mode_mass regulates the zero mode and moves <phi_y^2>
+        (on a massive field it is refused, see test_cli's TestExitCodes)."""
+        def phi2(zero_mode_mass):
+            sc = field_scenario(system_params={"dim": 1, "n_sites": 4, "mass": 0.0, "x": 0,
+                                               "y": 2, "p": 1, "zero_mode_mass": zero_mode_mass},
+                                observables=["phi2_y"])
+            return run_scenario(sc).baseline["phi2_y"]
+
+        assert phi2(0.5) != phi2(0.25)
+
 
     @pytest.mark.parametrize("make, message", [
         (lambda: oscillator_scenario(system_params={"trunc": 40.9}),

@@ -24,9 +24,10 @@ from causalprobe.core import (MeasurementScheme, Operator, SchemeOutcome, StateV
                               validate_scheme)
 from causalprobe.harness import SPIN
 from causalprobe.lattice import LatticeSpec, build_modes, kernel_g, kernel_ginv
-from causalprobe.policy import TruncationError
+from causalprobe.policy import TruncationError, integer
 
 import dense_oracle
+import scalar_reference
 from conftest import minus, plus, random_state, random_unitary
 from phase_reference import phase_scheme_nplus
 from reference_modes import reference_modes
@@ -648,3 +649,105 @@ def test_unmeasured_oscillator_moments_are_closed_forms(params, p_a, p_b, lam):
             "QB2": hbar / (2 * m * omega)}
     for name, value in want.items():
         assert abs(evaluate(name, lam) - value) <= 1e-12, name
+
+
+# ---------------------------------------------------------------------------
+# exact-type fast paths against the general routes they shortcut
+
+# ints past 2**1024 overflow float(): the general route of _integral raises
+# there, a program fault, and is compared with its fast path on its own below
+_FLOAT_RANGE = 2**1023
+scalars = st.one_of(
+    st.integers(-10, 10), st.integers(), st.integers(-_FLOAT_RANGE, _FLOAT_RANGE),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers(0, 255).map(np.uint8),
+    st.floats(), st.integers(-10**6, 10**6).map(float),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300]),
+    st.floats().map(np.float64), st.booleans(), st.booleans().map(np.bool_),
+    st.text(max_size=3), st.none(), st.lists(st.integers(-3, 3), max_size=2))
+
+
+def _outcome(fn, *args):
+    """What a call gives: its value with every element's type and repr, or
+    its exception's class and message."""
+    def typed(value):
+        if isinstance(value, tuple):
+            return tuple(typed(v) for v in value)
+        return type(value), repr(value)
+    try:
+        return "returns", typed(fn(*args))
+    except Exception as err:      # noqa: BLE001 - the class is what is compared
+        return "raises", type(err), str(err)
+
+
+@SEEDED
+@given(value=scalars)
+def test_scalar_fast_paths_match_the_general_route(value):
+    """_integral, _real, policy.integer and _site (of a scalar and of a list
+    of it) return the same value of the same type as the general route, or
+    raise the same class with the same message."""
+    for fast, general in ((harness._integral, scalar_reference.integral),
+                          (harness._real, scalar_reference.real),
+                          (harness._site, scalar_reference.site_param)):
+        assert _outcome(fast, "x", value) == _outcome(general, "x", value)
+    assert _outcome(harness._site, "x", [value, 1]) \
+        == _outcome(scalar_reference.site_param, "x", [value, 1])
+    assert _outcome(integer, value, "n") == _outcome(scalar_reference.integer, value, "n")
+
+
+@pytest.mark.parametrize("value", [2**1024, -2**1024, 10**400])
+def test_integral_fast_path_returns_ints_past_the_float_range(value):
+    """The one difference from the general route: an int that float()
+    cannot hold made it raise OverflowError (a program fault, not a
+    refusal); the fast path returns it, as policy.integer always has."""
+    with pytest.raises(OverflowError):
+        scalar_reference.integral("x", value)
+    assert harness._integral("x", value) == integer(value, "x") == value
+    assert _outcome(harness._real, "x", value) == _outcome(scalar_reference.real, "x", value)
+
+
+@SEEDED
+@given(spec=st.builds(LatticeSpec, dim=st.sampled_from((1, 2, 3)),
+                      n_sites=st.integers(1, 8).map(lambda h: 2 * h),
+                      spacing=st.just(1.0), mass=st.just(1.0)),
+       data=st.data())
+def test_lattice_site_fast_path_matches_the_general_route(spec, data):
+    """LatticeSpec.site of a scalar, of a list or tuple of 1 to 3 scalars,
+    or of an integer array equals the general route, refusals included."""
+    x = data.draw(scalars | st.lists(scalars, min_size=1, max_size=3)
+                  | st.lists(st.integers(-40, 40), min_size=1, max_size=3).map(tuple)
+                  | st.lists(st.integers(-40, 40), min_size=1, max_size=3).map(np.array))
+    assert _outcome(spec.site, x, "x") == _outcome(scalar_reference.lattice_site, spec, x, "x")
+
+
+_index_kinds = (int, np.int64, np.intp, np.int32, np.uint16)
+
+
+@SEEDED
+@given(spec=st.builds(LatticeSpec, dim=st.sampled_from((1, 2, 3)),
+                      n_sites=st.integers(1, 20).map(lambda h: 2 * h),
+                      spacing=st.sampled_from((0.1, 0.37, 1.0, 2.5)), mass=st.just(1.0)),
+       data=st.data())
+def test_mode_digits_are_unravel_index_as_plain_ints(spec, data):
+    """_digits equals np.unravel_index for int and numpy-integer indices,
+    as plain ints, and refuses an index out of range, a bool or a float with
+    the general route's message.  phase_at (at d = 1 one Python product) is
+    the general route's np.dot to the bit but for a zero's sign, which is
+    the BLAS dot's, and at d = 1 equals phases(site)[index]."""
+    modes = build_modes(spec)
+    index = data.draw(st.integers(0, modes.n_modes - 1))
+    kind = data.draw(st.sampled_from(_index_kinds))
+    got = modes._digits(kind(index))
+    assert got == tuple(int(d) for d in scalar_reference.digits(modes, index))
+    assert all(type(d) is int for d in got)
+    bad = data.draw(st.sampled_from((-1, modes.n_modes, modes.n_modes + 7, True, False,
+                                     np.True_, 1.0, np.float64(index), "1", None)))
+    assert _outcome(modes._digits, bad)[0] == "raises"
+    assert _outcome(modes._digits, bad) == _outcome(scalar_reference.digits, modes, bad)
+    site = data.draw(st.lists(st.integers(-2 * spec.n_sites, 2 * spec.n_sites),
+                              min_size=spec.dim, max_size=spec.dim))
+    phase = modes.phase_at(kind(index), site)
+    assert type(phase) is float
+    want = scalar_reference.phase_at(modes, index, site)
+    assert phase == want and (phase.hex() == want.hex() or phase == 0.0)
+    if spec.dim == 1:
+        assert phase == modes.phases(site)[index]
