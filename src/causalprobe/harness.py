@@ -4,9 +4,12 @@ the lam grid, differentiates at lam = 0, and fits cutoff scalings.  Each
 system is one declarative table in ``SYSTEMS``, read by validation, the
 evaluators and the CLI, so a new prescription is one table entry.
 
-A scenario is checked once, when it is made (``dataclasses.replace``
-included), by its system's own rules too, and keeps its typed values and
-domain inputs as ``Scenario.typed``: every ``Scenario`` that exists is valid.
+A scenario is checked in full when it is made (``from_dict`` and
+``dataclasses.replace``, so a compared scheme too), by its system's own rules
+too, and keeps its typed values and domain inputs as ``Scenario.typed``:
+every ``Scenario`` that exists is valid.  A sweep point is derived from its
+parent's typed values: it re-reads only the keys its axis changes and re-runs
+the system's inputs, the one rule across keys.
 Each scalar check tests the exact type first (a plain int, a finite float, a
 dict or read-only section); numpy scalars, bools and every other type take
 the general route, which alone refuses.
@@ -56,12 +59,22 @@ def _check_keys(obj: Mapping, required, optional, where: str) -> None:
 # ---------------------------------------------------------------------------
 # typed values: nothing is coerced, a value of the wrong type is refused
 
+def _as_float(value) -> float:
+    """value as a float for the general routes: NaN for a bool or a non-real,
+    infinity for a real past float's range (the int 10**400)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _integral(what: str, value) -> int:
     """An integer value; 8.0 is accepted, 4.5, NaN, True and "8" are refused."""
     if type(value) is int:
         return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not float(value).is_integer():
+    if not _as_float(value).is_integer():
         raise ScenarioError(f"{what} needs integer values, got {value!r}")
     return int(value)
 
@@ -70,10 +83,10 @@ def _real(what: str, value) -> float:
     """A finite number; NaN, Infinity, True and "1.0" are refused."""
     if type(value) is float and math.isfinite(value):
         return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not math.isfinite(value):
+    number = _as_float(value)
+    if not math.isfinite(number):
         raise ScenarioError(f"{what} needs finite numbers, got {value!r}")
-    return float(value)
+    return number
 
 
 def _refuse_repeats(what: str, values: list | tuple) -> None:
@@ -222,11 +235,9 @@ class Scenario:
         )
 
     def __post_init__(self):
-        self.typed      # a scenario that exists is valid, and stays as it was checked:
-        for key in ("system_params", "alice", "scheme"):    # a checked list holds no list
-            section = {name: tuple(v) if isinstance(v, list) else v
-                       for name, v in getattr(self, key).items()}
-            object.__setattr__(self, key, MappingProxyType(section))
+        self.typed      # a scenario that exists is valid, and stays as it was checked
+        for key in ("system_params", "alice", "scheme"):
+            object.__setattr__(self, key, _frozen(getattr(self, key)))
 
     @functools.cached_property
     def typed(self) -> Typed:
@@ -262,10 +273,41 @@ class Scenario:
         if unsupported:
             raise ScenarioError(f"{sid} only reports {'/'.join(scheme.observables)}, "
                                 f"not {sorted(unsupported)}")
-        try:        # the system's own refusal, in its own words
-            return Typed(params, alice, scheme, extras, spec.inputs(params))
-        except ValueError as err:
-            raise ScenarioError(str(err)) from None
+        return Typed(params, alice, scheme, extras, _system_inputs(spec, params))
+
+
+def _frozen(section: Mapping) -> MappingProxyType:
+    """A checked section, read-only: a checked list holds no list."""
+    return MappingProxyType({name: tuple(v) if isinstance(v, list) else v
+                             for name, v in section.items()})
+
+
+def _system_inputs(spec: System, params: dict):
+    """The system's domain inputs; its own refusal, in its own words."""
+    try:
+        return spec.inputs(params)
+    except ValueError as err:
+        raise ScenarioError(str(err)) from None
+
+
+def _derived(sc: Scenario, section: str, changes: dict) -> Scenario:
+    """A sweep point: sc with ``changes`` made to its system_params or scheme.
+    Only the changed keys are read, in the spec's order, and the system's
+    inputs re-run on changed params; every other typed value is sc's, checked
+    when sc was made.  The point is what ``replace`` would make, typed included."""
+    spec, typed = SYSTEMS[sc.system], sc.typed
+    entries = spec.params if section == "system_params" else typed.scheme.extras
+    read = {key: param.read(f"{section}.{key}", changes[key])
+            for key, param in entries.items() if key in changes}
+    if section == "system_params":
+        params = {**typed.params, **read}
+        typed = typed._replace(params=params, inputs=_system_inputs(spec, params))
+    else:
+        typed = typed._replace(extras={**typed.extras, **read})
+    point = object.__new__(Scenario)
+    point.__dict__.update(sc.__dict__, typed=typed,
+                          **{section: _frozen({**getattr(sc, section), **changes})})
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +398,7 @@ def _rescaled_for_volume(sc: Scenario, value) -> Scenario:
     n_sites = _integral("sweep axis 'volume'", value)
     p = _on_lattice(sp["p"], n_sites / sp["n_sites"], f"wavenumber {sp['p']!r} cannot "
                     f"be held fixed in physical units at N={n_sites}")
-    return replace(sc, system_params={**sc.system_params, "n_sites": n_sites, "p": p})
+    return _derived(sc, "system_params", {"n_sites": n_sites, "p": p})
 
 
 def _rescaled_for_spacing(sc: Scenario, value) -> Scenario:
@@ -366,8 +408,8 @@ def _rescaled_for_spacing(sc: Scenario, value) -> Scenario:
     if abs(n_new - round(n_new)) > 1e-9:
         raise ScenarioError(f"spacing {spacing!r} does not preserve the box: N={n_new}")
     ratio = sp["spacing"] / spacing
-    return replace(sc, system_params={
-        **sc.system_params, "n_sites": int(round(n_new)), "spacing": spacing,
+    return _derived(sc, "system_params", {
+        "n_sites": int(round(n_new)), "spacing": spacing,
         **{key: _on_lattice(sp[key], ratio, f"site {sp[key]!r} is not on the lattice "
                             f"at spacing {spacing!r}") for key in ("x", "y")},
     })
@@ -375,8 +417,7 @@ def _rescaled_for_spacing(sc: Scenario, value) -> Scenario:
 
 def _set_integer(section: str, key: str, sc: Scenario, value) -> Scenario:
     """Sweep axis (bound with partial) setting one integer of a section."""
-    value = _integral(f"sweep axis {key!r}", value)
-    return replace(sc, **{section: {**getattr(sc, section), key: value}})
+    return _derived(sc, section, {key: _integral(f"sweep axis {key!r}", value)})
 
 
 # ---------------------------------------------------------------------------

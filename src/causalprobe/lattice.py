@@ -28,8 +28,9 @@ length-N plane wave per axis, so no (M, d) array of k and no M cosines.
 Sites, wavenumbers, mode indices, ``dim`` and ``n_sites`` are integers: a
 bool, float or string is refused with a ValueError, never truncated.  A plain
 int passes an exact-type test first; numpy scalars and every other type take
-``policy.integer``'s general route.  Mode digits are plain ints, and at d = 1
-a mode's phase is one Python product.
+``policy.integer``'s general route.  A lattice whose N^d float64 values no
+numpy array can address is refused (``policy.addressable``).  Mode digits are
+plain ints, and at d = 1 a mode's phase is one Python product.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .policy import integer
+from .policy import addressable, integer
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,7 @@ class LatticeSpec:
             raise ValueError(f"spatial dimension must be 1, 2 or 3, got {self.dim}")
         if self.n_sites < 2 or self.n_sites % 2 != 0:
             raise ValueError(f"n_sites must be even and >= 2, got {self.n_sites}")
+        addressable(self.n_sites ** self.dim, "n_sites**dim")
         positive = {"spacing": self.spacing, "hbar": self.hbar}
         if self.zero_mode_mass is not None:
             positive["zero_mode_mass"] = self.zero_mode_mass

@@ -29,7 +29,9 @@ Level m of the phase state |b, theta_s> (Pegg & Barnett 1989) carries
 e^{i m theta_s}, theta_s = 2 pi s/(s_cut+1): the length-(2 s_cut+2) DFT
 kernel at index 2s, so one FFT per parity gives every <b, theta_s|f_->.
 The dense phase states and their scheme, which check these overlaps, live
-in the tests (``tests/phase_reference.py``).
+in the tests (``tests/phase_reference.py``).  A trunc, or 2 s_cut + 2
+levels, past the float64 values one numpy array can address is refused
+(``policy.addressable``).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OutcomeEnsemble, StateVector, branch_ensemble
-from .policy import DEFAULT_POLICY, TruncationError, checked_tail, integer
+from .policy import DEFAULT_POLICY, TruncationError, addressable, checked_tail, integer
 
 
 @dataclass(frozen=True)
@@ -144,6 +146,7 @@ def _normalize_trunc(trunc) -> tuple[int, int]:
     a, b = (integer(t, "trunc") for t in ((trunc, trunc) if np.isscalar(trunc) else trunc))
     if min(a, b) < 1:
         raise ValueError(f"trunc must be at least 1 level per mode, got {a}x{b}")
+    addressable(max(a, b), "trunc")
     return a, b
 
 
@@ -189,6 +192,7 @@ def naive_nplus_ensemble(prestate: TwoModeFock) -> OutcomeEnsemble:
 def _check_s_cut(s_cut: int) -> None:
     if integer(s_cut, "s_cut") < 0 or s_cut % 2 != 0:
         raise ValueError(f"s_cut must be even and nonnegative, got {s_cut}")
+    addressable(2 * s_cut + 2, "the 2*s_cut+2 relative-mode levels")
 
 
 def _phase_overlaps(params: OscParams, kick: KickParams, s_cut: int,

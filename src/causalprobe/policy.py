@@ -7,7 +7,9 @@ Truncated-basis constructions must keep the norm outside the truncation
 below ``tail_tol`` or refuse to proceed (``checked_tail``).  Sizes, cutoffs
 and indices pass one integer rule (``integer``): a plain int passes an
 exact-type test first; numpy scalars and every other type take the general
-route, which alone refuses.
+route, which alone refuses.  A size whose float64 array numpy cannot address
+is refused by ``addressable``: numpy 2.4's ``np.arange(2**63)`` is an empty
+array, which would sum to a silent zero.
 """
 
 from __future__ import annotations
@@ -47,6 +49,18 @@ def integer(value, what: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+# the most float64 values one numpy array can address: n * 8 bytes must fit in intp
+MAX_FLOATS = int(np.iinfo(np.intp).max) // 8
+
+
+def addressable(count: int, what: str) -> None:
+    """Refuse, with a ValueError naming ``what`` and the limit, a count of
+    float64 values past what one numpy array can address."""
+    if count > MAX_FLOATS:
+        raise ValueError(f"{what} must be at most {MAX_FLOATS}, the float64 values one "
+                         f"numpy array can address, got {count}")
 
 
 def checked_tail(norm: float, what: str) -> float:

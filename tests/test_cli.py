@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from causalprobe import cli, fieldtheory, harness, oscillators, spins
+from causalprobe import cli, fieldtheory, harness, oscillators, policy, spins
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 ALL_FIXTURES = sorted(SCENARIOS.glob("*.json"))
@@ -477,6 +477,38 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         assert run(["validate", str(path)]) == cli.EXIT_VALIDATION
         assert capsys.readouterr().err.strip() == f"causal-probe: {message}"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("stem, section, key, value, message", [
+        ("field_naive", "system_params", "n_sites", 2**63,
+         f"n_sites**dim must be at most {policy.MAX_FLOATS}, the float64 values one numpy "
+         f"array can address, got {2**63}"),
+        ("ho_naive", "system_params", "mass", 10**400,
+         f"system_params.mass needs finite numbers, got {10**400}"),
+        ("ho_naive", "system_params", "trunc", 2**63,
+         f"system_params.trunc: trunc must be at most {policy.MAX_FLOATS}, the float64 "
+         f"values one numpy array can address, got {2**63}"),
+        ("ho_phase", "scheme", "s_cut", 2**63,
+         f"scheme.s_cut: the 2*s_cut+2 relative-mode levels must be at most "
+         f"{policy.MAX_FLOATS}, the float64 values one numpy array can address, "
+         f"got {2**64 + 2}"),
+    ], ids=["field-n_sites", "ho-mass", "ho-trunc", "ho-s_cut"])
+    def test_value_past_numpy_or_float_range_is_validation_error(self, tmp_path, capsys, stem,
+                                                                 section, key, value, message):
+        """A size no numpy array can address (at N = 2**63 an empty arange
+        summed every kernel to a silent zero; at trunc or s_cut 2**63 the report
+        raised OverflowError) and an int past float's range (OverflowError) are
+        refused when the scenario is made: exit 2, the message, no traceback."""
+        raw = json.loads((SCENARIOS / f"{stem}.json").read_text())
+        raw[section][key] = value
+        path = tmp_path / f"{stem}.json"
+        path.write_text(json.dumps(raw))
+        command = "field" if stem.startswith("field") else "ho"
+        for argv in (["validate", str(path)],
+                     [command, "--scenario", str(path), "--out", str(tmp_path / "out")]):
+            assert run(argv) == cli.EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.strip() == f"causal-probe: {message}" and "Traceback" not in err
         assert list(tmp_path.iterdir()) == [path]
 
     def test_dispersion_is_no_longer_an_option(self, tmp_path, capsys):

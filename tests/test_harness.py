@@ -128,6 +128,24 @@ class TestValidation:
             field_scenario(system_params={"dim": 1, "n_sites": 4, "spacing": 1.0,
                                           "mass": 1.0, "x": 0, "y": 2, "p": 2})
 
+    @pytest.mark.parametrize("key, where", [
+        ("mass", "system_params.mass"), ("spacing", "system_params.spacing"),
+        ("lambda_grid", "lambda_grid"), ("lambda_ref", "lambda_ref"),
+    ])
+    def test_int_past_float_range_is_refused_by_name(self, key, where):
+        """10**400 is a finite int that float() cannot hold: refused, naming
+        its field, not raised as OverflowError."""
+        raw = scenario_dict(field_scenario())
+        if key == "lambda_grid":
+            raw[key] = [0.0, 10**400]
+        elif key == "lambda_ref":
+            raw[key] = 10**400
+        else:
+            raw["system_params"][key] = 10**400
+        with pytest.raises(ScenarioError) as err:
+            Scenario.from_dict(raw)
+        assert str(err.value) == f"{where} needs finite numbers, got {10**400}"
+
     def test_zero_mode_mass_is_accepted_and_read_on_a_massless_field(self):
         """At mass 0 zero_mode_mass regulates the zero mode and moves <phi_y^2>
         (on a massive field it is refused, see test_cli's TestExitCodes)."""
@@ -526,20 +544,26 @@ class TestCutoffSweep:
             cutoff_sweep(field_scenario(), "volume", [4, 8, 6])
         assert evaluated == []
 
-    @pytest.mark.parametrize("make, axis, values, measure", [
-        (field_scenario, "volume", [4, 8, 16], "deviation"),
-        (field_scenario, "spacing", [1.0, 0.5, 0.25], "amplitude"),
-        (oscillator_scenario, "s_cut", [2, 4, 6], "after_value"),
+    @pytest.mark.parametrize("make, axis, values, measure, keys", [
+        (field_scenario, "volume", [4, 8, 16], "deviation", ["n_sites", "p"]),
+        (field_scenario, "spacing", [1.0, 0.5, 0.25], "amplitude",
+         ["n_sites", "spacing", "x", "y"]),
+        (oscillator_scenario, "s_cut", [2, 4, 6], "after_value", ["s_cut"]),
+        (oscillator_scenario, "trunc", [20, 30, 40], "deviation", ["trunc"]),
     ])
-    def test_each_point_is_validated_once(self, monkeypatch, make, axis, values, measure):
-        """The base scenario was checked when it was made; the sweep checks
-        each point once, when it makes it, and none again."""
-        sc, validated = make(), []
-        validate = Scenario.validate
-        monkeypatch.setattr(Scenario, "validate",
-                            lambda self: validated.append(self) or validate(self))
+    def test_each_point_is_validated_once(self, monkeypatch, make, axis, values, measure,
+                                          keys):
+        """The base scenario was checked when it was made; the sweep derives
+        each point from it, reading only the keys its axis changes, once, in
+        the spec's order, and never runs the full validation."""
+        sc, reads = make(), []
+        section = "scheme" if axis == "s_cut" else "system_params"
+        read = harness.Param.read
+        monkeypatch.setattr(Scenario, "validate", lambda self: pytest.fail("validated"))
+        monkeypatch.setattr(harness.Param, "read",
+                            lambda self, what, value: reads.append(what) or read(self, what, value))
         cutoff_sweep(sc, axis, values, measure=measure)
-        assert len(validated) == len(values) and not any(sub is sc for sub in validated)
+        assert reads == [f"{section}.{key}" for key in keys] * len(values)
 
     @pytest.mark.parametrize("make, axis, values, refused", [
         (oscillator_scenario, "s_cut", [0, 2, 4], "[0]"),

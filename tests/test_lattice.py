@@ -92,6 +92,16 @@ class TestBuildModes:
         with pytest.raises(ValueError):
             LatticeSpec(dim=1, n_sites=5, spacing=1.0, mass=1.0)
 
+    @pytest.mark.parametrize("dim, n_sites", [(1, 2**60), (2, 2**30), (3, 2**20)])
+    def test_lattice_no_numpy_array_can_hold_is_refused(self, dim, n_sites):
+        """At N^d = 2**63, numpy 2.4's arange is empty and every kernel sums
+        to a silent zero; any N^d float64 values past intp's bytes are refused."""
+        with pytest.raises(ValueError, match=r"^n_sites\*\*dim must be at most "
+                           rf"{np.iinfo(np.intp).max // 8}, the float64 values one numpy "
+                           rf"array can address, got {n_sites ** dim}$"):
+            LatticeSpec(dim=dim, n_sites=n_sites, spacing=1.0, mass=1.0)
+        LatticeSpec(dim=dim, n_sites=n_sites // 2, spacing=1.0, mass=1.0)
+
     def test_mode_index_folds_wavenumbers(self):
         modes = build_modes(small_chain())
         assert modes.mode_index(3) == modes.mode_index(-1)

@@ -9,11 +9,13 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from causalprobe import field_oracle, fieldtheory, harness, oscillators, spins
@@ -696,13 +698,18 @@ def test_scalar_fast_paths_match_the_general_route(value):
 
 @pytest.mark.parametrize("value", [2**1024, -2**1024, 10**400])
 def test_integral_fast_path_returns_ints_past_the_float_range(value):
-    """The one difference from the general route: an int that float()
-    cannot hold made it raise OverflowError (a program fault, not a
-    refusal); the fast path returns it, as policy.integer always has."""
-    with pytest.raises(OverflowError):
-        scalar_reference.integral("x", value)
+    """The differences from the general route: an int that float() cannot
+    hold made it raise OverflowError (a program fault, not a refusal); the
+    fast path returns it, as policy.integer always has, and _real, or
+    _integral's general route for a real past float's range, refuses it."""
+    for general in (scalar_reference.integral, scalar_reference.real):
+        with pytest.raises(OverflowError):
+            general("x", value)
     assert harness._integral("x", value) == integer(value, "x") == value
-    assert _outcome(harness._real, "x", value) == _outcome(scalar_reference.real, "x", value)
+    assert _outcome(harness._real, "x", value) \
+        == ("raises", harness.ScenarioError, f"x needs finite numbers, got {value!r}")
+    assert _outcome(harness._integral, "x", Fraction(value)) \
+        == ("raises", harness.ScenarioError, f"x needs integer values, got {Fraction(value)!r}")
 
 
 @SEEDED
@@ -751,3 +758,91 @@ def test_mode_digits_are_unravel_index_as_plain_ints(spec, data):
     assert phase == want and (phase.hex() == want.hex() or phase == 0.0)
     if spec.dim == 1:
         assert phase == modes.phases(site)[index]
+
+
+def _raw(system: str, params: dict, scheme: dict, observables: list) -> dict:
+    return {"version": 1, "system": system, "system_params": params,
+            "alice": {"kind": "kick"}, "scheme": scheme, "observables": observables,
+            "lambda_grid": [-0.3, 0.0, 0.3], "lambda_ref": 0.3}
+
+
+def _site_draws(dim: int, n: int):
+    coords = st.integers(-n, n)
+    return coords if dim == 1 else st.lists(coords, min_size=dim, max_size=dim)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A scenario, one of its system's sweep axes and values along it: a
+    field's volume or spacing, or an oscillator's trunc or s_cut.  Values
+    that the point refuses are drawn too (an odd N, a site off the lattice,
+    a p that becomes self-conjugate, an odd or huge cutoff)."""
+    if draw(st.booleans()):
+        dim = draw(st.sampled_from((1, 2, 3)))
+        n = draw(st.sampled_from((4, 6, 8, 12) if dim < 3 else (4, 6)))
+        spacing = draw(st.sampled_from((1.0, 0.5, 2.0, 0.3)))
+        params = {"dim": dim, "n_sites": n, "spacing": spacing, "mass": 1.0,
+                  **{key: draw(_site_draws(dim, n)) for key in ("x", "y", "p")}}
+        axis = draw(st.sampled_from(("volume", "spacing")))
+        values = st.integers(1, 40) | st.sampled_from((3, 2**62, 2**63)) if axis == "volume" \
+            else st.integers(1, 2 * n).map(lambda k: spacing * n / k) | st.floats(0.01, 10.0)
+        raw = _raw("field", params, {"id": "naive-np"}, ["pi_y"])
+    else:
+        scheme = draw(st.sampled_from(("naive-nplus", "phase-nplus")))
+        axis = draw(st.sampled_from(("trunc", "s_cut") if scheme == "phase-nplus" else ("trunc",)))
+        values = st.integers(-3, 60) | st.sampled_from((0, 2**60, 2**63))
+        extras = {"s_cut": 2 * draw(st.integers(0, 20))} if scheme == "phase-nplus" else {}
+        raw = _raw("oscillator", {"trunc": draw(st.integers(1, 60))}, {"id": scheme, **extras},
+                   ["PB"])
+    try:
+        parent = harness.Scenario.from_dict(raw)
+    except harness.ScenarioError:
+        reject()
+    return parent, axis, draw(st.lists(values, min_size=1, max_size=4))
+
+
+def _replaced(sc, section: str, changes: dict):
+    """The fully validated point: ``replace`` with the section's changes."""
+    return replace(sc, **{section: {**getattr(sc, section), **changes}})
+
+
+def _point_at(scenario_at, parent, value):
+    try:
+        return scenario_at(parent, value)
+    except harness.ScenarioError as err:
+        return str(err)
+
+
+def _field_case(n_sites, p, axis, values, x=0, y=1):
+    params = {"dim": 1, "n_sites": n_sites, "spacing": 1.0, "mass": 1.0, "x": x, "y": y, "p": p}
+    raw = _raw("field", params, {"id": "naive-np"}, ["pi_y"])
+    return harness.Scenario.from_dict(raw), axis, values
+
+
+@SEEDED
+@given(case=sweep_cases())
+@example(case=_field_case(6, 2, "volume", [3]))                   # odd N
+@example(case=_field_case(8, 1, "spacing", [2.0, 0.5], x=1))      # x off the lattice
+@example(case=_field_case(8, 2, "spacing", [2.0], y=2))           # p self-conjugate at N = 4
+@example(case=(harness.Scenario.from_dict(_raw(
+    "oscillator", {"trunc": 20}, {"id": "phase-nplus", "s_cut": 4}, ["PB"])), "s_cut", [3]))
+def test_sweep_points_equal_fully_validated_ones(case):
+    """A sweep point derived from its parent's typed values is the point
+    ``replace`` makes with full validation: the same fields, read-only and
+    without lists, ==, hash and typed values, the typed values filled in;
+    where either refuses, both do, with the same message."""
+    parent, axis, values = case
+    scenario_at = harness.SYSTEMS[parent.system].sweep_axes[axis]
+    for value in values:
+        derived = _point_at(scenario_at, parent, value)
+        with mock.patch.object(harness, "_derived", _replaced):
+            full = _point_at(scenario_at, parent, value)
+        if isinstance(derived, str) or isinstance(full, str):
+            assert derived == full
+            continue
+        assert "typed" in vars(derived)
+        for f in fields(harness.Scenario):
+            assert getattr(derived, f.name) == getattr(full, f.name)
+            assert type(getattr(derived, f.name)) is type(getattr(full, f.name))
+        assert derived == full and derived.typed == full.typed == derived.validate()
+        assert _outcome(hash, derived) == _outcome(hash, full)
